@@ -55,9 +55,7 @@ from .scenarios import (
     RateFunction,
     Scenario,
     SinusoidalPeriodic,
-    builtin_beta,
     builtin_beta_rate,
-    builtin_gamma,
     builtin_gamma_rate,
     preset_scenario,
 )
@@ -97,9 +95,7 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "Weights",
-    "builtin_beta",
     "builtin_beta_rate",
-    "builtin_gamma",
     "builtin_gamma_rate",
     "compare_strategies",
     "control_law_l1",

@@ -20,6 +20,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     ConfigError,
     RunConfig,
@@ -34,8 +36,7 @@ from .experiments import (
     default_sweep_values,
     run_sweep,
 )
-from .model import State
-from .pmp import Costate, switching_functions
+from .pmp import OBJECTIVE_TAGS, switching_terms
 from .scenarios import PRESET_NAMES, preset_scenario
 from .solver import DivergenceError, SolveResult, solve
 
@@ -46,23 +47,15 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _trajectory_rows(result: SolveResult, cfg: RunConfig) -> list[tuple[float, ...]]:
+def _trajectory_rows(result: SolveResult, cfg: RunConfig) -> list[list[float]]:
     scenario = cfg.scenario
-    ts = result.state.grid.nodes()
-    rows = []
-    for i, t in enumerate(ts):
-        R, C, P = result.state.values[i]
-        p1, p2, p3 = result.costate.values[i]
-        u1, u2 = result.controls.values[i]
-        phi = switching_functions(
-            State(R, C, P),
-            Costate(p1, p2, p3),
-            scenario.params,
-            scenario.weights,
-            scenario.n0,
-        )
-        rows.append((t, R, C, P, u1, u2, p1, p2, p3, phi.phi1, phi.phi2))
-    return rows
+    x, p = result.state.values, result.costate.values
+    phi = switching_terms(
+        x[:, 0], x[:, 2], p[:, 0], p[:, 1], p[:, 2],
+        scenario.params, scenario.weights, scenario.n0,
+    )
+    columns = (result.state.grid.nodes(), x, result.controls.values, p, *phi)
+    return np.column_stack(columns).tolist()
 
 
 def _write_trajectory(result: SolveResult, cfg: RunConfig, out_dir: Path) -> None:
@@ -74,7 +67,7 @@ def _write_trajectory(result: SolveResult, cfg: RunConfig, out_dir: Path) -> Non
     else:
         doc = {
             "columns": list(TRAJECTORY_COLUMNS),
-            "rows": [[float(v) for v in row] for row in rows],
+            "rows": rows,
         }
         (out_dir / "trajectory.json").write_text(json.dumps(doc) + "\n")
 
@@ -143,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--preset", help=f"one of: {', '.join(PRESET_NAMES)}")
         cmd.add_argument("--config", help="path to a JSON run configuration")
-        cmd.add_argument("--objective", choices=("l1", "l2"))
+        cmd.add_argument("--objective", choices=OBJECTIVE_TAGS)
         cmd.add_argument("--n", type=int, help="number of grid intervals")
         cmd.add_argument("--tol", type=float, help="relative convergence tolerance")
         cmd.add_argument("--relax", type=float, help="control update blend weight")
@@ -242,10 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return _cmd_compare(cfg, out_dir)
         return _cmd_sweep(cfg, out_dir)
-    except ValueError as err:  # includes ConfigError
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except DivergenceError as err:
+    except (ValueError, DivergenceError) as err:  # ValueError includes ConfigError
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,7 @@ from .experiments import (
 )
 from .integrator import TimeGrid, default_grid
 from .model import ModelParams, State, Weights
+from .pmp import OBJECTIVE_TAGS
 from .scenarios import (
     Constant,
     LogisticDecreasing,
@@ -186,6 +187,7 @@ class RunConfig:
                 f"field sweep.param must be one of {SWEEP_PARAMETERS}, "
                 f"got {self.sweep_param!r}"
             )
+        self.sweep_settings()  # reject bad grid/solver fields before any output
 
     @property
     def grid(self) -> TimeGrid:
@@ -235,9 +237,10 @@ def config_from_dict(doc: dict) -> RunConfig:
     scenario = scenario_from_dict(_get(doc, "scenario", "config", dict))
     objective = _get(doc, "objective", "config", str, required=False)
     if objective is not None:
-        if objective not in ("l1", "l2"):
+        if objective not in OBJECTIVE_TAGS:
             raise ConfigError(
-                f"field config.objective must be 'l1' or 'l2', got {objective!r}"
+                f"field config.objective must be one of {OBJECTIVE_TAGS}, "
+                f"got {objective!r}"
             )
         scenario = replace(scenario, objective=objective)
 

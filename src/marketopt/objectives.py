@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 from .model import Weights
 from .integrator import ControlGrid, Trajectory
-
-OBJECTIVE_TAGS = ("l2", "l1")
+from .pmp import OBJECTIVE_TAGS, running_cost
 
 
 @dataclass(frozen=True)
@@ -33,13 +32,8 @@ def evaluate_cost(kind: ObjectiveKind, x: Trajectory, u: ControlGrid) -> float:
     """Trapezoid value of the running cost along (x, u) on their shared grid."""
     if x.grid != u.grid:
         raise ValueError("trajectory and controls must share one grid")
-    P = x.values[:, 2]
-    u1 = u.values[:, 0]
-    u2 = u.values[:, 1]
-    w = kind.weights
-    if kind.tag == "l2":
-        integrand = w.kappa1 * P + w.kappa2 * u1 * u1 + w.kappa3 * u2 * u2
-    else:
-        integrand = w.kappa1 * P + w.kappa2 * u1 + w.kappa3 * u2
+    integrand = running_cost(
+        kind.tag, x.values[:, 2], u.values[:, 0], u.values[:, 1], kind.weights
+    )
     h = x.grid.h
     return float(h * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1])))

@@ -20,12 +20,18 @@ The quadratic-cost minimizer is the clamped stationary point of H in u; the
 linear-cost minimizer is bang-bang, driven by the switching values (the
 coefficients of u1, u2 in H).  The linear running cost has zero state
 gradient, so both objectives share the adjoint system above.
+
+Each pointwise law is written once, as a validation-free ``*_terms`` kernel
+on scalars or whole node columns; the public per-node functions validate
+their inputs and wrap those kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import (
     ControlPair,
@@ -36,6 +42,8 @@ from .model import (
     _require_finite,
     rhs_terms,
 )
+
+OBJECTIVE_TAGS = ("l2", "l1")
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,47 @@ def costate_rhs(
     )
 
 
+def check_l2_weights(weights: Weights) -> None:
+    """The quadratic law divides by kappa2 and kappa3."""
+    if weights.kappa2 <= 0.0 or weights.kappa3 <= 0.0:
+        raise ValueError("quadratic control law needs kappa2 > 0 and kappa3 > 0")
+
+
+def _clamp(u, bound):
+    # where() rather than maximum(): like max(0.0, u), it maps -0.0 to +0.0
+    return np.minimum(np.where(u > 0.0, u, 0.0), bound)
+
+
+def l2_law_terms(R, P, p1, p2, p3, params: ModelParams, weights: Weights, n0: float):
+    """Raw clamped quadratic-cost law on scalars or node arrays; no validation."""
+    direct_gap = p3 - params.alpha1 * p1 - (1.0 - params.alpha1) * p2
+    spread_gap = p3 - params.alpha2 * p1 - (1.0 - params.alpha2) * p2
+    u1 = direct_gap * P / (2.0 * weights.kappa2)
+    u2 = spread_gap * P * R / (2.0 * weights.kappa3 * n0)
+    return _clamp(u1, params.u1_max), _clamp(u2, params.u2_max)
+
+
+def switching_terms(R, P, p1, p2, p3, params: ModelParams, weights: Weights, n0: float):
+    """Raw switching values (phi1, phi2) on scalars or node arrays; no validation."""
+    phi1 = weights.kappa2 + (params.alpha1 * p1 + (1.0 - params.alpha1) * p2 - p3) * P
+    phi2 = (
+        weights.kappa3
+        + (params.alpha2 * p1 + (1.0 - params.alpha2) * p2 - p3) * P * R / n0
+    )
+    return phi1, phi2
+
+
+def bang_bang_terms(phi, bound: float, previous, eps_singular: float):
+    """Raw bang-bang law for one control on scalars or node arrays.
+
+    Returns the control and the deadband (singular) flags; no validation.
+    """
+    u = np.where(
+        phi > eps_singular, 0.0, np.where(phi < -eps_singular, bound, previous)
+    )
+    return u, np.abs(phi) <= eps_singular
+
+
 def control_law_l2(
     x: State,
     p: Costate,
@@ -145,18 +194,11 @@ def control_law_l2(
     u1 = clamp([p3 - alpha1*p1 - (1-alpha1)*p2] * P / (2*kappa2), 0, u1_max)
     u2 = clamp([p3 - alpha2*p1 - (1-alpha2)*p2] * P*R / (2*kappa3*n0), 0, u2_max)
     """
-    if weights.kappa2 <= 0.0 or weights.kappa3 <= 0.0:
-        raise ValueError("quadratic control law needs kappa2 > 0 and kappa3 > 0")
+    check_l2_weights(weights)
     if n0 <= 0.0:
         raise ValueError(f"n0 must be > 0, got {n0}")
-    direct_gap = p.p3 - params.alpha1 * p.p1 - (1.0 - params.alpha1) * p.p2
-    spread_gap = p.p3 - params.alpha2 * p.p1 - (1.0 - params.alpha2) * p.p2
-    u1 = direct_gap * x.P / (2.0 * weights.kappa2)
-    u2 = spread_gap * x.P * x.R / (2.0 * weights.kappa3 * n0)
-    return ControlPair(
-        u1=min(max(0.0, u1), params.u1_max),
-        u2=min(max(0.0, u2), params.u2_max),
-    )
+    u1, u2 = l2_law_terms(x.R, x.P, p.p1, p.p2, p.p3, params, weights, n0)
+    return ControlPair(u1=float(u1), u2=float(u2))
 
 
 def switching_functions(
@@ -176,13 +218,8 @@ def switching_functions(
     """
     if n0 <= 0.0:
         raise ValueError(f"n0 must be > 0, got {n0}")
-    phi1 = weights.kappa2 + (
-        params.alpha1 * p.p1 + (1.0 - params.alpha1) * p.p2 - p.p3
-    ) * x.P
-    phi2 = weights.kappa3 + (
-        params.alpha2 * p.p1 + (1.0 - params.alpha2) * p.p2 - p.p3
-    ) * x.P * x.R / n0
-    return SwitchingValues(phi1=phi1, phi2=phi2)
+    phi1, phi2 = switching_terms(x.R, x.P, p.p1, p.p2, p.p3, params, weights, n0)
+    return SwitchingValues(phi1=float(phi1), phi2=float(phi2))
 
 
 def control_law_l1(
@@ -197,19 +234,22 @@ def control_law_l1(
     and the component is flagged as a potential singular arc; no singular
     control synthesis is attempted.
     """
-    if eps_singular < 0.0:
-        raise ValueError("eps_singular must be >= 0")
+    if not 0.0 <= eps_singular < math.inf:
+        raise ValueError(f"eps_singular must be finite and >= 0, got {eps_singular}")
+    phi1 = _require_finite("phi1", phi.phi1)
+    phi2 = _require_finite("phi2", phi.phi2)
+    u1, singular1 = bang_bang_terms(phi1, params.u1_max, previous.u1, eps_singular)
+    u2, singular2 = bang_bang_terms(phi2, params.u2_max, previous.u2, eps_singular)
+    return ControlPair(u1=float(u1), u2=float(u2)), (bool(singular1), bool(singular2))
 
-    def pick(value: float, bound: float, prev: float) -> tuple[float, bool]:
-        if value > eps_singular:
-            return 0.0, False
-        if value < -eps_singular:
-            return bound, False
-        return prev, True
 
-    u1, singular1 = pick(phi.phi1, params.u1_max, previous.u1)
-    u2, singular2 = pick(phi.phi2, params.u2_max, previous.u2)
-    return ControlPair(u1=u1, u2=u2), (singular1, singular2)
+def running_cost(objective: str, P, u1, u2, weights: Weights):
+    """kappa1*P + kappa2*u1^a + kappa3*u2^a on scalars or node arrays."""
+    if objective == "l2":
+        return weights.kappa1 * P + weights.kappa2 * u1 * u1 + weights.kappa3 * u2 * u2
+    if objective == "l1":
+        return weights.kappa1 * P + weights.kappa2 * u1 + weights.kappa3 * u2
+    raise ValueError(f"objective must be one of {OBJECTIVE_TAGS}, got {objective!r}")
 
 
 def hamiltonian(
@@ -230,16 +270,7 @@ def hamiltonian(
     gradients should re-tie n0 to the perturbed total so the adjoint system
     remains the exact negative gradient.
     """
-    if objective == "l2":
-        running = (
-            weights.kappa1 * x.P
-            + weights.kappa2 * u.u1 * u.u1
-            + weights.kappa3 * u.u2 * u.u2
-        )
-    elif objective == "l1":
-        running = weights.kappa1 * x.P + weights.kappa2 * u.u1 + weights.kappa3 * u.u2
-    else:
-        raise ValueError(f"objective must be 'l1' or 'l2', got {objective!r}")
+    running = running_cost(objective, x.P, u.u1, u.u2, weights)
     if n0 <= 0.0 or not math.isfinite(n0):
         raise ValueError(f"n0 must be finite and > 0, got {n0}")
     dR, dC, dP = rhs_terms(

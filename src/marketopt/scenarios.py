@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, State, Weights, _require_finite, total_population
-
-OBJECTIVE_TAGS = ("l2", "l1")
+from .pmp import OBJECTIVE_TAGS
 
 
 class RateFunction:
@@ -165,14 +164,6 @@ def builtin_gamma_rate(index: int) -> RateFunction:
         return _GAMMA_FUNCTIONS[index]
     except KeyError:
         raise ValueError(f"unknown gamma index {index!r}; valid indices are 1, 2, 3") from None
-
-
-def builtin_beta(index: int, t: float) -> float:
-    return builtin_beta_rate(index)(t)
-
-
-def builtin_gamma(index: int, t: float) -> float:
-    return builtin_gamma_rate(index)(t)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ exactly on the result; the blended controls only steer the iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,9 +28,8 @@ from .integrator import (
     rk4_backward,
     rk4_forward,
 )
-from .model import ControlPair, State
 from .objectives import ObjectiveKind, evaluate_cost
-from .pmp import Costate, control_law_l1, control_law_l2, switching_functions
+from .pmp import Costate, bang_bang_terms, check_l2_weights, l2_law_terms, switching_terms
 from .scenarios import Scenario
 
 
@@ -59,8 +59,12 @@ class SweepSettings:
     def __post_init__(self) -> None:
         if not (0.0 < self.relaxation <= 1.0):
             raise ValueError(f"relaxation must be in (0, 1], got {self.relaxation}")
-        if self.tol_delta <= 0.0:
-            raise ValueError(f"tol_delta must be > 0, got {self.tol_delta}")
+        if not 0.0 < self.tol_delta < math.inf:
+            raise ValueError(f"tol_delta must be finite and > 0, got {self.tol_delta}")
+        if not 0.0 <= self.eps_singular < math.inf:
+            raise ValueError(
+                f"eps_singular must be finite and >= 0, got {self.eps_singular}"
+            )
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -125,32 +129,17 @@ def _law_on_grid(
     u_prev: np.ndarray,
     eps_singular: float,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Pointwise optimality law at every node; singular flags for l1."""
-    n0 = scenario.n0
+    """Pointwise optimality law on whole node columns; singular flags for l1."""
+    R, _, P = x.values.T
+    p1, p2, p3 = p.values.T
     params = scenario.params
-    weights = scenario.weights
-    n_nodes = x.grid.n + 1
-    u_new = np.empty((n_nodes, 2))
+    columns = (R, P, p1, p2, p3, params, scenario.weights, scenario.n0)
     if scenario.objective == "l2":
-        for i in range(n_nodes):
-            state = State(*x.values[i])
-            costate = Costate(*p.values[i])
-            pair = control_law_l2(state, costate, params, weights, n0)
-            u_new[i, 0] = pair.u1
-            u_new[i, 1] = pair.u2
-        return u_new, None
-    flags = np.zeros(n_nodes, dtype=bool)
-    for i in range(n_nodes):
-        state = State(*x.values[i])
-        costate = Costate(*p.values[i])
-        phi = switching_functions(state, costate, params, weights, n0)
-        pair, (s1, s2) = control_law_l1(
-            phi, params, ControlPair(*u_prev[i]), eps_singular
-        )
-        u_new[i, 0] = pair.u1
-        u_new[i, 1] = pair.u2
-        flags[i] = s1 or s2
-    return u_new, flags
+        return np.column_stack(l2_law_terms(*columns)), None
+    phi1, phi2 = switching_terms(*columns)
+    u1, singular1 = bang_bang_terms(phi1, params.u1_max, u_prev[:, 0], eps_singular)
+    u2, singular2 = bang_bang_terms(phi2, params.u2_max, u_prev[:, 1], eps_singular)
+    return np.column_stack((u1, u2)), singular1 | singular2
 
 
 def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
@@ -158,6 +147,8 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     grid = settings.grid
     n0 = scenario.n0
     kind = ObjectiveKind(scenario.objective, scenario.weights)
+    if scenario.objective == "l2":
+        check_l2_weights(scenario.weights)
     p_terminal = Costate(0.0, 0.0, 0.0)
 
     u_work = np.zeros((grid.n + 1, 2))

@@ -154,6 +154,27 @@ def test_config_error_names_the_field(tmp_path, capsys):
     assert "scenario.weights.kappa2" in capsys.readouterr().err
 
 
+def test_nan_eps_singular_in_config_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    doc = config_to_dict(config_from_scenario(preset_scenario("scenario3-l1")))
+    doc["solver"]["eps_singular"] = float("nan")
+    cfg.write_text(json.dumps(doc))
+    code = _run("solve", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert "eps_singular" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_zero_l2_control_weight_is_an_input_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    doc = config_to_dict(config_from_scenario(preset_scenario("scenario1")))
+    doc["scenario"]["weights"]["kappa3"] = 0.0
+    cfg.write_text(json.dumps(doc))
+    code = _run("solve", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert code == 1
+    assert "kappa3 > 0" in capsys.readouterr().err
+
+
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

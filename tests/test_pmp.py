@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 from marketopt.model import ControlPair, ModelParams, State, Weights
 from marketopt.pmp import (
     Costate,
+    SwitchingValues,
+    bang_bang_terms,
     control_law_l1,
     control_law_l2,
     costate_rhs,
     hamiltonian,
+    l2_law_terms,
     switching_functions,
+    switching_terms,
 )
 from marketopt.scenarios import Constant, builtin_beta_rate, builtin_gamma_rate
 
@@ -107,8 +111,6 @@ def test_switching_values_match_arithmetic_oracle():
 
 
 def test_bang_bang_law():
-    from marketopt.pmp import SwitchingValues
-
     u, flags = control_law_l1(
         SwitchingValues(1.0, -1.0), PARAMS, ControlPair(0.0, 0.0), 1e-9
     )
@@ -117,14 +119,108 @@ def test_bang_bang_law():
 
 
 def test_bang_bang_law_holds_previous_value_inside_deadband():
-    from marketopt.pmp import SwitchingValues
-
     previous = ControlPair(0.03, 0.5)
     u, flags = control_law_l1(SwitchingValues(0.0, 0.0), PARAMS, previous, 1e-9)
     assert (u.u1, u.u2) == (previous.u1, previous.u2)
     assert flags == (True, True)
     with pytest.raises(ValueError):
         control_law_l1(SwitchingValues(0.0, 0.0), PARAMS, previous, -1.0)
+
+
+def test_l2_law_clamps_negative_zero_to_positive_zero():
+    # a negative gap times P = 0 gives -0.0 before the clamp, as max(0.0, u) did
+    x, p = State(R=0.4, C=0.6, P=0.0), Costate(1.0, 1.0, 0.0)
+    u = control_law_l2(x, p, PARAMS, WEIGHTS, 1.0)
+    u1, _ = l2_law_terms(
+        np.array([x.R]), np.array([x.P]), np.array([p.p1]), np.array([p.p2]),
+        np.array([p.p3]), PARAMS, WEIGHTS, 1.0,
+    )
+    assert u.u1 == 0.0 and not np.signbit(u.u1)
+    assert u1[0] == 0.0 and not np.signbit(u1[0])
+
+
+# Node columns for the array-kernel property test.  Costates up to +-60 push
+# the l2 law past both ends of the box; the appended nodes pin one clamp at
+# each bound, so every example exercises both.
+unit = st.floats(min_value=0.0, max_value=1.0)
+wide = st.floats(min_value=-60.0, max_value=60.0)
+kernel_nodes = st.lists(st.tuples(unit, unit, unit, wide, wide, wide), min_size=1)
+CLAMP_NODES = [(0.1, 0.2, 0.7, 0.0, 0.0, 50.0), (0.1, 0.2, 0.7, 0.0, 0.0, -50.0)]
+EPS_CHOICES = (0.0, 1e-9, 0.25)
+# Switching values at, inside and outside every deadband in EPS_CHOICES.
+phi_values = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from([0.0, -0.0, 5e-10, -5e-10, 1e-9, -1e-9, 0.25, -0.25, 0.3, -0.3]),
+)
+previous = st.tuples(
+    st.floats(min_value=0.0, max_value=PARAMS.u1_max),
+    st.floats(min_value=0.0, max_value=PARAMS.u2_max),
+)
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+def _l2_reference(x, p, n0):
+    # the clamped l2 law per node with Python min/max, in the kernel's order
+    a1, a2 = PARAMS.alpha1, PARAMS.alpha2
+    u1 = (p.p3 - a1 * p.p1 - (1.0 - a1) * p.p2) * x.P / (2.0 * WEIGHTS.kappa2)
+    spread_gap = p.p3 - a2 * p.p1 - (1.0 - a2) * p.p2
+    u2 = spread_gap * x.P * x.R / (2.0 * WEIGHTS.kappa3 * n0)
+    return min(max(0.0, u1), PARAMS.u1_max), min(max(0.0, u2), PARAMS.u2_max)
+
+
+def _bang_bang_reference(phi, bound, prev, eps):
+    if phi > eps:
+        return 0.0, False
+    if phi < -eps:
+        return bound, False
+    return prev, True
+
+
+@settings(max_examples=60)
+@given(nodes=kernel_nodes, n0=st.floats(min_value=0.5, max_value=2.0))
+def test_array_l2_and_switching_kernels_match_scalar_laws(nodes, n0):
+    nodes = nodes + CLAMP_NODES
+    R, C, P, p1, p2, p3 = (np.array(col) for col in zip(*nodes))
+    u1, u2 = l2_law_terms(R, P, p1, p2, p3, PARAMS, WEIGHTS, n0)
+    phi1, phi2 = switching_terms(R, P, p1, p2, p3, PARAMS, WEIGHTS, n0)
+    for i, (r, c, pp, q1, q2, q3) in enumerate(nodes):
+        x, p = State(r, c, pp), Costate(q1, q2, q3)
+        u = control_law_l2(x, p, PARAMS, WEIGHTS, n0)
+        phi = switching_functions(x, p, PARAMS, WEIGHTS, n0)
+        assert (_bits(u1[i]), _bits(u2[i])) == (_bits(u.u1), _bits(u.u2))
+        assert (_bits(u.u1), _bits(u.u2)) == tuple(map(_bits, _l2_reference(x, p, n0)))
+        assert (_bits(phi1[i]), _bits(phi2[i])) == (_bits(phi.phi1), _bits(phi.phi2))
+        assert type(u.u1) is float and type(phi.phi1) is float
+    assert u1[-2] == PARAMS.u1_max and u1[-1] == 0.0
+
+
+@settings(max_examples=60)
+@given(
+    nodes=st.lists(st.tuples(phi_values, phi_values, previous), min_size=1),
+    eps=st.sampled_from(EPS_CHOICES),
+)
+def test_array_bang_bang_kernel_matches_scalar_law(nodes, eps):
+    nodes = nodes + [(0.0, 0.0, (0.03, 0.5))]  # held in every deadband
+    phi1 = np.array([n[0] for n in nodes])
+    phi2 = np.array([n[1] for n in nodes])
+    prev1 = np.array([n[2][0] for n in nodes])
+    prev2 = np.array([n[2][1] for n in nodes])
+    u1, singular1 = bang_bang_terms(phi1, PARAMS.u1_max, prev1, eps)
+    u2, singular2 = bang_bang_terms(phi2, PARAMS.u2_max, prev2, eps)
+    for i, (f1, f2, prev) in enumerate(nodes):
+        u, flags = control_law_l1(
+            SwitchingValues(f1, f2), PARAMS, ControlPair(*prev), eps
+        )
+        assert (_bits(u1[i]), _bits(u2[i])) == (_bits(u.u1), _bits(u.u2))
+        assert (singular1[i], singular2[i]) == flags
+        ref1 = _bang_bang_reference(f1, PARAMS.u1_max, prev[0], eps)
+        ref2 = _bang_bang_reference(f2, PARAMS.u2_max, prev[1], eps)
+        assert ((u.u1, flags[0]), (u.u2, flags[1])) == (ref1, ref2)
+        assert type(u.u1) is float and all(type(flag) is bool for flag in flags)
+    assert singular1[-1] and u1[-1] == 0.03 and singular2[-1] and u2[-1] == 0.5
 
 
 def test_hamiltonian_with_zero_costate_and_control_is_the_state_cost():

@@ -12,8 +12,6 @@ from marketopt.scenarios import (
     Constant,
     PiecewiseLinear,
     Scenario,
-    builtin_beta,
-    builtin_gamma,
     builtin_beta_rate,
     builtin_gamma_rate,
     preset_scenario,
@@ -24,38 +22,39 @@ sweep_times = st.floats(min_value=0.0, max_value=14.0, allow_nan=False)
 
 def test_builtin_beta_anchor_points():
     # the logistic exponents vanish at t=4 and t=3 respectively
-    assert builtin_beta(1, 4.0) == pytest.approx(0.505, rel=1e-15)
-    assert builtin_beta(2, 3.0) == pytest.approx(0.505, rel=1e-15)
+    assert builtin_beta_rate(1)(4.0) == pytest.approx(0.505, rel=1e-15)
+    assert builtin_beta_rate(2)(3.0) == pytest.approx(0.505, rel=1e-15)
 
 
 def test_builtin_beta3_has_period_one():
+    beta3 = builtin_beta_rate(3)
     for t in (0.0, 0.37, 2.5, 6.9):
-        assert builtin_beta(3, t + 1.0) == pytest.approx(builtin_beta(3, t), abs=1e-12)
+        assert beta3(t + 1.0) == pytest.approx(beta3(t), abs=1e-12)
 
 
 def test_builtin_gamma_values():
     for t in (0.0, 1.7, 7.0):
-        assert builtin_gamma(1, t) == 0.10
-    assert builtin_gamma(2, 3.5) == pytest.approx(0.10, rel=1e-15)
+        assert builtin_gamma_rate(1)(t) == 0.10
+    assert builtin_gamma_rate(2)(3.5) == pytest.approx(0.10, rel=1e-15)
 
 
 @given(t=sweep_times)
 def test_builtin_gamma3_floor(t):
-    assert builtin_gamma(3, t) >= 0.01 - 1e-15
+    assert builtin_gamma_rate(3)(t) >= 0.01 - 1e-15
 
 
 @given(t=sweep_times, index=st.sampled_from([1, 2, 3]))
 def test_builtin_rates_nonnegative_and_bounded(t, index):
-    for value in (builtin_beta(index, t), builtin_gamma(index, t)):
+    for value in (builtin_beta_rate(index)(t), builtin_gamma_rate(index)(t)):
         assert 0.0 <= value <= 2.0
 
 
 @pytest.mark.parametrize("index", [0, 4, -1])
 def test_unknown_rate_index_rejected(index):
     with pytest.raises(ValueError, match="1, 2, 3"):
-        builtin_beta(index, 0.0)
+        builtin_beta_rate(index)(0.0)
     with pytest.raises(ValueError, match="1, 2, 3"):
-        builtin_gamma(index, 0.0)
+        builtin_gamma_rate(index)(0.0)
 
 
 def test_scenario1_preset_values():

@@ -48,6 +48,22 @@ def test_settings_validation():
         SweepSettings(grid=grid, tol_delta=0.0)
     with pytest.raises(ValueError):
         SweepSettings(grid=grid, max_iters=0)
+    for bad in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(ValueError, match="tol_delta"):
+            SweepSettings(grid=grid, tol_delta=bad)
+    for bad in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(ValueError, match="eps_singular"):
+            SweepSettings(grid=grid, eps_singular=bad)
+    assert SweepSettings(grid=grid, eps_singular=0.0).eps_singular == 0.0
+
+
+def test_l2_solve_needs_positive_control_weights():
+    sc = preset_scenario("comparison-default")
+    settings = SweepSettings(grid=TimeGrid(0.0, sc.t_f, 100))
+    k1, k2, k3 = sc.weights.kappa1, sc.weights.kappa2, sc.weights.kappa3
+    for weights in (Weights(k1, 0.0, k3), Weights(k1, k2, 0.0)):
+        with pytest.raises(ValueError, match="kappa2 > 0 and kappa3 > 0"):
+            solve(replace(sc, weights=weights), settings)
 
 
 def test_dominant_control_cost_pins_controls_at_zero():
