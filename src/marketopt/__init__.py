@@ -20,12 +20,14 @@ from .experiments import (
 )
 from .integrator import (
     ControlGrid,
+    GridRates,
     IntegrationError,
     TimeGrid,
     Trajectory,
     default_grid,
     rk4_backward,
     rk4_forward,
+    sample_rates,
     zero_controls,
 )
 from .model import (
@@ -76,6 +78,7 @@ __all__ = [
     "ControlPair",
     "Costate",
     "DivergenceError",
+    "GridRates",
     "IntegrationError",
     "LogisticDecreasing",
     "LogisticIncreasing",
@@ -111,6 +114,7 @@ __all__ = [
     "rk4_backward",
     "rk4_forward",
     "run_sweep",
+    "sample_rates",
     "solve",
     "strategy_controls",
     "switching_functions",

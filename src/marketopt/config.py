@@ -84,16 +84,21 @@ def rate_to_dict(rate: RateFunction) -> dict:
 
 def rate_from_dict(doc: dict, path: str) -> RateFunction:
     kind = _get(doc, "kind", path, str)
-    if kind == "piecewise-linear":
-        times = _get(doc, "times", path, list)
-        values = _get(doc, "values", path, list)
-        return PiecewiseLinear(tuple(float(t) for t in times),
-                               tuple(float(v) for v in values))
-    if kind not in _RATE_KINDS:
+    if kind != "piecewise-linear" and kind not in _RATE_KINDS:
         valid = ", ".join([*(_RATE_KINDS), "piecewise-linear"])
         raise ConfigError(f"field {path}.kind must be one of: {valid}")
-    cls, fields = _RATE_KINDS[kind]
-    return cls(**{f: _get(doc, f, path, float) for f in fields})
+    try:
+        if kind == "piecewise-linear":
+            times = _get(doc, "times", path, list)
+            values = _get(doc, "values", path, list)
+            return PiecewiseLinear(tuple(float(t) for t in times),
+                                   tuple(float(v) for v in values))
+        cls, fields = _RATE_KINDS[kind]
+        return cls(**{f: _get(doc, f, path, float) for f in fields})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"invalid value under {path}: {err}") from None
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -19,9 +19,11 @@ import numpy as np
 
 from .integrator import (
     ControlGrid,
+    GridRates,
     IntegrationError,
     TimeGrid,
     rk4_forward,
+    sample_rates,
     zero_controls,
 )
 from .model import Weights
@@ -120,15 +122,16 @@ class ComparisonTable:
 def strategy_controls(
     kind: StrategyKind,
     scenario: Scenario,
-    grid: TimeGrid,
+    rates: GridRates,
     settings: SweepSettings | None = None,
 ) -> ControlGrid:
-    """Control grid of the given strategy on the given grid.
+    """Control grid of the given strategy on the grid of the scenario's rates.
 
     The heuristic follows the uncontrolled trajectory: u1 tracks the fraction
     of potential customers still available, u2 tracks the product of the
     potential and referral fractions (the word-of-mouth contact pressure).
     """
+    grid = rates.grid
     params = scenario.params
     n_nodes = grid.n + 1
     if kind is StrategyKind.NO_CONTROL:
@@ -139,14 +142,7 @@ def strategy_controls(
         u[:, 1] = params.alpha2 * params.u2_max / 2.0
         return ControlGrid(grid, u)
     if kind is StrategyKind.FOLLOW_HEURISTIC:
-        free = rk4_forward(
-            scenario.x0,
-            zero_controls(grid),
-            params,
-            scenario.beta,
-            scenario.gamma,
-            scenario.n0,
-        )
+        free = rk4_forward(scenario.x0, zero_controls(grid), params, rates, scenario.n0)
         p_frac = free.values[:, 2] / scenario.n0
         r_frac = free.values[:, 0] / scenario.n0
         u = np.empty((n_nodes, 2))
@@ -158,20 +154,6 @@ def strategy_controls(
             settings = SweepSettings(grid=grid)
         return solve(scenario, settings).controls
     raise ValueError(f"unknown strategy {kind!r}")
-
-
-def _fixed_strategy_cost(
-    scenario: Scenario, controls: ControlGrid, kind: ObjectiveKind
-) -> float:
-    x = rk4_forward(
-        scenario.x0,
-        controls,
-        scenario.params,
-        scenario.beta,
-        scenario.gamma,
-        scenario.n0,
-    )
-    return evaluate_cost(kind, x, controls)
 
 
 def compare_strategies(
@@ -187,6 +169,7 @@ def compare_strategies(
     than raised, so sweep tables keep every cell.
     """
     kind = ObjectiveKind(scenario.objective, scenario.weights)
+    rates = sample_rates(scenario.beta, scenario.gamma, settings.grid)
     rows = []
     for strategy in ALL_STRATEGIES:
         if strategy not in strategies:
@@ -199,8 +182,9 @@ def compare_strategies(
                     result.cost, result.converged, result.iterations,
                 )
             else:
-                controls = strategy_controls(strategy, scenario, settings.grid)
-                cost = _fixed_strategy_cost(scenario, controls, kind)
+                controls = strategy_controls(strategy, scenario, rates)
+                x = rk4_forward(scenario.x0, controls, scenario.params, rates, scenario.n0)
+                cost = evaluate_cost(kind, x, controls)
                 row = ComparisonRow(parameter, value, strategy, cost, True, 0)
         except DivergenceError as err:
             row = ComparisonRow(parameter, value, strategy, nan, False, err.iteration)

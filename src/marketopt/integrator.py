@@ -6,6 +6,11 @@ live on the grid nodes: the stages at the interval ends use the nodal
 controls and the two midpoint stages use their average, which keeps fourth
 order for smooth controls.  States needed at backward midpoints are the
 average of the adjacent nodal states.
+
+Both passes read beta and gamma from one table sampled per grid at the nodes
+and midpoints (``sample_rates``).  The forward pass steps node by node; the
+adjoint system is linear in p, so the backward pass builds each step as an
+affine map, on whole blocks of steps at once, and composes them by a scan.
 """
 
 from __future__ import annotations
@@ -16,13 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, RateCallable, State, Weights, rhs_terms
-from .pmp import Costate, costate_terms
+from .pmp import Costate, costate_system
 
 NODES_PER_TIME_UNIT = 200
 
 # Continuous trajectories stay nonnegative; anything below this after a step
 # signals the step size is too coarse for the current rates.
 NONNEG_TOLERANCE = 1e-12
+
+# Backward RK4 steps composed per array pass; bounds the scan's memory.
+BACKWARD_BLOCK = 256
 
 
 class IntegrationError(RuntimeError):
@@ -124,32 +132,78 @@ def zero_controls(grid: TimeGrid) -> ControlGrid:
     return ControlGrid(grid, np.zeros((grid.n + 1, 2)))
 
 
-def _rates_on_grid(
-    rate: RateCallable, grid: TimeGrid
-) -> tuple[list[float], list[float]]:
-    """Rate values at the nodes and at the interval midpoints."""
-    h = grid.h
-    ts = grid.nodes()
-    at_nodes = [float(rate(t)) for t in ts]
-    at_mid = [float(rate(t + 0.5 * h)) for t in ts[:-1]]
-    return at_nodes, at_mid
+def _sample_times(grid: TimeGrid) -> np.ndarray:
+    """The nodes and interval midpoints of grid, in time order."""
+    ts = np.empty(2 * grid.n + 1)
+    ts[0::2] = grid.nodes()
+    ts[1::2] = ts[0:-1:2] + 0.5 * grid.h
+    return ts
+
+
+@dataclass(frozen=True, eq=False)
+class GridRates:
+    """beta and gamma at the nodes and interval midpoints of a grid.
+
+    Every value must be finite and >= 0; names label the two rates in errors.
+    """
+
+    grid: TimeGrid
+    beta_nodes: np.ndarray
+    beta_mid: np.ndarray
+    gamma_nodes: np.ndarray
+    gamma_mid: np.ndarray
+    names: tuple[str, str] = ("beta", "gamma")
+
+    def __post_init__(self) -> None:
+        n = self.grid.n
+        ts = _sample_times(self.grid)
+        for name, field in zip(self.names, ("beta", "gamma")):
+            nodes = np.array(getattr(self, f"{field}_nodes"), dtype=float)
+            mid = np.array(getattr(self, f"{field}_mid"), dtype=float)
+            if nodes.shape != (n + 1,) or mid.shape != (n,):
+                raise ValueError(f"{field} needs {n + 1} node and {n} midpoint values")
+            values = np.empty_like(ts)
+            values[0::2], values[1::2] = nodes, mid
+            bad = ~(np.isfinite(values) & (values >= 0.0))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(
+                    f"{name} is {float(values[i])!r} at t={ts[i]:.6g}; "
+                    "rates must be finite and >= 0"
+                )
+            values.setflags(write=False)
+            object.__setattr__(self, f"{field}_nodes", values[0::2])
+            object.__setattr__(self, f"{field}_mid", values[1::2])
+
+
+def sample_rates(beta: RateCallable, gamma: RateCallable, grid: TimeGrid) -> GridRates:
+    """Sample both rates at the nodes and midpoints of grid, one call per point."""
+    ts = _sample_times(grid)
+    b = np.array([float(beta(t)) for t in ts])
+    g = np.array([float(gamma(t)) for t in ts])
+    names = (
+        f"beta rate {getattr(beta, 'label', beta)}",
+        f"gamma rate {getattr(gamma, 'label', gamma)}",
+    )
+    return GridRates(grid, b[0::2], b[1::2], g[0::2], g[1::2], names)
 
 
 def rk4_forward(
     x0: State,
     u: ControlGrid,
     params: ModelParams,
-    beta: RateCallable,
-    gamma: RateCallable,
+    rates: GridRates,
     n0: float,
 ) -> Trajectory:
     """Integrate the state system over u.grid starting from x0."""
     grid = u.grid
+    if rates.grid != grid:
+        raise ValueError("controls and rates must share one grid")
     h = grid.h
     half = 0.5 * h
     sixth = h / 6.0
-    beta_n, beta_m = _rates_on_grid(beta, grid)
-    gamma_n, gamma_m = _rates_on_grid(gamma, grid)
+    beta_n, beta_m = rates.beta_nodes.tolist(), rates.beta_mid.tolist()
+    gamma_n, gamma_m = rates.gamma_nodes.tolist(), rates.gamma_mid.tolist()
     u1 = u.values[:, 0].tolist()
     u2 = u.values[:, 1].tolist()
     a1, a2 = params.alpha1, params.alpha2
@@ -194,71 +248,69 @@ def rk4_forward(
     return Trajectory(grid, np.array(rows))
 
 
+def _step_maps(at_nodes: np.ndarray, at_mid: np.ndarray, h: float) -> np.ndarray:
+    """RK4 steps of (dp/dt, 0) = S @ (p, 1) with step -h, as 4x4 maps M_i.
+
+    at_nodes holds S at nodes lo..hi and at_mid at the midpoints between
+    them; (p_i, 1) = M_i @ (p_{i+1}, 1).
+    """
+    K1 = at_nodes[1:]
+    K2 = at_mid - (0.5 * h) * (at_mid @ K1)
+    K3 = at_mid - (0.5 * h) * (at_mid @ K2)
+    K4 = at_nodes[:-1] - h * (at_nodes[:-1] @ K3)
+    return np.eye(4) - (h / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
+
+
 def rk4_backward(
     p_terminal: Costate,
     x: Trajectory,
     u: ControlGrid,
     params: ModelParams,
     weights: Weights,
-    beta: RateCallable,
-    gamma: RateCallable,
+    rates: GridRates,
     n0: float,
 ) -> Trajectory:
     """Integrate the adjoint system from t_f down to t0 along x and u.
 
-    The result is stored forward-indexed; its final node equals p_terminal
-    exactly.
+    Each RK4 step is an affine map of p.  Per block of BACKWARD_BLOCK steps
+    a log-depth scan forms the products M_i M_{i+1} ... M_{hi-1}, which map
+    the block's top node to each of its nodes.  The result is stored
+    forward-indexed; its final node equals p_terminal exactly.
     """
-    if x.grid != u.grid:
-        raise ValueError("state trajectory and controls must share one grid")
+    if not x.grid == u.grid == rates.grid:
+        raise ValueError("state, controls and rates must share one grid")
     grid = x.grid
     h = grid.h
-    half = 0.5 * h
-    sixth = h / 6.0
-    beta_n, beta_m = _rates_on_grid(beta, grid)
-    gamma_n, gamma_m = _rates_on_grid(gamma, grid)
-    u1 = u.values[:, 0].tolist()
-    u2 = u.values[:, 1].tolist()
-    Rs = x.values[:, 0].tolist()
-    Cs = x.values[:, 1].tolist()
-    Ps = x.values[:, 2].tolist()
-    a1, a2 = params.alpha1, params.alpha2
-    l1, l2 = params.lambda1, params.lambda2
-    k1 = weights.kappa1
+    xs, us = x.values, u.values
+    x_mid = 0.5 * (xs[:-1] + xs[1:])
+    u_mid = 0.5 * (us[:-1] + us[1:])
 
-    p1, p2, p3 = p_terminal.p1, p_terminal.p2, p_terminal.p3
     out = np.empty((grid.n + 1, 3))
-    out[grid.n] = (p1, p2, p3)
-    for i in range(grid.n - 1, -1, -1):
-        Ra, Ca, Pa = Rs[i], Cs[i], Ps[i]
-        Rb, Cb, Pb = Rs[i + 1], Cs[i + 1], Ps[i + 1]
-        Rm, Cm, Pm = 0.5 * (Ra + Rb), 0.5 * (Ca + Cb), 0.5 * (Pa + Pb)
-        u1a, u2a = u1[i], u2[i]
-        u1b, u2b = u1[i + 1], u2[i + 1]
-        u1m, u2m = 0.5 * (u1a + u1b), 0.5 * (u2a + u2b)
-        kA1, kB1, kC1 = costate_terms(
-            Rb, Cb, Pb, p1, p2, p3,
-            u1b, u2b, beta_n[i + 1], gamma_n[i + 1], a1, a2, l1, l2, k1, n0,
-        )
-        kA2, kB2, kC2 = costate_terms(
-            Rm, Cm, Pm, p1 - half * kA1, p2 - half * kB1, p3 - half * kC1,
-            u1m, u2m, beta_m[i], gamma_m[i], a1, a2, l1, l2, k1, n0,
-        )
-        kA3, kB3, kC3 = costate_terms(
-            Rm, Cm, Pm, p1 - half * kA2, p2 - half * kB2, p3 - half * kC2,
-            u1m, u2m, beta_m[i], gamma_m[i], a1, a2, l1, l2, k1, n0,
-        )
-        kA4, kB4, kC4 = costate_terms(
-            Ra, Ca, Pa, p1 - h * kA3, p2 - h * kB3, p3 - h * kC3,
-            u1a, u2a, beta_n[i], gamma_n[i], a1, a2, l1, l2, k1, n0,
-        )
-        p1 -= sixth * (kA1 + 2.0 * (kA2 + kA3) + kA4)
-        p2 -= sixth * (kB1 + 2.0 * (kB2 + kB3) + kB4)
-        p3 -= sixth * (kC1 + 2.0 * (kC2 + kC3) + kC4)
-        if not (math.isfinite(p1) and math.isfinite(p2) and math.isfinite(p3)):
-            raise IntegrationError(
-                f"non-finite adjoint at step {i} (t={grid.t0 + i * h:.6g})",
-                step=i,
+    out[grid.n] = (p_terminal.p1, p_terminal.p2, p_terminal.p3)
+    hi = grid.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        while hi > 0:
+            lo = max(0, hi - BACKWARD_BLOCK)
+            at_nodes = costate_system(
+                *xs[lo:hi + 1].T, *us[lo:hi + 1].T, rates.beta_nodes[lo:hi + 1],
+                rates.gamma_nodes[lo:hi + 1], params, weights, n0,
             )
-        out[i] = (p1, p2, p3)
+            at_mid = costate_system(
+                *x_mid[lo:hi].T, *u_mid[lo:hi].T, rates.beta_mid[lo:hi],
+                rates.gamma_mid[lo:hi], params, weights, n0,
+            )
+            maps = _step_maps(at_nodes, at_mid, h)
+            span = 1
+            while span < len(maps):
+                maps[:-span] = maps[:-span] @ maps[span:]
+                span *= 2
+            out[lo:hi] = maps[:, :3, :3] @ out[hi] + maps[:, :3, 3]
+            bad = ~np.isfinite(out[lo:hi]).all(axis=1)
+            if bad.any():
+                i = lo + int(np.flatnonzero(bad)[-1])
+                raise IntegrationError(
+                    f"non-finite adjoint at step {i} (t={grid.t0 + i * h:.6g})",
+                    step=i,
+                )
+            hi = lo
     return Trajectory(grid, out)

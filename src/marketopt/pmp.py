@@ -21,9 +21,11 @@ linear-cost minimizer is bang-bang, driven by the switching values (the
 coefficients of u1, u2 in H).  The linear running cost has zero state
 gradient, so both objectives share the adjoint system above.
 
-Each pointwise law is written once, as a validation-free ``*_terms`` kernel
-on scalars or whole node columns; the public per-node functions validate
-their inputs and wrap those kernels.
+The adjoint system is linear in p, dp/dt = A(t) p + b, and
+``costate_system`` builds (A, b) on whole node columns for the backward
+integrator; ``costate_rhs`` wraps it for one point.  Likewise each pointwise
+law is one validation-free ``*_terms`` kernel on scalars or node columns,
+wrapped by a validating per-node function.
 """
 
 from __future__ import annotations
@@ -67,40 +69,32 @@ class SwitchingValues:
     phi2: float
 
 
-def costate_terms(
-    R: float,
-    C: float,
-    P: float,
-    p1: float,
-    p2: float,
-    p3: float,
-    u1: float,
-    u2: float,
-    beta_t: float,
-    gamma_t: float,
-    alpha1: float,
-    alpha2: float,
-    lambda1: float,
-    lambda2: float,
-    kappa1: float,
-    n0: float,
-) -> tuple[float, float, float]:
-    """Raw adjoint right-hand side on scalars; integrator kernel."""
-    spread_gap = p3 - alpha2 * p1 - (1.0 - alpha2) * p2
-    direct_gap = p3 - alpha1 * p1 - (1.0 - alpha1) * p2
+def costate_system(R, C, P, u1, u2, beta_t, gamma_t, params: ModelParams,
+                   weights: Weights, n0: float) -> np.ndarray:
+    """Raw adjoint system on scalars or node columns; no validation.
+
+    Returns S = [[A, b], [0, 0]] with shape (..., 4, 4), one per node, so
+    that (dp/dt, 0) = S @ (p, 1) with b = (0, 0, -kappa1).
+    """
+    a1, a2 = params.alpha1, params.alpha2
+    l1, l2 = params.lambda1, params.lambda2
     drive = (beta_t + u2) / (n0 * n0)
-    dp1 = (
-        lambda2 * (p1 - p2)
-        + gamma_t * (p1 - p3)
-        + spread_gap * drive * P * (C + P)
-    )
-    dp2 = (
-        lambda1 * (p2 - p1)
-        + gamma_t * (p2 - p3)
-        - spread_gap * drive * P * R
-    )
-    dp3 = -kappa1 + direct_gap * u1 + spread_gap * drive * R * (C + R)
-    return dp1, dp2, dp3
+    # weights of the spread gap p3 - alpha2*p1 - (1-alpha2)*p2 in each row
+    w1 = drive * P * (C + P)
+    w2 = drive * P * R
+    w3 = drive * R * (C + R)
+    S = np.zeros(np.shape(R) + (4, 4))
+    S[..., 0, 0] = l2 + gamma_t - a2 * w1
+    S[..., 0, 1] = -l2 - (1.0 - a2) * w1
+    S[..., 0, 2] = w1 - gamma_t
+    S[..., 1, 0] = a2 * w2 - l1
+    S[..., 1, 1] = l1 + gamma_t + (1.0 - a2) * w2
+    S[..., 1, 2] = -gamma_t - w2
+    S[..., 2, 0] = -a1 * u1 - a2 * w3
+    S[..., 2, 1] = -(1.0 - a1) * u1 - (1.0 - a2) * w3
+    S[..., 2, 2] = u1 + w3
+    S[..., 2, 3] = -weights.kappa1
+    return S
 
 
 def costate_rhs(
@@ -121,24 +115,9 @@ def costate_rhs(
         raise ValueError(f"n0 must be > 0, got {n0}")
     beta_t = _require_finite("beta(t)", beta(t))
     gamma_t = _require_finite("gamma(t)", gamma(t))
-    return costate_terms(
-        x.R,
-        x.C,
-        x.P,
-        p.p1,
-        p.p2,
-        p.p3,
-        u.u1,
-        u.u2,
-        beta_t,
-        gamma_t,
-        params.alpha1,
-        params.alpha2,
-        params.lambda1,
-        params.lambda2,
-        weights.kappa1,
-        n0,
-    )
+    S = costate_system(x.R, x.C, x.P, u.u1, u.u2, beta_t, gamma_t, params, weights, n0)
+    dp1, dp2, dp3, _ = (S @ np.array([p.p1, p.p2, p.p3, 1.0])).tolist()
+    return dp1, dp2, dp3
 
 
 def check_l2_weights(weights: Weights) -> None:

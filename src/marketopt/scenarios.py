@@ -18,6 +18,14 @@ from .model import ModelParams, State, Weights, _require_finite, total_populatio
 from .pmp import OBJECTIVE_TAGS
 
 
+def _exp_or_inf(x: float) -> float:
+    """math.exp, with its limit inf where the result overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 class RateFunction:
     """Nonnegative time-varying rate, evaluable at any t."""
 
@@ -55,11 +63,13 @@ class LogisticIncreasing(RateFunction):
     midpoint: float
 
     def __post_init__(self) -> None:
+        for name in ("base", "gain", "rate", "midpoint"):
+            _require_finite(name, getattr(self, name))
         if self.base < 0.0 or self.gain < 0.0:
             raise ValueError("base and gain must be >= 0")
 
     def __call__(self, t: float) -> float:
-        return self.base + self.gain / (1.0 + math.exp(-self.rate * (t - self.midpoint)))
+        return self.base + self.gain / (1.0 + _exp_or_inf(-self.rate * (t - self.midpoint)))
 
     @property
     def label(self) -> str:
@@ -76,12 +86,14 @@ class LogisticDecreasing(RateFunction):
     midpoint: float
 
     def __post_init__(self) -> None:
+        for name in ("base", "gain", "rate", "midpoint"):
+            _require_finite(name, getattr(self, name))
         if self.base < 0.0 or self.gain < 0.0:
             raise ValueError("base and gain must be >= 0")
 
     def __call__(self, t: float) -> float:
         return self.base + self.gain * (
-            1.0 - 1.0 / (1.0 + math.exp(-self.rate * (t - self.midpoint)))
+            1.0 - 1.0 / (1.0 + _exp_or_inf(-self.rate * (t - self.midpoint)))
         )
 
     @property
@@ -99,6 +111,8 @@ class SinusoidalPeriodic(RateFunction):
     phase: float
 
     def __post_init__(self) -> None:
+        for name in ("offset", "amplitude", "omega", "phase"):
+            _require_finite(name, getattr(self, name))
         if self.offset < 0.0 or self.amplitude < 0.0:
             raise ValueError("offset and amplitude must be >= 0")
 
@@ -120,6 +134,8 @@ class PiecewiseLinear(RateFunction):
     def __post_init__(self) -> None:
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ValueError("need at least two (time, value) pairs of equal length")
+        if not all(math.isfinite(t) for t in self.times):
+            raise ValueError("times must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("times must be strictly increasing")
         if any(v < 0.0 or not math.isfinite(v) for v in self.values):

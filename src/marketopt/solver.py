@@ -27,6 +27,7 @@ from .integrator import (
     Trajectory,
     rk4_backward,
     rk4_forward,
+    sample_rates,
 )
 from .objectives import ObjectiveKind, evaluate_cost
 from .pmp import Costate, bang_bang_terms, check_l2_weights, l2_law_terms, switching_terms
@@ -150,6 +151,7 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     if scenario.objective == "l2":
         check_l2_weights(scenario.weights)
     p_terminal = Costate(0.0, 0.0, 0.0)
+    rates = sample_rates(scenario.beta, scenario.gamma, grid)
 
     u_work = np.zeros((grid.n + 1, 2))
     prev = _tracked(
@@ -166,23 +168,9 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
         iterations = iteration
         u_current = ControlGrid(grid, u_work)
         try:
-            x = rk4_forward(
-                scenario.x0,
-                u_current,
-                scenario.params,
-                scenario.beta,
-                scenario.gamma,
-                n0,
-            )
+            x = rk4_forward(scenario.x0, u_current, scenario.params, rates, n0)
             p = rk4_backward(
-                p_terminal,
-                x,
-                u_current,
-                scenario.params,
-                scenario.weights,
-                scenario.beta,
-                scenario.gamma,
-                n0,
+                p_terminal, x, u_current, scenario.params, scenario.weights, rates, n0
             )
         except IntegrationError as err:
             raise DivergenceError(

@@ -21,6 +21,7 @@ from marketopt.integrator import (
     Trajectory,
     default_grid,
     rk4_forward,
+    sample_rates,
     zero_controls,
 )
 from marketopt.model import ControlPair, ModelParams, State, Weights
@@ -96,7 +97,8 @@ def gamma_sweep(comparison):
 
 
 def _no_control_state(sc, grid) -> Trajectory:
-    return rk4_forward(sc.x0, zero_controls(grid), sc.params, sc.beta, sc.gamma, sc.n0)
+    rates = sample_rates(sc.beta, sc.gamma, grid)
+    return rk4_forward(sc.x0, zero_controls(grid), sc.params, rates, sc.n0)
 
 
 def test_criterion_1_conservation(
@@ -378,9 +380,8 @@ def test_criterion_9_numerical_analysis_properties():
     errors = []
     for n in (8, 16):
         grid = TimeGrid(0.0, 2.0, n)
-        x = rk4_forward(
-            x0, zero_controls(grid), params, Constant(0.0), Constant(gamma), 1.0
-        )
+        rates = sample_rates(Constant(0.0), Constant(gamma), grid)
+        x = rk4_forward(x0, zero_controls(grid), params, rates, 1.0)
         errors.append(np.abs(x.values[-1] - exact).max())
     rk4_order = math.log2(errors[0] / errors[1])
 

@@ -175,6 +175,48 @@ def test_zero_l2_control_weight_is_an_input_error(tmp_path, capsys):
     assert "kappa3 > 0" in capsys.readouterr().err
 
 
+def _config_with(tmp_path, preset, which, **fields):
+    cfg = tmp_path / "c.json"
+    doc = config_to_dict(config_from_scenario(preset_scenario(preset)))
+    doc["scenario"][which].update(fields)
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+def test_steep_logistic_rate_in_config_solves(tmp_path, capsys):
+    # exp(-1000*(t - 4)) overflows a float for t < 3.29
+    cfg = _config_with(tmp_path, "scenario1", "beta", rate=1000.0)
+    out = tmp_path / "x"
+    code = _run("solve", "--config", str(cfg), "--n", "400", "--out", str(out))
+    assert code == 0, capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())["converged"] is True
+
+
+@pytest.mark.parametrize(
+    "preset,which,fields",
+    [
+        ("scenario1", "beta", {"rate": float("nan")}),
+        ("scenario1", "gamma", {"value": float("inf")}),
+        ("scenario2", "gamma", {"midpoint": float("-inf")}),
+        ("scenario3", "beta", {"omega": float("nan")}),
+        ("scenario3", "gamma", {"phase": float("inf")}),
+        ("scenario1", "beta", {"kind": "piecewise-linear",
+                               "times": [0.0, float("nan"), 7.0],
+                               "values": [1.0, 0.5, 0.2]}),
+    ],
+)
+def test_nonfinite_rate_parameter_is_an_input_error(
+    tmp_path, capsys, preset, which, fields
+):
+    cfg = _config_with(tmp_path, preset, which, **fields)
+    code = _run("solve", "--config", str(cfg), "--out", str(tmp_path / "x"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: invalid value under scenario.{which}: " in err
+    assert "finite" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -12,7 +12,7 @@ from marketopt.experiments import (
     run_sweep,
     strategy_controls,
 )
-from marketopt.integrator import TimeGrid
+from marketopt.integrator import TimeGrid, sample_rates
 from marketopt.model import State
 from marketopt.scenarios import Constant, Scenario, preset_scenario
 from marketopt.solver import SweepSettings, solve
@@ -20,29 +20,31 @@ from marketopt.solver import SweepSettings, solve
 COMPARISON = preset_scenario("comparison-default")
 FAST_GRID = TimeGrid(0.0, 7.0, 700)
 FAST_SETTINGS = SweepSettings(grid=FAST_GRID)
+FAST_RATES = sample_rates(COMPARISON.beta, COMPARISON.gamma, FAST_GRID)
 
 
 def test_constant_strategy_values():
-    u = strategy_controls(StrategyKind.CONSTANT, COMPARISON, FAST_GRID)
+    u = strategy_controls(StrategyKind.CONSTANT, COMPARISON, FAST_RATES)
     assert np.all(u.values[:, 0] == pytest.approx(0.0285, rel=1e-15))
     assert np.all(u.values[:, 1] == 0.05)
 
 
 def test_no_control_strategy_is_zero():
-    u = strategy_controls(StrategyKind.NO_CONTROL, COMPARISON, FAST_GRID)
+    u = strategy_controls(StrategyKind.NO_CONTROL, COMPARISON, FAST_RATES)
     assert not u.values.any()
 
 
 def test_heuristic_vanishes_where_no_potential_customers():
     sc = replace(COMPARISON, x0=State(R=0.4, C=0.6, P=0.0))
-    u = strategy_controls(StrategyKind.FOLLOW_HEURISTIC, sc, FAST_GRID)
+    u = strategy_controls(StrategyKind.FOLLOW_HEURISTIC, sc, FAST_RATES)
     assert tuple(u.values[0]) == (0.0, 0.0)
 
 
 def test_heuristic_controls_never_exceed_bounds():
     for name in ("scenario1", "comparison-default"):
         sc = preset_scenario(name)
-        u = strategy_controls(StrategyKind.FOLLOW_HEURISTIC, sc, FAST_GRID)
+        rates = sample_rates(sc.beta, sc.gamma, FAST_GRID)
+        u = strategy_controls(StrategyKind.FOLLOW_HEURISTIC, sc, rates)
         cap1 = (1.0 - sc.params.alpha1) * sc.params.u1_max
         cap2 = sc.params.alpha2 * sc.params.u2_max
         assert u.values[:, 0].max() <= cap1 <= sc.params.u1_max
@@ -51,7 +53,7 @@ def test_heuristic_controls_never_exceed_bounds():
 
 def test_optimal_strategy_delegates_to_the_solver():
     u = strategy_controls(
-        StrategyKind.OPTIMAL, COMPARISON, FAST_GRID, settings=FAST_SETTINGS
+        StrategyKind.OPTIMAL, COMPARISON, FAST_RATES, settings=FAST_SETTINGS
     )
     direct = solve(COMPARISON, FAST_SETTINGS)
     assert np.array_equal(u.values, direct.controls.values)

@@ -1,30 +1,43 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from marketopt.integrator import (
+    BACKWARD_BLOCK,
     ControlGrid,
+    GridRates,
     IntegrationError,
     TimeGrid,
     Trajectory,
     default_grid,
     rk4_backward,
     rk4_forward,
+    sample_rates,
     zero_controls,
 )
-from marketopt.model import ModelParams, State, Weights
-from marketopt.pmp import Costate
-from marketopt.scenarios import Constant, preset_scenario
+from marketopt.model import ControlPair, ModelParams, State, Weights
+from marketopt.pmp import Costate, costate_rhs
+from marketopt.scenarios import (
+    Constant,
+    builtin_beta_rate,
+    builtin_gamma_rate,
+    preset_scenario,
+)
 
 SCENARIO1 = preset_scenario("scenario1")
+
+
+def _rates(sc, grid):
+    return sample_rates(sc.beta, sc.gamma, grid)
 
 
 def _forward_no_control(grid):
     sc = SCENARIO1
     return rk4_forward(
-        sc.x0, zero_controls(grid), sc.params, sc.beta, sc.gamma, sc.n0
+        sc.x0, zero_controls(grid), sc.params, _rates(sc, grid), sc.n0
     )
 
 
@@ -46,7 +59,7 @@ def test_equilibrium_stays_exactly_constant():
     grid = TimeGrid(0.0, 7.0, 100)
     x = rk4_forward(
         State(0.0, 0.0, 1.0), zero_controls(grid), SCENARIO1.params,
-        SCENARIO1.beta, SCENARIO1.gamma, 1.0,
+        _rates(SCENARIO1, grid), 1.0,
     )
     assert np.array_equal(x.values, np.tile([0.0, 0.0, 1.0], (101, 1)))
 
@@ -64,7 +77,7 @@ def test_forward_conserves_with_controls_on():
     u[:, 1] = 0.5
     x = rk4_forward(
         SCENARIO1.x0, ControlGrid(grid, u), SCENARIO1.params,
-        SCENARIO1.beta, SCENARIO1.gamma, SCENARIO1.n0,
+        _rates(SCENARIO1, grid), SCENARIO1.n0,
     )
     assert np.abs(x.values.sum(axis=1) - SCENARIO1.n0).max() <= 1e-12
 
@@ -93,9 +106,8 @@ def test_rk4_is_fourth_order_against_matrix_exponential():
     errors = []
     for n in (8, 16):
         grid = TimeGrid(0.0, 2.0, n)
-        x = rk4_forward(
-            x0, zero_controls(grid), params, Constant(0.0), Constant(gamma), 1.0
-        )
+        rates = sample_rates(Constant(0.0), Constant(gamma), grid)
+        x = rk4_forward(x0, zero_controls(grid), params, rates, 1.0)
         errors.append(np.abs(x.values[-1] - exact).max())
     order = math.log2(errors[0] / errors[1])
     assert order >= 3.7
@@ -112,7 +124,7 @@ def test_negative_overshoot_aborts_with_step_diagnostic():
     with pytest.raises(IntegrationError, match="reduce the step size") as err:
         rk4_forward(
             State(0.5, 0.0, 0.5), ControlGrid(grid, u), params,
-            Constant(0.0), Constant(0.0), 1.0,
+            sample_rates(Constant(0.0), Constant(0.0), grid), 1.0,
         )
     assert err.value.step == 1
 
@@ -126,7 +138,7 @@ def test_nonfinite_state_aborts_with_step_index():
     with pytest.raises(IntegrationError, match="non-finite") as err:
         rk4_forward(
             State(1e308, 0.0, 0.0), zero_controls(grid), params,
-            Constant(0.0), Constant(0.0), 1e308,
+            sample_rates(Constant(0.0), Constant(0.0), grid), 1e308,
         )
     assert err.value.step >= 1
 
@@ -136,7 +148,7 @@ def test_backward_terminal_value_is_exact():
     x = _forward_no_control(grid)
     p = rk4_backward(
         Costate(0.0, 0.0, 0.0), x, zero_controls(grid), SCENARIO1.params,
-        SCENARIO1.weights, SCENARIO1.beta, SCENARIO1.gamma, SCENARIO1.n0,
+        SCENARIO1.weights, _rates(SCENARIO1, grid), SCENARIO1.n0,
     )
     assert tuple(p.values[-1]) == (0.0, 0.0, 0.0)
 
@@ -146,7 +158,7 @@ def test_backward_zero_weight_costate_is_identically_zero():
     x = _forward_no_control(grid)
     p = rk4_backward(
         Costate(0.0, 0.0, 0.0), x, zero_controls(grid), SCENARIO1.params,
-        Weights(0.0, 1.0, 1.0), SCENARIO1.beta, SCENARIO1.gamma, SCENARIO1.n0,
+        Weights(0.0, 1.0, 1.0), _rates(SCENARIO1, grid), SCENARIO1.n0,
     )
     assert np.array_equal(p.values, np.zeros((201, 3)))
 
@@ -159,10 +171,10 @@ def test_backward_richardson_self_consistency():
         u = np.zeros((grid.n + 1, 2))
         u[:, 0] = sc.params.u1_max
         frozen = ControlGrid(grid, u)
-        x = rk4_forward(sc.x0, frozen, sc.params, sc.beta, sc.gamma, sc.n0)
+        rates = _rates(sc, grid)
+        x = rk4_forward(sc.x0, frozen, sc.params, rates, sc.n0)
         p = rk4_backward(
-            Costate(0.0, 0.0, 0.0), x, frozen, sc.params, sc.weights,
-            sc.beta, sc.gamma, sc.n0,
+            Costate(0.0, 0.0, 0.0), x, frozen, sc.params, sc.weights, rates, sc.n0
         )
         p3_at_start.append(p.values[0, 2])
     assert abs(p3_at_start[0] - p3_at_start[1]) <= 1e-8
@@ -175,8 +187,100 @@ def test_backward_rejects_mismatched_grids():
     with pytest.raises(ValueError, match="share one grid"):
         rk4_backward(
             Costate(0.0, 0.0, 0.0), x, zero_controls(grid_b), SCENARIO1.params,
-            SCENARIO1.weights, SCENARIO1.beta, SCENARIO1.gamma, SCENARIO1.n0,
+            SCENARIO1.weights, _rates(SCENARIO1, grid_a), SCENARIO1.n0,
         )
+
+
+def _scalar_backward(p_end, x, u, params, weights, beta, gamma, n0):
+    """Per-step RK4 on costate_rhs: the reference for the blocked array pass."""
+    grid = x.grid
+    h, ts = grid.h, grid.nodes()
+    xs, us = x.values, u.values
+
+    def rhs(t, xv, uv, p):
+        return np.array(costate_rhs(
+            t, State(*xv), Costate(*p), ControlPair(*uv),
+            params, weights, beta, gamma, n0,
+        ))
+
+    out = np.empty((grid.n + 1, 3))
+    out[grid.n] = p = np.array(p_end)
+    for i in range(grid.n - 1, -1, -1):
+        tm = ts[i] + 0.5 * h
+        xm, um = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (us[i] + us[i + 1])
+        k1 = rhs(ts[i + 1], xs[i + 1], us[i + 1], p)
+        k2 = rhs(tm, xm, um, p - 0.5 * h * k1)
+        k3 = rhs(tm, xm, um, p - 0.5 * h * k2)
+        k4 = rhs(ts[i], xs[i], us[i], p - h * k3)
+        out[i] = p = p - h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n", [2, 3, BACKWARD_BLOCK - 1, BACKWARD_BLOCK, BACKWARD_BLOCK + 1,
+          2 * BACKWARD_BLOCK + 3],
+)
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_blocked_backward_matches_scalar_rk4(n, index):
+    sc = SCENARIO1
+    beta, gamma = builtin_beta_rate(index), builtin_gamma_rate(index)
+    rng = np.random.default_rng(1000 * index + n)
+    grid = TimeGrid(0.0, 7.0, n)
+    u = ControlGrid(
+        grid, rng.uniform(0.0, 1.0, (n + 1, 2)) * (sc.params.u1_max, sc.params.u2_max)
+    )
+    rates = sample_rates(beta, gamma, grid)
+    x = rk4_forward(sc.x0, u, sc.params, rates, sc.n0)
+    p_end = Costate(*rng.uniform(-1.0, 1.0, 3))
+    p = rk4_backward(p_end, x, u, sc.params, sc.weights, rates, sc.n0)
+    ref = _scalar_backward(
+        (p_end.p1, p_end.p2, p_end.p3), x, u, sc.params, sc.weights, beta, gamma,
+        sc.n0,
+    )
+    assert tuple(p.values[-1]) == (p_end.p1, p_end.p2, p_end.p3)
+    err = np.abs(p.values - ref).max(axis=0)
+    assert np.all(err <= 1e-12 * np.abs(ref).max(axis=0))
+
+
+@pytest.mark.parametrize("n", [200, 1400])
+def test_nonfinite_adjoint_aborts_at_the_highest_bad_node(n):
+    grid = TimeGrid(0.0, 7.0, n)
+    x = _forward_no_control(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match="non-finite adjoint at step") as err:
+            rk4_backward(
+                Costate(0.0, 0.0, 0.0), x, zero_controls(grid), SCENARIO1.params,
+                Weights(1.7e308, 1.0, 1.0), _rates(SCENARIO1, grid), SCENARIO1.n0,
+            )
+    assert err.value.step == n - 1
+
+
+def test_rates_must_match_the_grid():
+    grid = TimeGrid(0.0, 7.0, 100)
+    with pytest.raises(ValueError, match="share one grid"):
+        rk4_forward(
+            SCENARIO1.x0, zero_controls(grid), SCENARIO1.params,
+            _rates(SCENARIO1, TimeGrid(0.0, 7.0, 200)), SCENARIO1.n0,
+        )
+
+
+def test_grid_rates_checks_lengths_and_values():
+    grid = TimeGrid(0.0, 1.0, 4)
+    ok_nodes, ok_mid = np.full(5, 0.5), np.full(4, 0.5)
+    rates = GridRates(grid, ok_nodes, ok_mid, ok_nodes, ok_mid)
+    assert not rates.beta_nodes.flags.writeable
+    with pytest.raises(ValueError, match="beta needs 5 node and 4 midpoint values"):
+        GridRates(grid, np.full(6, 0.5), ok_mid, ok_nodes, ok_mid)
+    with pytest.raises(ValueError, match="gamma needs 5 node and 4 midpoint values"):
+        GridRates(grid, ok_nodes, ok_mid, ok_nodes, np.full(5, 0.5))
+    for bad in (math.nan, math.inf, -1e-3):
+        mid = ok_mid.copy()
+        mid[2] = bad
+        with pytest.raises(ValueError, match=r"^gamma is .* at t=0\.625; rates must"):
+            GridRates(grid, ok_nodes, ok_mid, ok_nodes, mid)
+        with pytest.raises(ValueError, match=r"^beta is .* at t=0\.625; rates must"):
+            GridRates(grid, ok_nodes, mid, ok_nodes, ok_mid)
 
 
 def test_trajectory_and_control_grid_validation():

@@ -6,12 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from marketopt.config import scenario_from_dict, scenario_to_dict
+from marketopt.integrator import TimeGrid, sample_rates
 from marketopt.model import State
 from marketopt.scenarios import (
     PRESET_NAMES,
     Constant,
+    LogisticDecreasing,
+    LogisticIncreasing,
     PiecewiseLinear,
+    RateFunction,
     Scenario,
+    SinusoidalPeriodic,
     builtin_beta_rate,
     builtin_gamma_rate,
     preset_scenario,
@@ -130,3 +135,56 @@ def test_constant_rate_validation():
         Constant(-0.1)
     with pytest.raises(ValueError):
         Constant(math.inf)
+
+
+def test_steep_logistic_rates_take_the_exp_limit():
+    up = LogisticIncreasing(base=0.01, gain=0.99, rate=1000.0, midpoint=4.0)
+    down = LogisticDecreasing(base=0.01, gain=0.99, rate=1000.0, midpoint=4.0)
+    # exp(-rate*(t - midpoint)) overflows for t < 3.29
+    assert up(0.0) == 0.01
+    assert down(0.0) == 0.01 + 0.99
+    assert up(8.0) == 0.01 + 0.99 / (1.0 + math.exp(-4000.0))
+    assert down(8.0) == 0.01 + 0.99 * (1.0 - 1.0 / (1.0 + math.exp(-4000.0)))
+    # inputs that do not overflow keep their bits
+    t = 3.9995
+    assert up(t) == 0.01 + 0.99 / (1.0 + math.exp(-1000.0 * (t - 4.0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: LogisticIncreasing(base=0.01, gain=0.99, rate=v, midpoint=4.0),
+        lambda v: LogisticIncreasing(base=0.01, gain=0.99, rate=2.0, midpoint=v),
+        lambda v: LogisticDecreasing(base=0.01, gain=0.99, rate=v, midpoint=3.0),
+        lambda v: LogisticDecreasing(base=0.01, gain=v, rate=2.0, midpoint=3.0),
+        lambda v: SinusoidalPeriodic(offset=0.01, amplitude=0.49, omega=v, phase=0.26),
+        lambda v: SinusoidalPeriodic(offset=0.01, amplitude=0.49, omega=6.0, phase=v),
+        lambda v: PiecewiseLinear(times=(0.0, v, 3.0), values=(0.1, 0.2, 0.3)),
+    ],
+)
+def test_nonfinite_rate_parameters_rejected(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
+
+
+class _Table(RateFunction):
+    def __init__(self, bad_t, bad_value):
+        self.bad_t, self.bad_value = bad_t, bad_value
+
+    def __call__(self, t):
+        return self.bad_value if t >= self.bad_t else 0.5
+
+    @property
+    def label(self):
+        return "table"
+
+
+@pytest.mark.parametrize("bad_value", [math.nan, math.inf, -1e-3])
+def test_sample_rates_rejects_bad_samples(bad_value):
+    grid = TimeGrid(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match=r"gamma rate table is .* at t=0\.625"):
+        sample_rates(Constant(1.0), _Table(0.6, bad_value), grid)
+    # plain callables are named by their repr
+    with pytest.raises(ValueError, match=r"beta rate <function .* at t=0\.5"):
+        sample_rates(lambda t: bad_value if t >= 0.5 else 0.5, Constant(0.1), grid)

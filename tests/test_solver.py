@@ -3,10 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marketopt.integrator import TimeGrid, default_grid, rk4_forward, zero_controls
+from marketopt.integrator import (
+    TimeGrid,
+    default_grid,
+    rk4_forward,
+    sample_rates,
+    zero_controls,
+)
 from marketopt.model import ControlPair, State, Weights
 from marketopt.pmp import Costate, hamiltonian, switching_functions
-from marketopt.scenarios import Constant, Scenario, preset_scenario
+from marketopt.scenarios import Constant, RateFunction, Scenario, preset_scenario
 from marketopt.solver import (
     DivergenceError,
     SweepSettings,
@@ -78,7 +84,8 @@ def test_dominant_control_cost_pins_controls_at_zero():
     assert result.converged
     assert np.abs(result.controls.values).max() <= 1e-6
     free = rk4_forward(
-        sc.x0, zero_controls(grid), sc.params, sc.beta, sc.gamma, sc.n0
+        sc.x0, zero_controls(grid), sc.params,
+        sample_rates(sc.beta, sc.gamma, grid), sc.n0,
     )
     assert np.abs(result.state.values - free.values).max() <= 1e-6
 
@@ -93,6 +100,32 @@ def test_returned_controls_respect_bounds_exactly():
     assert result.singular_flags is None
     assert result.interior_fraction is None
     assert len(result.residual_history) == result.iterations
+
+
+class _Counting(RateFunction):
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.inner(t)
+
+    @property
+    def label(self):
+        return f"counting({self.inner.label})"
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-5])
+def test_solve_samples_each_rate_once_per_node_and_midpoint(tol):
+    sc = preset_scenario("scenario3")
+    beta, gamma = _Counting(sc.beta), _Counting(sc.gamma)
+    n = 200
+    result = solve(
+        replace(sc, beta=beta, gamma=gamma),
+        SweepSettings(grid=TimeGrid(0.0, 7.0, n), tol_delta=tol),
+    )
+    assert result.iterations > 1
+    assert beta.calls == gamma.calls == 2 * n + 1
 
 
 def test_l1_result_carries_diagnostics():
