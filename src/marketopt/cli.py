@@ -61,8 +61,10 @@ def _trajectory_rows(result: SolveResult, cfg: RunConfig) -> list[list[float]]:
 def _write_trajectory(result: SolveResult, cfg: RunConfig, out_dir: Path) -> None:
     rows = _trajectory_rows(result, cfg)
     if cfg.out_format == "csv":
+        # %.17g formats a float exactly as _fmt does, one call per row
+        row_format = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS))
         lines = [",".join(TRAJECTORY_COLUMNS)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(row_format % tuple(row) for row in rows)
         (out_dir / "trajectory.csv").write_text("\n".join(lines) + "\n")
     else:
         doc = {

@@ -22,6 +22,7 @@ from .integrator import (
     GridRates,
     IntegrationError,
     TimeGrid,
+    Trajectory,
     rk4_forward,
     sample_rates,
     zero_controls,
@@ -133,27 +134,32 @@ def strategy_controls(
     """
     grid = rates.grid
     params = scenario.params
-    n_nodes = grid.n + 1
     if kind is StrategyKind.NO_CONTROL:
         return zero_controls(grid)
     if kind is StrategyKind.CONSTANT:
-        u = np.empty((n_nodes, 2))
+        u = np.empty((grid.n + 1, 2))
         u[:, 0] = (1.0 - params.alpha1) * params.u1_max / 2.0
         u[:, 1] = params.alpha2 * params.u2_max / 2.0
         return ControlGrid(grid, u)
     if kind is StrategyKind.FOLLOW_HEURISTIC:
         free = rk4_forward(scenario.x0, zero_controls(grid), params, rates, scenario.n0)
-        p_frac = free.values[:, 2] / scenario.n0
-        r_frac = free.values[:, 0] / scenario.n0
-        u = np.empty((n_nodes, 2))
-        u[:, 0] = (1.0 - params.alpha1) * params.u1_max * p_frac
-        u[:, 1] = params.alpha2 * params.u2_max * p_frac * r_frac
-        return ControlGrid(grid, u)
+        return _follow_heuristic(scenario, free)
     if kind is StrategyKind.OPTIMAL:
         if settings is None:
             settings = SweepSettings(grid=grid)
         return solve(scenario, settings).controls
     raise ValueError(f"unknown strategy {kind!r}")
+
+
+def _follow_heuristic(scenario: Scenario, free: Trajectory) -> ControlGrid:
+    """The follow-heuristic controls along the uncontrolled trajectory free."""
+    params = scenario.params
+    p_frac = free.values[:, 2] / scenario.n0
+    r_frac = free.values[:, 0] / scenario.n0
+    u = np.empty((free.grid.n + 1, 2))
+    u[:, 0] = (1.0 - params.alpha1) * params.u1_max * p_frac
+    u[:, 1] = params.alpha2 * params.u2_max * p_frac * r_frac
+    return ControlGrid(free.grid, u)
 
 
 def compare_strategies(
@@ -169,29 +175,40 @@ def compare_strategies(
     than raised, so sweep tables keep every cell.
     """
     kind = ObjectiveKind(scenario.objective, scenario.weights)
-    rates = sample_rates(scenario.beta, scenario.gamma, settings.grid)
-    rows = []
-    for strategy in ALL_STRATEGIES:
-        if strategy not in strategies:
+    optimal = StrategyKind.OPTIMAL
+    rows: dict[StrategyKind, tuple[float, bool, int]] = {}
+    rates = None
+    if optimal in strategies:
+        # solved first, so that the fixed strategies reuse its rate table
+        try:
+            result: SolveResult = solve(scenario, settings)
+            rates = result.rates
+            rows[optimal] = (result.cost, result.converged, result.iterations)
+        except DivergenceError as err:
+            rows[optimal] = (nan, False, err.iteration)
+    if rates is None:
+        rates = sample_rates(scenario.beta, scenario.gamma, settings.grid)
+    free = None  # one uncontrolled pass serves the no-control and heuristic rows
+    for strategy in strategies:
+        if strategy is optimal:
             continue
         try:
-            if strategy is StrategyKind.OPTIMAL:
-                result: SolveResult = solve(scenario, settings)
-                row = ComparisonRow(
-                    parameter, value, strategy,
-                    result.cost, result.converged, result.iterations,
-                )
+            if strategy is not StrategyKind.CONSTANT and free is None:
+                zero = zero_controls(rates.grid)
+                free = rk4_forward(scenario.x0, zero, scenario.params, rates, scenario.n0)
+            if strategy is StrategyKind.FOLLOW_HEURISTIC:
+                controls = _follow_heuristic(scenario, free)
             else:
                 controls = strategy_controls(strategy, scenario, rates)
+            if strategy is StrategyKind.NO_CONTROL:
+                x = free
+            else:
                 x = rk4_forward(scenario.x0, controls, scenario.params, rates, scenario.n0)
-                cost = evaluate_cost(kind, x, controls)
-                row = ComparisonRow(parameter, value, strategy, cost, True, 0)
-        except DivergenceError as err:
-            row = ComparisonRow(parameter, value, strategy, nan, False, err.iteration)
+            rows[strategy] = (evaluate_cost(kind, x, controls), True, 0)
         except IntegrationError:
-            row = ComparisonRow(parameter, value, strategy, nan, False, 0)
-        rows.append(row)
-    return ComparisonTable(tuple(rows))
+            rows[strategy] = (nan, False, 0)
+    cells = [(s, *rows[s]) for s in ALL_STRATEGIES if s in rows]
+    return ComparisonTable(tuple(ComparisonRow(parameter, value, *c) for c in cells))
 
 
 def _scenario_at(spec: SweepSpec, value: float) -> Scenario:

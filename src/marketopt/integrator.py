@@ -8,9 +8,11 @@ order for smooth controls.  States needed at backward midpoints are the
 average of the adjacent nodal states.
 
 Both passes read beta and gamma from one table sampled per grid at the nodes
-and midpoints (``sample_rates``).  The forward pass steps node by node; the
-adjoint system is linear in p, so the backward pass builds each step as an
-affine map, on whole blocks of steps at once, and composes them by a scan.
+and midpoints (``sample_rates``).  The forward pass steps node by node, with
+the stages of ``model.rhs_terms`` written out inline, operation for operation,
+so its bits are those of calling that kernel per stage.  The adjoint system is
+linear in p, so the backward pass builds each step as an affine map, on whole
+blocks of steps at once, and composes them by a scan.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, RateCallable, State, Weights, rhs_terms
+from .model import ModelParams, RateCallable, State, Weights
 from .pmp import Costate, costate_system
 
 NODES_PER_TIME_UNIT = 200
@@ -202,48 +204,61 @@ def rk4_forward(
     h = grid.h
     half = 0.5 * h
     sixth = h / 6.0
-    beta_n, beta_m = rates.beta_nodes.tolist(), rates.beta_mid.tolist()
+    u1, u2 = u.values[:, 0], u.values[:, 1]
+    drive_n = (rates.beta_nodes + u2).tolist()
+    drive_m = (rates.beta_mid + 0.5 * (u2[:-1] + u2[1:])).tolist()
+    u1_m = (0.5 * (u1[:-1] + u1[1:])).tolist()
+    u1 = u1.tolist()
     gamma_n, gamma_m = rates.gamma_nodes.tolist(), rates.gamma_mid.tolist()
-    u1 = u.values[:, 0].tolist()
-    u2 = u.values[:, 1].tolist()
     a1, a2 = params.alpha1, params.alpha2
+    b1, b2 = 1.0 - a1, 1.0 - a2
     l1, l2 = params.lambda1, params.lambda2
+    m1, m2 = -l1, -l2
+    floor, inf = -NONNEG_TOLERANCE, math.inf
 
     R, C, P = x0.R, x0.C, x0.P
     rows = [(R, C, P)]
-    for i in range(grid.n):
-        u1a, u2a = u1[i], u2[i]
-        u1b, u2b = u1[i + 1], u2[i + 1]
-        u1m, u2m = 0.5 * (u1a + u1b), 0.5 * (u2a + u2b)
-        kR1, kC1, kP1 = rhs_terms(
-            R, C, P, u1a, u2a, beta_n[i], gamma_n[i], a1, a2, l1, l2, n0
-        )
-        kR2, kC2, kP2 = rhs_terms(
-            R + half * kR1, C + half * kC1, P + half * kP1,
-            u1m, u2m, beta_m[i], gamma_m[i], a1, a2, l1, l2, n0,
-        )
-        kR3, kC3, kP3 = rhs_terms(
-            R + half * kR2, C + half * kC2, P + half * kP2,
-            u1m, u2m, beta_m[i], gamma_m[i], a1, a2, l1, l2, n0,
-        )
-        kR4, kC4, kP4 = rhs_terms(
-            R + h * kR3, C + h * kC3, P + h * kP3,
-            u1b, u2b, beta_n[i + 1], gamma_n[i + 1], a1, a2, l1, l2, n0,
-        )
+    steps = zip(
+        u1, u1_m, u1[1:], drive_n, drive_m, drive_n[1:], gamma_n, gamma_m, gamma_n[1:]
+    )
+    for i, (ua, um, ub, da, dm, db, ga, gm, gb) in enumerate(steps, 1):
+        s, d = da * P * R / n0, ua * P
+        gR, gC = ga * R, ga * C
+        kR1 = m2 * R + l1 * C - gR + a1 * d + a2 * s
+        kC1 = m1 * C + l2 * R - gC + b2 * s + b1 * d
+        kP1 = -s - d + gR + gC
+        r, c, p = R + half * kR1, C + half * kC1, P + half * kP1
+        s, d = dm * p * r / n0, um * p
+        gR, gC = gm * r, gm * c
+        kR2 = m2 * r + l1 * c - gR + a1 * d + a2 * s
+        kC2 = m1 * c + l2 * r - gC + b2 * s + b1 * d
+        kP2 = -s - d + gR + gC
+        r, c, p = R + half * kR2, C + half * kC2, P + half * kP2
+        s, d = dm * p * r / n0, um * p
+        gR, gC = gm * r, gm * c
+        kR3 = m2 * r + l1 * c - gR + a1 * d + a2 * s
+        kC3 = m1 * c + l2 * r - gC + b2 * s + b1 * d
+        kP3 = -s - d + gR + gC
+        r, c, p = R + h * kR3, C + h * kC3, P + h * kP3
+        s, d = db * p * r / n0, ub * p
+        gR, gC = gb * r, gb * c
+        kR4 = m2 * r + l1 * c - gR + a1 * d + a2 * s
+        kC4 = m1 * c + l2 * r - gC + b2 * s + b1 * d
+        kP4 = -s - d + gR + gC
         R += sixth * (kR1 + 2.0 * (kR2 + kR3) + kR4)
         C += sixth * (kC1 + 2.0 * (kC2 + kC3) + kC4)
         P += sixth * (kP1 + 2.0 * (kP2 + kP3) + kP4)
-        if not (math.isfinite(R) and math.isfinite(C) and math.isfinite(P)):
-            raise IntegrationError(
-                f"non-finite state at step {i + 1} (t={grid.t0 + (i + 1) * h:.6g})",
-                step=i + 1,
-            )
-        if min(R, C, P) < -NONNEG_TOLERANCE:
-            raise IntegrationError(
-                f"state component below -{NONNEG_TOLERANCE:g} at step {i + 1} "
-                f"(t={grid.t0 + (i + 1) * h:.6g}); reduce the step size h={h:.6g}",
-                step=i + 1,
-            )
+        # a cheap filter: the exact checks run only on states it rejects
+        if not (R >= floor and C >= floor and P >= floor and R + C + P < inf):
+            t = grid.t0 + i * h
+            if not (math.isfinite(R) and math.isfinite(C) and math.isfinite(P)):
+                raise IntegrationError(f"non-finite state at step {i} (t={t:.6g})", i)
+            if min(R, C, P) < -NONNEG_TOLERANCE:
+                raise IntegrationError(
+                    f"state component below -{NONNEG_TOLERANCE:g} at step {i} "
+                    f"(t={t:.6g}); reduce the step size h={h:.6g}",
+                    i,
+                )
         rows.append((R, C, P))
     return Trajectory(grid, np.array(rows))
 

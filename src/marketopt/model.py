@@ -125,8 +125,9 @@ def rhs_terms(
 ) -> tuple[float, float, float]:
     """Raw right-hand side on scalars; rates already evaluated at t.
 
-    Kept free of validation: this is the kernel the fixed-step integrator
-    calls four times per step.
+    Kept free of validation: the scalar kernel of ``dynamics`` and
+    ``pmp.hamiltonian``.  ``integrator.rk4_forward`` writes it out inline, so
+    a change here must be made there too.
     """
     spread = (beta_t + u2) * P * R / n0
     direct = u1 * P

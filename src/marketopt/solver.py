@@ -22,6 +22,7 @@ import numpy as np
 
 from .integrator import (
     ControlGrid,
+    GridRates,
     IntegrationError,
     TimeGrid,
     Trajectory,
@@ -72,6 +73,8 @@ class SweepSettings:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
+    """The last iterate, and the rate table it was solved on."""
+
     state: Trajectory
     costate: Trajectory
     controls: ControlGrid
@@ -79,6 +82,7 @@ class SolveResult:
     iterations: int
     converged: bool
     residual_history: tuple[float, ...]
+    rates: GridRates
     singular_flags: np.ndarray | None = None
     interior_fraction: float | None = None
 
@@ -91,31 +95,30 @@ def convergence_test(
     """Per-quantity relative l1 test: tol*sum|new| - sum|new - old| >= 0."""
     if len(old) != len(new):
         raise ValueError(f"got {len(old)} old series but {len(new)} new series")
-    verdicts = []
+    old = [np.asarray(q, dtype=float) for q in old]
+    new = [np.asarray(q, dtype=float) for q in new]
     for old_q, new_q in zip(old, new):
-        old_q = np.asarray(old_q, dtype=float)
-        new_q = np.asarray(new_q, dtype=float)
         if old_q.shape != new_q.shape:
-            raise ValueError(
-                f"series length mismatch: {old_q.shape} vs {new_q.shape}"
-            )
-        verdicts.append(
-            bool(
-                tol_delta * np.abs(new_q).sum() - np.abs(new_q - old_q).sum() >= 0.0
-            )
-        )
-    return verdicts
+            raise ValueError(f"series length mismatch: {old_q.shape} vs {new_q.shape}")
+    return _passes(_l1_sums(old, new), tol_delta)
+
+
+def _l1_sums(old: Sequence[np.ndarray], new: Sequence[np.ndarray]) -> list[tuple]:
+    """(sum|new - old|, sum|new|) of each series."""
+    return [(np.abs(n - o).sum(), np.abs(n).sum()) for o, n in zip(old, new)]
+
+
+def _passes(sums: list[tuple], tol_delta: float) -> list[bool]:
+    return [bool(tol_delta * scale - change >= 0.0) for change, scale in sums]
 
 
 def _tracked(x: np.ndarray, p: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
     return [x[:, 0], x[:, 1], x[:, 2], p[:, 0], p[:, 1], p[:, 2], u[:, 0], u[:, 1]]
 
 
-def _worst_residual(old: Sequence[np.ndarray], new: Sequence[np.ndarray]) -> float:
+def _worst_residual(sums: list[tuple]) -> float:
     worst = 0.0
-    for old_q, new_q in zip(old, new):
-        scale = np.abs(new_q).sum()
-        change = np.abs(new_q - old_q).sum()
+    for change, scale in sums:
         if scale > 0.0:
             worst = max(worst, change / scale)
         elif change > 0.0:
@@ -179,8 +182,9 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
         u_law, flags = _law_on_grid(scenario, x, p, u_work, settings.eps_singular)
         u_work = settings.relaxation * u_law + (1.0 - settings.relaxation) * u_work
         current = _tracked(x.values, p.values, u_work)
-        history.append(_worst_residual(prev, current))
-        if all(convergence_test(prev, current, settings.tol_delta)):
+        sums = _l1_sums(prev, current)
+        history.append(_worst_residual(sums))
+        if all(_passes(sums, settings.tol_delta)):
             converged = True
             break
         prev = current
@@ -201,6 +205,7 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
         iterations=iterations,
         converged=converged,
         residual_history=tuple(history),
+        rates=rates,
         singular_flags=flags,
         interior_fraction=interior,
     )

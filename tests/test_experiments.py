@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from marketopt import experiments, solver
 from marketopt.experiments import (
     StrategyKind,
     SweepSpec,
@@ -12,8 +13,9 @@ from marketopt.experiments import (
     run_sweep,
     strategy_controls,
 )
-from marketopt.integrator import TimeGrid, sample_rates
+from marketopt.integrator import TimeGrid, rk4_forward, sample_rates
 from marketopt.model import State
+from marketopt.objectives import ObjectiveKind, evaluate_cost
 from marketopt.scenarios import Constant, Scenario, preset_scenario
 from marketopt.solver import SweepSettings, solve
 
@@ -67,6 +69,42 @@ def test_compare_orders_strategies_at_the_default_point():
     assert costs[StrategyKind.NO_CONTROL] < costs[StrategyKind.CONSTANT]
     assert costs[StrategyKind.NO_CONTROL] < costs[StrategyKind.FOLLOW_HEURISTIC]
     assert all(row.converged for row in table.rows)
+
+
+def test_compare_samples_each_rate_once_per_node_and_midpoint(counting_rate):
+    beta, gamma = counting_rate(COMPARISON.beta), counting_rate(COMPARISON.gamma)
+    sc = replace(COMPARISON, beta=beta, gamma=gamma)
+    table = compare_strategies(sc, FAST_SETTINGS)
+    assert tuple(row.strategy for row in table.rows) == tuple(StrategyKind)
+    assert beta.calls == gamma.calls == 2 * FAST_GRID.n + 1
+
+
+def test_compare_integrates_the_uncontrolled_state_once(monkeypatch):
+    kind = ObjectiveKind(COMPARISON.objective, COMPARISON.weights)
+    expected = []
+    for strategy in (
+        StrategyKind.NO_CONTROL, StrategyKind.CONSTANT, StrategyKind.FOLLOW_HEURISTIC
+    ):
+        u = strategy_controls(strategy, COMPARISON, FAST_RATES)
+        x = rk4_forward(COMPARISON.x0, u, COMPARISON.params, FAST_RATES, COMPARISON.n0)
+        expected.append((strategy, evaluate_cost(kind, x, u), True, 0))
+    result = solve(COMPARISON, FAST_SETTINGS)
+    expected.append(
+        (StrategyKind.OPTIMAL, result.cost, result.converged, result.iterations)
+    )
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rk4_forward(*args)
+
+    monkeypatch.setattr(experiments, "rk4_forward", counted)
+    monkeypatch.setattr(solver, "rk4_forward", counted)
+    table = compare_strategies(COMPARISON, FAST_SETTINGS)
+    assert len(calls) == 3 + result.iterations
+    rows = [(r.strategy, r.cost, r.converged, r.iterations) for r in table.rows]
+    assert rows == expected
 
 
 def test_optimal_never_loses_to_no_control():

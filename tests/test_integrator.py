@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from marketopt.integrator import (
     BACKWARD_BLOCK,
+    NONNEG_TOLERANCE,
     ControlGrid,
     GridRates,
     IntegrationError,
@@ -18,9 +19,10 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
-from marketopt.model import ControlPair, ModelParams, State, Weights
+from marketopt.model import ControlPair, ModelParams, State, Weights, rhs_terms
 from marketopt.pmp import Costate, costate_rhs
 from marketopt.scenarios import (
+    PRESET_NAMES,
     Constant,
     builtin_beta_rate,
     builtin_gamma_rate,
@@ -141,6 +143,118 @@ def test_nonfinite_state_aborts_with_step_index():
             sample_rates(Constant(0.0), Constant(0.0), grid), 1e308,
         )
     assert err.value.step >= 1
+
+
+def _reference_forward(x0, u, params, rates, n0):
+    """RK4 with one model.rhs_terms call per stage: the reference for the
+    inlined step of rk4_forward, with the same checks and messages."""
+    grid, h = u.grid, u.grid.h
+    us = u.values.tolist()
+    beta_n, beta_m = rates.beta_nodes.tolist(), rates.beta_mid.tolist()
+    gamma_n, gamma_m = rates.gamma_nodes.tolist(), rates.gamma_mid.tolist()
+    coeffs = (params.alpha1, params.alpha2, params.lambda1, params.lambda2, n0)
+    x = (x0.R, x0.C, x0.P)
+    rows = [x]
+    for i in range(grid.n):
+        (u1a, u2a), (u1b, u2b) = us[i], us[i + 1]
+        um = (0.5 * (u1a + u1b), 0.5 * (u2a + u2b))
+        k1 = rhs_terms(*x, u1a, u2a, beta_n[i], gamma_n[i], *coeffs)
+        k2 = rhs_terms(
+            *(a + 0.5 * h * k for a, k in zip(x, k1)), *um, beta_m[i], gamma_m[i], *coeffs
+        )
+        k3 = rhs_terms(
+            *(a + 0.5 * h * k for a, k in zip(x, k2)), *um, beta_m[i], gamma_m[i], *coeffs
+        )
+        k4 = rhs_terms(
+            *(a + h * k for a, k in zip(x, k3)), u1b, u2b, beta_n[i + 1],
+            gamma_n[i + 1], *coeffs,
+        )
+        x = tuple(
+            a + h / 6.0 * (q1 + 2.0 * (q2 + q3) + q4)
+            for a, q1, q2, q3, q4 in zip(x, k1, k2, k3, k4)
+        )
+        t = grid.t0 + (i + 1) * h
+        if not all(math.isfinite(a) for a in x):
+            raise IntegrationError(f"non-finite state at step {i + 1} (t={t:.6g})", i + 1)
+        if min(x) < -NONNEG_TOLERANCE:
+            raise IntegrationError(
+                f"state component below -{NONNEG_TOLERANCE:g} at step {i + 1} "
+                f"(t={t:.6g}); reduce the step size h={h:.6g}",
+                i + 1,
+            )
+        rows.append(x)
+    return Trajectory(grid, np.array(rows))
+
+
+def _forward_outcome(integrate, *args):
+    """The trajectory's bytes, or the IntegrationError's message and step."""
+    try:
+        return integrate(*args).values.tobytes()
+    except IntegrationError as err:
+        return str(err), err.step
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 1400])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_inlined_forward_step_is_bit_identical_to_rhs_terms(name, n):
+    sc = preset_scenario(name)
+    grid = TimeGrid(0.0, sc.t_f, n)
+    rng = np.random.default_rng(n)
+    u = ControlGrid(
+        grid, rng.uniform(0.0, 1.0, (n + 1, 2)) * (sc.params.u1_max, sc.params.u2_max)
+    )
+    args = (sc.x0, u, sc.params, _rates(sc, grid), sc.n0)
+    assert _forward_outcome(rk4_forward, *args) == _forward_outcome(
+        _reference_forward, *args
+    )
+
+
+def _failing_forward(case):
+    grid = TimeGrid(0.0, 7.0, 40)
+    u = np.zeros((grid.n + 1, 2))
+    zero = sample_rates(Constant(0.0), Constant(0.0), grid)
+    params = ModelParams(
+        alpha1=0.05, alpha2=0.10, lambda1=0.002, lambda2=0.018,
+        u1_max=0.06, u2_max=2000.0,
+    )
+    if case == "below the floor":
+        u[25:, 1] = 1000.0
+        return State(0.5, 0.0, 0.5), ControlGrid(grid, u), params, zero, 1.0
+    if case in ("infinite", "nan"):
+        # from step 21 on, defection runs at a rate that overflows the stages,
+        # to (-inf, -inf, inf) or to nan in every component
+        g_nodes, g_mid = np.zeros(grid.n + 1), np.zeros(grid.n)
+        g_nodes[21:] = g_mid[20:] = 1e150 if case == "infinite" else 1e308
+        rates = GridRates(grid, zero.beta_nodes, zero.beta_mid, g_nodes, g_mid)
+        return State(0.5, 0.2, 0.3), ControlGrid(grid, u), params, rates, 1.0
+    # no flow at all: R sits exactly on -NONNEG_TOLERANCE, which is allowed,
+    # with a total that is small or that overflows
+    still = ModelParams(
+        alpha1=0.0, alpha2=0.0, lambda1=0.0, lambda2=0.0, u1_max=1.0, u2_max=1.0
+    )
+    big = 0.5 if case == "at the floor" else 1e308
+    x0 = State(-NONNEG_TOLERANCE, big, big)
+    return x0, ControlGrid(grid, u), still, zero, 1.0
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("below the floor", "state component below -1e-12 at step 25"),
+        ("infinite", "non-finite state at step 21"),
+        ("nan", "non-finite state at step 21"),
+        ("at the floor", None),
+        ("at the floor, total overflows", None),
+    ],
+)
+def test_inlined_forward_step_fails_like_the_reference(case, expected):
+    args = _failing_forward(case)
+    outcome = _forward_outcome(rk4_forward, *args)
+    assert outcome == _forward_outcome(_reference_forward, *args)
+    if expected is None:
+        assert isinstance(outcome, bytes)
+    else:
+        assert outcome[0].startswith(expected)
 
 
 def test_backward_terminal_value_is_exact():

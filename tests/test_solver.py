@@ -12,7 +12,7 @@ from marketopt.integrator import (
 )
 from marketopt.model import ControlPair, State, Weights
 from marketopt.pmp import Costate, hamiltonian, switching_functions
-from marketopt.scenarios import Constant, RateFunction, Scenario, preset_scenario
+from marketopt.scenarios import Constant, Scenario, preset_scenario
 from marketopt.solver import (
     DivergenceError,
     SweepSettings,
@@ -102,23 +102,10 @@ def test_returned_controls_respect_bounds_exactly():
     assert len(result.residual_history) == result.iterations
 
 
-class _Counting(RateFunction):
-    def __init__(self, inner):
-        self.inner, self.calls = inner, 0
-
-    def __call__(self, t):
-        self.calls += 1
-        return self.inner(t)
-
-    @property
-    def label(self):
-        return f"counting({self.inner.label})"
-
-
 @pytest.mark.parametrize("tol", [1e-2, 1e-5])
-def test_solve_samples_each_rate_once_per_node_and_midpoint(tol):
+def test_solve_samples_each_rate_once_per_node_and_midpoint(tol, counting_rate):
     sc = preset_scenario("scenario3")
-    beta, gamma = _Counting(sc.beta), _Counting(sc.gamma)
+    beta, gamma = counting_rate(sc.beta), counting_rate(sc.gamma)
     n = 200
     result = solve(
         replace(sc, beta=beta, gamma=gamma),
