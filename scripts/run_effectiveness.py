@@ -9,6 +9,7 @@ import argparse
 import sys
 
 from marketopt.cli import main as cli_main
+from marketopt.experiments import SWEEP_PARAMETERS
 
 
 def main() -> int:
@@ -20,7 +21,7 @@ def main() -> int:
         ["compare", "--preset", "comparison-default", "--out", f"{args.out}/default"]
     )
     print(f"compare default: exit {status}")
-    for parameter in ("gamma", "kappa2", "beta", "tf"):
+    for parameter in SWEEP_PARAMETERS:
         code = cli_main(
             [
                 "sweep",

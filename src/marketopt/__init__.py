@@ -38,7 +38,7 @@ from .model import (
     dynamics,
     total_population,
 )
-from .objectives import ObjectiveKind, evaluate_cost
+from .objectives import evaluate_cost
 from .pmp import (
     Costate,
     SwitchingValues,
@@ -83,7 +83,6 @@ __all__ = [
     "LogisticDecreasing",
     "LogisticIncreasing",
     "ModelParams",
-    "ObjectiveKind",
     "PRESET_NAMES",
     "PiecewiseLinear",
     "RateFunction",

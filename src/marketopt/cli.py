@@ -30,6 +30,7 @@ from .config import (
     load_config,
 )
 from .experiments import (
+    SWEEP_PARAMETERS,
     ComparisonTable,
     SweepSpec,
     compare_strategies,
@@ -147,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("csv", "json"))
         if name == "sweep":
             cmd.add_argument(
-                "--param", choices=("gamma", "kappa2", "beta", "tf"),
+                "--param", choices=SWEEP_PARAMETERS,
                 help="parameter to sweep",
             )
     return parser

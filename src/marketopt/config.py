@@ -11,7 +11,7 @@ bit-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -61,40 +61,40 @@ def _get_or(mapping: dict, key: str, path: str, kind: type, default: Any) -> Any
     return default if value is None else value
 
 
+def _from_fields(cls: type, doc: dict, path: str) -> Any:
+    """cls from the doc's number for each float field, number list for each tuple."""
+    kinds = {f.name: float if f.type == "float" else list for f in fields(cls)}
+    raw = {name: _get(doc, name, path, kind) for name, kind in kinds.items()}
+    return cls(**{
+        name: tuple(float(v) for v in value) if kinds[name] is list else value
+        for name, value in raw.items()
+    })
+
+
 _RATE_KINDS = {
-    "constant": (Constant, ("value",)),
-    "logistic-increasing": (LogisticIncreasing, ("base", "gain", "rate", "midpoint")),
-    "logistic-decreasing": (LogisticDecreasing, ("base", "gain", "rate", "midpoint")),
-    "sinusoidal": (SinusoidalPeriodic, ("offset", "amplitude", "omega", "phase")),
+    "constant": Constant,
+    "logistic-increasing": LogisticIncreasing,
+    "logistic-decreasing": LogisticDecreasing,
+    "sinusoidal": SinusoidalPeriodic,
+    "piecewise-linear": PiecewiseLinear,
 }
 
 
 def rate_to_dict(rate: RateFunction) -> dict:
-    for kind, (cls, fields) in _RATE_KINDS.items():
+    for kind, cls in _RATE_KINDS.items():
         if type(rate) is cls:
-            return {"kind": kind, **{f: getattr(rate, f) for f in fields}}
-    if type(rate) is PiecewiseLinear:
-        return {
-            "kind": "piecewise-linear",
-            "times": list(rate.times),
-            "values": list(rate.values),
-        }
+            doc = {"kind": kind, **asdict(rate)}
+            # tuple fields (the piecewise-linear knots) are written as lists
+            return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
     raise ConfigError(f"rate function {type(rate).__name__} has no config form")
 
 
 def rate_from_dict(doc: dict, path: str) -> RateFunction:
     kind = _get(doc, "kind", path, str)
-    if kind != "piecewise-linear" and kind not in _RATE_KINDS:
-        valid = ", ".join([*(_RATE_KINDS), "piecewise-linear"])
-        raise ConfigError(f"field {path}.kind must be one of: {valid}")
+    if kind not in _RATE_KINDS:
+        raise ConfigError(f"field {path}.kind must be one of: {', '.join(_RATE_KINDS)}")
     try:
-        if kind == "piecewise-linear":
-            times = _get(doc, "times", path, list)
-            values = _get(doc, "values", path, list)
-            return PiecewiseLinear(tuple(float(t) for t in times),
-                                   tuple(float(v) for v in values))
-        cls, fields = _RATE_KINDS[kind]
-        return cls(**{f: _get(doc, f, path, float) for f in fields})
+        return _from_fields(_RATE_KINDS[kind], doc, path)
     except ConfigError:
         raise
     except (TypeError, ValueError) as err:
@@ -102,22 +102,12 @@ def rate_from_dict(doc: dict, path: str) -> RateFunction:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    p = scenario.params
-    w = scenario.weights
-    x0 = scenario.x0
     return {
-        "params": {
-            "alpha1": p.alpha1,
-            "alpha2": p.alpha2,
-            "lambda1": p.lambda1,
-            "lambda2": p.lambda2,
-            "u1_max": p.u1_max,
-            "u2_max": p.u2_max,
-        },
-        "weights": {"kappa1": w.kappa1, "kappa2": w.kappa2, "kappa3": w.kappa3},
+        "params": asdict(scenario.params),
+        "weights": asdict(scenario.weights),
         "beta": rate_to_dict(scenario.beta),
         "gamma": rate_to_dict(scenario.gamma),
-        "x0": {"R": x0.R, "C": x0.C, "P": x0.P},
+        "x0": asdict(scenario.x0),
         "t_f": scenario.t_f,
         "objective": scenario.objective,
     }
@@ -133,24 +123,9 @@ def scenario_from_dict(doc: dict, path: str = "scenario") -> Scenario:
     weights_doc = _get(doc, "weights", path, dict)
     x0_doc = _get(doc, "x0", path, dict)
     try:
-        params = ModelParams(
-            alpha1=_get(params_doc, "alpha1", f"{path}.params", float),
-            alpha2=_get(params_doc, "alpha2", f"{path}.params", float),
-            lambda1=_get(params_doc, "lambda1", f"{path}.params", float),
-            lambda2=_get(params_doc, "lambda2", f"{path}.params", float),
-            u1_max=_get(params_doc, "u1_max", f"{path}.params", float),
-            u2_max=_get(params_doc, "u2_max", f"{path}.params", float),
-        )
-        weights = Weights(
-            kappa1=_get(weights_doc, "kappa1", f"{path}.weights", float),
-            kappa2=_get(weights_doc, "kappa2", f"{path}.weights", float),
-            kappa3=_get(weights_doc, "kappa3", f"{path}.weights", float),
-        )
-        x0 = State(
-            R=_get(x0_doc, "R", f"{path}.x0", float),
-            C=_get(x0_doc, "C", f"{path}.x0", float),
-            P=_get(x0_doc, "P", f"{path}.x0", float),
-        )
+        params = _from_fields(ModelParams, params_doc, f"{path}.params")
+        weights = _from_fields(Weights, weights_doc, f"{path}.weights")
+        x0 = _from_fields(State, x0_doc, f"{path}.x0")
         return Scenario(
             params=params,
             weights=weights,
@@ -166,16 +141,25 @@ def scenario_from_dict(doc: dict, path: str = "scenario") -> Scenario:
         raise ConfigError(f"invalid value under {path}: {err}") from None
 
 
+# The solver section: each SweepSettings knob and its JSON type, in file order.
+_SOLVER_FIELDS = {
+    "tol_delta": float,
+    "relaxation": float,
+    "max_iters": int,
+    "eps_singular": float,
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A fully resolved run: scenario, grid size, solver knobs, output."""
 
     scenario: Scenario
     grid_n: int
-    tol_delta: float = 1e-3
-    relaxation: float = 0.5
-    max_iters: int = 1000
-    eps_singular: float = 1e-9
+    tol_delta: float = SweepSettings.tol_delta
+    relaxation: float = SweepSettings.relaxation
+    max_iters: int = SweepSettings.max_iters
+    eps_singular: float = SweepSettings.eps_singular
     sweep_param: str | None = None
     sweep_values: tuple[float, ...] | None = None
     sweep_strategies: tuple[StrategyKind, ...] = ALL_STRATEGIES
@@ -199,13 +183,8 @@ class RunConfig:
         return TimeGrid(t0=0.0, t_f=self.scenario.t_f, n=self.grid_n)
 
     def sweep_settings(self) -> SweepSettings:
-        return SweepSettings(
-            grid=self.grid,
-            relaxation=self.relaxation,
-            tol_delta=self.tol_delta,
-            max_iters=self.max_iters,
-            eps_singular=self.eps_singular,
-        )
+        knobs = {name: getattr(self, name) for name in _SOLVER_FIELDS}
+        return SweepSettings(grid=self.grid, **knobs)
 
 
 def config_from_scenario(scenario: Scenario, **overrides: Any) -> RunConfig:
@@ -219,12 +198,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
     doc: dict[str, Any] = {
         "scenario": scenario_to_dict(cfg.scenario),
         "grid": {"n": cfg.grid_n},
-        "solver": {
-            "tol_delta": cfg.tol_delta,
-            "relaxation": cfg.relaxation,
-            "max_iters": cfg.max_iters,
-            "eps_singular": cfg.eps_singular,
-        },
+        "solver": {name: getattr(cfg, name) for name in _SOLVER_FIELDS},
         "output": {"dir": cfg.out_dir, "format": cfg.out_format},
     }
     if cfg.sweep_param is not None:
@@ -277,19 +251,21 @@ def config_from_dict(doc: dict) -> RunConfig:
                     f"valid: {', '.join(by_value)}"
                 ) from None
 
+    # a field the document leaves out keeps RunConfig's default
+    given = {
+        name: _get(solver_doc, name, "solver", kind, required=False)
+        for name, kind in _SOLVER_FIELDS.items()
+    }
+    given["out_dir"] = _get(out_doc, "dir", "output", str, required=False)
+    given["out_format"] = _get(out_doc, "format", "output", str, required=False)
     try:
         return RunConfig(
             scenario=scenario,
             grid_n=grid_n,
-            tol_delta=_get_or(solver_doc, "tol_delta", "solver", float, 1e-3),
-            relaxation=_get_or(solver_doc, "relaxation", "solver", float, 0.5),
-            max_iters=_get_or(solver_doc, "max_iters", "solver", int, 1000),
-            eps_singular=_get_or(solver_doc, "eps_singular", "solver", float, 1e-9),
             sweep_param=sweep_param,
             sweep_values=sweep_values,
             sweep_strategies=strategies,
-            out_dir=_get_or(out_doc, "dir", "output", str, "out"),
-            out_format=_get_or(out_doc, "format", "output", str, "csv"),
+            **{name: value for name, value in given.items() if value is not None},
         )
     except ValueError as err:
         if isinstance(err, ConfigError):

@@ -28,7 +28,7 @@ from .integrator import (
     zero_controls,
 )
 from .model import Weights
-from .objectives import ObjectiveKind, evaluate_cost
+from .objectives import evaluate_cost
 from .scenarios import Constant, Scenario
 from .solver import DivergenceError, SolveResult, SweepSettings, solve
 
@@ -121,16 +121,14 @@ class ComparisonTable:
 
 
 def strategy_controls(
-    kind: StrategyKind,
-    scenario: Scenario,
-    rates: GridRates,
-    settings: SweepSettings | None = None,
+    kind: StrategyKind, scenario: Scenario, rates: GridRates
 ) -> ControlGrid:
-    """Control grid of the given strategy on the grid of the scenario's rates.
+    """Control grid of a fixed strategy on the grid of the scenario's rates.
 
     The heuristic follows the uncontrolled trajectory: u1 tracks the fraction
     of potential customers still available, u2 tracks the product of the
     potential and referral fractions (the word-of-mouth contact pressure).
+    Optimal controls come from solve, not from here.
     """
     grid = rates.grid
     params = scenario.params
@@ -144,11 +142,7 @@ def strategy_controls(
     if kind is StrategyKind.FOLLOW_HEURISTIC:
         free = rk4_forward(scenario.x0, zero_controls(grid), params, rates, scenario.n0)
         return _follow_heuristic(scenario, free)
-    if kind is StrategyKind.OPTIMAL:
-        if settings is None:
-            settings = SweepSettings(grid=grid)
-        return solve(scenario, settings).controls
-    raise ValueError(f"unknown strategy {kind!r}")
+    raise ValueError(f"no fixed controls for strategy {kind!r}; use solve")
 
 
 def _follow_heuristic(scenario: Scenario, free: Trajectory) -> ControlGrid:
@@ -174,7 +168,6 @@ def compare_strategies(
     A non-converged or diverged optimal solve is reported in its row rather
     than raised, so sweep tables keep every cell.
     """
-    kind = ObjectiveKind(scenario.objective, scenario.weights)
     optimal = StrategyKind.OPTIMAL
     rows: dict[StrategyKind, tuple[float, bool, int]] = {}
     rates = None
@@ -204,7 +197,8 @@ def compare_strategies(
                 x = free
             else:
                 x = rk4_forward(scenario.x0, controls, scenario.params, rates, scenario.n0)
-            rows[strategy] = (evaluate_cost(kind, x, controls), True, 0)
+            cost = evaluate_cost(scenario.objective, scenario.weights, x, controls)
+            rows[strategy] = (cost, True, 0)
         except IntegrationError:
             rows[strategy] = (nan, False, 0)
     cells = [(s, *rows[s]) for s in ALL_STRATEGIES if s in rows]

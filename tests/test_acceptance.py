@@ -25,7 +25,7 @@ from marketopt.integrator import (
     zero_controls,
 )
 from marketopt.model import ControlPair, ModelParams, State, Weights
-from marketopt.objectives import ObjectiveKind, evaluate_cost
+from marketopt.objectives import evaluate_cost
 from marketopt.pmp import (
     Costate,
     control_law_l2,
@@ -393,7 +393,7 @@ def test_criterion_9_numerical_analysis_properties():
         values = np.zeros((n + 1, 3))
         values[:, 2] = np.sin(grid.nodes()) + 2.0
         cost = evaluate_cost(
-            ObjectiveKind("l2", Weights(1.0, 1.0, 1.0)),
+            "l2", Weights(1.0, 1.0, 1.0),
             Trajectory(grid, values),
             zero_controls(grid),
         )

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,8 +10,18 @@ from marketopt.config import (
     config_from_scenario,
     config_to_dict,
     load_config,
+    rate_from_dict,
+    rate_to_dict,
 )
-from marketopt.scenarios import preset_scenario
+from marketopt.integrator import default_grid
+from marketopt.scenarios import (
+    Constant,
+    LogisticDecreasing,
+    LogisticIncreasing,
+    PiecewiseLinear,
+    SinusoidalPeriodic,
+    preset_scenario,
+)
 from marketopt.solver import SweepSettings, solve
 
 
@@ -50,6 +61,47 @@ def test_config_round_trip_reproduces_artifacts(tmp_path):
                 "--out", str(out2)) == 0
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+def test_config_without_solver_section_takes_sweep_settings_defaults(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"scenario": {"preset": "scenario1"}}))
+    cfg = load_config(path)
+    settings = cfg.sweep_settings()
+    expected = SweepSettings(grid=default_grid(7.0))
+    for field in fields(SweepSettings):
+        assert getattr(settings, field.name) == getattr(expected, field.name)
+    from_preset = config_from_scenario(preset_scenario("scenario1"))
+    assert config_to_dict(cfg)["solver"] == config_to_dict(from_preset)["solver"]
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [
+        Constant(0.25),
+        LogisticIncreasing(base=0.01, gain=0.99, rate=2.0, midpoint=4.0),
+        LogisticDecreasing(base=0.01, gain=0.99, rate=2.0, midpoint=3.0),
+        SinusoidalPeriodic(offset=0.01, amplitude=0.49, omega=6.5, phase=0.26),
+        PiecewiseLinear(times=(0.0, 2.5, 7.0), values=(0.1, 1.0 / 3.0, 0.2)),
+    ],
+)
+def test_every_rate_kind_round_trips_through_json(rate):
+    doc = json.loads(json.dumps(rate_to_dict(rate)))
+    assert doc == rate_to_dict(rate)
+    assert rate_from_dict(doc, "scenario.beta") == rate
+    name = fields(rate)[-1].name
+    del doc[name]
+    with pytest.raises(ConfigError, match=f"missing required field scenario.beta.{name}$"):
+        rate_from_dict(doc, "scenario.beta")
+
+
+def test_unknown_rate_kind_lists_every_kind():
+    with pytest.raises(ConfigError) as err:
+        rate_from_dict({"kind": "cubic"}, "scenario.gamma")
+    assert str(err.value) == (
+        "field scenario.gamma.kind must be one of: constant, logistic-increasing, "
+        "logistic-decreasing, sinusoidal, piecewise-linear"
+    )
 
 
 def test_csv_numbers_reparse_to_exact_doubles(tmp_path):

@@ -15,7 +15,7 @@ from marketopt.experiments import (
 )
 from marketopt.integrator import TimeGrid, rk4_forward, sample_rates
 from marketopt.model import State
-from marketopt.objectives import ObjectiveKind, evaluate_cost
+from marketopt.objectives import evaluate_cost
 from marketopt.scenarios import Constant, Scenario, preset_scenario
 from marketopt.solver import SweepSettings, solve
 
@@ -53,12 +53,10 @@ def test_heuristic_controls_never_exceed_bounds():
         assert u.values[:, 1].max() <= cap2 <= sc.params.u2_max
 
 
-def test_optimal_strategy_delegates_to_the_solver():
-    u = strategy_controls(
-        StrategyKind.OPTIMAL, COMPARISON, FAST_RATES, settings=FAST_SETTINGS
-    )
-    direct = solve(COMPARISON, FAST_SETTINGS)
-    assert np.array_equal(u.values, direct.controls.values)
+def test_optimal_strategy_has_no_fixed_controls():
+    # optimal controls come only from solve, which compare_strategies calls
+    with pytest.raises(ValueError, match="no fixed controls"):
+        strategy_controls(StrategyKind.OPTIMAL, COMPARISON, FAST_RATES)
 
 
 def test_compare_orders_strategies_at_the_default_point():
@@ -80,14 +78,14 @@ def test_compare_samples_each_rate_once_per_node_and_midpoint(counting_rate):
 
 
 def test_compare_integrates_the_uncontrolled_state_once(monkeypatch):
-    kind = ObjectiveKind(COMPARISON.objective, COMPARISON.weights)
     expected = []
     for strategy in (
         StrategyKind.NO_CONTROL, StrategyKind.CONSTANT, StrategyKind.FOLLOW_HEURISTIC
     ):
         u = strategy_controls(strategy, COMPARISON, FAST_RATES)
         x = rk4_forward(COMPARISON.x0, u, COMPARISON.params, FAST_RATES, COMPARISON.n0)
-        expected.append((strategy, evaluate_cost(kind, x, u), True, 0))
+        cost = evaluate_cost(COMPARISON.objective, COMPARISON.weights, x, u)
+        expected.append((strategy, cost, True, 0))
     result = solve(COMPARISON, FAST_SETTINGS)
     expected.append(
         (StrategyKind.OPTIMAL, result.cost, result.converged, result.iterations)

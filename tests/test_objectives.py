@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from marketopt.integrator import ControlGrid, TimeGrid, Trajectory, zero_controls
 from marketopt.model import Weights
-from marketopt.objectives import ObjectiveKind, evaluate_cost
+from marketopt.objectives import evaluate_cost
 
 UNIT_WEIGHTS = Weights(1.0, 1.0, 1.0)
 
@@ -21,20 +21,20 @@ def _trajectory_with_p(grid, p_values):
 def test_zero_everything_costs_nothing():
     grid = TimeGrid(0.0, 7.0, 10)
     x = _trajectory_with_p(grid, 0.0)
-    assert evaluate_cost(ObjectiveKind("l2", UNIT_WEIGHTS), x, zero_controls(grid)) == 0.0
+    assert evaluate_cost("l2", UNIT_WEIGHTS, x, zero_controls(grid)) == 0.0
 
 
 def test_constant_integrand_is_exact():
     grid = TimeGrid(0.0, 7.0, 17)
     x = _trajectory_with_p(grid, 1.0)
-    cost = evaluate_cost(ObjectiveKind("l2", UNIT_WEIGHTS), x, zero_controls(grid))
+    cost = evaluate_cost("l2", UNIT_WEIGHTS, x, zero_controls(grid))
     assert cost == pytest.approx(7.0, rel=1e-14)
 
 
 def test_linear_integrand_is_exact():
     grid = TimeGrid(0.0, 1.0, 10)
     x = _trajectory_with_p(grid, grid.nodes())
-    cost = evaluate_cost(ObjectiveKind("l2", UNIT_WEIGHTS), x, zero_controls(grid))
+    cost = evaluate_cost("l2", UNIT_WEIGHTS, x, zero_controls(grid))
     assert cost == pytest.approx(0.5, rel=1e-14)
 
 
@@ -44,7 +44,7 @@ def test_quadrature_is_second_order():
     for n in (50, 100):
         grid = TimeGrid(0.0, 7.0, n)
         x = _trajectory_with_p(grid, np.sin(grid.nodes()) + 2.0)
-        cost = evaluate_cost(ObjectiveKind("l2", UNIT_WEIGHTS), x, zero_controls(grid))
+        cost = evaluate_cost("l2", UNIT_WEIGHTS, x, zero_controls(grid))
         errors.append(abs(cost - exact))
     assert math.log2(errors[0] / errors[1]) >= 1.9
 
@@ -64,8 +64,8 @@ def test_cost_is_monotone_in_each_weight(kappa1, kappa2, kappa3, bump, index):
     high = list(low)
     high[index] += bump
     for tag in ("l1", "l2"):
-        c_low = evaluate_cost(ObjectiveKind(tag, Weights(*low)), x, u)
-        c_high = evaluate_cost(ObjectiveKind(tag, Weights(*high)), x, u)
+        c_low = evaluate_cost(tag, Weights(*low), x, u)
+        c_high = evaluate_cost(tag, Weights(*high), x, u)
         assert c_high >= c_low
 
 
@@ -80,8 +80,8 @@ def test_linear_cost_dominates_quadratic_for_small_controls(data):
     arr = np.array(data)
     x = _trajectory_with_p(grid, arr[:, 0])
     u = ControlGrid(grid, arr[:, 1:])
-    l1 = evaluate_cost(ObjectiveKind("l1", UNIT_WEIGHTS), x, u)
-    l2 = evaluate_cost(ObjectiveKind("l2", UNIT_WEIGHTS), x, u)
+    l1 = evaluate_cost("l1", UNIT_WEIGHTS, x, u)
+    l2 = evaluate_cost("l2", UNIT_WEIGHTS, x, u)
     assert l1 >= l2 - 1e-12
 
 
@@ -89,6 +89,6 @@ def test_mismatched_grids_are_rejected():
     x = _trajectory_with_p(TimeGrid(0.0, 1.0, 10), 0.5)
     u = zero_controls(TimeGrid(0.0, 1.0, 20))
     with pytest.raises(ValueError, match="share one grid"):
-        evaluate_cost(ObjectiveKind("l2", UNIT_WEIGHTS), x, u)
-    with pytest.raises(ValueError):
-        ObjectiveKind("huber", UNIT_WEIGHTS)
+        evaluate_cost("l2", UNIT_WEIGHTS, x, u)
+    with pytest.raises(ValueError, match="objective must be one of"):
+        evaluate_cost("huber", UNIT_WEIGHTS, x, zero_controls(x.grid))
