@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .experiments import (
 )
 from .pmp import OBJECTIVE_TAGS, switching_terms
 from .scenarios import PRESET_NAMES, preset_scenario
-from .solver import DivergenceError, SolveResult, solve
+from .solver import DivergenceError, SolveResult, SweepSettings, solve
 
 TRAJECTORY_COLUMNS = ("t", "R", "C", "P", "u1", "u2", "p1", "p2", "p3", "phi1", "phi2")
 
@@ -76,17 +76,15 @@ def _write_trajectory(result: SolveResult, cfg: RunConfig, out_dir: Path) -> Non
 
 
 def _write_summary(result: SolveResult, cfg: RunConfig, out_dir: Path) -> None:
+    knobs = asdict(cfg.settings)
     doc = {
         "cost": result.cost,
         "iterations": result.iterations,
         "converged": result.converged,
         "settings": {
             "objective": cfg.scenario.objective,
-            "grid_n": cfg.grid_n,
-            "tol_delta": cfg.tol_delta,
-            "relaxation": cfg.relaxation,
-            "max_iters": cfg.max_iters,
-            "eps_singular": cfg.eps_singular,
+            "grid_n": knobs.pop("n"),
+            **knobs,
             "t_f": cfg.scenario.t_f,
             "n0": cfg.scenario.n0,
         },
@@ -141,8 +139,11 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="path to a JSON run configuration")
         cmd.add_argument("--objective", choices=OBJECTIVE_TAGS)
         cmd.add_argument("--n", type=int, help="number of grid intervals")
-        cmd.add_argument("--tol", type=float, help="relative convergence tolerance")
-        cmd.add_argument("--relax", type=float, help="control update blend weight")
+        # each solver flag stores into the SweepSettings field it sets
+        cmd.add_argument("--tol", type=float, dest="tol_delta", metavar="TOL",
+                         help="relative convergence tolerance")
+        cmd.add_argument("--relax", type=float, dest="relaxation", metavar="RELAX",
+                         help="control update blend weight")
         cmd.add_argument("--max-iters", type=int, help="sweep iteration cap")
         cmd.add_argument("--out", help="output directory (default: out)")
         cmd.add_argument("--format", choices=("csv", "json"))
@@ -171,28 +172,22 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.objective:
         scenario = replace(scenario, objective=args.objective)
     updates: dict = {"scenario": scenario}
-    if args.n is not None:
-        updates["grid_n"] = args.n
-    if args.tol is not None:
-        updates["tol_delta"] = args.tol
-    if args.relax is not None:
-        updates["relaxation"] = args.relax
-    if args.max_iters is not None:
-        updates["max_iters"] = args.max_iters
     if args.out is not None:
         updates["out_dir"] = args.out
     if args.format is not None:
         updates["out_format"] = args.format
     if getattr(args, "param", None) is not None:
         updates["sweep_param"] = args.param
+    knobs = {f.name: getattr(args, f.name, None) for f in fields(SweepSettings)}
     try:
-        return replace(cfg, **updates)
+        settings = replace(cfg.settings, **{k: v for k, v in knobs.items() if v is not None})
+        return replace(cfg, settings=settings, **updates)
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
 
 def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
-    result = solve(cfg.scenario, cfg.sweep_settings())
+    result = solve(cfg.scenario, cfg.settings)
     _write_trajectory(result, cfg, out_dir)
     _write_summary(result, cfg, out_dir)
     return 0 if result.converged else 2
@@ -200,7 +195,7 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
 
 def _cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
     table = compare_strategies(
-        cfg.scenario, cfg.sweep_settings(), cfg.sweep_strategies
+        cfg.scenario, cfg.settings, cfg.sweep_strategies
     )
     _write_table(table, cfg, out_dir)
     return 0 if all(row.converged for row in table.rows) else 2
@@ -216,7 +211,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
         base=cfg.scenario,
         strategies=cfg.sweep_strategies,
     )
-    table = run_sweep(spec, cfg.sweep_settings())
+    table = run_sweep(spec, cfg.settings)
     _write_table(table, cfg, out_dir)
     return 0 if all(row.converged for row in table.rows) else 2
 

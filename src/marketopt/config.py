@@ -21,7 +21,7 @@ from .experiments import (
     StrategyKind,
     default_sweep_values,
 )
-from .integrator import TimeGrid, default_grid
+from .integrator import default_grid
 from .model import ModelParams, State, Weights
 from .pmp import OBJECTIVE_TAGS
 from .scenarios import (
@@ -141,25 +141,17 @@ def scenario_from_dict(doc: dict, path: str = "scenario") -> Scenario:
         raise ConfigError(f"invalid value under {path}: {err}") from None
 
 
-# The solver section: each SweepSettings knob and its JSON type, in file order.
-_SOLVER_FIELDS = {
-    "tol_delta": float,
-    "relaxation": float,
-    "max_iters": int,
-    "eps_singular": float,
-}
+# SweepSettings is the grid section's n followed by the solver section, in file order.
+_GRID_N, *_SOLVER_KNOBS = fields(SweepSettings)
+_JSON_TYPES = {"int": int, "float": float}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved run: scenario, grid size, solver knobs, output."""
+    """A fully resolved run: scenario, grid size and solver knobs, sweep, output."""
 
     scenario: Scenario
-    grid_n: int
-    tol_delta: float = SweepSettings.tol_delta
-    relaxation: float = SweepSettings.relaxation
-    max_iters: int = SweepSettings.max_iters
-    eps_singular: float = SweepSettings.eps_singular
+    settings: SweepSettings
     sweep_param: str | None = None
     sweep_values: tuple[float, ...] | None = None
     sweep_strategies: tuple[StrategyKind, ...] = ALL_STRATEGIES
@@ -176,29 +168,30 @@ class RunConfig:
                 f"field sweep.param must be one of {SWEEP_PARAMETERS}, "
                 f"got {self.sweep_param!r}"
             )
-        self.sweep_settings()  # reject bad grid/solver fields before any output
-
-    @property
-    def grid(self) -> TimeGrid:
-        return TimeGrid(t0=0.0, t_f=self.scenario.t_f, n=self.grid_n)
 
     def sweep_settings(self) -> SweepSettings:
-        knobs = {name: getattr(self, name) for name in _SOLVER_FIELDS}
-        return SweepSettings(grid=self.grid, **knobs)
+        return self.settings
 
 
-def config_from_scenario(scenario: Scenario, **overrides: Any) -> RunConfig:
-    grid_n = overrides.pop("grid_n", None)
+def config_from_scenario(
+    scenario: Scenario, grid_n: int | None = None, **overrides: Any
+) -> RunConfig:
+    """A run of scenario; grid_n defaults to the default grid on its horizon.
+
+    overrides are solver knobs and other RunConfig fields, by name.
+    """
     if grid_n is None:
         grid_n = default_grid(scenario.t_f).n
-    return RunConfig(scenario=scenario, grid_n=grid_n, **overrides)
+    knobs = {f.name: overrides.pop(f.name) for f in _SOLVER_KNOBS if f.name in overrides}
+    return RunConfig(scenario, SweepSettings(grid_n, **knobs), **overrides)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
+    solver = asdict(cfg.settings)
     doc: dict[str, Any] = {
         "scenario": scenario_to_dict(cfg.scenario),
-        "grid": {"n": cfg.grid_n},
-        "solver": {name: getattr(cfg, name) for name in _SOLVER_FIELDS},
+        "grid": {_GRID_N.name: solver.pop(_GRID_N.name)},
+        "solver": solver,
         "output": {"dir": cfg.out_dir, "format": cfg.out_format},
     }
     if cfg.sweep_param is not None:
@@ -224,9 +217,9 @@ def config_from_dict(doc: dict) -> RunConfig:
         scenario = replace(scenario, objective=objective)
 
     grid_doc = _get(doc, "grid", "config", dict, required=False) or {}
-    grid_n = _get(grid_doc, "n", "grid", int, required=False)
-    if grid_n is None:
-        grid_n = default_grid(scenario.t_f).n
+    grid_n = _get(
+        grid_doc, _GRID_N.name, "grid", _JSON_TYPES[_GRID_N.type], required=False
+    )
 
     solver_doc = _get(doc, "solver", "config", dict, required=False) or {}
     out_doc = _get(doc, "output", "config", dict, required=False) or {}
@@ -251,17 +244,17 @@ def config_from_dict(doc: dict) -> RunConfig:
                     f"valid: {', '.join(by_value)}"
                 ) from None
 
-    # a field the document leaves out keeps RunConfig's default
+    # a field the document leaves out keeps its default
     given = {
-        name: _get(solver_doc, name, "solver", kind, required=False)
-        for name, kind in _SOLVER_FIELDS.items()
+        f.name: _get(solver_doc, f.name, "solver", _JSON_TYPES[f.type], required=False)
+        for f in _SOLVER_KNOBS
     }
     given["out_dir"] = _get(out_doc, "dir", "output", str, required=False)
     given["out_format"] = _get(out_doc, "format", "output", str, required=False)
     try:
-        return RunConfig(
-            scenario=scenario,
-            grid_n=grid_n,
+        return config_from_scenario(
+            scenario,
+            grid_n,
             sweep_param=sweep_param,
             sweep_values=sweep_values,
             sweep_strategies=strategies,

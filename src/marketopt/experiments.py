@@ -21,7 +21,6 @@ from .integrator import (
     ControlGrid,
     GridRates,
     IntegrationError,
-    TimeGrid,
     Trajectory,
     rk4_forward,
     sample_rates,
@@ -163,7 +162,7 @@ def compare_strategies(
     parameter: str | None = None,
     value: float | None = None,
 ) -> ComparisonTable:
-    """Cost every requested strategy on settings.grid; one table row each.
+    """Cost every requested strategy on the solve grid; one table row each.
 
     A non-converged or diverged optimal solve is reported in its row rather
     than raised, so sweep tables keep every cell.
@@ -180,7 +179,7 @@ def compare_strategies(
         except DivergenceError as err:
             rows[optimal] = (nan, False, err.iteration)
     if rates is None:
-        rates = sample_rates(scenario.beta, scenario.gamma, settings.grid)
+        rates = sample_rates(scenario.beta, scenario.gamma, settings.grid_for(scenario))
     free = None  # one uncontrolled pass serves the no-control and heuristic rows
     for strategy in strategies:
         if strategy is optimal:
@@ -223,8 +222,7 @@ def _settings_at(spec: SweepSpec, settings: SweepSettings, value: float) -> Swee
     if spec.parameter != "tf":
         return settings
     # keep the step size constant across horizons so costs stay comparable
-    n = max(2, round(value / settings.grid.h))
-    return replace(settings, grid=TimeGrid(t0=settings.grid.t0, t_f=value, n=n))
+    return replace(settings, n=max(2, round(value / (spec.base.t_f / settings.n))))
 
 
 def _run_cell(

@@ -65,9 +65,9 @@ class TimeGrid:
         return self.t0 + np.arange(self.n + 1) * self.h
 
 
-def default_grid(t_f: float, t0: float = 0.0) -> TimeGrid:
-    """Grid at the default resolution of NODES_PER_TIME_UNIT intervals per unit time."""
-    return TimeGrid(t0=t0, t_f=t_f, n=round(NODES_PER_TIME_UNIT * (t_f - t0)))
+def default_grid(t_f: float) -> TimeGrid:
+    """Grid on [0, t_f] with NODES_PER_TIME_UNIT intervals per unit time."""
+    return TimeGrid(t0=0.0, t_f=t_f, n=round(NODES_PER_TIME_UNIT * t_f))
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,6 +36,14 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_n0(n0: float) -> float:
+    """The population total n0 of the per-point wrappers: finite and > 0."""
+    n0 = float(n0)
+    if not 0.0 < n0 < math.inf:
+        raise ValueError(f"n0 must be finite and > 0, got {n0}")
+    return n0
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Structural rates and control bounds.
@@ -125,9 +133,9 @@ def rhs_terms(
 ) -> tuple[float, float, float]:
     """Raw right-hand side on scalars; rates already evaluated at t.
 
-    Kept free of validation: the scalar kernel of ``dynamics`` and
-    ``pmp.hamiltonian``.  ``integrator.rk4_forward`` writes it out inline, so
-    a change here must be made there too.
+    Kept free of validation: the scalar kernel of ``dynamics``, and through
+    it of ``pmp.hamiltonian``.  ``integrator.rk4_forward`` writes it out
+    inline, so a change here must be made there too.
     """
     spread = (beta_t + u2) * P * R / n0
     direct = u1 * P
@@ -158,9 +166,7 @@ def dynamics(
     roundoff for any admissible input.
     """
     _require_finite("t", t)
-    n0 = _require_finite("n0", n0)
-    if n0 <= 0.0:
-        raise ValueError(f"n0 must be > 0, got {n0}")
+    n0 = _require_n0(n0)
     beta_t = _require_finite("beta(t)", beta(t))
     gamma_t = _require_finite("gamma(t)", gamma(t))
     return rhs_terms(

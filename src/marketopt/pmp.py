@@ -42,7 +42,8 @@ from .model import (
     State,
     Weights,
     _require_finite,
-    rhs_terms,
+    _require_n0,
+    dynamics,
 )
 
 OBJECTIVE_TAGS = ("l2", "l1")
@@ -110,9 +111,7 @@ def costate_rhs(
 ) -> tuple[float, float, float]:
     """Evaluate (dp1/dt, dp2/dt, dp3/dt) at time t with N fixed to n0."""
     _require_finite("t", t)
-    n0 = _require_finite("n0", n0)
-    if n0 <= 0.0:
-        raise ValueError(f"n0 must be > 0, got {n0}")
+    n0 = _require_n0(n0)
     beta_t = _require_finite("beta(t)", beta(t))
     gamma_t = _require_finite("gamma(t)", gamma(t))
     S = costate_system(x.R, x.C, x.P, u.u1, u.u2, beta_t, gamma_t, params, weights, n0)
@@ -174,8 +173,7 @@ def control_law_l2(
     u2 = clamp([p3 - alpha2*p1 - (1-alpha2)*p2] * P*R / (2*kappa3*n0), 0, u2_max)
     """
     check_l2_weights(weights)
-    if n0 <= 0.0:
-        raise ValueError(f"n0 must be > 0, got {n0}")
+    n0 = _require_n0(n0)
     u1, u2 = l2_law_terms(x.R, x.P, p.p1, p.p2, p.p3, params, weights, n0)
     return ControlPair(u1=float(u1), u2=float(u2))
 
@@ -195,8 +193,7 @@ def switching_functions(
     With vanishing terminal adjoints these end at (kappa2, kappa3), which
     forces both controls to switch off at the final time.
     """
-    if n0 <= 0.0:
-        raise ValueError(f"n0 must be > 0, got {n0}")
+    n0 = _require_n0(n0)
     phi1, phi2 = switching_terms(x.R, x.P, p.p1, p.p2, p.p3, params, weights, n0)
     return SwitchingValues(phi1=float(phi1), phi2=float(phi2))
 
@@ -250,20 +247,5 @@ def hamiltonian(
     remains the exact negative gradient.
     """
     running = running_cost(objective, x.P, u.u1, u.u2, weights)
-    if n0 <= 0.0 or not math.isfinite(n0):
-        raise ValueError(f"n0 must be finite and > 0, got {n0}")
-    dR, dC, dP = rhs_terms(
-        x.R,
-        x.C,
-        x.P,
-        u.u1,
-        u.u2,
-        beta(t),
-        gamma(t),
-        params.alpha1,
-        params.alpha2,
-        params.lambda1,
-        params.lambda2,
-        n0,
-    )
+    dR, dC, dP = dynamics(t, x, u, params, beta, gamma, n0)
     return running + p.p1 * dR + p.p2 * dC + p.p3 * dP

@@ -45,7 +45,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepSettings:
-    """Iteration knobs for the sweep.
+    """Grid size and iteration knobs for the sweep.
+
+    The fields are in the order of a config file's ``grid`` section (n)
+    followed by its ``solver`` section.  n is the number of intervals on the
+    scenario's horizon [0, t_f] (see ``grid_for``).
 
     relaxation is the weight on the fresh controls in the convex update.
     The undamped value 1 can stall the bang-bang objective on coarse grids
@@ -53,13 +57,15 @@ class SweepSettings:
     and lower values cost more iterations (0.5 takes 12 there, 0.3 takes 21).
     """
 
-    grid: TimeGrid
-    relaxation: float = 0.5
+    n: int
     tol_delta: float = 1e-3
+    relaxation: float = 0.5
     max_iters: int = 1000
     eps_singular: float = 1e-9
 
     def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError(f"need at least 2 intervals, got n={self.n}")
         if not (0.0 < self.relaxation <= 1.0):
             raise ValueError(f"relaxation must be in (0, 1], got {self.relaxation}")
         if not 0.0 < self.tol_delta < math.inf:
@@ -70,6 +76,10 @@ class SweepSettings:
             )
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+
+    def grid_for(self, scenario: Scenario) -> TimeGrid:
+        """The solve grid: the scenario's horizon [0, t_f] in n steps."""
+        return TimeGrid(0.0, scenario.t_f, self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +159,7 @@ def _law_on_grid(
 
 def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     """Run the sweep to convergence (or max_iters) and return the last iterate."""
-    grid = settings.grid
+    grid = settings.grid_for(scenario)
     n0 = scenario.n0
     if scenario.objective == "l2":
         check_l2_weights(scenario.weights)

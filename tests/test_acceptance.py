@@ -49,7 +49,7 @@ def _criterion(number: int, label: str, ok: bool, detail: str = "") -> None:
 def _solve_preset(name: str, n: int | None = None):
     sc = preset_scenario(name)
     grid = default_grid(sc.t_f) if n is None else TimeGrid(0.0, sc.t_f, n)
-    return sc, solve(sc, SweepSettings(grid=grid))
+    return sc, solve(sc, SweepSettings(n=grid.n))
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +80,7 @@ def scenario3_l1():
 @pytest.fixture(scope="module")
 def comparison():
     sc = preset_scenario("comparison-default")
-    return sc, SweepSettings(grid=default_grid(sc.t_f))
+    return sc, SweepSettings(n=default_grid(sc.t_f).n)
 
 
 @pytest.fixture(scope="module")
@@ -302,7 +302,7 @@ def test_comparison_default_optimum_matches_direct_transcription(
     comparison, comparison_table
 ):
     sc, settings = comparison
-    j_solve = solve(sc, SweepSettings(grid=settings.grid, tol_delta=1e-8)).cost
+    j_solve = solve(sc, SweepSettings(n=settings.n, tol_delta=1e-8)).cost
     j_oracle = _oracle_minimum(sc)
     j_nc_oracle = float(_oracle_costs(sc, np.zeros((1, ORACLE_INTERVALS, 2)))[0])
     j_nc = comparison_table.cost_of(StrategyKind.NO_CONTROL)
@@ -468,7 +468,7 @@ def test_criterion_9_numerical_analysis_properties():
 
 def test_criterion_10_determinism_and_grid_stability(scenario1, scenario1_fine):
     sc, result = scenario1
-    rerun = solve(sc, SweepSettings(grid=result.state.grid))
+    rerun = solve(sc, SweepSettings(n=result.state.grid.n))
     identical = (
         np.array_equal(rerun.state.values, result.state.values)
         and np.array_equal(rerun.costate.values, result.costate.values)

@@ -68,7 +68,7 @@ def test_config_without_solver_section_takes_sweep_settings_defaults(tmp_path):
     path.write_text(json.dumps({"scenario": {"preset": "scenario1"}}))
     cfg = load_config(path)
     settings = cfg.sweep_settings()
-    expected = SweepSettings(grid=default_grid(7.0))
+    expected = SweepSettings(n=default_grid(7.0).n)
     for field in fields(SweepSettings):
         assert getattr(settings, field.name) == getattr(expected, field.name)
     from_preset = config_from_scenario(preset_scenario("scenario1"))
@@ -110,7 +110,7 @@ def test_csv_numbers_reparse_to_exact_doubles(tmp_path):
     scenario = preset_scenario("scenario1")
     result = solve(
         scenario,
-        SweepSettings(grid=config_from_scenario(scenario, grid_n=400).grid),
+        SweepSettings(n=config_from_scenario(scenario, grid_n=400).settings.n),
     )
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     parsed = np.array([[float(v) for v in row.split(",")] for row in rows])

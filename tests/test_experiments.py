@@ -21,7 +21,7 @@ from marketopt.solver import SweepSettings, solve
 
 COMPARISON = preset_scenario("comparison-default")
 FAST_GRID = TimeGrid(0.0, 7.0, 700)
-FAST_SETTINGS = SweepSettings(grid=FAST_GRID)
+FAST_SETTINGS = SweepSettings(n=FAST_GRID.n)
 FAST_RATES = sample_rates(COMPARISON.beta, COMPARISON.gamma, FAST_GRID)
 
 
@@ -167,6 +167,28 @@ def test_tf_sweep_keeps_step_size_and_renormalizes_state_weight():
     assert table.rows[0].cost == pytest.approx(0.99, abs=0.01)
 
 
+def test_compare_costs_every_row_on_the_scenario_horizon():
+    sc = replace(COMPARISON, t_f=3.5)
+    rates = sample_rates(sc.beta, sc.gamma, TimeGrid(0.0, 3.5, 700))
+    table = compare_strategies(sc, SweepSettings(n=700))
+    for kind in (StrategyKind.NO_CONTROL, StrategyKind.CONSTANT,
+                 StrategyKind.FOLLOW_HEURISTIC):
+        u = strategy_controls(kind, sc, rates)
+        x = rk4_forward(sc.x0, u, sc.params, rates, sc.n0)
+        assert table.cost_of(kind) == evaluate_cost(sc.objective, sc.weights, x, u)
+    optimal = solve(sc, SweepSettings(n=700))
+    assert optimal.state.grid == rates.grid
+    assert table.cost_of(StrategyKind.OPTIMAL) == optimal.cost
+
+
+def test_tf_cells_keep_the_step_size():
+    # FAST_SETTINGS steps 7/700 = 0.01, so the t_f = 4 cell has 400 intervals
+    spec = SweepSpec(parameter="tf", values=(4.0,), base=COMPARISON)
+    cell = experiments._scenario_at(spec, 4.0)
+    expected = compare_strategies(cell, SweepSettings(n=400), parameter="tf", value=4.0)
+    assert run_sweep(spec, FAST_SETTINGS) == expected
+
+
 def test_failed_cells_are_recorded_not_raised():
     wild = Scenario(
         params=COMPARISON.params,
@@ -176,7 +198,7 @@ def test_failed_cells_are_recorded_not_raised():
         x0=State(0.5, 0.0, 0.5),
         t_f=7.0,
     )
-    table = compare_strategies(wild, SweepSettings(grid=TimeGrid(0.0, 7.0, 100)))
+    table = compare_strategies(wild, SweepSettings(n=100))
     assert len(table.rows) == 4
     assert all(not row.converged for row in table.rows)
     assert all(math.isnan(row.cost) for row in table.rows)

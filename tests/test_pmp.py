@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketopt.model import ControlPair, ModelParams, State, Weights
+from marketopt.model import ControlPair, ModelParams, State, Weights, dynamics
 from marketopt.pmp import (
     Costate,
     SwitchingValues,
@@ -239,6 +241,43 @@ def test_hamiltonian_objectives_agree_at_unit_controls():
     assert hamiltonian(0.0, *args, "l2", *tail) == hamiltonian(0.0, *args, "l1", *tail)
     with pytest.raises(ValueError):
         hamiltonian(0.0, *args, "l3", *tail)
+
+
+P0 = Costate(0.1, 0.2, 0.3)
+U0 = ControlPair(0.03, 0.5)
+RATES = (Constant(0.5), Constant(0.1))
+
+# every per-point wrapper, as a function of the population total n0
+PER_POINT = {
+    "dynamics": lambda n0: dynamics(0.0, X0, U0, PARAMS, *RATES, n0),
+    "costate_rhs": lambda n0: costate_rhs(0.0, X0, P0, U0, PARAMS, WEIGHTS, *RATES, n0),
+    "hamiltonian": lambda n0: hamiltonian(
+        0.0, X0, P0, U0, "l2", PARAMS, WEIGHTS, *RATES, n0
+    ),
+    "control_law_l2": lambda n0: control_law_l2(X0, P0, PARAMS, WEIGHTS, n0),
+    "switching_functions": lambda n0: switching_functions(X0, P0, PARAMS, WEIGHTS, n0),
+}
+
+
+@pytest.mark.parametrize("wrapper", PER_POINT)
+@pytest.mark.parametrize("n0", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_per_point_wrappers_reject_a_bad_population_total(wrapper, n0):
+    with pytest.raises(ValueError, match="n0 must be finite and > 0"):
+        PER_POINT[wrapper](n0)
+
+
+@pytest.mark.parametrize(
+    "t, beta, gamma",
+    [
+        (math.nan, Constant(0.5), Constant(0.1)),
+        (math.inf, builtin_beta_rate(1), builtin_gamma_rate(1)),
+        (0.0, lambda t: math.inf, Constant(0.1)),
+        (0.0, Constant(0.5), lambda t: math.nan),
+    ],
+)
+def test_hamiltonian_rejects_nonfinite_time_and_rates(t, beta, gamma):
+    with pytest.raises(ValueError, match="must be finite"):
+        hamiltonian(t, X0, P0, U0, "l2", PARAMS, WEIGHTS, beta, gamma, 1.0)
 
 
 def _du_hamiltonian(t, x, p, u, objective, weights, component, delta=1e-6):

@@ -49,23 +49,36 @@ def test_convergence_test_rejects_mismatches():
 def test_settings_validation():
     grid = TimeGrid(0.0, 7.0, 100)
     with pytest.raises(ValueError):
-        SweepSettings(grid=grid, relaxation=0.0)
+        SweepSettings(n=grid.n, relaxation=0.0)
     with pytest.raises(ValueError):
-        SweepSettings(grid=grid, tol_delta=0.0)
+        SweepSettings(n=grid.n, tol_delta=0.0)
     with pytest.raises(ValueError):
-        SweepSettings(grid=grid, max_iters=0)
+        SweepSettings(n=grid.n, max_iters=0)
     for bad in (float("nan"), float("inf"), -1e-3):
         with pytest.raises(ValueError, match="tol_delta"):
-            SweepSettings(grid=grid, tol_delta=bad)
+            SweepSettings(n=grid.n, tol_delta=bad)
     for bad in (float("nan"), float("inf"), -1e-9):
         with pytest.raises(ValueError, match="eps_singular"):
-            SweepSettings(grid=grid, eps_singular=bad)
-    assert SweepSettings(grid=grid, eps_singular=0.0).eps_singular == 0.0
+            SweepSettings(n=grid.n, eps_singular=bad)
+    assert SweepSettings(n=grid.n, eps_singular=0.0).eps_singular == 0.0
+
+
+def test_settings_need_two_intervals():
+    with pytest.raises(ValueError, match="need at least 2 intervals, got n=1"):
+        SweepSettings(n=1)
+
+
+def test_solve_grid_spans_the_scenario_horizon():
+    sc = replace(preset_scenario("scenario1"), t_f=3.5)
+    result = solve(sc, SweepSettings(n=700))
+    assert result.state.grid == TimeGrid(0.0, 3.5, 700)
+    assert result.costate.grid == result.controls.grid == result.rates.grid
+    assert result.controls.grid == result.state.grid
 
 
 def test_l2_solve_needs_positive_control_weights():
     sc = preset_scenario("comparison-default")
-    settings = SweepSettings(grid=TimeGrid(0.0, sc.t_f, 100))
+    settings = SweepSettings(n=100)
     k1, k2, k3 = sc.weights.kappa1, sc.weights.kappa2, sc.weights.kappa3
     for weights in (Weights(k1, 0.0, k3), Weights(k1, k2, 0.0)):
         with pytest.raises(ValueError, match="kappa2 > 0 and kappa3 > 0"):
@@ -80,7 +93,7 @@ def test_dominant_control_cost_pins_controls_at_zero():
                         sc.weights.kappa3 * 1e6),
     )
     grid = default_grid(sc.t_f)
-    result = solve(big, SweepSettings(grid=grid))
+    result = solve(big, SweepSettings(n=grid.n))
     assert result.converged
     assert np.abs(result.controls.values).max() <= 1e-6
     free = rk4_forward(
@@ -92,7 +105,7 @@ def test_dominant_control_cost_pins_controls_at_zero():
 
 def test_returned_controls_respect_bounds_exactly():
     sc = preset_scenario("scenario1")
-    result = solve(sc, SweepSettings(grid=TimeGrid(0.0, 7.0, 700)))
+    result = solve(sc, SweepSettings(n=700))
     assert result.converged
     u = result.controls.values
     assert u.min() >= 0.0
@@ -109,7 +122,7 @@ def test_solve_samples_each_rate_once_per_node_and_midpoint(tol, counting_rate):
     n = 200
     result = solve(
         replace(sc, beta=beta, gamma=gamma),
-        SweepSettings(grid=TimeGrid(0.0, 7.0, n), tol_delta=tol),
+        SweepSettings(n=n, tol_delta=tol),
     )
     assert result.iterations > 1
     assert beta.calls == gamma.calls == 2 * n + 1
@@ -117,7 +130,7 @@ def test_solve_samples_each_rate_once_per_node_and_midpoint(tol, counting_rate):
 
 def test_l1_result_carries_diagnostics():
     sc = preset_scenario("scenario3-l1")
-    result = solve(sc, SweepSettings(grid=TimeGrid(0.0, 7.0, 700)))
+    result = solve(sc, SweepSettings(n=700))
     assert result.converged
     assert result.singular_flags is not None
     assert result.singular_flags.shape == (701,)
@@ -129,7 +142,7 @@ def test_l1_result_carries_diagnostics():
 
 def test_converged_l2_controls_are_stationary_at_interior_nodes():
     sc = preset_scenario("scenario1")
-    result = solve(sc, SweepSettings(grid=TimeGrid(0.0, 7.0, 700)))
+    result = solve(sc, SweepSettings(n=700))
     assert result.converged
     ts = result.state.grid.nodes()
     bounds = (sc.params.u1_max, sc.params.u2_max)
@@ -158,7 +171,7 @@ def test_converged_l2_controls_are_stationary_at_interior_nodes():
 
 def test_converged_l1_run_is_strictly_bang_bang():
     sc = preset_scenario("scenario3-l1")
-    result = solve(sc, SweepSettings(grid=TimeGrid(0.0, 7.0, 700)))
+    result = solve(sc, SweepSettings(n=700))
     assert result.converged
     u = result.controls.values
     n = result.state.grid.n
@@ -186,7 +199,7 @@ def test_converged_l1_run_is_strictly_bang_bang():
 
 def test_non_convergence_is_reported_not_raised():
     sc = preset_scenario("scenario1")
-    result = solve(sc, SweepSettings(grid=TimeGrid(0.0, 7.0, 700), max_iters=1))
+    result = solve(sc, SweepSettings(n=700, max_iters=1))
     assert not result.converged
     assert result.iterations == 1
 
@@ -202,5 +215,5 @@ def test_divergence_error_carries_iteration():
         t_f=7.0,
     )
     with pytest.raises(DivergenceError) as err:
-        solve(wild, SweepSettings(grid=TimeGrid(0.0, 7.0, 100)))
+        solve(wild, SweepSettings(n=100))
     assert err.value.iteration == 1
