@@ -143,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--tol", type=float, dest="tol_delta", metavar="TOL",
                          help="relative convergence tolerance")
         cmd.add_argument("--relax", type=float, dest="relaxation", metavar="RELAX",
-                         help="control update blend weight")
+                         help="starting control update blend weight")
         cmd.add_argument("--max-iters", type=int, help="sweep iteration cap")
         cmd.add_argument("--out", help="output directory (default: out)")
         cmd.add_argument("--format", choices=("csv", "json"))

@@ -75,6 +75,31 @@ def test_config_without_solver_section_takes_sweep_settings_defaults(tmp_path):
     assert config_to_dict(cfg)["solver"] == config_to_dict(from_preset)["solver"]
 
 
+def test_relax_flag_restores_the_damped_sweep(tmp_path):
+    out = tmp_path / "run"
+    assert _run("solve", "--preset", "scenario1", "--relax", "0.5",
+                "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["iterations"] == 13
+    assert summary["settings"]["relaxation"] == 0.5
+
+
+def test_config_relaxation_round_trips_and_is_honoured(tmp_path):
+    doc = config_to_dict(config_from_scenario(preset_scenario("scenario1")))
+    doc["solver"]["relaxation"] = 0.5
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert _run("solve", "--config", str(path), "--out", str(out1)) == 0
+    written = json.loads((out1 / "config.json").read_text())
+    assert written["solver"] == doc["solver"]
+    assert json.loads((out1 / "summary.json").read_text())["iterations"] == 13
+    assert _run("solve", "--config", str(out1 / "config.json"),
+                "--out", str(out2)) == 0
+    assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
 @pytest.mark.parametrize(
     "rate",
     [

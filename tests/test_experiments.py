@@ -100,7 +100,7 @@ def test_compare_integrates_the_uncontrolled_state_once(monkeypatch):
     monkeypatch.setattr(experiments, "rk4_forward", counted)
     monkeypatch.setattr(solver, "rk4_forward", counted)
     table = compare_strategies(COMPARISON, FAST_SETTINGS)
-    assert len(calls) == 3 + result.iterations
+    assert len(calls) == 4 + result.iterations
     rows = [(r.strategy, r.cost, r.converged, r.iterations) for r in table.rows]
     assert rows == expected
 

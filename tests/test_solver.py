@@ -6,13 +6,15 @@ import pytest
 from marketopt.integrator import (
     TimeGrid,
     default_grid,
+    rk4_backward,
     rk4_forward,
     sample_rates,
     zero_controls,
 )
 from marketopt.model import ControlPair, State, Weights
+from marketopt.objectives import evaluate_cost
 from marketopt.pmp import Costate, hamiltonian, switching_functions
-from marketopt.scenarios import Constant, Scenario, preset_scenario
+from marketopt.scenarios import PRESET_NAMES, Constant, Scenario, preset_scenario
 from marketopt.solver import (
     DivergenceError,
     SweepSettings,
@@ -217,3 +219,63 @@ def test_divergence_error_carries_iteration():
     with pytest.raises(DivergenceError) as err:
         solve(wild, SweepSettings(n=100))
     assert err.value.iteration == 1
+
+
+# scenario3-l1 at n=350 and tol 1e-6 chatters: its residual grows every few
+# iterations and it never converges, so it exercises the one-time halving.
+CHATTERING_L1 = SweepSettings(n=350, tol_delta=1e-6, max_iters=40)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_converge_undamped_at_the_defaults(name):
+    sc = preset_scenario(name)
+    result = solve(sc, SweepSettings(n=default_grid(sc.t_f).n))
+    assert result.converged
+    assert result.relaxation == 1.0
+    assert result.iterations <= 8
+
+
+def test_fine_l1_grid_converges_undamped():
+    result = solve(
+        preset_scenario("scenario3-l1"), SweepSettings(n=2800, tol_delta=1e-6)
+    )
+    assert result.converged
+    assert result.relaxation == 1.0
+    assert result.iterations <= 10
+
+
+def test_growing_residual_halves_the_weight_and_rescues_a_coarse_l1_grid():
+    result = solve(preset_scenario("scenario3-l1"), SweepSettings(n=700))
+    assert result.converged
+    assert result.relaxation == 0.5
+    history = result.residual_history
+    assert any(history[k] > history[k - 1] for k in range(2, len(history)))
+
+
+@pytest.mark.parametrize("relaxation", [1.0, 0.5, 0.3])
+def test_weight_is_halved_only_once_although_the_residual_keeps_growing(relaxation):
+    settings = replace(CHATTERING_L1, relaxation=relaxation)
+    result = solve(preset_scenario("scenario3-l1"), settings)
+    assert not result.converged
+    assert result.iterations == settings.max_iters
+    history = result.residual_history
+    assert sum(history[k] > history[k - 1] for k in range(2, len(history))) > 1
+    assert result.relaxation == relaxation / 2.0
+
+
+@pytest.mark.parametrize(
+    "name, settings",
+    [(name, SweepSettings(n=default_grid(7.0).n)) for name in PRESET_NAMES]
+    + [("scenario3-l1", CHATTERING_L1)],
+)
+def test_reported_solution_is_the_reintegration_of_its_controls(name, settings):
+    sc = preset_scenario(name)
+    result = solve(sc, settings)
+    u = result.controls
+    x = rk4_forward(sc.x0, u, sc.params, result.rates, sc.n0)
+    p = rk4_backward(
+        Costate(0.0, 0.0, 0.0), x, u, sc.params, sc.weights, result.rates, sc.n0
+    )
+    assert np.array_equal(result.state.values, x.values)
+    assert np.array_equal(result.costate.values, p.values)
+    assert result.cost == evaluate_cost(sc.objective, sc.weights, x, u)
