@@ -56,6 +56,12 @@ def _get(mapping: dict, key: str, path: str, kind: type, required: bool = True) 
     return value
 
 
+def _numbers(values: list, field: str) -> tuple[float, ...]:
+    """Each entry of a list field as a float, under the number rule of ``_get``."""
+    entries = dict(enumerate(values))
+    return tuple(_get(entries, i, field, float) for i in entries)
+
+
 def _get_or(mapping: dict, key: str, path: str, kind: type, default: Any) -> Any:
     value = _get(mapping, key, path, kind, required=False)
     return default if value is None else value
@@ -66,7 +72,7 @@ def _from_fields(cls: type, doc: dict, path: str) -> Any:
     kinds = {f.name: float if f.type == "float" else list for f in fields(cls)}
     raw = {name: _get(doc, name, path, kind) for name, kind in kinds.items()}
     return cls(**{
-        name: tuple(float(v) for v in value) if kinds[name] is list else value
+        name: _numbers(value, f"{path}.{name}") if kinds[name] is list else value
         for name, value in raw.items()
     })
 
@@ -231,8 +237,10 @@ def config_from_dict(doc: dict) -> RunConfig:
     if sweep_doc is not None:
         sweep_param = _get(sweep_doc, "param", "sweep", str)
         raw_values = _get(sweep_doc, "values", "sweep", list, required=False)
+        if raw_values == []:
+            raise ConfigError("field sweep.values must not be empty")
         if raw_values is not None:
-            sweep_values = tuple(float(v) for v in raw_values)
+            sweep_values = _numbers(raw_values, "sweep.values")
         raw_strategies = _get(sweep_doc, "strategies", "sweep", list, required=False)
         if raw_strategies is not None:
             by_value = {s.value: s for s in StrategyKind}

@@ -10,9 +10,10 @@ average of the adjacent nodal states.
 Both passes read beta and gamma from one table sampled per grid at the nodes
 and midpoints (``sample_rates``).  The forward pass steps node by node, with
 the stages of ``model.rhs_terms`` written out inline, operation for operation,
-so its bits are those of calling that kernel per stage.  The adjoint system is
-linear in p, so the backward pass builds each step as an affine map, on whole
-blocks of steps at once, and composes them by a scan.
+so its bits are those of calling that kernel per stage, on scalars or on
+columns.  The adjoint system is linear in p, so the backward pass builds each
+step as an affine map, on whole blocks of steps at once, and composes them by
+a scan.  Trajectory and ControlGrid share one node-table check.
 """
 
 from __future__ import annotations
@@ -70,6 +71,17 @@ def default_grid(t_f: float) -> TimeGrid:
     return TimeGrid(t0=0.0, t_f=t_f, n=round(NODES_PER_TIME_UNIT * t_f))
 
 
+def _node_table(values, grid: TimeGrid, width: int, what: str) -> np.ndarray:
+    """A read-only float copy of values, checked to be (n+1, width) and finite."""
+    values = np.array(values, dtype=float)
+    if values.shape != (grid.n + 1, width):
+        raise ValueError(f"expected shape {(grid.n + 1, width)}, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} values must all be finite")
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Values of a 3-component quantity at every grid node; rows are nodes.
@@ -81,18 +93,8 @@ class Trajectory:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.shape != (self.grid.n + 1, 3):
-            raise ValueError(
-                f"expected shape {(self.grid.n + 1, 3)}, got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("trajectory values must all be finite")
-        values.setflags(write=False)
+        values = _node_table(self.values, self.grid, 3, "trajectory")
         object.__setattr__(self, "values", values)
-
-    def component(self, index: int) -> np.ndarray:
-        return self.values[:, index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,31 +105,13 @@ class ControlGrid:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.shape != (self.grid.n + 1, 2):
-            raise ValueError(
-                f"expected shape {(self.grid.n + 1, 2)}, got {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("control values must all be finite")
+        values = _node_table(self.values, self.grid, 2, "control")
         if values.min() < 0.0:
             raise ValueError("control values must be >= 0")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    @property
-    def u1(self) -> np.ndarray:
-        return self.values[:, 0]
-
-    @property
-    def u2(self) -> np.ndarray:
-        return self.values[:, 1]
-
     def within_bounds(self, params: ModelParams) -> bool:
-        return bool(
-            self.values[:, 0].max() <= params.u1_max
-            and self.values[:, 1].max() <= params.u2_max
-        )
+        return bool((self.values <= (params.u1_max, params.u2_max)).all())
 
 
 def zero_controls(grid: TimeGrid) -> ControlGrid:

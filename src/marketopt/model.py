@@ -18,6 +18,10 @@ The governing system is::
 Every flow leaves one compartment and enters another, so R + C + P is a
 conserved quantity; ``N0`` in the denominators is that constant total, fixed
 up front rather than re-summed per call.
+
+``rhs_terms`` is this system on scalars or node columns, in the form of the
+``pmp`` kernels (states, controls, rates at t, then params and n0);
+``dynamics`` wraps it for one point with the checks ``pmp.costate_rhs`` shares.
 """
 
 from __future__ import annotations
@@ -117,36 +121,28 @@ class Weights:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def rhs_terms(
-    R: float,
-    C: float,
-    P: float,
-    u1: float,
-    u2: float,
-    beta_t: float,
-    gamma_t: float,
-    alpha1: float,
-    alpha2: float,
-    lambda1: float,
-    lambda2: float,
-    n0: float,
-) -> tuple[float, float, float]:
-    """Raw right-hand side on scalars; rates already evaluated at t.
+def _at_point(t: float, beta: RateCallable, gamma: RateCallable, n0: float):
+    """Check a per-point call's t, n0 and rates; return (beta_t, gamma_t, n0)."""
+    _require_finite("t", t)
+    n0 = _require_n0(n0)
+    beta_t = _require_finite("beta(t)", beta(t))
+    gamma_t = _require_finite("gamma(t)", gamma(t))
+    return beta_t, gamma_t, n0
 
-    Kept free of validation: the scalar kernel of ``dynamics``, and through
-    it of ``pmp.hamiltonian``.  ``integrator.rk4_forward`` writes it out
-    inline, so a change here must be made there too.
+
+def rhs_terms(R, C, P, u1, u2, beta_t, gamma_t, params: ModelParams, n0: float):
+    """Raw right-hand side on scalars or node columns; no validation.
+
+    Rates are already evaluated at t.  ``dynamics`` wraps it for one point,
+    and ``integrator.rk4_forward`` writes it out inline, operation for
+    operation, so a change here must be made there too.
     """
+    a1, a2 = params.alpha1, params.alpha2
+    l1, l2 = params.lambda1, params.lambda2
     spread = (beta_t + u2) * P * R / n0
     direct = u1 * P
-    dR = -lambda2 * R + lambda1 * C - gamma_t * R + alpha1 * direct + alpha2 * spread
-    dC = (
-        -lambda1 * C
-        + lambda2 * R
-        - gamma_t * C
-        + (1.0 - alpha2) * spread
-        + (1.0 - alpha1) * direct
-    )
+    dR = -l2 * R + l1 * C - gamma_t * R + a1 * direct + a2 * spread
+    dC = -l1 * C + l2 * R - gamma_t * C + (1.0 - a2) * spread + (1.0 - a1) * direct
     dP = -spread - direct + gamma_t * R + gamma_t * C
     return dR, dC, dP
 
@@ -165,24 +161,8 @@ def dynamics(
     The three components cancel pairwise, so they sum to zero up to
     roundoff for any admissible input.
     """
-    _require_finite("t", t)
-    n0 = _require_n0(n0)
-    beta_t = _require_finite("beta(t)", beta(t))
-    gamma_t = _require_finite("gamma(t)", gamma(t))
-    return rhs_terms(
-        x.R,
-        x.C,
-        x.P,
-        u.u1,
-        u.u2,
-        beta_t,
-        gamma_t,
-        params.alpha1,
-        params.alpha2,
-        params.lambda1,
-        params.lambda2,
-        n0,
-    )
+    beta_t, gamma_t, n0 = _at_point(t, beta, gamma, n0)
+    return rhs_terms(x.R, x.C, x.P, u.u1, u.u2, beta_t, gamma_t, params, n0)
 
 
 def total_population(x: State) -> float:

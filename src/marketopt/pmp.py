@@ -41,6 +41,7 @@ from .model import (
     RateCallable,
     State,
     Weights,
+    _at_point,
     _require_finite,
     _require_n0,
     dynamics,
@@ -110,10 +111,7 @@ def costate_rhs(
     n0: float,
 ) -> tuple[float, float, float]:
     """Evaluate (dp1/dt, dp2/dt, dp3/dt) at time t with N fixed to n0."""
-    _require_finite("t", t)
-    n0 = _require_n0(n0)
-    beta_t = _require_finite("beta(t)", beta(t))
-    gamma_t = _require_finite("gamma(t)", gamma(t))
+    beta_t, gamma_t, n0 = _at_point(t, beta, gamma, n0)
     S = costate_system(x.R, x.C, x.P, u.u1, u.u2, beta_t, gamma_t, params, weights, n0)
     dp1, dp2, dp3, _ = (S @ np.array([p.p1, p.p2, p.p3, 1.0])).tolist()
     return dp1, dp2, dp3

@@ -97,7 +97,9 @@ class SweepSettings:
 class SolveResult:
     """The last iterate, and the rate table it was solved on.
 
-    relaxation is the blending weight in force when the sweep stopped.
+    relaxation is the blending weight in force when the sweep stopped.  For
+    l1, interior_fraction is the share of nodes where a returned control lies
+    more than 1e-12 inside both of its bounds.
     """
 
     state: Trajectory
@@ -221,11 +223,9 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     x, p = integrate(controls, iterations)
     interior = None
     if scenario.objective == "l1":
-        off_lower = u_work > 1e-12
-        off_upper = np.empty_like(off_lower)
-        off_upper[:, 0] = u_work[:, 0] < scenario.params.u1_max - 1e-12
-        off_upper[:, 1] = u_work[:, 1] < scenario.params.u2_max - 1e-12
-        interior = float(np.mean(np.any(off_lower & off_upper, axis=1)))
+        bounds = (scenario.params.u1_max, scenario.params.u2_max)
+        inside = (u_law > 1e-12) & (u_law < np.subtract(bounds, 1e-12))
+        interior = float(np.mean(np.any(inside, axis=1)))
     return SolveResult(
         state=x,
         costate=p,

@@ -343,6 +343,22 @@ def test_sweep_command_uses_config_values(tmp_path):
     assert first[1] == "no-control"
 
 
+@pytest.mark.parametrize(
+    "values", [[None], ["x"], [], [True, 0.5]], ids=["null", "string", "empty", "bool"]
+)
+def test_malformed_sweep_values_are_input_errors(tmp_path, capsys, values):
+    cfg_path = tmp_path / "sweep.json"
+    doc = config_to_dict(config_from_scenario(preset_scenario("comparison-default"),
+                                              grid_n=50))
+    doc["sweep"] = {"param": "gamma", "values": values}
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "swp"
+    code = _run("sweep", "--config", str(cfg_path), "--out", str(out))
+    assert code == 1
+    assert "sweep.values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_without_param_fails(tmp_path, capsys):
     code = _run("sweep", "--preset", "comparison-default",
                 "--out", str(tmp_path / "x"))

@@ -152,22 +152,23 @@ def _reference_forward(x0, u, params, rates, n0):
     us = u.values.tolist()
     beta_n, beta_m = rates.beta_nodes.tolist(), rates.beta_mid.tolist()
     gamma_n, gamma_m = rates.gamma_nodes.tolist(), rates.gamma_mid.tolist()
-    coeffs = (params.alpha1, params.alpha2, params.lambda1, params.lambda2, n0)
     x = (x0.R, x0.C, x0.P)
     rows = [x]
     for i in range(grid.n):
         (u1a, u2a), (u1b, u2b) = us[i], us[i + 1]
         um = (0.5 * (u1a + u1b), 0.5 * (u2a + u2b))
-        k1 = rhs_terms(*x, u1a, u2a, beta_n[i], gamma_n[i], *coeffs)
+        k1 = rhs_terms(*x, u1a, u2a, beta_n[i], gamma_n[i], params, n0)
         k2 = rhs_terms(
-            *(a + 0.5 * h * k for a, k in zip(x, k1)), *um, beta_m[i], gamma_m[i], *coeffs
+            *(a + 0.5 * h * k for a, k in zip(x, k1)), *um, beta_m[i], gamma_m[i],
+            params, n0,
         )
         k3 = rhs_terms(
-            *(a + 0.5 * h * k for a, k in zip(x, k2)), *um, beta_m[i], gamma_m[i], *coeffs
+            *(a + 0.5 * h * k for a, k in zip(x, k2)), *um, beta_m[i], gamma_m[i],
+            params, n0,
         )
         k4 = rhs_terms(
             *(a + h * k for a, k in zip(x, k3)), u1b, u2b, beta_n[i + 1],
-            gamma_n[i + 1], *coeffs,
+            gamma_n[i + 1], params, n0,
         )
         x = tuple(
             a + h / 6.0 * (q1 + 2.0 * (q2 + q3) + q4)

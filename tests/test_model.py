@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,9 +11,17 @@ from marketopt.model import (
     State,
     Weights,
     dynamics,
+    rhs_terms,
     total_population,
 )
-from marketopt.scenarios import Constant, builtin_beta_rate, builtin_gamma_rate
+from marketopt.integrator import TimeGrid, sample_rates
+from marketopt.scenarios import (
+    PRESET_NAMES,
+    Constant,
+    builtin_beta_rate,
+    builtin_gamma_rate,
+    preset_scenario,
+)
 
 TABLE_PARAMS = ModelParams(
     alpha1=0.05, alpha2=0.10, lambda1=0.002, lambda2=0.018, u1_max=0.06, u2_max=1.0
@@ -81,6 +90,24 @@ def test_rhs_is_affine_in_the_controls(R, C, P, u1a, u2a, u1b, u2b):
         lhs = fab[i] - base[i]
         rhs = (fa[i] - base[i]) + (fb[i] - base[i])
         assert lhs == pytest.approx(rhs, abs=1e-14)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_rhs_terms_on_columns_equals_per_node_scalar_calls(name):
+    sc = preset_scenario(name)
+    grid = TimeGrid(0.0, sc.t_f, 400)
+    rates = sample_rates(sc.beta, sc.gamma, grid)
+    rng = np.random.default_rng(PRESET_NAMES.index(name))
+    R, C, P = (rng.dirichlet((1.0, 1.0, 1.0), grid.n + 1) * sc.n0).T
+    u1 = rng.uniform(0.0, sc.params.u1_max, grid.n + 1)
+    u2 = rng.uniform(0.0, sc.params.u2_max, grid.n + 1)
+    columns = (R, C, P, u1, u2, rates.beta_nodes, rates.gamma_nodes)
+    on_columns = rhs_terms(*columns, sc.params, sc.n0)
+    per_node = [
+        rhs_terms(*point, sc.params, sc.n0) for point in zip(*(c.tolist() for c in columns))
+    ]
+    for k, column in enumerate(on_columns):
+        assert column.tobytes() == np.array([d[k] for d in per_node]).tobytes()
 
 
 def test_uncontrolled_constant_rates_are_autonomous():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,18 +267,34 @@ def test_per_point_wrappers_reject_a_bad_population_total(wrapper, n0):
         PER_POINT[wrapper](n0)
 
 
+# the wrappers that evaluate the rates at t, as functions of (t, beta, gamma)
+AT_POINT = {
+    "dynamics": lambda t, beta, gamma: dynamics(t, X0, U0, PARAMS, beta, gamma, 1.0),
+    "costate_rhs": lambda t, beta, gamma: costate_rhs(
+        t, X0, P0, U0, PARAMS, WEIGHTS, beta, gamma, 1.0
+    ),
+    "hamiltonian": lambda t, beta, gamma: hamiltonian(
+        t, X0, P0, U0, "l2", PARAMS, WEIGHTS, beta, gamma, 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("wrapper", AT_POINT)
 @pytest.mark.parametrize(
-    "t, beta, gamma",
+    "t, beta, gamma, message",
     [
-        (math.nan, Constant(0.5), Constant(0.1)),
-        (math.inf, builtin_beta_rate(1), builtin_gamma_rate(1)),
-        (0.0, lambda t: math.inf, Constant(0.1)),
-        (0.0, Constant(0.5), lambda t: math.nan),
+        (math.nan, Constant(0.5), Constant(0.1), "t must be finite"),
+        (math.inf, builtin_beta_rate(1), builtin_gamma_rate(1), "t must be finite"),
+        (0.0, lambda t: math.inf, Constant(0.1), "beta(t) must be finite"),
+        (0.0, Constant(0.5), lambda t: math.nan, "gamma(t) must be finite"),
     ],
+    ids=["t-nan", "t-inf", "beta-inf", "gamma-nan"],
 )
-def test_hamiltonian_rejects_nonfinite_time_and_rates(t, beta, gamma):
-    with pytest.raises(ValueError, match="must be finite"):
-        hamiltonian(t, X0, P0, U0, "l2", PARAMS, WEIGHTS, beta, gamma, 1.0)
+def test_per_point_wrappers_reject_nonfinite_time_and_rates(
+    wrapper, t, beta, gamma, message
+):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        AT_POINT[wrapper](t, beta, gamma)
 
 
 def _du_hamiltonian(t, x, p, u, objective, weights, component, delta=1e-6):
