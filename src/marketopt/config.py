@@ -56,10 +56,18 @@ def _get(mapping: dict, key: str, path: str, kind: type, required: bool = True) 
     return value
 
 
-def _numbers(values: list, field: str) -> tuple[float, ...]:
-    """Each entry of a list field as a float, under the number rule of ``_get``."""
+def _entries(values: list, field: str, kind: type = float) -> tuple:
+    """Each entry of a list field as a kind, under the type rules of ``_get``."""
     entries = dict(enumerate(values))
-    return tuple(_get(entries, i, field, float) for i in entries)
+    return tuple(_get(entries, i, field, kind) for i in entries)
+
+
+def _sweep_list(sweep_doc: dict, key: str, kind: type) -> tuple | None:
+    """The optional, non-empty list field sweep.key, each entry a kind."""
+    values = _get(sweep_doc, key, "sweep", list, required=False)
+    if values == []:
+        raise ConfigError(f"field sweep.{key} must not be empty")
+    return None if values is None else _entries(values, f"sweep.{key}", kind)
 
 
 def _get_or(mapping: dict, key: str, path: str, kind: type, default: Any) -> Any:
@@ -72,7 +80,7 @@ def _from_fields(cls: type, doc: dict, path: str) -> Any:
     kinds = {f.name: float if f.type == "float" else list for f in fields(cls)}
     raw = {name: _get(doc, name, path, kind) for name, kind in kinds.items()}
     return cls(**{
-        name: _numbers(value, f"{path}.{name}") if kinds[name] is list else value
+        name: _entries(value, f"{path}.{name}") if kinds[name] is list else value
         for name, value in raw.items()
     })
 
@@ -236,16 +244,12 @@ def config_from_dict(doc: dict) -> RunConfig:
     strategies: tuple[StrategyKind, ...] = ALL_STRATEGIES
     if sweep_doc is not None:
         sweep_param = _get(sweep_doc, "param", "sweep", str)
-        raw_values = _get(sweep_doc, "values", "sweep", list, required=False)
-        if raw_values == []:
-            raise ConfigError("field sweep.values must not be empty")
-        if raw_values is not None:
-            sweep_values = _numbers(raw_values, "sweep.values")
-        raw_strategies = _get(sweep_doc, "strategies", "sweep", list, required=False)
-        if raw_strategies is not None:
+        sweep_values = _sweep_list(sweep_doc, "values", float)
+        names = _sweep_list(sweep_doc, "strategies", str)
+        if names is not None:
             by_value = {s.value: s for s in StrategyKind}
             try:
-                strategies = tuple(by_value[name] for name in raw_strategies)
+                strategies = tuple(by_value[name] for name in names)
             except KeyError as err:
                 raise ConfigError(
                     f"field sweep.strategies contains unknown strategy {err.args[0]!r}; "

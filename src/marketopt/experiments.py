@@ -1,15 +1,17 @@
 """Strategy comparison and parameter sweeps.
 
 Four control strategies are costed on identical grids: no control, a fixed
-constant pair, a heuristic that follows the uncontrolled trajectory, and the
+constant pair, a heuristic that follows the uncontrolled trajectory (the three
+fixed ones built by ``strategy_controls`` from one uncontrolled pass), and the
 converged sweep optimum.  Sweeps re-run the comparison over a range of one
-parameter (defection rate gamma, control weight kappa2, pull rate beta, or
-horizon t_f) and tabulate the cost of every (value, strategy) cell.
+parameter in ``_SWEEPS`` (defection rate gamma, control weight kappa2, pull
+rate beta, or horizon t_f) and tabulate the cost of every (value, strategy) cell.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import repeat
@@ -19,14 +21,12 @@ import numpy as np
 
 from .integrator import (
     ControlGrid,
-    GridRates,
     IntegrationError,
     Trajectory,
     rk4_forward,
     sample_rates,
     zero_controls,
 )
-from .model import Weights
 from .objectives import evaluate_cost
 from .scenarios import Constant, Scenario
 from .solver import DivergenceError, SolveResult, SweepSettings, solve
@@ -41,23 +41,16 @@ class StrategyKind(Enum):
 
 ALL_STRATEGIES = tuple(StrategyKind)
 
-SWEEP_PARAMETERS = ("gamma", "kappa2", "beta", "tf")
-
-# Default sample points for each sweepable parameter.
-GAMMA_VALUES = tuple(round(0.1 * k, 10) for k in range(1, 13))
-KAPPA2_VALUES = (1.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0)
-BETA_VALUES = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-TF_VALUES = (4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
-
-_DEFAULT_VALUES = {
-    "gamma": GAMMA_VALUES,
-    "kappa2": KAPPA2_VALUES,
-    "beta": BETA_VALUES,
-    "tf": TF_VALUES,
+# Each sweepable parameter: its default sample points and its allowed range
+# (None: the values need only be > 0).
+_SWEEPS: dict[str, tuple[tuple[float, ...], tuple[float, float] | None]] = {
+    "gamma": (tuple(round(0.1 * k, 10) for k in range(1, 13)), None),
+    "kappa2": ((1.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0), None),
+    "beta": ((0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0), (0.0, 3.0)),
+    "tf": ((4.0, 6.0, 8.0, 10.0, 12.0, 14.0), (4.0, 14.0)),
 }
 
-# Documented sample ranges; gamma and kappa2 only need positivity.
-_RANGES = {"beta": (0.0, 3.0), "tf": (4.0, 14.0)}
+SWEEP_PARAMETERS = tuple(_SWEEPS)
 
 
 @dataclass(frozen=True)
@@ -70,32 +63,28 @@ class SweepSpec:
     strategies: tuple[StrategyKind, ...] = ALL_STRATEGIES
 
     def __post_init__(self) -> None:
-        if self.parameter not in SWEEP_PARAMETERS:
-            raise ValueError(
-                f"parameter must be one of {SWEEP_PARAMETERS}, got {self.parameter!r}"
-            )
+        default_sweep_values(self.parameter)  # rejects an unknown parameter
         if not self.values:
             raise ValueError("values must be non-empty")
         if any(not isfinite(v) for v in self.values):
             raise ValueError("sweep values must be finite")
-        if self.parameter in ("gamma", "kappa2") and min(self.values) <= 0.0:
+        low, high = min(self.values), max(self.values)
+        bounds = _SWEEPS[self.parameter][1]
+        if bounds is None and low <= 0.0:
             raise ValueError(f"{self.parameter} values must be > 0")
-        if self.parameter in _RANGES:
-            lo, hi = _RANGES[self.parameter]
-            if min(self.values) < lo or max(self.values) > hi:
-                raise ValueError(
-                    f"{self.parameter} values must lie in [{lo:g}, {hi:g}]"
-                )
+        if bounds is not None and not bounds[0] <= low <= high <= bounds[1]:
+            lo, hi = bounds
+            raise ValueError(f"{self.parameter} values must lie in [{lo:g}, {hi:g}]")
         if not self.strategies:
             raise ValueError("strategies must be non-empty")
 
 
 def default_sweep_values(parameter: str) -> tuple[float, ...]:
-    if parameter not in _DEFAULT_VALUES:
+    if parameter not in _SWEEPS:
         raise ValueError(
             f"parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}"
         )
-    return _DEFAULT_VALUES[parameter]
+    return _SWEEPS[parameter][0]
 
 
 @dataclass(frozen=True)
@@ -120,39 +109,33 @@ class ComparisonTable:
 
 
 def strategy_controls(
-    kind: StrategyKind, scenario: Scenario, rates: GridRates
+    kind: StrategyKind, scenario: Scenario, free: Trajectory
 ) -> ControlGrid:
-    """Control grid of a fixed strategy on the grid of the scenario's rates.
+    """Control grid of a fixed strategy on the grid of the uncontrolled run free.
 
-    The heuristic follows the uncontrolled trajectory: u1 tracks the fraction
-    of potential customers still available, u2 tracks the product of the
-    potential and referral fractions (the word-of-mouth contact pressure).
-    Optimal controls come from solve, not from here.
+    free is the scenario's trajectory under zero controls.  The constant
+    strategy spends half of each control's cap; the heuristic follows free:
+    u1 tracks the fraction of potential customers still available, u2 tracks
+    the product of the potential and referral fractions (the word-of-mouth
+    contact pressure).  Optimal controls come from solve, not from here.
     """
-    grid = rates.grid
-    params = scenario.params
+    grid = free.grid
     if kind is StrategyKind.NO_CONTROL:
         return zero_controls(grid)
-    if kind is StrategyKind.CONSTANT:
-        u = np.empty((grid.n + 1, 2))
-        u[:, 0] = (1.0 - params.alpha1) * params.u1_max / 2.0
-        u[:, 1] = params.alpha2 * params.u2_max / 2.0
-        return ControlGrid(grid, u)
-    if kind is StrategyKind.FOLLOW_HEURISTIC:
-        free = rk4_forward(scenario.x0, zero_controls(grid), params, rates, scenario.n0)
-        return _follow_heuristic(scenario, free)
-    raise ValueError(f"no fixed controls for strategy {kind!r}; use solve")
-
-
-def _follow_heuristic(scenario: Scenario, free: Trajectory) -> ControlGrid:
-    """The follow-heuristic controls along the uncontrolled trajectory free."""
     params = scenario.params
-    p_frac = free.values[:, 2] / scenario.n0
-    r_frac = free.values[:, 0] / scenario.n0
-    u = np.empty((free.grid.n + 1, 2))
-    u[:, 0] = (1.0 - params.alpha1) * params.u1_max * p_frac
-    u[:, 1] = params.alpha2 * params.u2_max * p_frac * r_frac
-    return ControlGrid(free.grid, u)
+    cap1 = (1.0 - params.alpha1) * params.u1_max
+    cap2 = params.alpha2 * params.u2_max
+    if kind is StrategyKind.CONSTANT:
+        u1, u2 = cap1 / 2.0, cap2 / 2.0
+    elif kind is StrategyKind.FOLLOW_HEURISTIC:
+        p_frac = free.values[:, 2] / scenario.n0
+        r_frac = free.values[:, 0] / scenario.n0
+        u1, u2 = cap1 * p_frac, cap2 * p_frac * r_frac
+    else:
+        raise ValueError(f"no fixed controls for strategy {kind!r}; use solve")
+    u = np.empty((grid.n + 1, 2))
+    u[:, 0], u[:, 1] = u1, u2
+    return ControlGrid(grid, u)
 
 
 def compare_strategies(
@@ -165,7 +148,8 @@ def compare_strategies(
     """Cost every requested strategy on the solve grid; one table row each.
 
     A non-converged or diverged optimal solve is reported in its row rather
-    than raised, so sweep tables keep every cell.
+    than raised, so sweep tables keep every cell.  A fixed row whose pass fails
+    reads nan, and all of them do if their shared uncontrolled pass fails.
     """
     optimal = StrategyKind.OPTIMAL
     rows: dict[StrategyKind, tuple[float, bool, int]] = {}
@@ -178,60 +162,41 @@ def compare_strategies(
             rows[optimal] = (result.cost, result.converged, result.iterations)
         except DivergenceError as err:
             rows[optimal] = (nan, False, err.iteration)
-    if rates is None:
-        rates = sample_rates(scenario.beta, scenario.gamma, settings.grid_for(scenario))
-    free = None  # one uncontrolled pass serves the no-control and heuristic rows
-    for strategy in strategies:
-        if strategy is optimal:
-            continue
-        try:
-            if strategy is not StrategyKind.CONSTANT and free is None:
-                zero = zero_controls(rates.grid)
-                free = rk4_forward(scenario.x0, zero, scenario.params, rates, scenario.n0)
-            if strategy is StrategyKind.FOLLOW_HEURISTIC:
-                controls = _follow_heuristic(scenario, free)
-            else:
-                controls = strategy_controls(strategy, scenario, rates)
-            if strategy is StrategyKind.NO_CONTROL:
-                x = free
-            else:
-                x = rk4_forward(scenario.x0, controls, scenario.params, rates, scenario.n0)
-            cost = evaluate_cost(scenario.objective, scenario.weights, x, controls)
-            rows[strategy] = (cost, True, 0)
-        except IntegrationError:
-            rows[strategy] = (nan, False, 0)
+    fixed = [s for s in strategies if s is not optimal]
+    rows.update(dict.fromkeys(fixed, (nan, False, 0)))
+    if fixed:
+        if rates is None:
+            rates = sample_rates(scenario.beta, scenario.gamma, settings.grid_for(scenario))
+        x0, params, n0 = scenario.x0, scenario.params, scenario.n0
+        with suppress(IntegrationError):
+            free = rk4_forward(x0, zero_controls(rates.grid), params, rates, n0)
+            for strategy in fixed:
+                with suppress(IntegrationError):
+                    u = strategy_controls(strategy, scenario, free)
+                    no_control = strategy is StrategyKind.NO_CONTROL
+                    x = free if no_control else rk4_forward(x0, u, params, rates, n0)
+                    cost = evaluate_cost(scenario.objective, scenario.weights, x, u)
+                    rows[strategy] = (cost, True, 0)
     cells = [(s, *rows[s]) for s in ALL_STRATEGIES if s in rows]
     return ComparisonTable(tuple(ComparisonRow(parameter, value, *c) for c in cells))
-
-
-def _scenario_at(spec: SweepSpec, value: float) -> Scenario:
-    base = spec.base
-    if spec.parameter == "gamma":
-        return replace(base, gamma=Constant(value))
-    if spec.parameter == "beta":
-        return replace(base, beta=Constant(value))
-    if spec.parameter == "kappa2":
-        weights = Weights(base.weights.kappa1, value, base.weights.kappa3)
-        return replace(base, weights=weights)
-    # tf: move the horizon and re-normalize the state-cost weight to 1/t_f
-    weights = Weights(1.0 / value, base.weights.kappa2, base.weights.kappa3)
-    return replace(base, t_f=value, weights=weights)
-
-
-def _settings_at(spec: SweepSpec, settings: SweepSettings, value: float) -> SweepSettings:
-    if spec.parameter != "tf":
-        return settings
-    # keep the step size constant across horizons so costs stay comparable
-    return replace(settings, n=max(2, round(value / (spec.base.t_f / settings.n))))
 
 
 def _run_cell(
     spec: SweepSpec, settings: SweepSettings, value: float
 ) -> tuple[ComparisonRow, ...]:
-    scenario = _scenario_at(spec, value)
-    cell_settings = _settings_at(spec, settings, value)
+    base = spec.base
+    if spec.parameter in ("gamma", "beta"):
+        scenario = replace(base, **{spec.parameter: Constant(value)})
+    elif spec.parameter == "kappa2":
+        scenario = replace(base, weights=replace(base.weights, kappa2=value))
+    else:
+        # tf: move the horizon, re-normalize the state-cost weight to 1/t_f, and
+        # keep the step size constant across horizons so costs stay comparable
+        weights = replace(base.weights, kappa1=1.0 / value)
+        scenario = replace(base, t_f=value, weights=weights)
+        settings = replace(settings, n=max(2, round(value / (base.t_f / settings.n))))
     table = compare_strategies(
-        scenario, cell_settings, spec.strategies, spec.parameter, value
+        scenario, settings, spec.strategies, spec.parameter, value
     )
     return table.rows
 

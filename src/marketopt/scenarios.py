@@ -10,7 +10,7 @@ half-step evaluations inside the integrator are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,19 +54,26 @@ class Constant(RateFunction):
 
 
 @dataclass(frozen=True)
-class LogisticIncreasing(RateFunction):
+class _FourParameterRate(RateFunction):
+    """A closed-form family: every field finite, the first two (levels) >= 0."""
+
+    def __post_init__(self) -> None:
+        names = [f.name for f in fields(self)]
+        for name in names:
+            _require_finite(name, getattr(self, name))
+        first, second = names[:2]
+        if getattr(self, first) < 0.0 or getattr(self, second) < 0.0:
+            raise ValueError(f"{first} and {second} must be >= 0")
+
+
+@dataclass(frozen=True)
+class LogisticIncreasing(_FourParameterRate):
     """base + gain / (1 + exp(-rate*(t - midpoint))); rises from ~base to base+gain."""
 
     base: float
     gain: float
     rate: float
     midpoint: float
-
-    def __post_init__(self) -> None:
-        for name in ("base", "gain", "rate", "midpoint"):
-            _require_finite(name, getattr(self, name))
-        if self.base < 0.0 or self.gain < 0.0:
-            raise ValueError("base and gain must be >= 0")
 
     def __call__(self, t: float) -> float:
         return self.base + self.gain / (1.0 + _exp_or_inf(-self.rate * (t - self.midpoint)))
@@ -77,19 +84,13 @@ class LogisticIncreasing(RateFunction):
 
 
 @dataclass(frozen=True)
-class LogisticDecreasing(RateFunction):
+class LogisticDecreasing(_FourParameterRate):
     """base + gain*(1 - 1/(1 + exp(-rate*(t - midpoint)))); falls to ~base."""
 
     base: float
     gain: float
     rate: float
     midpoint: float
-
-    def __post_init__(self) -> None:
-        for name in ("base", "gain", "rate", "midpoint"):
-            _require_finite(name, getattr(self, name))
-        if self.base < 0.0 or self.gain < 0.0:
-            raise ValueError("base and gain must be >= 0")
 
     def __call__(self, t: float) -> float:
         return self.base + self.gain * (
@@ -102,19 +103,13 @@ class LogisticDecreasing(RateFunction):
 
 
 @dataclass(frozen=True)
-class SinusoidalPeriodic(RateFunction):
+class SinusoidalPeriodic(_FourParameterRate):
     """offset + amplitude*(1 - cos(omega*t + phase)); period 2*pi/omega."""
 
     offset: float
     amplitude: float
     omega: float
     phase: float
-
-    def __post_init__(self) -> None:
-        for name in ("offset", "amplitude", "omega", "phase"):
-            _require_finite(name, getattr(self, name))
-        if self.offset < 0.0 or self.amplitude < 0.0:
-            raise ValueError("offset and amplitude must be >= 0")
 
     def __call__(self, t: float) -> float:
         return self.offset + self.amplitude * (1.0 - math.cos(self.omega * t + self.phase))

@@ -359,6 +359,31 @@ def test_malformed_sweep_values_are_input_errors(tmp_path, capsys, values):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+@pytest.mark.parametrize(
+    ("strategies", "message"),
+    [
+        ([["optimal"]], "field sweep.strategies.0 must be str, got list"),
+        ([{"a": 1}], "field sweep.strategies.0 must be str, got dict"),
+        ([], "field sweep.strategies must not be empty"),
+    ],
+    ids=["list", "dict", "empty"],
+)
+def test_malformed_sweep_strategies_are_input_errors(
+    tmp_path, capsys, command, strategies, message
+):
+    cfg_path = tmp_path / "cfg.json"
+    doc = config_to_dict(config_from_scenario(preset_scenario("comparison-default"),
+                                              grid_n=50))
+    doc["sweep"] = {"param": "gamma", "strategies": strategies}
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code = _run(command, "--config", str(cfg_path), "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_without_param_fails(tmp_path, capsys):
     code = _run("sweep", "--preset", "comparison-default",
                 "--out", str(tmp_path / "x"))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from marketopt.experiments import (
     run_sweep,
     strategy_controls,
 )
-from marketopt.integrator import TimeGrid, rk4_forward, sample_rates
+from marketopt.integrator import TimeGrid, rk4_forward, sample_rates, zero_controls
 from marketopt.model import State
 from marketopt.objectives import evaluate_cost
 from marketopt.scenarios import Constant, Scenario, preset_scenario
@@ -25,20 +26,29 @@ FAST_SETTINGS = SweepSettings(n=FAST_GRID.n)
 FAST_RATES = sample_rates(COMPARISON.beta, COMPARISON.gamma, FAST_GRID)
 
 
+def _uncontrolled(sc, rates):
+    return rk4_forward(sc.x0, zero_controls(rates.grid), sc.params, rates, sc.n0)
+
+
+FAST_FREE = _uncontrolled(COMPARISON, FAST_RATES)
+
+
 def test_constant_strategy_values():
-    u = strategy_controls(StrategyKind.CONSTANT, COMPARISON, FAST_RATES)
+    u = strategy_controls(StrategyKind.CONSTANT, COMPARISON, FAST_FREE)
     assert np.all(u.values[:, 0] == pytest.approx(0.0285, rel=1e-15))
     assert np.all(u.values[:, 1] == 0.05)
 
 
 def test_no_control_strategy_is_zero():
-    u = strategy_controls(StrategyKind.NO_CONTROL, COMPARISON, FAST_RATES)
+    u = strategy_controls(StrategyKind.NO_CONTROL, COMPARISON, FAST_FREE)
     assert not u.values.any()
 
 
 def test_heuristic_vanishes_where_no_potential_customers():
     sc = replace(COMPARISON, x0=State(R=0.4, C=0.6, P=0.0))
-    u = strategy_controls(StrategyKind.FOLLOW_HEURISTIC, sc, FAST_RATES)
+    u = strategy_controls(
+        StrategyKind.FOLLOW_HEURISTIC, sc, _uncontrolled(sc, FAST_RATES)
+    )
     assert tuple(u.values[0]) == (0.0, 0.0)
 
 
@@ -46,7 +56,7 @@ def test_heuristic_controls_never_exceed_bounds():
     for name in ("scenario1", "comparison-default"):
         sc = preset_scenario(name)
         rates = sample_rates(sc.beta, sc.gamma, FAST_GRID)
-        u = strategy_controls(StrategyKind.FOLLOW_HEURISTIC, sc, rates)
+        u = strategy_controls(StrategyKind.FOLLOW_HEURISTIC, sc, _uncontrolled(sc, rates))
         cap1 = (1.0 - sc.params.alpha1) * sc.params.u1_max
         cap2 = sc.params.alpha2 * sc.params.u2_max
         assert u.values[:, 0].max() <= cap1 <= sc.params.u1_max
@@ -56,7 +66,7 @@ def test_heuristic_controls_never_exceed_bounds():
 def test_optimal_strategy_has_no_fixed_controls():
     # optimal controls come only from solve, which compare_strategies calls
     with pytest.raises(ValueError, match="no fixed controls"):
-        strategy_controls(StrategyKind.OPTIMAL, COMPARISON, FAST_RATES)
+        strategy_controls(StrategyKind.OPTIMAL, COMPARISON, FAST_FREE)
 
 
 def test_compare_orders_strategies_at_the_default_point():
@@ -82,7 +92,7 @@ def test_compare_integrates_the_uncontrolled_state_once(monkeypatch):
     for strategy in (
         StrategyKind.NO_CONTROL, StrategyKind.CONSTANT, StrategyKind.FOLLOW_HEURISTIC
     ):
-        u = strategy_controls(strategy, COMPARISON, FAST_RATES)
+        u = strategy_controls(strategy, COMPARISON, FAST_FREE)
         x = rk4_forward(COMPARISON.x0, u, COMPARISON.params, FAST_RATES, COMPARISON.n0)
         cost = evaluate_cost(COMPARISON.objective, COMPARISON.weights, x, u)
         expected.append((strategy, cost, True, 0))
@@ -103,6 +113,39 @@ def test_compare_integrates_the_uncontrolled_state_once(monkeypatch):
     assert len(calls) == 4 + result.iterations
     rows = [(r.strategy, r.cost, r.converged, r.iterations) for r in table.rows]
     assert rows == expected
+
+
+SUBSETS = [
+    subset
+    for k in range(1, len(StrategyKind) + 1)
+    for subset in itertools.combinations(StrategyKind, k)
+]
+
+
+@pytest.fixture(scope="module")
+def full_table_n200():
+    return compare_strategies(COMPARISON, SweepSettings(n=200))
+
+
+@pytest.mark.parametrize(
+    "subset", SUBSETS, ids=["+".join(s.value for s in subset) for subset in SUBSETS]
+)
+def test_any_subset_gives_the_full_rows_from_one_uncontrolled_pass(
+    monkeypatch, full_table_n200, subset
+):
+    uncontrolled = []
+
+    def counted(x0, u, *args):
+        if not u.values.any():
+            uncontrolled.append(u)
+        return rk4_forward(x0, u, *args)
+
+    monkeypatch.setattr(experiments, "rk4_forward", counted)
+    # asked for in reverse, answered in ALL_STRATEGIES order
+    table = compare_strategies(COMPARISON, SweepSettings(n=200), subset[::-1])
+    assert table.rows == tuple(r for r in full_table_n200.rows if r.strategy in subset)
+    fixed = any(s is not StrategyKind.OPTIMAL for s in subset)
+    assert len(uncontrolled) == (1 if fixed else 0)
 
 
 def test_optimal_never_loses_to_no_control():
@@ -173,7 +216,7 @@ def test_compare_costs_every_row_on_the_scenario_horizon():
     table = compare_strategies(sc, SweepSettings(n=700))
     for kind in (StrategyKind.NO_CONTROL, StrategyKind.CONSTANT,
                  StrategyKind.FOLLOW_HEURISTIC):
-        u = strategy_controls(kind, sc, rates)
+        u = strategy_controls(kind, sc, _uncontrolled(sc, rates))
         x = rk4_forward(sc.x0, u, sc.params, rates, sc.n0)
         assert table.cost_of(kind) == evaluate_cost(sc.objective, sc.weights, x, u)
     optimal = solve(sc, SweepSettings(n=700))
@@ -184,7 +227,8 @@ def test_compare_costs_every_row_on_the_scenario_horizon():
 def test_tf_cells_keep_the_step_size():
     # FAST_SETTINGS steps 7/700 = 0.01, so the t_f = 4 cell has 400 intervals
     spec = SweepSpec(parameter="tf", values=(4.0,), base=COMPARISON)
-    cell = experiments._scenario_at(spec, 4.0)
+    weights = replace(COMPARISON.weights, kappa1=1.0 / 4.0)
+    cell = replace(COMPARISON, t_f=4.0, weights=weights)
     expected = compare_strategies(cell, SweepSettings(n=400), parameter="tf", value=4.0)
     assert run_sweep(spec, FAST_SETTINGS) == expected
 
