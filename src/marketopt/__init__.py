@@ -27,6 +27,7 @@ from .integrator import (
     default_grid,
     rk4_backward,
     rk4_forward,
+    rk4_stages,
     sample_rates,
     zero_controls,
 )
@@ -112,6 +113,7 @@ __all__ = [
     "preset_scenario",
     "rk4_backward",
     "rk4_forward",
+    "rk4_stages",
     "run_sweep",
     "sample_rates",
     "solve",

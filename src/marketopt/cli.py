@@ -158,20 +158,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config and args.preset:
         raise ConfigError("use either --preset or --config, not both")
+    # --objective is applied before the grid, whose default depends on it
     if args.config:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.objective)
     elif args.preset:
         try:
-            cfg = config_from_scenario(preset_scenario(args.preset))
+            scenario = preset_scenario(args.preset)
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        if args.objective:
+            scenario = replace(scenario, objective=args.objective)
+        cfg = config_from_scenario(scenario)
     else:
         raise ConfigError("one of --preset or --config is required")
 
-    scenario = cfg.scenario
-    if args.objective:
-        scenario = replace(scenario, objective=args.objective)
-    updates: dict = {"scenario": scenario}
+    updates: dict = {}
     if args.out is not None:
         updates["out_dir"] = args.out
     if args.format is not None:

@@ -63,11 +63,16 @@ def _entries(values: list, field: str, kind: type = float) -> tuple:
 
 
 def _sweep_list(sweep_doc: dict, key: str, kind: type) -> tuple | None:
-    """The optional, non-empty list field sweep.key, each entry a kind."""
+    """The optional, non-empty list field sweep.key, each entry a kind, once."""
     values = _get(sweep_doc, key, "sweep", list, required=False)
+    if values is None:
+        return None
     if values == []:
         raise ConfigError(f"field sweep.{key} must not be empty")
-    return None if values is None else _entries(values, f"sweep.{key}", kind)
+    entries = _entries(values, f"sweep.{key}", kind)
+    if len(set(entries)) < len(entries):
+        raise ConfigError(f"field sweep.{key} must not repeat an entry")
+    return entries
 
 
 def _get_or(mapping: dict, key: str, path: str, kind: type, default: Any) -> Any:
@@ -195,7 +200,7 @@ def config_from_scenario(
     overrides are solver knobs and other RunConfig fields, by name.
     """
     if grid_n is None:
-        grid_n = default_grid(scenario.t_f).n
+        grid_n = default_grid(scenario.t_f, scenario.objective).n
     knobs = {f.name: overrides.pop(f.name) for f in _SOLVER_KNOBS if f.name in overrides}
     return RunConfig(scenario, SweepSettings(grid_n, **knobs), **overrides)
 
@@ -217,17 +222,22 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return doc
 
 
-def config_from_dict(doc: dict) -> RunConfig:
+def config_from_dict(doc: dict, objective: str | None = None) -> RunConfig:
+    """The run that doc describes, with objective, if given, in place of its own.
+
+    The objective is settled before the grid: without a grid.n the run takes
+    the final objective's default grid.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     scenario = scenario_from_dict(_get(doc, "scenario", "config", dict))
-    objective = _get(doc, "objective", "config", str, required=False)
+    given = _get(doc, "objective", "config", str, required=False)
+    if given is not None and given not in OBJECTIVE_TAGS:
+        raise ConfigError(
+            f"field config.objective must be one of {OBJECTIVE_TAGS}, got {given!r}"
+        )
+    objective = objective or given
     if objective is not None:
-        if objective not in OBJECTIVE_TAGS:
-            raise ConfigError(
-                f"field config.objective must be one of {OBJECTIVE_TAGS}, "
-                f"got {objective!r}"
-            )
         scenario = replace(scenario, objective=objective)
 
     grid_doc = _get(doc, "grid", "config", dict, required=False) or {}
@@ -278,7 +288,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"invalid solver/grid settings: {err}") from None
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, objective: str | None = None) -> RunConfig:
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -287,7 +297,7 @@ def load_config(path: str | Path) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from None
-    return config_from_dict(doc)
+    return config_from_dict(doc, objective)
 
 
 def dump_config(cfg: RunConfig, path: str | Path) -> None:

@@ -64,8 +64,12 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         default_sweep_values(self.parameter)  # rejects an unknown parameter
-        if not self.values:
-            raise ValueError("values must be non-empty")
+        for name in ("values", "strategies"):
+            entries = getattr(self, name)
+            if not entries:
+                raise ValueError(f"{name} must be non-empty")
+            if len(set(entries)) < len(entries):
+                raise ValueError(f"{name} must not repeat an entry")
         if any(not isfinite(v) for v in self.values):
             raise ValueError("sweep values must be finite")
         low, high = min(self.values), max(self.values)
@@ -75,8 +79,6 @@ class SweepSpec:
         if bounds is not None and not bounds[0] <= low <= high <= bounds[1]:
             lo, hi = bounds
             raise ValueError(f"{self.parameter} values must lie in [{lo:g}, {hi:g}]")
-        if not self.strategies:
-            raise ValueError("strategies must be non-empty")
 
 
 def default_sweep_values(parameter: str) -> tuple[float, ...]:
@@ -175,7 +177,7 @@ def compare_strategies(
                     u = strategy_controls(strategy, scenario, free)
                     no_control = strategy is StrategyKind.NO_CONTROL
                     x = free if no_control else rk4_forward(x0, u, params, rates, n0)
-                    cost = evaluate_cost(scenario.objective, scenario.weights, x, u)
+                    cost = evaluate_cost(scenario, x, u, rates)
                     rows[strategy] = (cost, True, 0)
     cells = [(s, *rows[s]) for s in ALL_STRATEGIES if s in rows]
     return ComparisonTable(tuple(ComparisonRow(parameter, value, *c) for c in cells))

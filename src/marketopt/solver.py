@@ -57,13 +57,16 @@ class SweepSettings:
 
     The fields are in the order of a config file's ``grid`` section (n)
     followed by its ``solver`` section.  n is the number of intervals on the
-    scenario's horizon [0, t_f] (see ``grid_for``).
+    scenario's horizon [0, t_f] (see ``grid_for``).  It has no default here;
+    ``integrator.default_grid`` gives the per-objective one that config files
+    and the command line fall back on: 50 intervals per unit time for l2
+    (n=350 on the presets) and 200 for l1 (n=1400).
 
     relaxation is the starting weight on the fresh controls in the convex
     update; ``solve`` halves it once if the worst residual grows from the
     third iteration on, and reports the weight in force at the end as
     ``SolveResult.relaxation``.  The default 1 takes 5-6 iterations on the
-    l2 presets at n=1400, against 13 at 0.5.  On coarse bang-bang grids the
+    l2 presets at n=350, against 13 at 0.5.  On coarse bang-bang grids the
     full step stalls and the halving rescues it (scenario3-l1 at n=700 ends
     at 0.5 after 8 iterations).
     """
@@ -230,7 +233,7 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
         state=x,
         costate=p,
         controls=controls,
-        cost=evaluate_cost(scenario.objective, scenario.weights, x, controls),
+        cost=evaluate_cost(scenario, x, controls, rates),
         iterations=iterations,
         converged=converged,
         residual_history=tuple(history),

@@ -35,10 +35,10 @@ def test_solve_writes_trajectory_and_summary(tmp_path):
     assert code == 0
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,R,C,P,u1,u2,p1,p2,p3,phi1,phi2"
-    assert len(lines) == 1 + 1401  # header plus one row per node (n = 1400)
+    assert len(lines) == 1 + 351  # header plus one row per node (n = 350)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
-    assert summary["settings"]["grid_n"] == 1400
+    assert summary["settings"]["grid_n"] == 350
     assert summary["settings"]["objective"] == "l2"
     assert (out / "config.json").exists()
 
@@ -68,7 +68,7 @@ def test_config_without_solver_section_takes_sweep_settings_defaults(tmp_path):
     path.write_text(json.dumps({"scenario": {"preset": "scenario1"}}))
     cfg = load_config(path)
     settings = cfg.sweep_settings()
-    expected = SweepSettings(n=default_grid(7.0).n)
+    expected = SweepSettings(n=default_grid(7.0, "l2").n)
     for field in fields(SweepSettings):
         assert getattr(settings, field.name) == getattr(expected, field.name)
     from_preset = config_from_scenario(preset_scenario("scenario1"))
@@ -163,6 +163,37 @@ def test_objective_flag_overrides_scenario(tmp_path):
                 "--n", "700", "--out", str(out)) == 0
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["scenario"]["objective"] == "l1"
+
+
+@pytest.mark.parametrize("source", ["preset", "config"])
+@pytest.mark.parametrize(
+    ("preset", "objective", "n", "grid_n"),
+    [
+        ("scenario3", "l1", None, 1400),
+        ("scenario3-l1", "l2", None, 350),
+        ("scenario3", "l1", 700, 700),  # an explicit n wins
+        ("scenario3-l1", "l2", 700, 700),
+    ],
+)
+def test_default_grid_follows_the_final_objective(
+    tmp_path, source, preset, objective, n, grid_n
+):
+    if source == "preset":
+        scenario_args = ["--preset", preset] + ([] if n is None else ["--n", str(n)])
+    else:
+        doc = {"scenario": {"preset": preset}}
+        if n is not None:
+            doc["grid"] = {"n": n}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        scenario_args = ["--config", str(path)]
+    out = tmp_path / "run"
+    assert _run("solve", *scenario_args, "--objective", objective,
+                "--max-iters", "1", "--out", str(out)) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["settings"]["objective"] == objective
+    assert summary["settings"]["grid_n"] == grid_n
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + grid_n + 1
 
 
 def test_json_trajectory_format(tmp_path):
@@ -344,7 +375,9 @@ def test_sweep_command_uses_config_values(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "values", [[None], ["x"], [], [True, 0.5]], ids=["null", "string", "empty", "bool"]
+    "values",
+    [[None], ["x"], [], [True, 0.5], [0.1, 0.5, 0.1]],
+    ids=["null", "string", "empty", "bool", "duplicate"],
 )
 def test_malformed_sweep_values_are_input_errors(tmp_path, capsys, values):
     cfg_path = tmp_path / "sweep.json"
@@ -366,8 +399,9 @@ def test_malformed_sweep_values_are_input_errors(tmp_path, capsys, values):
         ([["optimal"]], "field sweep.strategies.0 must be str, got list"),
         ([{"a": 1}], "field sweep.strategies.0 must be str, got dict"),
         ([], "field sweep.strategies must not be empty"),
+        (["constant", "constant"], "field sweep.strategies must not repeat an entry"),
     ],
-    ids=["list", "dict", "empty"],
+    ids=["list", "dict", "empty", "duplicate"],
 )
 def test_malformed_sweep_strategies_are_input_errors(
     tmp_path, capsys, command, strategies, message

@@ -94,7 +94,7 @@ def test_compare_integrates_the_uncontrolled_state_once(monkeypatch):
     ):
         u = strategy_controls(strategy, COMPARISON, FAST_FREE)
         x = rk4_forward(COMPARISON.x0, u, COMPARISON.params, FAST_RATES, COMPARISON.n0)
-        cost = evaluate_cost(COMPARISON.objective, COMPARISON.weights, x, u)
+        cost = evaluate_cost(COMPARISON, x, u, FAST_RATES)
         expected.append((strategy, cost, True, 0))
     result = solve(COMPARISON, FAST_SETTINGS)
     expected.append(
@@ -218,7 +218,7 @@ def test_compare_costs_every_row_on_the_scenario_horizon():
                  StrategyKind.FOLLOW_HEURISTIC):
         u = strategy_controls(kind, sc, _uncontrolled(sc, rates))
         x = rk4_forward(sc.x0, u, sc.params, rates, sc.n0)
-        assert table.cost_of(kind) == evaluate_cost(sc.objective, sc.weights, x, u)
+        assert table.cost_of(kind) == evaluate_cost(sc, x, u, rates)
     optimal = solve(sc, SweepSettings(n=700))
     assert optimal.state.grid == rates.grid
     assert table.cost_of(StrategyKind.OPTIMAL) == optimal.cost
@@ -261,6 +261,14 @@ def test_sweep_spec_validation():
         SweepSpec(parameter="tf", values=(2.0,), base=COMPARISON)
     with pytest.raises(ValueError):
         SweepSpec(parameter="gamma", values=(0.5,), base=COMPARISON, strategies=())
+    with pytest.raises(ValueError, match="values must not repeat an entry"):
+        SweepSpec(parameter="gamma", values=(0.1, 0.5, 0.1), base=COMPARISON)
+    constant = StrategyKind.CONSTANT
+    with pytest.raises(ValueError, match="strategies must not repeat an entry"):
+        SweepSpec(
+            parameter="gamma", values=(0.5,), base=COMPARISON,
+            strategies=(constant, StrategyKind.OPTIMAL, constant),
+        )
 
 
 def test_default_sweep_values():

@@ -16,6 +16,7 @@ from marketopt.integrator import (
     default_grid,
     rk4_backward,
     rk4_forward,
+    rk4_stages,
     sample_rates,
     zero_controls,
 )
@@ -50,7 +51,8 @@ def test_grid_basics():
     assert len(nodes) == 1401
     assert nodes[0] == 0.0
     assert nodes[-1] == pytest.approx(7.0, rel=1e-15)
-    assert default_grid(7.0).n == 1400
+    assert default_grid(7.0, "l2").n == 350
+    assert default_grid(7.0, "l1").n == 1400
     with pytest.raises(ValueError):
         TimeGrid(0.0, 7.0, 1)
     with pytest.raises(ValueError):
@@ -67,13 +69,13 @@ def test_equilibrium_stays_exactly_constant():
 
 
 def test_forward_conserves_total_population():
-    x = _forward_no_control(default_grid(7.0))
+    x = _forward_no_control(default_grid(7.0, "l2"))
     deviation = np.abs(x.values.sum(axis=1) - SCENARIO1.n0).max()
     assert deviation <= 1e-12
 
 
 def test_forward_conserves_with_controls_on():
-    grid = default_grid(7.0)
+    grid = default_grid(7.0, "l2")
     u = np.empty((grid.n + 1, 2))
     u[:, 0] = SCENARIO1.params.u1_max
     u[:, 1] = 0.5
@@ -195,7 +197,7 @@ def _forward_outcome(integrate, *args):
         return str(err), err.step
 
 
-@pytest.mark.parametrize("n", [2, 3, 17, 1400])
+@pytest.mark.parametrize("n", [2, 3, 17, 350, 1400])
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_inlined_forward_step_is_bit_identical_to_rhs_terms(name, n):
     sc = preset_scenario(name)
@@ -208,6 +210,10 @@ def test_inlined_forward_step_is_bit_identical_to_rhs_terms(name, n):
     assert _forward_outcome(rk4_forward, *args) == _forward_outcome(
         _reference_forward, *args
     )
+    # the column stages step each node to rk4_forward's next node
+    x = rk4_forward(*args)
+    _, _, stepped = rk4_stages(x, *args[1:])
+    assert stepped.tobytes() == x.values[1:].tobytes()
 
 
 def _failing_forward(case):

@@ -94,7 +94,7 @@ def test_dominant_control_cost_pins_controls_at_zero():
         weights=Weights(sc.weights.kappa1, sc.weights.kappa2 * 1e6,
                         sc.weights.kappa3 * 1e6),
     )
-    grid = default_grid(sc.t_f)
+    grid = default_grid(sc.t_f, sc.objective)
     result = solve(big, SweepSettings(n=grid.n))
     assert result.converged
     assert np.abs(result.controls.values).max() <= 1e-6
@@ -230,10 +230,28 @@ CHATTERING_L1 = SweepSettings(n=350, tol_delta=1e-6, max_iters=40)
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_converge_undamped_at_the_defaults(name):
     sc = preset_scenario(name)
-    result = solve(sc, SweepSettings(n=default_grid(sc.t_f).n))
+    result = solve(sc, SweepSettings(n=default_grid(sc.t_f, sc.objective).n))
     assert result.converged
     assert result.relaxation == 1.0
     assert result.iterations <= 8
+
+
+# Relative distance allowed between a default solve's cost and a tol-1e-8 solve
+# at n=2800.  The RK4 stage cost gives at most 5.4e-9 on the l2 presets at
+# n=350; the trapezoid rule it replaced gave 3.4e-8 to 4.6e-8 at n=1400 (except
+# 1.2e-8 on comparison-default).  l1 stays at n=1400, where its second-order
+# cost gives 2.8e-8, against the trapezoid's 4.4e-8.
+DEFAULT_GRID_COST_BOUND = {"l2": 2e-8, "l1": 4e-8}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_default_grid_cost_is_close_to_a_fine_tight_solve(name):
+    sc = preset_scenario(name)
+    result = solve(sc, SweepSettings(n=default_grid(sc.t_f, sc.objective).n))
+    reference = solve(sc, SweepSettings(n=2800, tol_delta=1e-8))
+    assert reference.converged
+    rel_err = abs(result.cost - reference.cost) / reference.cost
+    assert rel_err <= DEFAULT_GRID_COST_BOUND[sc.objective]
 
 
 def test_fine_l1_grid_converges_undamped():
@@ -266,7 +284,10 @@ def test_weight_is_halved_only_once_although_the_residual_keeps_growing(relaxati
 
 @pytest.mark.parametrize(
     "name, settings",
-    [(name, SweepSettings(n=default_grid(7.0).n)) for name in PRESET_NAMES]
+    [
+        (name, SweepSettings(n=default_grid(7.0, preset_scenario(name).objective).n))
+        for name in PRESET_NAMES
+    ]
     + [("scenario3-l1", CHATTERING_L1)],
 )
 def test_reported_solution_is_the_reintegration_of_its_controls(name, settings):
@@ -279,4 +300,4 @@ def test_reported_solution_is_the_reintegration_of_its_controls(name, settings):
     )
     assert np.array_equal(result.state.values, x.values)
     assert np.array_equal(result.costate.values, p.values)
-    assert result.cost == evaluate_cost(sc.objective, sc.weights, x, u)
+    assert result.cost == evaluate_cost(sc, x, u, result.rates)
