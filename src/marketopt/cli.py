@@ -48,7 +48,7 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _trajectory_rows(result: SolveResult, cfg: RunConfig) -> list[list[float]]:
+def _write_trajectory(result: SolveResult, cfg: RunConfig, out_dir: Path) -> None:
     scenario = cfg.scenario
     x, p = result.state.values, result.costate.values
     phi = switching_terms(
@@ -56,11 +56,7 @@ def _trajectory_rows(result: SolveResult, cfg: RunConfig) -> list[list[float]]:
         scenario.params, scenario.weights, scenario.n0,
     )
     columns = (result.state.grid.nodes(), x, result.controls.values, p, *phi)
-    return np.column_stack(columns).tolist()
-
-
-def _write_trajectory(result: SolveResult, cfg: RunConfig, out_dir: Path) -> None:
-    rows = _trajectory_rows(result, cfg)
+    rows = np.column_stack(columns).tolist()
     if cfg.out_format == "csv":
         # %.17g formats a float exactly as _fmt does, one call per row
         row_format = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS))
@@ -68,10 +64,7 @@ def _write_trajectory(result: SolveResult, cfg: RunConfig, out_dir: Path) -> Non
         lines.extend(row_format % tuple(row) for row in rows)
         (out_dir / "trajectory.csv").write_text("\n".join(lines) + "\n")
     else:
-        doc = {
-            "columns": list(TRAJECTORY_COLUMNS),
-            "rows": rows,
-        }
+        doc = {"columns": list(TRAJECTORY_COLUMNS), "rows": rows}
         (out_dir / "trajectory.json").write_text(json.dumps(doc) + "\n")
 
 
@@ -92,22 +85,6 @@ def _write_summary(result: SolveResult, cfg: RunConfig, out_dir: Path) -> None:
     (out_dir / "summary.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _table_json_rows(table: ComparisonTable) -> list[dict]:
-    rows = []
-    for row in table.rows:
-        rows.append(
-            {
-                "param": row.parameter,
-                "value": row.value,
-                "strategy": row.strategy.value,
-                "cost": None if math.isnan(row.cost) else row.cost,
-                "converged": row.converged,
-                "iterations": row.iterations,
-            }
-        )
-    return rows
-
-
 def _write_table(table: ComparisonTable, cfg: RunConfig, out_dir: Path) -> None:
     if cfg.out_format == "csv":
         lines = ["param_value,strategy,cost,converged,iterations"]
@@ -119,7 +96,18 @@ def _write_table(table: ComparisonTable, cfg: RunConfig, out_dir: Path) -> None:
                 f"{value},{row.strategy.value},{cost},{converged},{row.iterations}"
             )
         (out_dir / "table.csv").write_text("\n".join(lines) + "\n")
-    doc = {"rows": _table_json_rows(table)}
+    rows = [
+        {
+            "param": row.parameter,
+            "value": row.value,
+            "strategy": row.strategy.value,
+            "cost": None if math.isnan(row.cost) else row.cost,
+            "converged": row.converged,
+            "iterations": row.iterations,
+        }
+        for row in table.rows
+    ]
+    doc = {"rows": rows}
     (out_dir / "table.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -148,10 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory (default: out)")
         cmd.add_argument("--format", choices=("csv", "json"))
         if name == "sweep":
-            cmd.add_argument(
-                "--param", choices=SWEEP_PARAMETERS,
-                help="parameter to sweep",
-            )
+            cmd.add_argument("--param", choices=SWEEP_PARAMETERS,
+                             help="parameter to sweep")
     return parser
 
 
@@ -194,27 +180,12 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     return 0 if result.converged else 2
 
 
-def _cmd_compare(cfg: RunConfig, out_dir: Path) -> int:
-    table = compare_strategies(
-        cfg.scenario, cfg.settings, cfg.sweep_strategies
-    )
-    _write_table(table, cfg, out_dir)
-    return 0 if all(row.converged for row in table.rows) else 2
-
-
-def _cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
+def _sweep_table(cfg: RunConfig) -> ComparisonTable:
     if cfg.sweep_param is None:
         raise ConfigError("sweep needs --param or a sweep section in the config")
     values = cfg.sweep_values or default_sweep_values(cfg.sweep_param)
-    spec = SweepSpec(
-        parameter=cfg.sweep_param,
-        values=values,
-        base=cfg.scenario,
-        strategies=cfg.sweep_strategies,
-    )
-    table = run_sweep(spec, cfg.settings)
-    _write_table(table, cfg, out_dir)
-    return 0 if all(row.converged for row in table.rows) else 2
+    spec = SweepSpec(cfg.sweep_param, values, cfg.scenario, cfg.sweep_strategies)
+    return run_sweep(spec, cfg.settings)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -232,8 +203,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return _cmd_solve(cfg, out_dir)
         if args.command == "compare":
-            return _cmd_compare(cfg, out_dir)
-        return _cmd_sweep(cfg, out_dir)
+            table = compare_strategies(cfg.scenario, cfg.settings, cfg.sweep_strategies)
+        else:
+            table = _sweep_table(cfg)
+        _write_table(table, cfg, out_dir)
+        return 0 if all(row.converged for row in table.rows) else 2
     except (ValueError, DivergenceError) as err:  # ValueError includes ConfigError
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -8,15 +8,16 @@ order for smooth controls.  States needed at backward midpoints are the
 average of the adjacent nodal states.
 
 Both passes read beta and gamma from one table sampled per grid at the nodes
-and midpoints (``sample_rates``).  The forward pass steps node by node, with
-the stages of ``model.rhs_terms`` written out inline, operation for operation,
-so its bits are those of calling that kernel per stage, on scalars or on
-columns.  ``rk4_stages`` makes those calls on whole columns: from the nodes of
-a trajectory it rebuilds every step's four stage states, which the cost rule
-reads, and the node each step lands on.  The adjoint system is linear in p,
-so the backward pass builds each step as an affine map, on whole blocks of
-steps at once, and composes them by a scan.  Trajectory and ControlGrid share
-one node-table check.
+and midpoints (``sample_rates``).  The forward pass steps node by node on the
+conserved total N = R + C + P of x0: it carries only R and P, with the stages
+of ``model.rhs_terms`` written out inline, operation for operation, so its
+bits are those of calling that kernel per stage, on scalars or on columns,
+and it fills in C as N - R - P.  ``rk4_stages`` makes those calls on whole
+columns: from the nodes of a trajectory it rebuilds every step's four stage
+states, which the cost rule reads, and the node each step lands on.  The
+adjoint system is linear in p, so the backward pass builds each step as an
+affine map, on whole blocks of steps at once, and composes them in linear
+work.  Trajectory and ControlGrid share one node-table check.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, RateCallable, State, Weights, rhs_terms
+from .model import ModelParams, RateCallable, State, Weights, _require_total, rhs_terms
 from .pmp import Costate, costate_system
 
 # Default intervals per unit time, per objective.  With the RK4 stage cost (see
@@ -41,8 +42,8 @@ NODES_PER_TIME_UNIT = {"l2": 50, "l1": 200}
 # signals the step size is too coarse for the current rates.
 NONNEG_TOLERANCE = 1e-12
 
-# Backward RK4 steps composed per array pass; bounds the scan's memory.
-BACKWARD_BLOCK = 256
+# Backward RK4 steps composed per block; bounds the memory of their 4x4 maps.
+BACKWARD_BLOCK = 1024
 
 
 class IntegrationError(RuntimeError):
@@ -183,6 +184,12 @@ def sample_rates(beta: RateCallable, gamma: RateCallable, grid: TimeGrid) -> Gri
     return GridRates(grid, b[0::2], b[1::2], g[0::2], g[1::2], names)
 
 
+def _on_total(rp: np.ndarray, total: float) -> np.ndarray:
+    """(R, P) rows as (R, C, P) rows, with C = total - R - P."""
+    R, P = rp[..., 0], rp[..., 1]
+    return np.stack((R, total - R - P, P), axis=-1)
+
+
 def rk4_forward(
     x0: State,
     u: ControlGrid,
@@ -204,56 +211,47 @@ def rk4_forward(
     u1 = u1.tolist()
     gamma_n, gamma_m = rates.gamma_nodes.tolist(), rates.gamma_mid.tolist()
     a1, a2 = params.alpha1, params.alpha2
-    b1, b2 = 1.0 - a1, 1.0 - a2
-    l1, l2 = params.lambda1, params.lambda2
-    m1, m2 = -l1, -l2
-    floor, inf = -NONNEG_TOLERANCE, math.inf
+    l1, m2 = params.lambda1, -params.lambda2
+    floor = -NONNEG_TOLERANCE
 
-    R, C, P = x0.R, x0.C, x0.P
-    rows = [(R, C, P)]
+    R, P, N = x0.R, x0.P, _require_total(x0)
+    rows = [(R, P)]
     steps = zip(
         u1, u1_m, u1[1:], drive_n, drive_m, drive_n[1:], gamma_n, gamma_m, gamma_n[1:]
     )
     for i, (ua, um, ub, da, dm, db, ga, gm, gb) in enumerate(steps, 1):
         s, d = da * P * R / n0, ua * P
-        gR, gC = ga * R, ga * C
-        kR1 = m2 * R + l1 * C - gR + a1 * d + a2 * s
-        kC1 = m1 * C + l2 * R - gC + b2 * s + b1 * d
-        kP1 = -s - d + gR + gC
-        r, c, p = R + half * kR1, C + half * kC1, P + half * kP1
+        kR1 = m2 * R + l1 * (N - R - P) - ga * R + a1 * d + a2 * s
+        kP1 = ga * (N - P) - s - d
+        r, p = R + half * kR1, P + half * kP1
         s, d = dm * p * r / n0, um * p
-        gR, gC = gm * r, gm * c
-        kR2 = m2 * r + l1 * c - gR + a1 * d + a2 * s
-        kC2 = m1 * c + l2 * r - gC + b2 * s + b1 * d
-        kP2 = -s - d + gR + gC
-        r, c, p = R + half * kR2, C + half * kC2, P + half * kP2
+        kR2 = m2 * r + l1 * (N - r - p) - gm * r + a1 * d + a2 * s
+        kP2 = gm * (N - p) - s - d
+        r, p = R + half * kR2, P + half * kP2
         s, d = dm * p * r / n0, um * p
-        gR, gC = gm * r, gm * c
-        kR3 = m2 * r + l1 * c - gR + a1 * d + a2 * s
-        kC3 = m1 * c + l2 * r - gC + b2 * s + b1 * d
-        kP3 = -s - d + gR + gC
-        r, c, p = R + h * kR3, C + h * kC3, P + h * kP3
+        kR3 = m2 * r + l1 * (N - r - p) - gm * r + a1 * d + a2 * s
+        kP3 = gm * (N - p) - s - d
+        r, p = R + h * kR3, P + h * kP3
         s, d = db * p * r / n0, ub * p
-        gR, gC = gb * r, gb * c
-        kR4 = m2 * r + l1 * c - gR + a1 * d + a2 * s
-        kC4 = m1 * c + l2 * r - gC + b2 * s + b1 * d
-        kP4 = -s - d + gR + gC
+        kR4 = m2 * r + l1 * (N - r - p) - gb * r + a1 * d + a2 * s
+        kP4 = gb * (N - p) - s - d
         R += sixth * (kR1 + 2.0 * (kR2 + kR3) + kR4)
-        C += sixth * (kC1 + 2.0 * (kC2 + kC3) + kC4)
         P += sixth * (kP1 + 2.0 * (kP2 + kP3) + kP4)
-        # a cheap filter: the exact checks run only on states it rejects
-        if not (R >= floor and C >= floor and P >= floor and R + C + P < inf):
-            t = grid.t0 + i * h
+        # with N finite, this passes exactly the finite states with no
+        # component below the floor
+        if not (R >= floor and P >= floor and N - R - P >= floor):
+            t, C = grid.t0 + i * h, N - R - P
             if not (math.isfinite(R) and math.isfinite(C) and math.isfinite(P)):
                 raise IntegrationError(f"non-finite state at step {i} (t={t:.6g})", i)
-            if min(R, C, P) < -NONNEG_TOLERANCE:
-                raise IntegrationError(
-                    f"state component below -{NONNEG_TOLERANCE:g} at step {i} "
-                    f"(t={t:.6g}); reduce the step size h={h:.6g}",
-                    i,
-                )
-        rows.append((R, C, P))
-    return Trajectory(grid, np.array(rows))
+            raise IntegrationError(
+                f"state component below -{NONNEG_TOLERANCE:g} at step {i} "
+                f"(t={t:.6g}); reduce the step size h={h:.6g}",
+                i,
+            )
+        rows.append((R, P))
+    values = _on_total(np.array(rows), N)
+    values[0] = x0.R, x0.C, x0.P
+    return Trajectory(grid, values)
 
 
 def rk4_stages(
@@ -270,8 +268,8 @@ def rk4_stages(
     evaluates ``model.rhs_terms``: node i, the two midpoint predictions, then
     the end-point prediction, under u_i, the midpoint average twice, then
     u_{i+1}.  stepped[i] is node i advanced one step with the operations of
-    ``rk4_forward``, so on a trajectory from that pass it is node i+1 bit for
-    bit.
+    ``rk4_forward``, on the total of x's first node, so on a trajectory from
+    that pass it is node i+1 bit for bit.
     """
     grid = x.grid
     if not grid == u.grid == rates.grid:
@@ -284,17 +282,22 @@ def rk4_stages(
     gammas = (
         rates.gamma_nodes[:-1], rates.gamma_mid, rates.gamma_mid, rates.gamma_nodes[1:]
     )
-    states = np.empty((4, grid.n, 3))
-    slopes = np.empty((4, grid.n, 3))
-    states[0] = xs
+    N = _require_total(State(*x.values[0].tolist()))
+    rp = xs[:, 0::2]
+    stages, slopes = np.empty((2, 4, grid.n, 2))
+    stages[0] = rp
     for k, reach in enumerate((0.5 * h, 0.5 * h, h, None)):
-        terms = rhs_terms(*states[k].T, *controls[k].T, betas[k], gammas[k], params, n0)
+        terms = rhs_terms(
+            *stages[k].T, *controls[k].T, betas[k], gammas[k], params, n0, N
+        )
         slopes[k] = np.column_stack(terms)
         if reach is not None:
-            states[k + 1] = xs + reach * slopes[k]
+            stages[k + 1] = rp + reach * slopes[k]
     k1, k2, k3, k4 = slopes
-    stepped = xs + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return states, controls, stepped
+    stepped = rp + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    states = _on_total(stages, N)
+    states[0] = xs
+    return states, controls, _on_total(stepped, N)
 
 
 def _step_maps(at_nodes: np.ndarray, at_mid: np.ndarray, h: float) -> np.ndarray:
@@ -310,6 +313,27 @@ def _step_maps(at_nodes: np.ndarray, at_mid: np.ndarray, h: float) -> np.ndarray
     return np.eye(4) - (h / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
 
 
+def _suffix_products(maps: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The p rows of M_i M_{i+1} ... M_{m-1} @ (top, 1), i = 0..m-1.
+
+    The m maps, bottom-padded with identities, split into about sqrt(m)
+    chunks.  One matmul per chunk position forms every chunk's suffix
+    products at once, small matvecs carry the chunk tops down, and one
+    batched matvec finishes: m matmuls in about 2*sqrt(m) array passes.
+    """
+    size = math.isqrt(len(maps) - 1) + 1
+    pad = -len(maps) % size
+    chunks = np.concatenate((np.broadcast_to(np.eye(4), (pad, 4, 4)), maps))
+    chunks = chunks.reshape(-1, size, 4, 4)
+    for j in range(size - 2, -1, -1):
+        chunks[:, j] = chunks[:, j] @ chunks[:, j + 1]
+    tops = [np.append(top, 1.0)]
+    for chunk in chunks[:0:-1]:
+        tops.append(chunk[0] @ tops[-1])
+    rows = chunks[:, :, :3] @ np.array(tops[::-1])[:, None, :, None]
+    return rows.reshape(-1, 3)[pad:]
+
+
 def rk4_backward(
     p_terminal: Costate,
     x: Trajectory,
@@ -322,9 +346,9 @@ def rk4_backward(
     """Integrate the adjoint system from t_f down to t0 along x and u.
 
     Each RK4 step is an affine map of p.  Per block of BACKWARD_BLOCK steps
-    a log-depth scan forms the products M_i M_{i+1} ... M_{hi-1}, which map
-    the block's top node to each of its nodes.  The result is stored
-    forward-indexed; its final node equals p_terminal exactly.
+    ``_suffix_products`` applies the products M_i M_{i+1} ... M_{hi-1} to the
+    block's top node, in linear work.  The result is stored forward-indexed;
+    its final node equals p_terminal exactly.
     """
     if not x.grid == u.grid == rates.grid:
         raise ValueError("state, controls and rates must share one grid")
@@ -336,9 +360,8 @@ def rk4_backward(
 
     out = np.empty((grid.n + 1, 3))
     out[grid.n] = (p_terminal.p1, p_terminal.p2, p_terminal.p3)
-    hi = grid.n
     with np.errstate(over="ignore", invalid="ignore"):
-        while hi > 0:
+        for hi in range(grid.n, 0, -BACKWARD_BLOCK):
             lo = max(0, hi - BACKWARD_BLOCK)
             at_nodes = costate_system(
                 *xs[lo:hi + 1].T, *us[lo:hi + 1].T, rates.beta_nodes[lo:hi + 1],
@@ -348,12 +371,7 @@ def rk4_backward(
                 *x_mid[lo:hi].T, *u_mid[lo:hi].T, rates.beta_mid[lo:hi],
                 rates.gamma_mid[lo:hi], params, weights, n0,
             )
-            maps = _step_maps(at_nodes, at_mid, h)
-            span = 1
-            while span < len(maps):
-                maps[:-span] = maps[:-span] @ maps[span:]
-                span *= 2
-            out[lo:hi] = maps[:, :3, :3] @ out[hi] + maps[:, :3, 3]
+            out[lo:hi] = _suffix_products(_step_maps(at_nodes, at_mid, h), out[hi])
             bad = ~np.isfinite(out[lo:hi]).all(axis=1)
             if bad.any():
                 i = lo + int(np.flatnonzero(bad)[-1])
@@ -361,5 +379,4 @@ def rk4_backward(
                     f"non-finite adjoint at step {i} (t={grid.t0 + i * h:.6g})",
                     step=i,
                 )
-            hi = lo
     return Trajectory(grid, out)

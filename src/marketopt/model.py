@@ -15,13 +15,13 @@ The governing system is::
             + (1 - alpha2)*(beta(t) + u2)*P*R/N0 + (1 - alpha1)*u1*P
     dP/dt = -(beta(t) + u2)*P*R/N0 - u1*P + gamma(t)*(R + C)
 
-Every flow leaves one compartment and enters another, so R + C + P is a
-conserved quantity; ``N0`` in the denominators is that constant total, fixed
-up front rather than re-summed per call.
-
-``rhs_terms`` is this system on scalars or node columns, in the form of the
-``pmp`` kernels (states, controls, rates at t, then params and n0);
-``dynamics`` wraps it for one point with the checks ``pmp.costate_rhs`` shares.
+Every flow leaves one compartment and enters another, so R + C + P is
+conserved; ``N0`` in the denominators is that constant total, fixed up front.
+Every Runge-Kutta method keeps a linear invariant exactly, so ``rhs_terms``
+works on the total: it reads C as total - R - P and gives (dR/dt, dP/dt), on
+scalars or node columns, in the form of the ``pmp`` kernels (states, controls,
+rates at t, then params, n0 and the total).  ``dynamics`` wraps it for one
+point, with dC/dt = -(dR/dt + dP/dt) and the checks ``pmp.costate_rhs`` shares.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ def _at_point(t: float, beta: RateCallable, gamma: RateCallable, n0: float):
     return beta_t, gamma_t, n0
 
 
-def rhs_terms(R, C, P, u1, u2, beta_t, gamma_t, params: ModelParams, n0: float):
-    """Raw right-hand side on scalars or node columns; no validation.
+def rhs_terms(R, P, u1, u2, beta_t, gamma_t, params: ModelParams, n0: float, total):
+    """Raw (dR/dt, dP/dt), with C = total - R - P; no validation.
 
     Rates are already evaluated at t.  ``dynamics`` wraps it for one point,
     and ``integrator.rk4_forward`` writes it out inline, operation for
@@ -139,12 +139,12 @@ def rhs_terms(R, C, P, u1, u2, beta_t, gamma_t, params: ModelParams, n0: float):
     """
     a1, a2 = params.alpha1, params.alpha2
     l1, l2 = params.lambda1, params.lambda2
+    C = total - R - P
     spread = (beta_t + u2) * P * R / n0
     direct = u1 * P
     dR = -l2 * R + l1 * C - gamma_t * R + a1 * direct + a2 * spread
-    dC = -l1 * C + l2 * R - gamma_t * C + (1.0 - a2) * spread + (1.0 - a1) * direct
-    dP = -spread - direct + gamma_t * R + gamma_t * C
-    return dR, dC, dP
+    dP = gamma_t * (total - P) - spread - direct
+    return dR, dP
 
 
 def dynamics(
@@ -158,13 +158,22 @@ def dynamics(
 ) -> tuple[float, float, float]:
     """Evaluate (dR/dt, dC/dt, dP/dt) at time t.
 
-    The three components cancel pairwise, so they sum to zero up to
-    roundoff for any admissible input.
+    dC/dt is -(dR/dt + dP/dt), so the components sum to zero up to roundoff.
     """
     beta_t, gamma_t, n0 = _at_point(t, beta, gamma, n0)
-    return rhs_terms(x.R, x.C, x.P, u.u1, u.u2, beta_t, gamma_t, params, n0)
+    total = total_population(x)
+    dR, dP = rhs_terms(x.R, x.P, u.u1, u.u2, beta_t, gamma_t, params, n0, total)
+    return dR, -(dR + dP), dP
 
 
 def total_population(x: State) -> float:
     """R + C + P; constant along any trajectory of the flow."""
     return x.R + x.C + x.P
+
+
+def _require_total(x: State) -> float:
+    """total_population(x), checked finite: C is read as this total - R - P."""
+    total = total_population(x)
+    if not math.isfinite(total):
+        raise ValueError("initial total R + C + P must be finite")
+    return total

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import ModelParams, State, Weights, _require_finite, total_population
+from .model import ModelParams, State, Weights, _require_finite, _require_total
 from .pmp import OBJECTIVE_TAGS
 
 
@@ -195,7 +195,7 @@ class Scenario:
             raise ValueError(f"t_f must be > 0, got {t_f}")
         if min(self.x0.R, self.x0.C, self.x0.P) < 0.0:
             raise ValueError("initial state components must be >= 0")
-        if total_population(self.x0) <= 0.0:
+        if _require_total(self.x0) <= 0.0:
             raise ValueError("initial state must not be identically zero")
         if self.objective not in OBJECTIVE_TAGS:
             raise ValueError(
@@ -204,7 +204,7 @@ class Scenario:
 
     @property
     def n0(self) -> float:
-        return total_population(self.x0)
+        return _require_total(self.x0)
 
 
 # Shared benchmark constants: structural rates, bounds and starting split.

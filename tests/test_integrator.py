@@ -148,53 +148,68 @@ def test_nonfinite_state_aborts_with_step_index():
 
 
 def _reference_forward(x0, u, params, rates, n0):
-    """RK4 with one model.rhs_terms call per stage: the reference for the
-    inlined step of rk4_forward, with the same checks and messages."""
+    """RK4 on the total with one model.rhs_terms call per stage: the reference
+    for the inlined step of rk4_forward, with the same checks and messages."""
     grid, h = u.grid, u.grid.h
     us = u.values.tolist()
     beta_n, beta_m = rates.beta_nodes.tolist(), rates.beta_mid.tolist()
     gamma_n, gamma_m = rates.gamma_nodes.tolist(), rates.gamma_mid.tolist()
-    x = (x0.R, x0.C, x0.P)
-    rows = [x]
+    total = x0.R + x0.C + x0.P
+    if not math.isfinite(total):
+        raise ValueError("initial total R + C + P must be finite")
+    x = (x0.R, x0.P)
+    rows = [(x0.R, x0.C, x0.P)]
     for i in range(grid.n):
         (u1a, u2a), (u1b, u2b) = us[i], us[i + 1]
         um = (0.5 * (u1a + u1b), 0.5 * (u2a + u2b))
-        k1 = rhs_terms(*x, u1a, u2a, beta_n[i], gamma_n[i], params, n0)
+        k1 = rhs_terms(*x, u1a, u2a, beta_n[i], gamma_n[i], params, n0, total)
         k2 = rhs_terms(
             *(a + 0.5 * h * k for a, k in zip(x, k1)), *um, beta_m[i], gamma_m[i],
-            params, n0,
+            params, n0, total,
         )
         k3 = rhs_terms(
             *(a + 0.5 * h * k for a, k in zip(x, k2)), *um, beta_m[i], gamma_m[i],
-            params, n0,
+            params, n0, total,
         )
         k4 = rhs_terms(
             *(a + h * k for a, k in zip(x, k3)), u1b, u2b, beta_n[i + 1],
-            gamma_n[i + 1], params, n0,
+            gamma_n[i + 1], params, n0, total,
         )
         x = tuple(
             a + h / 6.0 * (q1 + 2.0 * (q2 + q3) + q4)
             for a, q1, q2, q3, q4 in zip(x, k1, k2, k3, k4)
         )
+        row = (x[0], total - x[0] - x[1], x[1])
         t = grid.t0 + (i + 1) * h
-        if not all(math.isfinite(a) for a in x):
+        if not all(math.isfinite(a) for a in row):
             raise IntegrationError(f"non-finite state at step {i + 1} (t={t:.6g})", i + 1)
-        if min(x) < -NONNEG_TOLERANCE:
+        if min(row) < -NONNEG_TOLERANCE:
             raise IntegrationError(
                 f"state component below -{NONNEG_TOLERANCE:g} at step {i + 1} "
                 f"(t={t:.6g}); reduce the step size h={h:.6g}",
                 i + 1,
             )
-        rows.append(x)
+        rows.append(row)
     return Trajectory(grid, np.array(rows))
 
 
 def _forward_outcome(integrate, *args):
-    """The trajectory's bytes, or the IntegrationError's message and step."""
+    """The trajectory's bytes, or the error's message and step (None for a
+    ValueError, which rejects the input before any step)."""
     try:
         return integrate(*args).values.tobytes()
     except IntegrationError as err:
         return str(err), err.step
+    except ValueError as err:
+        return str(err), None
+
+
+def _random_controls(sc, grid, seed):
+    rng = np.random.default_rng(seed)
+    return ControlGrid(
+        grid,
+        rng.uniform(0.0, 1.0, (grid.n + 1, 2)) * (sc.params.u1_max, sc.params.u2_max),
+    )
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 350, 1400])
@@ -202,11 +217,7 @@ def _forward_outcome(integrate, *args):
 def test_inlined_forward_step_is_bit_identical_to_rhs_terms(name, n):
     sc = preset_scenario(name)
     grid = TimeGrid(0.0, sc.t_f, n)
-    rng = np.random.default_rng(n)
-    u = ControlGrid(
-        grid, rng.uniform(0.0, 1.0, (n + 1, 2)) * (sc.params.u1_max, sc.params.u2_max)
-    )
-    args = (sc.x0, u, sc.params, _rates(sc, grid), sc.n0)
+    args = (sc.x0, _random_controls(sc, grid, n), sc.params, _rates(sc, grid), sc.n0)
     assert _forward_outcome(rk4_forward, *args) == _forward_outcome(
         _reference_forward, *args
     )
@@ -214,6 +225,55 @@ def test_inlined_forward_step_is_bit_identical_to_rhs_terms(name, n):
     x = rk4_forward(*args)
     _, _, stepped = rk4_stages(x, *args[1:])
     assert stepped.tobytes() == x.values[1:].tobytes()
+
+
+def _three_component_rhs(R, C, P, u1, u2, beta_t, gamma_t, params, n0):
+    """(dR/dt, dC/dt, dP/dt), with C a free component rather than read off
+    the total."""
+    a1, a2 = params.alpha1, params.alpha2
+    l1, l2 = params.lambda1, params.lambda2
+    spread = (beta_t + u2) * P * R / n0
+    direct = u1 * P
+    dR = -l2 * R + l1 * C - gamma_t * R + a1 * direct + a2 * spread
+    dC = -l1 * C + l2 * R - gamma_t * C + (1.0 - a2) * spread + (1.0 - a1) * direct
+    dP = -spread - direct + gamma_t * R + gamma_t * C
+    return np.array((dR, dC, dP))
+
+
+def _three_component_forward(x0, u, params, rates, n0):
+    """Classical RK4 on (R, C, P), one call per stage: an accuracy oracle."""
+    h = u.grid.h
+    us, u_mid = u.values, 0.5 * (u.values[:-1] + u.values[1:])
+    x = np.array((x0.R, x0.C, x0.P))
+    rows = [x]
+    for i in range(u.grid.n):
+        mid = (*u_mid[i], rates.beta_mid[i], rates.gamma_mid[i], params, n0)
+        k1 = _three_component_rhs(
+            *x, *us[i], rates.beta_nodes[i], rates.gamma_nodes[i], params, n0
+        )
+        k2 = _three_component_rhs(*(x + 0.5 * h * k1), *mid)
+        k3 = _three_component_rhs(*(x + 0.5 * h * k2), *mid)
+        k4 = _three_component_rhs(
+            *(x + h * k3), *us[i + 1], rates.beta_nodes[i + 1],
+            rates.gamma_nodes[i + 1], params, n0,
+        )
+        x = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        rows.append(x)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 350, 1400, 2800])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_forward_on_the_total_matches_three_component_rk4(name, n):
+    sc = preset_scenario(name)
+    grid = TimeGrid(0.0, sc.t_f, n)
+    args = (sc.x0, _random_controls(sc, grid, n), sc.params, _rates(sc, grid), sc.n0)
+    x = rk4_forward(*args).values
+    assert np.abs(x - _three_component_forward(*args)).max() <= 1e-14 * sc.n0
+    assert tuple(x[0]) == (sc.x0.R, sc.x0.C, sc.x0.P)
+    total = sc.x0.R + sc.x0.C + sc.x0.P
+    R, P = x[1:, 0], x[1:, 2]
+    assert x[1:, 1].tobytes() == (total - R - P).tobytes()
 
 
 def _failing_forward(case):
@@ -235,7 +295,7 @@ def _failing_forward(case):
         rates = GridRates(grid, zero.beta_nodes, zero.beta_mid, g_nodes, g_mid)
         return State(0.5, 0.2, 0.3), ControlGrid(grid, u), params, rates, 1.0
     # no flow at all: R sits exactly on -NONNEG_TOLERANCE, which is allowed,
-    # with a total that is small or that overflows
+    # with a total that is small, or that overflows and is rejected up front
     still = ModelParams(
         alpha1=0.0, alpha2=0.0, lambda1=0.0, lambda2=0.0, u1_max=1.0, u2_max=1.0
     )
@@ -251,7 +311,7 @@ def _failing_forward(case):
         ("infinite", "non-finite state at step 21"),
         ("nan", "non-finite state at step 21"),
         ("at the floor", None),
-        ("at the floor, total overflows", None),
+        ("at the floor, total overflows", "initial total R + C + P must be finite"),
     ],
 )
 def test_inlined_forward_step_fails_like_the_reference(case, expected):
@@ -338,8 +398,8 @@ def _scalar_backward(p_end, x, u, params, weights, beta, gamma, n0):
 
 
 @pytest.mark.parametrize(
-    "n", [2, 3, BACKWARD_BLOCK - 1, BACKWARD_BLOCK, BACKWARD_BLOCK + 1,
-          2 * BACKWARD_BLOCK + 3],
+    "n", [2, 3, 960, 961, 962, BACKWARD_BLOCK - 1, BACKWARD_BLOCK,
+          BACKWARD_BLOCK + 1, 2 * BACKWARD_BLOCK + 3],
 )
 @pytest.mark.parametrize("index", [1, 2, 3])
 def test_blocked_backward_matches_scalar_rk4(n, index):
@@ -363,7 +423,7 @@ def test_blocked_backward_matches_scalar_rk4(n, index):
     assert np.all(err <= 1e-12 * np.abs(ref).max(axis=0))
 
 
-@pytest.mark.parametrize("n", [200, 1400])
+@pytest.mark.parametrize("n", [200, 1400, 2800])
 def test_nonfinite_adjoint_aborts_at_the_highest_bad_node(n):
     grid = TimeGrid(0.0, 7.0, n)
     x = _forward_no_control(grid)

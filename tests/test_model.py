@@ -98,14 +98,16 @@ def test_rhs_terms_on_columns_equals_per_node_scalar_calls(name):
     grid = TimeGrid(0.0, sc.t_f, 400)
     rates = sample_rates(sc.beta, sc.gamma, grid)
     rng = np.random.default_rng(PRESET_NAMES.index(name))
-    R, C, P = (rng.dirichlet((1.0, 1.0, 1.0), grid.n + 1) * sc.n0).T
+    R, _, P = (rng.dirichlet((1.0, 1.0, 1.0), grid.n + 1) * sc.n0).T
     u1 = rng.uniform(0.0, sc.params.u1_max, grid.n + 1)
     u2 = rng.uniform(0.0, sc.params.u2_max, grid.n + 1)
-    columns = (R, C, P, u1, u2, rates.beta_nodes, rates.gamma_nodes)
-    on_columns = rhs_terms(*columns, sc.params, sc.n0)
+    columns = (R, P, u1, u2, rates.beta_nodes, rates.gamma_nodes)
+    on_columns = rhs_terms(*columns, sc.params, sc.n0, sc.n0)
     per_node = [
-        rhs_terms(*point, sc.params, sc.n0) for point in zip(*(c.tolist() for c in columns))
+        rhs_terms(*point, sc.params, sc.n0, sc.n0)
+        for point in zip(*(c.tolist() for c in columns))
     ]
+    assert len(on_columns) == 2
     for k, column in enumerate(on_columns):
         assert column.tobytes() == np.array([d[k] for d in per_node]).tobytes()
 

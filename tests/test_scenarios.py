@@ -118,6 +118,14 @@ def test_scenario_validation():
         Scenario(sc.params, sc.weights, sc.beta, sc.gamma, sc.x0, 7.0, objective="l3")
 
 
+def test_scenario_rejects_a_nonfinite_initial_total():
+    # each component is finite, but the conserved total overflows
+    sc = preset_scenario("scenario1")
+    x0 = State(1e308, 1e308, 0.0)
+    with pytest.raises(ValueError, match=r"^initial total R \+ C \+ P must be finite"):
+        Scenario(sc.params, sc.weights, sc.beta, sc.gamma, x0, t_f=7.0)
+
+
 def test_piecewise_linear_rate():
     rate = PiecewiseLinear(times=(0.0, 1.0, 3.0), values=(0.0, 1.0, 0.5))
     assert rate(0.5) == pytest.approx(0.5)

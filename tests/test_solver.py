@@ -263,6 +263,29 @@ def test_fine_l1_grid_converges_undamped():
     assert result.iterations <= 10
 
 
+# Costs and iteration counts of the three-component forward pass and the
+# log-depth adjoint scan.  A change meant only to speed the sweep up may move
+# a cost by roundoff, not more, and no iteration count.
+@pytest.mark.parametrize(
+    "name, n, tol, cost, iterations",
+    [
+        ("scenario1", None, 1e-3, 5.851595608717279, 6),
+        ("scenario2", None, 1e-3, 5.815234126683198, 6),
+        ("scenario3", None, 1e-3, 5.833254487770798, 6),
+        ("scenario3-l1", None, 1e-3, 6.330618554071916, 6),
+        ("comparison-default", None, 1e-3, 0.962396684854709, 5),
+        ("scenario3-l1", 2800, 1e-6, 6.330618374621364, 7),
+    ],
+)
+def test_pinned_costs_and_iterations(name, n, tol, cost, iterations):
+    sc = preset_scenario(name)
+    n = n or default_grid(sc.t_f, sc.objective).n
+    result = solve(sc, SweepSettings(n=n, tol_delta=tol))
+    assert result.converged
+    assert result.iterations == iterations
+    assert abs(result.cost - cost) <= 1e-12 * cost
+
+
 def test_growing_residual_halves_the_weight_and_rescues_a_coarse_l1_grid():
     result = solve(preset_scenario("scenario3-l1"), SweepSettings(n=700))
     assert result.converged
