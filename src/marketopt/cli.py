@@ -8,7 +8,7 @@ exact in-memory doubles, and identical inputs produce byte-identical
 artifacts.
 
 Exit status: 0 on success with convergence, 2 when a sweep solve did not
-converge (artifacts are still written), 1 on unusable input.
+converge (artifacts are still written), 1 on unusable input, before any write.
 """
 
 from __future__ import annotations
@@ -29,14 +29,7 @@ from .config import (
     dump_config,
     load_config,
 )
-from .experiments import (
-    SWEEP_PARAMETERS,
-    ComparisonTable,
-    SweepSpec,
-    compare_strategies,
-    default_sweep_values,
-    run_sweep,
-)
+from .experiments import SWEEP_PARAMETERS, ComparisonTable, compare_strategies, run_sweep
 from .pmp import OBJECTIVE_TAGS, switching_terms
 from .scenarios import PRESET_NAMES, preset_scenario
 from .solver import DivergenceError, SolveResult, SweepSettings, solve
@@ -168,9 +161,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     knobs = {f.name: getattr(args, f.name, None) for f in fields(SweepSettings)}
     try:
         settings = replace(cfg.settings, **{k: v for k, v in knobs.items() if v is not None})
-        return replace(cfg, settings=settings, **updates)
+        cfg = replace(cfg, settings=settings, **updates)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    if args.command == "sweep" and cfg.sweep_param is None:
+        raise ConfigError("sweep needs --param or a sweep section in the config")
+    return cfg
 
 
 def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
@@ -178,14 +174,6 @@ def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
     _write_trajectory(result, cfg, out_dir)
     _write_summary(result, cfg, out_dir)
     return 0 if result.converged else 2
-
-
-def _sweep_table(cfg: RunConfig) -> ComparisonTable:
-    if cfg.sweep_param is None:
-        raise ConfigError("sweep needs --param or a sweep section in the config")
-    values = cfg.sweep_values or default_sweep_values(cfg.sweep_param)
-    spec = SweepSpec(cfg.sweep_param, values, cfg.scenario, cfg.sweep_strategies)
-    return run_sweep(spec, cfg.settings)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,10 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             table = compare_strategies(cfg.scenario, cfg.settings, cfg.sweep_strategies)
         else:
-            table = _sweep_table(cfg)
+            table = run_sweep(cfg.sweep_spec(), cfg.settings)
         _write_table(table, cfg, out_dir)
         return 0 if all(row.converged for row in table.rows) else 2
-    except (ValueError, DivergenceError) as err:  # ValueError includes ConfigError
+    except (ValueError, OSError, DivergenceError) as err:  # includes ConfigError
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,7 @@
 
 A config document has the fixed top-level keys ``scenario`` (a preset
 reference or inline fields), ``objective`` (optional override), ``grid``,
-``solver``, ``sweep`` (sweep command only) and ``output``.  Floats are
+``solver``, ``sweep`` (checked by every command) and ``output``.  Floats are
 serialized with ``repr`` semantics by the json module, which round-trips
 every double exactly, so a scenario written to disk and re-read is
 bit-identical.
@@ -15,12 +15,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
-from .experiments import (
-    ALL_STRATEGIES,
-    SWEEP_PARAMETERS,
-    StrategyKind,
-    default_sweep_values,
-)
+from .experiments import ALL_STRATEGIES, StrategyKind, SweepSpec, default_sweep_values
 from .integrator import default_grid
 from .model import ModelParams, State, Weights
 from .pmp import OBJECTIVE_TAGS
@@ -63,16 +58,9 @@ def _entries(values: list, field: str, kind: type = float) -> tuple:
 
 
 def _sweep_list(sweep_doc: dict, key: str, kind: type) -> tuple | None:
-    """The optional, non-empty list field sweep.key, each entry a kind, once."""
+    """The optional list field sweep.key, each entry a kind; SweepSpec judges it."""
     values = _get(sweep_doc, key, "sweep", list, required=False)
-    if values is None:
-        return None
-    if values == []:
-        raise ConfigError(f"field sweep.{key} must not be empty")
-    entries = _entries(values, f"sweep.{key}", kind)
-    if len(set(entries)) < len(entries):
-        raise ConfigError(f"field sweep.{key} must not repeat an entry")
-    return entries
+    return None if values is None else _entries(values, f"sweep.{key}", kind)
 
 
 def _get_or(mapping: dict, key: str, path: str, kind: type, default: Any) -> Any:
@@ -167,7 +155,11 @@ _JSON_TYPES = {"int": int, "float": float}
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved run: scenario, grid size and solver knobs, sweep, output."""
+    """A fully resolved run: scenario, grid size and solver knobs, sweep, output.
+
+    Checked whole when built: with sweep_param set, ``sweep_spec`` must build,
+    and sweep_values None stands for the parameter's default values.
+    """
 
     scenario: Scenario
     settings: SweepSettings
@@ -182,11 +174,16 @@ class RunConfig:
             raise ConfigError(
                 f"field output.format must be 'csv' or 'json', got {self.out_format!r}"
             )
-        if self.sweep_param is not None and self.sweep_param not in SWEEP_PARAMETERS:
-            raise ConfigError(
-                f"field sweep.param must be one of {SWEEP_PARAMETERS}, "
-                f"got {self.sweep_param!r}"
-            )
+        if self.sweep_param is not None:
+            try:
+                self.sweep_spec()
+            except ValueError as err:
+                raise ConfigError(f"field sweep.{err}") from None
+
+    def sweep_spec(self) -> SweepSpec:
+        default = default_sweep_values(self.sweep_param)  # rejects an unknown param
+        values = default if self.sweep_values is None else self.sweep_values
+        return SweepSpec(self.sweep_param, values, self.scenario, self.sweep_strategies)
 
     def sweep_settings(self) -> SweepSettings:
         return self.settings
@@ -214,10 +211,11 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "output": {"dir": cfg.out_dir, "format": cfg.out_format},
     }
     if cfg.sweep_param is not None:
+        spec = cfg.sweep_spec()
         doc["sweep"] = {
-            "param": cfg.sweep_param,
-            "values": list(cfg.sweep_values or default_sweep_values(cfg.sweep_param)),
-            "strategies": [s.value for s in cfg.sweep_strategies],
+            "param": spec.parameter,
+            "values": list(spec.values),
+            "strategies": [s.value for s in spec.strategies],
         }
     return doc
 
@@ -238,7 +236,10 @@ def config_from_dict(doc: dict, objective: str | None = None) -> RunConfig:
         )
     objective = objective or given
     if objective is not None:
-        scenario = replace(scenario, objective=objective)
+        try:
+            scenario = replace(scenario, objective=objective)
+        except ValueError as err:  # an l2 objective on zero control weights
+            raise ConfigError(f"invalid value under scenario: {err}") from None
 
     grid_doc = _get(doc, "grid", "config", dict, required=False) or {}
     grid_n = _get(

@@ -55,7 +55,10 @@ SWEEP_PARAMETERS = tuple(_SWEEPS)
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter, its sample points, and the strategies to cost."""
+    """One swept parameter, its sample points, and the strategies to cost.
+
+    The one judge of a sweep: each error starts with the field it rejects.
+    """
 
     parameter: str
     values: tuple[float, ...]
@@ -63,29 +66,31 @@ class SweepSpec:
     strategies: tuple[StrategyKind, ...] = ALL_STRATEGIES
 
     def __post_init__(self) -> None:
-        default_sweep_values(self.parameter)  # rejects an unknown parameter
-        for name in ("values", "strategies"):
-            entries = getattr(self, name)
-            if not entries:
-                raise ValueError(f"{name} must be non-empty")
-            if len(set(entries)) < len(entries):
-                raise ValueError(f"{name} must not repeat an entry")
+        default_sweep_values(self.parameter)  # rejects an unknown param
+        _check_entries("values", self.values)
+        _check_entries("strategies", self.strategies)
         if any(not isfinite(v) for v in self.values):
-            raise ValueError("sweep values must be finite")
+            raise ValueError("values must be finite")
         low, high = min(self.values), max(self.values)
         bounds = _SWEEPS[self.parameter][1]
         if bounds is None and low <= 0.0:
-            raise ValueError(f"{self.parameter} values must be > 0")
+            raise ValueError(f"values must be > 0 for {self.parameter}")
         if bounds is not None and not bounds[0] <= low <= high <= bounds[1]:
             lo, hi = bounds
-            raise ValueError(f"{self.parameter} values must lie in [{lo:g}, {hi:g}]")
+            raise ValueError(f"values must lie in [{lo:g}, {hi:g}] for {self.parameter}")
+
+
+def _check_entries(name: str, entries: tuple) -> None:
+    """Reject an empty list field name, or one that repeats an entry."""
+    if not entries:
+        raise ValueError(f"{name} must not be empty")
+    if len(set(entries)) < len(entries):
+        raise ValueError(f"{name} must not repeat an entry")
 
 
 def default_sweep_values(parameter: str) -> tuple[float, ...]:
     if parameter not in _SWEEPS:
-        raise ValueError(
-            f"parameter must be one of {SWEEP_PARAMETERS}, got {parameter!r}"
-        )
+        raise ValueError(f"param must be one of {SWEEP_PARAMETERS}, got {parameter!r}")
     return _SWEEPS[parameter][0]
 
 
@@ -153,6 +158,7 @@ def compare_strategies(
     than raised, so sweep tables keep every cell.  A fixed row whose pass fails
     reads nan, and all of them do if their shared uncontrolled pass fails.
     """
+    _check_entries("strategies", strategies)
     optimal = StrategyKind.OPTIMAL
     rows: dict[StrategyKind, tuple[float, bool, int]] = {}
     rates = None
@@ -169,14 +175,14 @@ def compare_strategies(
     if fixed:
         if rates is None:
             rates = sample_rates(scenario.beta, scenario.gamma, settings.grid_for(scenario))
-        x0, params, n0 = scenario.x0, scenario.params, scenario.n0
+        x0, params = scenario.x0, scenario.params
         with suppress(IntegrationError):
-            free = rk4_forward(x0, zero_controls(rates.grid), params, rates, n0)
+            free = rk4_forward(x0, zero_controls(rates.grid), params, rates)
             for strategy in fixed:
                 with suppress(IntegrationError):
                     u = strategy_controls(strategy, scenario, free)
                     no_control = strategy is StrategyKind.NO_CONTROL
-                    x = free if no_control else rk4_forward(x0, u, params, rates, n0)
+                    x = free if no_control else rk4_forward(x0, u, params, rates)
                     cost = evaluate_cost(scenario, x, u, rates)
                     rows[strategy] = (cost, True, 0)
     cells = [(s, *rows[s]) for s in ALL_STRATEGIES if s in rows]

@@ -195,9 +195,8 @@ def rk4_forward(
     u: ControlGrid,
     params: ModelParams,
     rates: GridRates,
-    n0: float,
 ) -> Trajectory:
-    """Integrate the state system over u.grid starting from x0."""
+    """Integrate the state system over u.grid from x0, whose total R + C + P is n0."""
     grid = u.grid
     if rates.grid != grid:
         raise ValueError("controls and rates must share one grid")
@@ -220,19 +219,19 @@ def rk4_forward(
         u1, u1_m, u1[1:], drive_n, drive_m, drive_n[1:], gamma_n, gamma_m, gamma_n[1:]
     )
     for i, (ua, um, ub, da, dm, db, ga, gm, gb) in enumerate(steps, 1):
-        s, d = da * P * R / n0, ua * P
+        s, d = da * P * R / N, ua * P
         kR1 = m2 * R + l1 * (N - R - P) - ga * R + a1 * d + a2 * s
         kP1 = ga * (N - P) - s - d
         r, p = R + half * kR1, P + half * kP1
-        s, d = dm * p * r / n0, um * p
+        s, d = dm * p * r / N, um * p
         kR2 = m2 * r + l1 * (N - r - p) - gm * r + a1 * d + a2 * s
         kP2 = gm * (N - p) - s - d
         r, p = R + half * kR2, P + half * kP2
-        s, d = dm * p * r / n0, um * p
+        s, d = dm * p * r / N, um * p
         kR3 = m2 * r + l1 * (N - r - p) - gm * r + a1 * d + a2 * s
         kP3 = gm * (N - p) - s - d
         r, p = R + h * kR3, P + h * kP3
-        s, d = db * p * r / n0, ub * p
+        s, d = db * p * r / N, ub * p
         kR4 = m2 * r + l1 * (N - r - p) - gb * r + a1 * d + a2 * s
         kP4 = gb * (N - p) - s - d
         R += sixth * (kR1 + 2.0 * (kR2 + kR3) + kR4)
@@ -259,7 +258,6 @@ def rk4_stages(
     u: ControlGrid,
     params: ModelParams,
     rates: GridRates,
-    n0: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The RK4 step from every node of x under u, on whole columns.
 
@@ -268,8 +266,8 @@ def rk4_stages(
     evaluates ``model.rhs_terms``: node i, the two midpoint predictions, then
     the end-point prediction, under u_i, the midpoint average twice, then
     u_{i+1}.  stepped[i] is node i advanced one step with the operations of
-    ``rk4_forward``, on the total of x's first node, so on a trajectory from
-    that pass it is node i+1 bit for bit.
+    ``rk4_forward``, with the total of x's first node as n0 and N, so on a
+    trajectory from that pass it is node i+1 bit for bit.
     """
     grid = x.grid
     if not grid == u.grid == rates.grid:
@@ -288,7 +286,7 @@ def rk4_stages(
     stages[0] = rp
     for k, reach in enumerate((0.5 * h, 0.5 * h, h, None)):
         terms = rhs_terms(
-            *stages[k].T, *controls[k].T, betas[k], gammas[k], params, n0, N
+            *stages[k].T, *controls[k].T, betas[k], gammas[k], params, N, N
         )
         slopes[k] = np.column_stack(terms)
         if reach is not None:
@@ -341,18 +339,18 @@ def rk4_backward(
     params: ModelParams,
     weights: Weights,
     rates: GridRates,
-    n0: float,
 ) -> Trajectory:
     """Integrate the adjoint system from t_f down to t0 along x and u.
 
     Each RK4 step is an affine map of p.  Per block of BACKWARD_BLOCK steps
     ``_suffix_products`` applies the products M_i M_{i+1} ... M_{hi-1} to the
     block's top node, in linear work.  The result is stored forward-indexed;
-    its final node equals p_terminal exactly.
+    its final node equals p_terminal exactly.  The model's n0 is the total of
+    x's first node, which on a trajectory from ``rk4_forward`` is x0's.
     """
     if not x.grid == u.grid == rates.grid:
         raise ValueError("state, controls and rates must share one grid")
-    grid = x.grid
+    grid, n0 = x.grid, _require_total(State(*x.values[0].tolist()))
     h = grid.h
     xs, us = x.values, u.values
     x_mid = 0.5 * (xs[:-1] + xs[1:])

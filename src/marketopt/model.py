@@ -172,8 +172,10 @@ def total_population(x: State) -> float:
 
 
 def _require_total(x: State) -> float:
-    """total_population(x), checked finite: C is read as this total - R - P."""
+    """total_population(x), checked finite and > 0: n0, and C = total - R - P."""
     total = total_population(x)
     if not math.isfinite(total):
         raise ValueError("initial total R + C + P must be finite")
+    if total <= 0.0:
+        raise ValueError(f"initial total R + C + P must be > 0, got {total}")
     return total

@@ -30,7 +30,7 @@ def evaluate_cost(
 
     x is the state under u from ``rk4_forward`` with the same rate table.
     """
-    states, controls, _ = rk4_stages(x, u, scenario.params, rates, scenario.n0)
+    states, controls, _ = rk4_stages(x, u, scenario.params, rates)
     c1, c2, c3, c4 = running_cost(
         scenario.objective, states[..., 2], controls[..., 0], controls[..., 1],
         scenario.weights,

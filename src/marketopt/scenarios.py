@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .model import ModelParams, State, Weights, _require_finite, _require_total
-from .pmp import OBJECTIVE_TAGS
+from .pmp import OBJECTIVE_TAGS, check_l2_weights
 
 
 def _exp_or_inf(x: float) -> float:
@@ -179,7 +179,10 @@ def builtin_gamma_rate(index: int) -> RateFunction:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete problem instance: model, cost weights, rates, start, horizon."""
+    """A complete problem instance: model, cost weights, rates, start, horizon.
+
+    x0 is >= 0 with a finite total n0 > 0; l2 needs kappa2, kappa3 > 0.
+    """
 
     params: ModelParams
     weights: Weights
@@ -195,12 +198,13 @@ class Scenario:
             raise ValueError(f"t_f must be > 0, got {t_f}")
         if min(self.x0.R, self.x0.C, self.x0.P) < 0.0:
             raise ValueError("initial state components must be >= 0")
-        if _require_total(self.x0) <= 0.0:
-            raise ValueError("initial state must not be identically zero")
+        _require_total(self.x0)
         if self.objective not in OBJECTIVE_TAGS:
             raise ValueError(
                 f"objective must be one of {OBJECTIVE_TAGS}, got {self.objective!r}"
             )
+        if self.objective == "l2":
+            check_l2_weights(self.weights)
 
     @property
     def n0(self) -> float:

@@ -39,7 +39,7 @@ from .integrator import (
     sample_rates,
 )
 from .objectives import evaluate_cost
-from .pmp import Costate, bang_bang_terms, check_l2_weights, l2_law_terms, switching_terms
+from .pmp import Costate, bang_bang_terms, l2_law_terms, switching_terms
 from .scenarios import Scenario
 
 
@@ -180,9 +180,6 @@ def _law_on_grid(
 def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     """Run the sweep to convergence (or max_iters) and return the last iterate."""
     grid = settings.grid_for(scenario)
-    n0 = scenario.n0
-    if scenario.objective == "l2":
-        check_l2_weights(scenario.weights)
     p_terminal = Costate(0.0, 0.0, 0.0)
     rates = sample_rates(scenario.beta, scenario.gamma, grid)
 
@@ -199,8 +196,8 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
 
     def integrate(u: ControlGrid, iteration: int) -> tuple[Trajectory, Trajectory]:
         try:
-            x = rk4_forward(scenario.x0, u, scenario.params, rates, n0)
-            p = rk4_backward(p_terminal, x, u, scenario.params, scenario.weights, rates, n0)
+            x = rk4_forward(scenario.x0, u, scenario.params, rates)
+            p = rk4_backward(p_terminal, x, u, scenario.params, scenario.weights, rates)
         except IntegrationError as err:
             raise DivergenceError(
                 f"sweep diverged at iteration {iteration}: {err}", iteration

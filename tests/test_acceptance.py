@@ -100,7 +100,7 @@ def gamma_sweep(comparison):
 
 def _no_control_state(sc, grid) -> Trajectory:
     rates = sample_rates(sc.beta, sc.gamma, grid)
-    return rk4_forward(sc.x0, zero_controls(grid), sc.params, rates, sc.n0)
+    return rk4_forward(sc.x0, zero_controls(grid), sc.params, rates)
 
 
 def test_criterion_1_conservation(
@@ -383,7 +383,7 @@ def test_criterion_9_numerical_analysis_properties():
     for n in (8, 16):
         grid = TimeGrid(0.0, 2.0, n)
         rates = sample_rates(Constant(0.0), Constant(gamma), grid)
-        x = rk4_forward(x0, zero_controls(grid), params, rates, 1.0)
+        x = rk4_forward(x0, zero_controls(grid), params, rates)
         errors.append(np.abs(x.values[-1] - exact).max())
     rk4_order = math.log2(errors[0] / errors[1])
 
@@ -400,7 +400,7 @@ def test_criterion_9_numerical_analysis_properties():
     for n in (8, 16):
         grid = TimeGrid(0.0, 2.0, n)
         rates = sample_rates(linear.beta, linear.gamma, grid)
-        x = rk4_forward(x0, zero_controls(grid), params, rates, linear.n0)
+        x = rk4_forward(x0, zero_controls(grid), params, rates)
         cost = evaluate_cost(linear, x, zero_controls(grid), rates)
         quad_errors.append(abs(cost - quad_exact))
     quad_order = math.log2(quad_errors[0] / quad_errors[1])

@@ -7,6 +7,7 @@ import pytest
 from marketopt.cli import main
 from marketopt.config import (
     ConfigError,
+    RunConfig,
     config_from_scenario,
     config_to_dict,
     load_config,
@@ -278,9 +279,15 @@ def test_zero_l2_control_weight_is_an_input_error(tmp_path, capsys):
     doc = config_to_dict(config_from_scenario(preset_scenario("scenario1")))
     doc["scenario"]["weights"]["kappa3"] = 0.0
     cfg.write_text(json.dumps(doc))
-    code = _run("solve", "--config", str(cfg), "--out", str(tmp_path / "x"))
-    assert code == 1
-    assert "kappa3 > 0" in capsys.readouterr().err
+    # Scenario judges the weights when the config is read, before any output
+    for command in ("solve", "compare"):
+        code = _run(command, "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: invalid value under scenario: "
+            "quadratic control law needs kappa2 > 0 and kappa3 > 0\n"
+        )
+        assert not (tmp_path / "x").exists()
 
 
 def _config_with(tmp_path, preset, which, **fields):
@@ -423,3 +430,75 @@ def test_sweep_without_param_fails(tmp_path, capsys):
                 "--out", str(tmp_path / "x"))
     assert code == 1
     assert "--param" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def _sweep_config(tmp_path, preset, **sweep):
+    cfg = tmp_path / "c.json"
+    doc = config_to_dict(config_from_scenario(preset_scenario(preset), grid_n=50))
+    doc["sweep"] = sweep
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+@pytest.mark.parametrize(
+    ("command", "sweep", "flags", "message"),
+    [
+        ("sweep", {"param": "gamma", "values": [0.0]}, [],
+         "field sweep.values must be > 0 for gamma"),
+        ("sweep", {"param": "kappa2", "values": [-1.0]}, [],
+         "field sweep.values must be > 0 for kappa2"),
+        ("sweep", {"param": "beta", "values": [5.0]}, [],
+         "field sweep.values must lie in [0, 3] for beta"),
+        ("compare", {"param": "beta", "values": [5.0]}, [],
+         "field sweep.values must lie in [0, 3] for beta"),
+        ("sweep", {"param": "tf", "values": [2.0]}, [],
+         "field sweep.values must lie in [4, 14] for tf"),
+        # valid for beta as written, then judged again for the --param swap
+        ("sweep", {"param": "beta", "values": [0.0, 1.0]}, ["--param", "gamma"],
+         "field sweep.values must be > 0 for gamma"),
+        ("sweep", {"param": "delta"}, [],
+         "field sweep.param must be one of ('gamma', 'kappa2', 'beta', 'tf'), "
+         "got 'delta'"),
+    ],
+    ids=["gamma", "kappa2", "beta", "beta-compare", "tf", "param-swap", "unknown"],
+)
+def test_bad_sweep_section_fails_before_any_output(
+    tmp_path, capsys, command, sweep, flags, message
+):
+    cfg = _sweep_config(tmp_path, "comparison-default", **sweep)
+    out = tmp_path / "run"
+    code = _run(command, "--config", str(cfg), *flags, "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_objective_override_on_zero_l2_weight_names_the_scenario(tmp_path, capsys):
+    cfg = _config_with(tmp_path, "scenario3-l1", "weights", kappa3=0.0)
+    out = tmp_path / "run"
+    assert _run("solve", "--config", str(cfg), "--n", "100", "--out", str(out)) == 0
+    code = _run("solve", "--config", str(cfg), "--objective", "l2",
+                "--out", str(tmp_path / "l2"))
+    assert code == 1
+    assert "error: invalid value under scenario: " in capsys.readouterr().err
+    assert not (tmp_path / "l2").exists()
+
+
+def test_run_config_rejects_empty_sweep_values():
+    base = config_from_scenario(preset_scenario("comparison-default"))
+    with pytest.raises(ConfigError, match="^field sweep.values must not be empty$"):
+        RunConfig(base.scenario, base.settings, sweep_param="gamma", sweep_values=())
+    # None stands for the parameter's defaults
+    cfg = RunConfig(base.scenario, base.settings, sweep_param="tf")
+    assert cfg.sweep_spec().values == (4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
+
+
+def test_uncreatable_out_dir_is_an_input_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = _run("solve", "--preset", "scenario1", "--out", str(taken))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(taken) in err

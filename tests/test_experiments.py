@@ -27,7 +27,7 @@ FAST_RATES = sample_rates(COMPARISON.beta, COMPARISON.gamma, FAST_GRID)
 
 
 def _uncontrolled(sc, rates):
-    return rk4_forward(sc.x0, zero_controls(rates.grid), sc.params, rates, sc.n0)
+    return rk4_forward(sc.x0, zero_controls(rates.grid), sc.params, rates)
 
 
 FAST_FREE = _uncontrolled(COMPARISON, FAST_RATES)
@@ -93,7 +93,7 @@ def test_compare_integrates_the_uncontrolled_state_once(monkeypatch):
         StrategyKind.NO_CONTROL, StrategyKind.CONSTANT, StrategyKind.FOLLOW_HEURISTIC
     ):
         u = strategy_controls(strategy, COMPARISON, FAST_FREE)
-        x = rk4_forward(COMPARISON.x0, u, COMPARISON.params, FAST_RATES, COMPARISON.n0)
+        x = rk4_forward(COMPARISON.x0, u, COMPARISON.params, FAST_RATES)
         cost = evaluate_cost(COMPARISON, x, u, FAST_RATES)
         expected.append((strategy, cost, True, 0))
     result = solve(COMPARISON, FAST_SETTINGS)
@@ -217,7 +217,7 @@ def test_compare_costs_every_row_on_the_scenario_horizon():
     for kind in (StrategyKind.NO_CONTROL, StrategyKind.CONSTANT,
                  StrategyKind.FOLLOW_HEURISTIC):
         u = strategy_controls(kind, sc, _uncontrolled(sc, rates))
-        x = rk4_forward(sc.x0, u, sc.params, rates, sc.n0)
+        x = rk4_forward(sc.x0, u, sc.params, rates)
         assert table.cost_of(kind) == evaluate_cost(sc, x, u, rates)
     optimal = solve(sc, SweepSettings(n=700))
     assert optimal.state.grid == rates.grid
@@ -249,17 +249,17 @@ def test_failed_cells_are_recorded_not_raised():
 
 
 def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^param must be one of .*, got 'delta'$"):
         SweepSpec(parameter="delta", values=(1.0,), base=COMPARISON)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^values must not be empty$"):
         SweepSpec(parameter="gamma", values=(), base=COMPARISON)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^values must be > 0 for gamma$"):
         SweepSpec(parameter="gamma", values=(0.0,), base=COMPARISON)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^values must lie in \[0, 3\] for beta$"):
         SweepSpec(parameter="beta", values=(5.0,), base=COMPARISON)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^values must lie in \[4, 14\] for tf$"):
         SweepSpec(parameter="tf", values=(2.0,), base=COMPARISON)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^strategies must not be empty$"):
         SweepSpec(parameter="gamma", values=(0.5,), base=COMPARISON, strategies=())
     with pytest.raises(ValueError, match="values must not repeat an entry"):
         SweepSpec(parameter="gamma", values=(0.1, 0.5, 0.1), base=COMPARISON)
@@ -269,6 +269,21 @@ def test_sweep_spec_validation():
             parameter="gamma", values=(0.5,), base=COMPARISON,
             strategies=(constant, StrategyKind.OPTIMAL, constant),
         )
+
+
+@pytest.mark.parametrize(
+    ("strategies", "message"),
+    [
+        ((), "^strategies must not be empty$"),
+        ((StrategyKind.CONSTANT,) * 2, "^strategies must not repeat an entry$"),
+    ],
+    ids=["empty", "duplicate"],
+)
+def test_compare_rejects_a_strategy_list_like_sweep_spec(strategies, message):
+    with pytest.raises(ValueError, match=message):
+        compare_strategies(COMPARISON, FAST_SETTINGS, strategies)
+    with pytest.raises(ValueError, match=message):
+        SweepSpec("gamma", (0.5,), COMPARISON, strategies)
 
 
 def test_default_sweep_values():

@@ -39,9 +39,7 @@ def _rates(sc, grid):
 
 def _forward_no_control(grid):
     sc = SCENARIO1
-    return rk4_forward(
-        sc.x0, zero_controls(grid), sc.params, _rates(sc, grid), sc.n0
-    )
+    return rk4_forward(sc.x0, zero_controls(grid), sc.params, _rates(sc, grid))
 
 
 def test_grid_basics():
@@ -63,7 +61,7 @@ def test_equilibrium_stays_exactly_constant():
     grid = TimeGrid(0.0, 7.0, 100)
     x = rk4_forward(
         State(0.0, 0.0, 1.0), zero_controls(grid), SCENARIO1.params,
-        _rates(SCENARIO1, grid), 1.0,
+        _rates(SCENARIO1, grid),
     )
     assert np.array_equal(x.values, np.tile([0.0, 0.0, 1.0], (101, 1)))
 
@@ -81,7 +79,7 @@ def test_forward_conserves_with_controls_on():
     u[:, 1] = 0.5
     x = rk4_forward(
         SCENARIO1.x0, ControlGrid(grid, u), SCENARIO1.params,
-        _rates(SCENARIO1, grid), SCENARIO1.n0,
+        _rates(SCENARIO1, grid),
     )
     assert np.abs(x.values.sum(axis=1) - SCENARIO1.n0).max() <= 1e-12
 
@@ -111,7 +109,7 @@ def test_rk4_is_fourth_order_against_matrix_exponential():
     for n in (8, 16):
         grid = TimeGrid(0.0, 2.0, n)
         rates = sample_rates(Constant(0.0), Constant(gamma), grid)
-        x = rk4_forward(x0, zero_controls(grid), params, rates, 1.0)
+        x = rk4_forward(x0, zero_controls(grid), params, rates)
         errors.append(np.abs(x.values[-1] - exact).max())
     order = math.log2(errors[0] / errors[1])
     assert order >= 3.7
@@ -128,7 +126,7 @@ def test_negative_overshoot_aborts_with_step_diagnostic():
     with pytest.raises(IntegrationError, match="reduce the step size") as err:
         rk4_forward(
             State(0.5, 0.0, 0.5), ControlGrid(grid, u), params,
-            sample_rates(Constant(0.0), Constant(0.0), grid), 1.0,
+            sample_rates(Constant(0.0), Constant(0.0), grid),
         )
     assert err.value.step == 1
 
@@ -142,19 +140,19 @@ def test_nonfinite_state_aborts_with_step_index():
     with pytest.raises(IntegrationError, match="non-finite") as err:
         rk4_forward(
             State(1e308, 0.0, 0.0), zero_controls(grid), params,
-            sample_rates(Constant(0.0), Constant(0.0), grid), 1e308,
+            sample_rates(Constant(0.0), Constant(0.0), grid),
         )
     assert err.value.step >= 1
 
 
-def _reference_forward(x0, u, params, rates, n0):
+def _reference_forward(x0, u, params, rates):
     """RK4 on the total with one model.rhs_terms call per stage: the reference
     for the inlined step of rk4_forward, with the same checks and messages."""
     grid, h = u.grid, u.grid.h
     us = u.values.tolist()
     beta_n, beta_m = rates.beta_nodes.tolist(), rates.beta_mid.tolist()
     gamma_n, gamma_m = rates.gamma_nodes.tolist(), rates.gamma_mid.tolist()
-    total = x0.R + x0.C + x0.P
+    n0 = total = x0.R + x0.C + x0.P
     if not math.isfinite(total):
         raise ValueError("initial total R + C + P must be finite")
     x = (x0.R, x0.P)
@@ -217,7 +215,7 @@ def _random_controls(sc, grid, seed):
 def test_inlined_forward_step_is_bit_identical_to_rhs_terms(name, n):
     sc = preset_scenario(name)
     grid = TimeGrid(0.0, sc.t_f, n)
-    args = (sc.x0, _random_controls(sc, grid, n), sc.params, _rates(sc, grid), sc.n0)
+    args = (sc.x0, _random_controls(sc, grid, n), sc.params, _rates(sc, grid))
     assert _forward_outcome(rk4_forward, *args) == _forward_outcome(
         _reference_forward, *args
     )
@@ -240,9 +238,9 @@ def _three_component_rhs(R, C, P, u1, u2, beta_t, gamma_t, params, n0):
     return np.array((dR, dC, dP))
 
 
-def _three_component_forward(x0, u, params, rates, n0):
+def _three_component_forward(x0, u, params, rates):
     """Classical RK4 on (R, C, P), one call per stage: an accuracy oracle."""
-    h = u.grid.h
+    h, n0 = u.grid.h, x0.R + x0.C + x0.P
     us, u_mid = u.values, 0.5 * (u.values[:-1] + u.values[1:])
     x = np.array((x0.R, x0.C, x0.P))
     rows = [x]
@@ -267,7 +265,7 @@ def _three_component_forward(x0, u, params, rates, n0):
 def test_forward_on_the_total_matches_three_component_rk4(name, n):
     sc = preset_scenario(name)
     grid = TimeGrid(0.0, sc.t_f, n)
-    args = (sc.x0, _random_controls(sc, grid, n), sc.params, _rates(sc, grid), sc.n0)
+    args = (sc.x0, _random_controls(sc, grid, n), sc.params, _rates(sc, grid))
     x = rk4_forward(*args).values
     assert np.abs(x - _three_component_forward(*args)).max() <= 1e-14 * sc.n0
     assert tuple(x[0]) == (sc.x0.R, sc.x0.C, sc.x0.P)
@@ -286,14 +284,14 @@ def _failing_forward(case):
     )
     if case == "below the floor":
         u[25:, 1] = 1000.0
-        return State(0.5, 0.0, 0.5), ControlGrid(grid, u), params, zero, 1.0
+        return State(0.5, 0.0, 0.5), ControlGrid(grid, u), params, zero
     if case in ("infinite", "nan"):
         # from step 21 on, defection runs at a rate that overflows the stages,
         # to (-inf, -inf, inf) or to nan in every component
         g_nodes, g_mid = np.zeros(grid.n + 1), np.zeros(grid.n)
         g_nodes[21:] = g_mid[20:] = 1e150 if case == "infinite" else 1e308
         rates = GridRates(grid, zero.beta_nodes, zero.beta_mid, g_nodes, g_mid)
-        return State(0.5, 0.2, 0.3), ControlGrid(grid, u), params, rates, 1.0
+        return State(0.5, 0.2, 0.3), ControlGrid(grid, u), params, rates
     # no flow at all: R sits exactly on -NONNEG_TOLERANCE, which is allowed,
     # with a total that is small, or that overflows and is rejected up front
     still = ModelParams(
@@ -301,7 +299,7 @@ def _failing_forward(case):
     )
     big = 0.5 if case == "at the floor" else 1e308
     x0 = State(-NONNEG_TOLERANCE, big, big)
-    return x0, ControlGrid(grid, u), still, zero, 1.0
+    return x0, ControlGrid(grid, u), still, zero
 
 
 @pytest.mark.parametrize(
@@ -324,12 +322,28 @@ def test_inlined_forward_step_fails_like_the_reference(case, expected):
         assert outcome[0].startswith(expected)
 
 
+def test_passes_reject_a_zero_initial_total():
+    # the total of the first node is the model's n0, which the passes divide by
+    grid = TimeGrid(0.0, 1.0, 4)
+    u, rates = zero_controls(grid), _rates(SCENARIO1, grid)
+    message = r"^initial total R \+ C \+ P must be > 0, got 0\.0$"
+    with pytest.raises(ValueError, match=message):
+        rk4_forward(State(0.0, 0.0, 0.0), u, SCENARIO1.params, rates)
+    zero = Trajectory(grid, np.zeros((grid.n + 1, 3)))
+    with pytest.raises(ValueError, match=message):
+        rk4_backward(
+            Costate(0.0, 0.0, 0.0), zero, u, SCENARIO1.params, SCENARIO1.weights, rates
+        )
+    with pytest.raises(ValueError, match=message):
+        rk4_stages(zero, u, SCENARIO1.params, rates)
+
+
 def test_backward_terminal_value_is_exact():
     grid = TimeGrid(0.0, 7.0, 200)
     x = _forward_no_control(grid)
     p = rk4_backward(
         Costate(0.0, 0.0, 0.0), x, zero_controls(grid), SCENARIO1.params,
-        SCENARIO1.weights, _rates(SCENARIO1, grid), SCENARIO1.n0,
+        SCENARIO1.weights, _rates(SCENARIO1, grid),
     )
     assert tuple(p.values[-1]) == (0.0, 0.0, 0.0)
 
@@ -339,7 +353,7 @@ def test_backward_zero_weight_costate_is_identically_zero():
     x = _forward_no_control(grid)
     p = rk4_backward(
         Costate(0.0, 0.0, 0.0), x, zero_controls(grid), SCENARIO1.params,
-        Weights(0.0, 1.0, 1.0), _rates(SCENARIO1, grid), SCENARIO1.n0,
+        Weights(0.0, 1.0, 1.0), _rates(SCENARIO1, grid),
     )
     assert np.array_equal(p.values, np.zeros((201, 3)))
 
@@ -353,10 +367,8 @@ def test_backward_richardson_self_consistency():
         u[:, 0] = sc.params.u1_max
         frozen = ControlGrid(grid, u)
         rates = _rates(sc, grid)
-        x = rk4_forward(sc.x0, frozen, sc.params, rates, sc.n0)
-        p = rk4_backward(
-            Costate(0.0, 0.0, 0.0), x, frozen, sc.params, sc.weights, rates, sc.n0
-        )
+        x = rk4_forward(sc.x0, frozen, sc.params, rates)
+        p = rk4_backward(Costate(0.0, 0.0, 0.0), x, frozen, sc.params, sc.weights, rates)
         p3_at_start.append(p.values[0, 2])
     assert abs(p3_at_start[0] - p3_at_start[1]) <= 1e-8
 
@@ -368,7 +380,7 @@ def test_backward_rejects_mismatched_grids():
     with pytest.raises(ValueError, match="share one grid"):
         rk4_backward(
             Costate(0.0, 0.0, 0.0), x, zero_controls(grid_b), SCENARIO1.params,
-            SCENARIO1.weights, _rates(SCENARIO1, grid_a), SCENARIO1.n0,
+            SCENARIO1.weights, _rates(SCENARIO1, grid_a),
         )
 
 
@@ -411,9 +423,9 @@ def test_blocked_backward_matches_scalar_rk4(n, index):
         grid, rng.uniform(0.0, 1.0, (n + 1, 2)) * (sc.params.u1_max, sc.params.u2_max)
     )
     rates = sample_rates(beta, gamma, grid)
-    x = rk4_forward(sc.x0, u, sc.params, rates, sc.n0)
+    x = rk4_forward(sc.x0, u, sc.params, rates)
     p_end = Costate(*rng.uniform(-1.0, 1.0, 3))
-    p = rk4_backward(p_end, x, u, sc.params, sc.weights, rates, sc.n0)
+    p = rk4_backward(p_end, x, u, sc.params, sc.weights, rates)
     ref = _scalar_backward(
         (p_end.p1, p_end.p2, p_end.p3), x, u, sc.params, sc.weights, beta, gamma,
         sc.n0,
@@ -432,7 +444,7 @@ def test_nonfinite_adjoint_aborts_at_the_highest_bad_node(n):
         with pytest.raises(IntegrationError, match="non-finite adjoint at step") as err:
             rk4_backward(
                 Costate(0.0, 0.0, 0.0), x, zero_controls(grid), SCENARIO1.params,
-                Weights(1.7e308, 1.0, 1.0), _rates(SCENARIO1, grid), SCENARIO1.n0,
+                Weights(1.7e308, 1.0, 1.0), _rates(SCENARIO1, grid),
             )
     assert err.value.step == n - 1
 
@@ -442,7 +454,7 @@ def test_rates_must_match_the_grid():
     with pytest.raises(ValueError, match="share one grid"):
         rk4_forward(
             SCENARIO1.x0, zero_controls(grid), SCENARIO1.params,
-            _rates(SCENARIO1, TimeGrid(0.0, 7.0, 200)), SCENARIO1.n0,
+            _rates(SCENARIO1, TimeGrid(0.0, 7.0, 200)),
         )
 
 

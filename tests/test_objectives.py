@@ -28,7 +28,7 @@ def _cost(sc, grid, u=None):
     """The cost of sc under u (zero if None) along the state rk4_forward gives."""
     u = zero_controls(grid) if u is None else u
     rates = sample_rates(sc.beta, sc.gamma, grid)
-    x = rk4_forward(sc.x0, u, sc.params, rates, sc.n0)
+    x = rk4_forward(sc.x0, u, sc.params, rates)
     return evaluate_cost(sc, x, u, rates)
 
 
@@ -86,8 +86,8 @@ def test_cost_weighs_each_stage_by_the_rk4_weights():
     rng = np.random.default_rng(3)
     u = ControlGrid(grid, rng.uniform(0.0, 0.05, (grid.n + 1, 2)))
     rates = sample_rates(SCENARIO1.beta, SCENARIO1.gamma, grid)
-    x = rk4_forward(SCENARIO1.x0, u, SCENARIO1.params, rates, SCENARIO1.n0)
-    states, controls, _ = rk4_stages(x, u, SCENARIO1.params, rates, SCENARIO1.n0)
+    x = rk4_forward(SCENARIO1.x0, u, SCENARIO1.params, rates)
+    states, controls, _ = rk4_stages(x, u, SCENARIO1.params, rates)
     stage_costs = [
         running_cost("l2", s[:, 2], c[:, 0], c[:, 1], SCENARIO1.weights)
         for s, c in zip(states, controls)
@@ -147,9 +147,7 @@ def test_linear_cost_dominates_quadratic_for_small_controls(data):
 def test_mismatched_grids_are_rejected():
     grid = TimeGrid(0.0, 1.0, 10)
     rates = sample_rates(SCENARIO1.beta, SCENARIO1.gamma, grid)
-    x = rk4_forward(
-        SCENARIO1.x0, zero_controls(grid), SCENARIO1.params, rates, SCENARIO1.n0
-    )
+    x = rk4_forward(SCENARIO1.x0, zero_controls(grid), SCENARIO1.params, rates)
     other = TimeGrid(0.0, 1.0, 20)
     with pytest.raises(ValueError, match="share one grid"):
         evaluate_cost(SCENARIO1, x, zero_controls(other), rates)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -116,6 +117,17 @@ def test_scenario_validation():
         Scenario(sc.params, sc.weights, sc.beta, sc.gamma, State(0, 0, 0), t_f=7.0)
     with pytest.raises(ValueError):
         Scenario(sc.params, sc.weights, sc.beta, sc.gamma, sc.x0, 7.0, objective="l3")
+
+
+@pytest.mark.parametrize("zero", ["kappa2", "kappa3"])
+def test_l2_scenario_needs_positive_control_weights(zero):
+    sc = preset_scenario("scenario1")
+    weights = replace(sc.weights, **{zero: 0.0})
+    with pytest.raises(ValueError, match="needs kappa2 > 0 and kappa3 > 0"):
+        Scenario(sc.params, weights, sc.beta, sc.gamma, sc.x0, 7.0, objective="l2")
+    # the l1 control law does not divide by the weights
+    l1 = Scenario(sc.params, weights, sc.beta, sc.gamma, sc.x0, 7.0, objective="l1")
+    assert getattr(l1.weights, zero) == 0.0
 
 
 def test_scenario_rejects_a_nonfinite_initial_total():

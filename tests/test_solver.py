@@ -100,7 +100,7 @@ def test_dominant_control_cost_pins_controls_at_zero():
     assert np.abs(result.controls.values).max() <= 1e-6
     free = rk4_forward(
         sc.x0, zero_controls(grid), sc.params,
-        sample_rates(sc.beta, sc.gamma, grid), sc.n0,
+        sample_rates(sc.beta, sc.gamma, grid),
     )
     assert np.abs(result.state.values - free.values).max() <= 1e-6
 
@@ -317,10 +317,8 @@ def test_reported_solution_is_the_reintegration_of_its_controls(name, settings):
     sc = preset_scenario(name)
     result = solve(sc, settings)
     u = result.controls
-    x = rk4_forward(sc.x0, u, sc.params, result.rates, sc.n0)
-    p = rk4_backward(
-        Costate(0.0, 0.0, 0.0), x, u, sc.params, sc.weights, result.rates, sc.n0
-    )
+    x = rk4_forward(sc.x0, u, sc.params, result.rates)
+    p = rk4_backward(Costate(0.0, 0.0, 0.0), x, u, sc.params, sc.weights, result.rates)
     assert np.array_equal(result.state.values, x.values)
     assert np.array_equal(result.costate.values, p.values)
     assert result.cost == evaluate_cost(sc, x, u, result.rates)
