@@ -66,7 +66,6 @@ from .solver import (
     DivergenceError,
     SolveResult,
     SweepSettings,
-    convergence_test,
     solve,
 )
 
@@ -103,7 +102,6 @@ __all__ = [
     "compare_strategies",
     "control_law_l1",
     "control_law_l2",
-    "convergence_test",
     "costate_rhs",
     "default_grid",
     "default_sweep_values",

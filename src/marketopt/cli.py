@@ -8,7 +8,8 @@ exact in-memory doubles, and identical inputs produce byte-identical
 artifacts.
 
 Exit status: 0 on success with convergence, 2 when a sweep solve did not
-converge (artifacts are still written), 1 on unusable input, before any write.
+converge (artifacts are still written), 1 on unusable input or a diverged
+solve.  Every command computes before it writes, so exit 1 writes nothing.
 """
 
 from __future__ import annotations
@@ -169,13 +170,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _cmd_solve(cfg: RunConfig, out_dir: Path) -> int:
-    result = solve(cfg.scenario, cfg.settings)
-    _write_trajectory(result, cfg, out_dir)
-    _write_summary(result, cfg, out_dir)
-    return 0 if result.converged else 2
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -185,15 +179,20 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         cfg = _resolve_config(args)
+        # compute first, so that a run that fails writes nothing
+        if args.command == "solve":
+            result = solve(cfg.scenario, cfg.settings)
+        elif args.command == "compare":
+            table = compare_strategies(cfg.scenario, cfg.settings, cfg.sweep_strategies)
+        else:
+            table = run_sweep(cfg.sweep_spec(), cfg.settings)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         dump_config(cfg, out_dir / "config.json")
         if args.command == "solve":
-            return _cmd_solve(cfg, out_dir)
-        if args.command == "compare":
-            table = compare_strategies(cfg.scenario, cfg.settings, cfg.sweep_strategies)
-        else:
-            table = run_sweep(cfg.sweep_spec(), cfg.settings)
+            _write_trajectory(result, cfg, out_dir)
+            _write_summary(result, cfg, out_dir)
+            return 0 if result.converged else 2
         _write_table(table, cfg, out_dir)
         return 0 if all(row.converged for row in table.rows) else 2
     except (ValueError, OSError, DivergenceError) as err:  # includes ConfigError

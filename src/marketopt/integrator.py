@@ -1,23 +1,24 @@
 """Fixed-step classical RK4 on a shared uniform grid.
 
 The state system integrates forward from t0; the adjoint system integrates
-backward from t_f re-using the already-computed state trajectory.  Controls
-live on the grid nodes: the stages at the interval ends use the nodal
-controls and the two midpoint stages use their average, which keeps fourth
-order for smooth controls.  States needed at backward midpoints are the
-average of the adjacent nodal states.
+backward from t_f re-using the already-computed state trajectory.  Every RK4
+stage reads its inputs from one half-step layout of 2n+1 rows, nodes at even
+rows and interval midpoints at odd rows: step i reads rows 2i, 2i+1 (twice)
+and 2i+2.  ``sample_rates`` samples beta and gamma there once per grid, and
+``_half_steps`` lays out controls and states the same way, with the average
+of the two adjacent nodes at each midpoint, which keeps fourth order for
+smooth controls.
 
-Both passes read beta and gamma from one table sampled per grid at the nodes
-and midpoints (``sample_rates``).  The forward pass steps node by node on the
-conserved total N = R + C + P of x0: it carries only R and P, with the stages
-of ``model.rhs_terms`` written out inline, operation for operation, so its
-bits are those of calling that kernel per stage, on scalars or on columns,
-and it fills in C as N - R - P.  ``rk4_stages`` makes those calls on whole
-columns: from the nodes of a trajectory it rebuilds every step's four stage
-states, which the cost rule reads, and the node each step lands on.  The
-adjoint system is linear in p, so the backward pass builds each step as an
-affine map, on whole blocks of steps at once, and composes them in linear
-work.  Trajectory and ControlGrid share one node-table check.
+The forward pass steps node by node on the conserved total N = R + C + P of
+x0: it carries only R and P, with the stages of ``model.rhs_terms`` written
+out inline, operation for operation, so its bits are those of calling that
+kernel per stage, on scalars or on columns, and it fills in C as N - R - P.
+``rk4_stages`` makes those calls on whole columns: from the nodes of a
+trajectory it rebuilds every step's stage states, which the cost rule reads.
+The adjoint system is linear in p, so the backward pass makes one
+``pmp.costate_system`` call per block of steps, builds each step as an affine
+map, and composes them in linear work.  Trajectory and ControlGrid share one
+node-table check.
 """
 
 from __future__ import annotations
@@ -138,28 +139,25 @@ def _sample_times(grid: TimeGrid) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridRates:
-    """beta and gamma at the nodes and interval midpoints of a grid.
+    """beta and gamma as (2n+1,) arrays at ``_sample_times(grid)``.
 
-    Every value must be finite and >= 0; names label the two rates in errors.
+    The nodes are the even rows and the interval midpoints the odd rows, the
+    half-step layout that every RK4 pass reads.  Every value must be finite
+    and >= 0; names label the two rates in errors.
     """
 
     grid: TimeGrid
-    beta_nodes: np.ndarray
-    beta_mid: np.ndarray
-    gamma_nodes: np.ndarray
-    gamma_mid: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
     names: tuple[str, str] = ("beta", "gamma")
 
     def __post_init__(self) -> None:
         n = self.grid.n
         ts = _sample_times(self.grid)
         for name, field in zip(self.names, ("beta", "gamma")):
-            nodes = np.array(getattr(self, f"{field}_nodes"), dtype=float)
-            mid = np.array(getattr(self, f"{field}_mid"), dtype=float)
-            if nodes.shape != (n + 1,) or mid.shape != (n,):
+            values = np.array(getattr(self, field), dtype=float)
+            if values.shape != ts.shape:
                 raise ValueError(f"{field} needs {n + 1} node and {n} midpoint values")
-            values = np.empty_like(ts)
-            values[0::2], values[1::2] = nodes, mid
             bad = ~(np.isfinite(values) & (values >= 0.0))
             if bad.any():
                 i = int(np.argmax(bad))
@@ -168,20 +166,38 @@ class GridRates:
                     "rates must be finite and >= 0"
                 )
             values.setflags(write=False)
-            object.__setattr__(self, f"{field}_nodes", values[0::2])
-            object.__setattr__(self, f"{field}_mid", values[1::2])
+            object.__setattr__(self, field, values)
 
 
 def sample_rates(beta: RateCallable, gamma: RateCallable, grid: TimeGrid) -> GridRates:
-    """Sample both rates at the nodes and midpoints of grid, one call per point."""
-    ts = _sample_times(grid)
-    b = np.array([float(beta(t)) for t in ts])
-    g = np.array([float(gamma(t)) for t in ts])
-    names = (
-        f"beta rate {getattr(beta, 'label', beta)}",
-        f"gamma rate {getattr(gamma, 'label', gamma)}",
-    )
-    return GridRates(grid, b[0::2], b[1::2], g[0::2], g[1::2], names)
+    """Sample both rates at the nodes and midpoints of grid, one call per point.
+
+    The times are Python floats, so a rate that overflows gives inf, with no
+    warning, and one that cannot be evaluated raises ValueError naming it.
+    """
+    ts = _sample_times(grid).tolist()
+    rates: dict[str, list[float]] = {}
+    for kind, rate in (("beta", beta), ("gamma", gamma)):
+        name = f"{kind} rate {getattr(rate, 'label', rate)}"
+        values = rates[name] = []
+        for t in ts:
+            try:
+                values.append(float(rate(t)))
+            except (ArithmeticError, ValueError) as err:
+                raise ValueError(
+                    f"{name} has no value at t={t:.6g} ({err}); "
+                    "rates must be finite and >= 0"
+                ) from None
+    return GridRates(grid, *rates.values(), tuple(rates))
+
+
+def _half_steps(nodes: np.ndarray) -> np.ndarray:
+    """A node table in the layout of ``GridRates``: interval averages at odd rows."""
+    cols = nodes.T  # filled by columns: 4-5x faster than by rows of 2 or 3 values
+    rows = np.empty((len(cols), 2 * len(nodes) - 1))
+    rows[:, 0::2] = cols
+    rows[:, 1::2] = 0.5 * (cols[:, :-1] + cols[:, 1:])
+    return rows.T
 
 
 def _on_total(rp: np.ndarray, total: float) -> np.ndarray:
@@ -203,21 +219,16 @@ def rk4_forward(
     h = grid.h
     half = 0.5 * h
     sixth = h / 6.0
-    u1, u2 = u.values[:, 0], u.values[:, 1]
-    drive_n = (rates.beta_nodes + u2).tolist()
-    drive_m = (rates.beta_mid + 0.5 * (u2[:-1] + u2[1:])).tolist()
-    u1_m = (0.5 * (u1[:-1] + u1[1:])).tolist()
-    u1 = u1.tolist()
-    gamma_n, gamma_m = rates.gamma_nodes.tolist(), rates.gamma_mid.tolist()
+    uh = _half_steps(u.values)
+    # u1, beta + u2 and gamma at every half-step row; step i reads rows 2i..2i+2
+    series = uh[:, 0].tolist(), (rates.beta + uh[:, 1]).tolist(), rates.gamma.tolist()
     a1, a2 = params.alpha1, params.alpha2
     l1, m2 = params.lambda1, -params.lambda2
     floor = -NONNEG_TOLERANCE
 
     R, P, N = x0.R, x0.P, _require_total(x0)
     rows = [(R, P)]
-    steps = zip(
-        u1, u1_m, u1[1:], drive_n, drive_m, drive_n[1:], gamma_n, gamma_m, gamma_n[1:]
-    )
+    steps = zip(*(s[k::2] for s in series for k in (0, 1, 2)))
     for i, (ua, um, ub, da, dm, db, ga, gm, gb) in enumerate(steps, 1):
         s, d = da * P * R / N, ua * P
         kR1 = m2 * R + l1 * (N - R - P) - ga * R + a1 * d + a2 * s
@@ -258,52 +269,42 @@ def rk4_stages(
     u: ControlGrid,
     params: ModelParams,
     rates: GridRates,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The RK4 step from every node of x under u, on whole columns.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every step's four RK4 stage inputs, rebuilt on whole columns from x's nodes.
 
-    Returns (states, controls, stepped) with shapes (4, n, 3), (4, n, 2) and
-    (n, 3).  states[k, i] and controls[k, i] are where stage k+1 of step i
-    evaluates ``model.rhs_terms``: node i, the two midpoint predictions, then
-    the end-point prediction, under u_i, the midpoint average twice, then
-    u_{i+1}.  stepped[i] is node i advanced one step with the operations of
-    ``rk4_forward``, with the total of x's first node as n0 and N, so on a
-    trajectory from that pass it is node i+1 bit for bit.
+    Returns (states, controls) with shapes (4, n, 3) and (4, n, 2):
+    states[k, i] and controls[k, i] are where stage k+1 of step i evaluates
+    ``model.rhs_terms``: node i, the two midpoint predictions, then the
+    end-point prediction, under u_i, the midpoint average twice, then u_{i+1}.
+    The total of x's first node is n0 and N.
     """
     grid = x.grid
     if not grid == u.grid == rates.grid:
         raise ValueError("state, controls and rates must share one grid")
     h = grid.h
-    xs, us = x.values[:-1], u.values
-    u_mid = 0.5 * (us[:-1] + us[1:])
-    controls = np.stack((us[:-1], u_mid, u_mid, us[1:]))
-    betas = (rates.beta_nodes[:-1], rates.beta_mid, rates.beta_mid, rates.beta_nodes[1:])
-    gammas = (
-        rates.gamma_nodes[:-1], rates.gamma_mid, rates.gamma_mid, rates.gamma_nodes[1:]
-    )
+    # half-step row read by stage k+1 of step i
+    rows = np.array([[0], [1], [1], [2]]) + 2 * np.arange(grid.n)
+    controls = _half_steps(u.values)[rows]
+    betas, gammas = rates.beta[rows], rates.gamma[rows]
     N = _require_total(State(*x.values[0].tolist()))
-    rp = xs[:, 0::2]
-    stages, slopes = np.empty((2, 4, grid.n, 2))
-    stages[0] = rp
-    for k, reach in enumerate((0.5 * h, 0.5 * h, h, None)):
-        terms = rhs_terms(
-            *stages[k].T, *controls[k].T, betas[k], gammas[k], params, N, N
-        )
-        slopes[k] = np.column_stack(terms)
-        if reach is not None:
-            stages[k + 1] = rp + reach * slopes[k]
-    k1, k2, k3, k4 = slopes
-    stepped = rp + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    xs = x.values[:-1]
+    stages = np.empty((4, grid.n, 2))
+    stages[0] = rp = xs[:, 0::2]
+    for k, reach in enumerate((0.5 * h, 0.5 * h, h)):
+        slope = rhs_terms(*stages[k].T, *controls[k].T, betas[k], gammas[k], params, N, N)
+        stages[k + 1] = rp + reach * np.column_stack(slope)
     states = _on_total(stages, N)
     states[0] = xs
-    return states, controls, _on_total(stepped, N)
+    return states, controls
 
 
-def _step_maps(at_nodes: np.ndarray, at_mid: np.ndarray, h: float) -> np.ndarray:
+def _step_maps(S: np.ndarray, h: float) -> np.ndarray:
     """RK4 steps of (dp/dt, 0) = S @ (p, 1) with step -h, as 4x4 maps M_i.
 
-    at_nodes holds S at nodes lo..hi and at_mid at the midpoints between
-    them; (p_i, 1) = M_i @ (p_{i+1}, 1).
+    S holds the system at the half-step rows of nodes lo..hi: nodes at even
+    rows, midpoints at odd rows; (p_i, 1) = M_i @ (p_{i+1}, 1).
     """
+    at_nodes, at_mid = S[0::2], S[1::2]
     K1 = at_nodes[1:]
     K2 = at_mid - (0.5 * h) * (at_mid @ K1)
     K3 = at_mid - (0.5 * h) * (at_mid @ K2)
@@ -342,34 +343,29 @@ def rk4_backward(
 ) -> Trajectory:
     """Integrate the adjoint system from t_f down to t0 along x and u.
 
-    Each RK4 step is an affine map of p.  Per block of BACKWARD_BLOCK steps
-    ``_suffix_products`` applies the products M_i M_{i+1} ... M_{hi-1} to the
-    block's top node, in linear work.  The result is stored forward-indexed;
-    its final node equals p_terminal exactly.  The model's n0 is the total of
-    x's first node, which on a trajectory from ``rk4_forward`` is x0's.
+    Each RK4 step is an affine map of p.  Per block of BACKWARD_BLOCK steps,
+    one ``costate_system`` call on the block's half-step rows gives the maps,
+    and ``_suffix_products`` composes them onto the block's top node in linear
+    work.  The final node equals p_terminal exactly, and the model's n0 is the
+    total of x's first node, which on a trajectory from ``rk4_forward`` is x0's.
     """
     if not x.grid == u.grid == rates.grid:
         raise ValueError("state, controls and rates must share one grid")
     grid, n0 = x.grid, _require_total(State(*x.values[0].tolist()))
     h = grid.h
-    xs, us = x.values, u.values
-    x_mid = 0.5 * (xs[:-1] + xs[1:])
-    u_mid = 0.5 * (us[:-1] + us[1:])
+    xs, us = _half_steps(x.values), _half_steps(u.values)
 
     out = np.empty((grid.n + 1, 3))
     out[grid.n] = (p_terminal.p1, p_terminal.p2, p_terminal.p3)
     with np.errstate(over="ignore", invalid="ignore"):
         for hi in range(grid.n, 0, -BACKWARD_BLOCK):
             lo = max(0, hi - BACKWARD_BLOCK)
-            at_nodes = costate_system(
-                *xs[lo:hi + 1].T, *us[lo:hi + 1].T, rates.beta_nodes[lo:hi + 1],
-                rates.gamma_nodes[lo:hi + 1], params, weights, n0,
+            rows = slice(2 * lo, 2 * hi + 1)
+            S = costate_system(
+                *xs[rows].T, *us[rows].T, rates.beta[rows], rates.gamma[rows],
+                params, weights, n0,
             )
-            at_mid = costate_system(
-                *x_mid[lo:hi].T, *u_mid[lo:hi].T, rates.beta_mid[lo:hi],
-                rates.gamma_mid[lo:hi], params, weights, n0,
-            )
-            out[lo:hi] = _suffix_products(_step_maps(at_nodes, at_mid, h), out[hi])
+            out[lo:hi] = _suffix_products(_step_maps(S, h), out[hi])
             bad = ~np.isfinite(out[lo:hi]).all(axis=1)
             if bad.any():
                 i = lo + int(np.flatnonzero(bad)[-1])

@@ -9,9 +9,10 @@ Lipschitz constant times the horizon is small enough, so a worst residual
 larger than the one before halves the weight for the rest of the solve
 (from the third iteration on: the first residual is taken against the zero
 start).  That happens at most once: a weight that kept halving would freeze
-the iterates and pass the stopping test without a fixed point.  The loop
-stops when all eight tracked series (R, C, P, p1, p2, p3, u1, u2) change by
-less than tol_delta in relative l1 norm between iterations.
+the iterates and pass the stopping test without a fixed point.  The residual
+of an iteration is the worst relative l1 change, between iterations, of the
+eight tracked series (R, C, P, p1, p2, p3, u1, u2); the loop stops as soon as
+it is <= tol_delta.
 
 The returned controls are the optimality law on the last iterate.  The
 returned state, adjoint and cost are integrated once more under exactly
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -100,8 +100,10 @@ class SweepSettings:
 class SolveResult:
     """The last iterate, and the rate table it was solved on.
 
-    relaxation is the blending weight in force when the sweep stopped.  For
-    l1, interior_fraction is the share of nodes where a returned control lies
+    residual_history holds the residual of every iteration, so the sweep
+    converged if and only if its last entry is <= tol_delta.  relaxation is
+    the blending weight in force when the sweep stopped.  For l1,
+    interior_fraction is the share of nodes where a returned control lies
     more than 1e-12 inside both of its bounds.
     """
 
@@ -118,43 +120,19 @@ class SolveResult:
     interior_fraction: float | None = None
 
 
-def convergence_test(
-    old: Sequence[np.ndarray],
-    new: Sequence[np.ndarray],
-    tol_delta: float,
-) -> list[bool]:
-    """Per-quantity relative l1 test: tol*sum|new| - sum|new - old| >= 0."""
-    if len(old) != len(new):
-        raise ValueError(f"got {len(old)} old series but {len(new)} new series")
-    old = [np.asarray(q, dtype=float) for q in old]
-    new = [np.asarray(q, dtype=float) for q in new]
-    for old_q, new_q in zip(old, new):
-        if old_q.shape != new_q.shape:
-            raise ValueError(f"series length mismatch: {old_q.shape} vs {new_q.shape}")
-    return _passes(_l1_sums(old, new), tol_delta)
+def _residual(old: np.ndarray, new: np.ndarray) -> float:
+    """The worst relative l1 change, sum|new - old| / sum|new|, over the columns.
 
-
-def _l1_sums(old: Sequence[np.ndarray], new: Sequence[np.ndarray]) -> list[tuple]:
-    """(sum|new - old|, sum|new|) of each series."""
-    return [(np.abs(n - o).sum(), np.abs(n).sum()) for o, n in zip(old, new)]
-
-
-def _passes(sums: list[tuple], tol_delta: float) -> list[bool]:
-    return [bool(tol_delta * scale - change >= 0.0) for change, scale in sums]
-
-
-def _tracked(x: np.ndarray, p: np.ndarray, u: np.ndarray) -> list[np.ndarray]:
-    return [x[:, 0], x[:, 1], x[:, 2], p[:, 0], p[:, 1], p[:, 2], u[:, 0], u[:, 1]]
-
-
-def _worst_residual(sums: list[tuple]) -> float:
+    A column that moves while its new values are all zero gives inf.
+    """
     worst = 0.0
-    for change, scale in sums:
+    for o, n in zip(old.T, new.T):
+        change, scale = np.abs(n - o).sum(), np.abs(n).sum()
         if scale > 0.0:
             worst = max(worst, change / scale)
         elif change > 0.0:
-            return float("inf")
-    return worst
+            return math.inf
+    return float(worst)
 
 
 def _law_on_grid(
@@ -184,9 +162,7 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     rates = sample_rates(scenario.beta, scenario.gamma, grid)
 
     u_work = np.zeros((grid.n + 1, 2))
-    prev = _tracked(
-        np.zeros((grid.n + 1, 3)), np.zeros((grid.n + 1, 3)), u_work
-    )
+    prev = np.zeros((grid.n + 1, 8))
     u_law = u_work
     flags = None
     history: list[float] = []
@@ -209,10 +185,9 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
         x, p = integrate(ControlGrid(grid, u_work), iteration)
         u_law, flags = _law_on_grid(scenario, x, p, u_work, settings.eps_singular)
         u_work = weight * u_law + (1.0 - weight) * u_work
-        current = _tracked(x.values, p.values, u_work)
-        sums = _l1_sums(prev, current)
-        history.append(_worst_residual(sums))
-        if all(_passes(sums, settings.tol_delta)):
+        current = np.hstack((x.values, p.values, u_work))
+        history.append(_residual(prev, current))
+        if history[-1] <= settings.tol_delta:
             converged = True
             break
         if iteration >= 3 and history[-1] > history[-2] and weight == settings.relaxation:

@@ -32,6 +32,6 @@ def test_readme_library_example_runs_and_keeps_its_claims():
     exec(block, namespace)
     # a line "expr  # == other" claims that both expressions are equal
     claims = [line.split("  # == ") for line in block.splitlines() if "  # == " in line]
-    assert [rhs for _, rhs in claims] == ["result.cost"]
+    assert [rhs for _, rhs in claims] == ["result.cost", "result.converged"]
     for lhs, rhs in claims:
         assert eval(lhs, namespace) == eval(rhs, namespace)

@@ -332,6 +332,38 @@ def test_nonfinite_rate_parameter_is_an_input_error(
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "preset,fields,argv,message",
+    [
+        ("comparison-default", {"value": 500.0}, ["--n", "10"],
+         "error: sweep diverged at iteration 1: state component below -1e-12"),
+        ("scenario1", {"base": 1e308, "gain": 1e308}, [],
+         "error: beta rate logistic-increasing(base=1e+308, gain=1e+308) is inf "
+         "at t=4.69; rates must be finite and >= 0"),
+    ],
+    ids=["divergence", "overflowing-rate"],
+)
+def test_failed_solve_writes_nothing(tmp_path, capsys, preset, fields, argv, message):
+    cfg = _config_with(tmp_path, preset, "beta", **fields)
+    out = tmp_path / "x"
+    assert _run("solve", "--config", str(cfg), *argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_rate_without_a_value_names_the_rate_and_time(tmp_path, capsys):
+    # omega*t overflows to inf from t=1.8 on, where cos has no value
+    cfg = _config_with(tmp_path, "scenario3", "beta", omega=1e308)
+    out = tmp_path / "x"
+    assert _run("solve", "--config", str(cfg), "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        "error: beta rate sinusoidal(offset=0.01, amplitude=0.49) has no value at "
+        "t=1.8 (math domain error); rates must be finite and >= 0\n"
+    )
+    assert not out.exists()
+
+
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

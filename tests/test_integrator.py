@@ -145,13 +145,13 @@ def test_nonfinite_state_aborts_with_step_index():
     assert err.value.step >= 1
 
 
-def _reference_forward(x0, u, params, rates):
+def _reference_forward(x0, u, params, rates, stages=None):
     """RK4 on the total with one model.rhs_terms call per stage: the reference
-    for the inlined step of rk4_forward, with the same checks and messages."""
+    for the inlined step of rk4_forward, with the same checks and messages.
+    Each step's four stage states and controls are appended to stages."""
     grid, h = u.grid, u.grid.h
     us = u.values.tolist()
-    beta_n, beta_m = rates.beta_nodes.tolist(), rates.beta_mid.tolist()
-    gamma_n, gamma_m = rates.gamma_nodes.tolist(), rates.gamma_mid.tolist()
+    beta, gamma = rates.beta.tolist(), rates.gamma.tolist()
     n0 = total = x0.R + x0.C + x0.P
     if not math.isfinite(total):
         raise ValueError("initial total R + C + P must be finite")
@@ -160,19 +160,19 @@ def _reference_forward(x0, u, params, rates):
     for i in range(grid.n):
         (u1a, u2a), (u1b, u2b) = us[i], us[i + 1]
         um = (0.5 * (u1a + u1b), 0.5 * (u2a + u2b))
-        k1 = rhs_terms(*x, u1a, u2a, beta_n[i], gamma_n[i], params, n0, total)
-        k2 = rhs_terms(
-            *(a + 0.5 * h * k for a, k in zip(x, k1)), *um, beta_m[i], gamma_m[i],
-            params, n0, total,
-        )
-        k3 = rhs_terms(
-            *(a + 0.5 * h * k for a, k in zip(x, k2)), *um, beta_m[i], gamma_m[i],
-            params, n0, total,
-        )
-        k4 = rhs_terms(
-            *(a + h * k for a, k in zip(x, k3)), u1b, u2b, beta_n[i + 1],
-            gamma_n[i + 1], params, n0, total,
-        )
+        b, g = beta[2 * i:2 * i + 3], gamma[2 * i:2 * i + 3]
+        k1 = rhs_terms(*x, u1a, u2a, b[0], g[0], params, n0, total)
+        x2 = tuple(a + 0.5 * h * k for a, k in zip(x, k1))
+        k2 = rhs_terms(*x2, *um, b[1], g[1], params, n0, total)
+        x3 = tuple(a + 0.5 * h * k for a, k in zip(x, k2))
+        k3 = rhs_terms(*x3, *um, b[1], g[1], params, n0, total)
+        x4 = tuple(a + h * k for a, k in zip(x, k3))
+        k4 = rhs_terms(*x4, u1b, u2b, b[2], g[2], params, n0, total)
+        if stages is not None:
+            stages.append((
+                [rows[-1], *((r, total - r - q, q) for r, q in (x2, x3, x4))],
+                [(u1a, u2a), um, um, (u1b, u2b)],
+            ))
         x = tuple(
             a + h / 6.0 * (q1 + 2.0 * (q2 + q3) + q4)
             for a, q1, q2, q3, q4 in zip(x, k1, k2, k3, k4)
@@ -219,10 +219,13 @@ def test_inlined_forward_step_is_bit_identical_to_rhs_terms(name, n):
     assert _forward_outcome(rk4_forward, *args) == _forward_outcome(
         _reference_forward, *args
     )
-    # the column stages step each node to rk4_forward's next node
-    x = rk4_forward(*args)
-    _, _, stepped = rk4_stages(x, *args[1:])
-    assert stepped.tobytes() == x.values[1:].tobytes()
+    # the column stages are the reference's, step by step
+    stages = []
+    x = _reference_forward(*args, stages)
+    states, controls = rk4_stages(x, *args[1:])
+    ref_states, ref_controls = (np.array(a).swapaxes(0, 1) for a in zip(*stages))
+    assert states.tobytes() == ref_states.tobytes()
+    assert controls.tobytes() == ref_controls.tobytes()
 
 
 def _three_component_rhs(R, C, P, u1, u2, beta_t, gamma_t, params, n0):
@@ -244,16 +247,14 @@ def _three_component_forward(x0, u, params, rates):
     us, u_mid = u.values, 0.5 * (u.values[:-1] + u.values[1:])
     x = np.array((x0.R, x0.C, x0.P))
     rows = [x]
+    beta, gamma = rates.beta, rates.gamma
     for i in range(u.grid.n):
-        mid = (*u_mid[i], rates.beta_mid[i], rates.gamma_mid[i], params, n0)
-        k1 = _three_component_rhs(
-            *x, *us[i], rates.beta_nodes[i], rates.gamma_nodes[i], params, n0
-        )
+        mid = (*u_mid[i], beta[2 * i + 1], gamma[2 * i + 1], params, n0)
+        k1 = _three_component_rhs(*x, *us[i], beta[2 * i], gamma[2 * i], params, n0)
         k2 = _three_component_rhs(*(x + 0.5 * h * k1), *mid)
         k3 = _three_component_rhs(*(x + 0.5 * h * k2), *mid)
         k4 = _three_component_rhs(
-            *(x + h * k3), *us[i + 1], rates.beta_nodes[i + 1],
-            rates.gamma_nodes[i + 1], params, n0,
+            *(x + h * k3), *us[i + 1], beta[2 * i + 2], gamma[2 * i + 2], params, n0
         )
         x = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
         rows.append(x)
@@ -288,9 +289,9 @@ def _failing_forward(case):
     if case in ("infinite", "nan"):
         # from step 21 on, defection runs at a rate that overflows the stages,
         # to (-inf, -inf, inf) or to nan in every component
-        g_nodes, g_mid = np.zeros(grid.n + 1), np.zeros(grid.n)
-        g_nodes[21:] = g_mid[20:] = 1e150 if case == "infinite" else 1e308
-        rates = GridRates(grid, zero.beta_nodes, zero.beta_mid, g_nodes, g_mid)
+        gamma = np.zeros(2 * grid.n + 1)
+        gamma[41:] = 1e150 if case == "infinite" else 1e308  # midpoint 20 on
+        rates = GridRates(grid, zero.beta, gamma)
         return State(0.5, 0.2, 0.3), ControlGrid(grid, u), params, rates
     # no flow at all: R sits exactly on -NONNEG_TOLERANCE, which is allowed,
     # with a total that is small, or that overflows and is rejected up front
@@ -460,20 +461,20 @@ def test_rates_must_match_the_grid():
 
 def test_grid_rates_checks_lengths_and_values():
     grid = TimeGrid(0.0, 1.0, 4)
-    ok_nodes, ok_mid = np.full(5, 0.5), np.full(4, 0.5)
-    rates = GridRates(grid, ok_nodes, ok_mid, ok_nodes, ok_mid)
-    assert not rates.beta_nodes.flags.writeable
+    ok = np.full(9, 0.5)
+    rates = GridRates(grid, ok, ok)
+    assert not rates.beta.flags.writeable
     with pytest.raises(ValueError, match="beta needs 5 node and 4 midpoint values"):
-        GridRates(grid, np.full(6, 0.5), ok_mid, ok_nodes, ok_mid)
+        GridRates(grid, np.full(10, 0.5), ok)
     with pytest.raises(ValueError, match="gamma needs 5 node and 4 midpoint values"):
-        GridRates(grid, ok_nodes, ok_mid, ok_nodes, np.full(5, 0.5))
+        GridRates(grid, ok, np.full((5, 2), 0.5))
     for bad in (math.nan, math.inf, -1e-3):
-        mid = ok_mid.copy()
-        mid[2] = bad
+        values = ok.copy()
+        values[5] = bad  # the midpoint of the third interval
         with pytest.raises(ValueError, match=r"^gamma is .* at t=0\.625; rates must"):
-            GridRates(grid, ok_nodes, ok_mid, ok_nodes, mid)
+            GridRates(grid, ok, values)
         with pytest.raises(ValueError, match=r"^beta is .* at t=0\.625; rates must"):
-            GridRates(grid, ok_nodes, mid, ok_nodes, ok_mid)
+            GridRates(grid, values, ok)
 
 
 def test_trajectory_and_control_grid_validation():

@@ -101,7 +101,7 @@ def test_rhs_terms_on_columns_equals_per_node_scalar_calls(name):
     R, _, P = (rng.dirichlet((1.0, 1.0, 1.0), grid.n + 1) * sc.n0).T
     u1 = rng.uniform(0.0, sc.params.u1_max, grid.n + 1)
     u2 = rng.uniform(0.0, sc.params.u2_max, grid.n + 1)
-    columns = (R, P, u1, u2, rates.beta_nodes, rates.gamma_nodes)
+    columns = (R, P, u1, u2, rates.beta[0::2], rates.gamma[0::2])
     on_columns = rhs_terms(*columns, sc.params, sc.n0, sc.n0)
     per_node = [
         rhs_terms(*point, sc.params, sc.n0, sc.n0)

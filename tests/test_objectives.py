@@ -87,7 +87,7 @@ def test_cost_weighs_each_stage_by_the_rk4_weights():
     u = ControlGrid(grid, rng.uniform(0.0, 0.05, (grid.n + 1, 2)))
     rates = sample_rates(SCENARIO1.beta, SCENARIO1.gamma, grid)
     x = rk4_forward(SCENARIO1.x0, u, SCENARIO1.params, rates)
-    states, controls, _ = rk4_stages(x, u, SCENARIO1.params, rates)
+    states, controls = rk4_stages(x, u, SCENARIO1.params, rates)
     stage_costs = [
         running_cost("l2", s[:, 2], c[:, 0], c[:, 1], SCENARIO1.weights)
         for s, c in zip(states, controls)

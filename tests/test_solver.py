@@ -18,34 +18,27 @@ from marketopt.scenarios import PRESET_NAMES, Constant, Scenario, preset_scenari
 from marketopt.solver import (
     DivergenceError,
     SweepSettings,
-    convergence_test,
+    _residual,
     solve,
 )
 
 
-def test_convergence_test_identical_series_pass():
-    series = [np.array([1.0, -2.0, 3.0]), np.zeros(4)]
-    assert convergence_test(series, series, 1e-6) == [True, True]
+def test_residual_of_identical_series_is_zero():
+    series = np.array([[1.0, 0.0], [-2.0, 0.0], [3.0, 0.0]])
+    assert _residual(series, series) == 0.0
 
 
-def test_convergence_test_fails_when_new_collapses_to_zero():
-    old = [np.array([1.0, 1.0])]
-    new = [np.zeros(2)]
-    assert convergence_test(old, new, 0.5) == [False]
+def test_residual_is_inf_when_a_series_collapses_to_zero():
+    old = np.array([[2.0, 1.0], [3.0, 1.0]])
+    new = np.array([[2.0, 0.0], [3.0, 0.0]])
+    assert _residual(old, new) == float("inf")
 
 
-def test_convergence_test_passes_at_half_the_tolerance():
+def test_residual_of_half_the_tolerance_passes():
     tol = 1e-3
-    old = [np.array([2.0, 3.0, 4.0])]
-    new = [old[0] * (1.0 + tol / 2.0)]
-    assert convergence_test(old, new, tol) == [True]
-
-
-def test_convergence_test_rejects_mismatches():
-    with pytest.raises(ValueError):
-        convergence_test([np.zeros(3)], [np.zeros(3), np.zeros(3)], 1e-3)
-    with pytest.raises(ValueError):
-        convergence_test([np.zeros(3)], [np.zeros(4)], 1e-3)
+    old = np.array([[2.0], [3.0], [4.0]])
+    new = old * (1.0 + tol / 2.0)
+    assert 0.0 < _residual(old, new) <= tol
 
 
 def test_settings_validation():
@@ -322,3 +315,20 @@ def test_reported_solution_is_the_reintegration_of_its_controls(name, settings):
     assert np.array_equal(result.state.values, x.values)
     assert np.array_equal(result.costate.values, p.values)
     assert result.cost == evaluate_cost(sc, x, u, result.rates)
+
+
+@pytest.mark.parametrize(
+    "name, settings",
+    [
+        (name, SweepSettings(n=default_grid(7.0, preset_scenario(name).objective).n))
+        for name in PRESET_NAMES
+    ]
+    + [("scenario1", SweepSettings(n=350, max_iters=1)), ("scenario3-l1", CHATTERING_L1)],
+)
+def test_solve_stops_exactly_when_the_last_residual_meets_the_tolerance(name, settings):
+    result = solve(preset_scenario(name), settings)
+    *earlier, last = result.residual_history
+    assert len(result.residual_history) == result.iterations
+    assert all(r > settings.tol_delta for r in earlier)
+    assert result.converged == (last <= settings.tol_delta)
+    assert result.converged or result.iterations == settings.max_iters
