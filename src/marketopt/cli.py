@@ -179,6 +179,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if not exc.code else 1
     try:
         cfg = _resolve_config(args)
+        out_dir = Path(cfg.out_dir)
+        if out_dir.exists():  # an existing file fails now, with mkdir's own error
+            out_dir.mkdir(parents=True, exist_ok=True)
         # compute first, so that a run that fails writes nothing
         if args.command == "solve":
             result = solve(cfg.scenario, cfg.settings)
@@ -186,7 +189,6 @@ def main(argv: list[str] | None = None) -> int:
             table = compare_strategies(cfg.scenario, cfg.settings, cfg.sweep_strategies)
         else:
             table = run_sweep(cfg.sweep_spec(), cfg.settings)
-        out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         dump_config(cfg, out_dir / "config.json")
         if args.command == "solve":

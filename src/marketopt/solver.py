@@ -6,25 +6,31 @@ optimality law at every node, and blends the fresh controls with the
 previous iterate at the weight ``SweepSettings.relaxation`` (1 by default,
 a plain fixed-point step).  The sweep converges only when the dynamics'
 Lipschitz constant times the horizon is small enough, so a worst residual
-larger than the one before halves the weight for the rest of the solve
-(from the third iteration on: the first residual is taken against the zero
-start).  That happens at most once: a weight that kept halving would freeze
+larger than the one before halves the weight for the rest of the sweep
+(from the third iteration on: the first residual is taken against a zero
+iterate).  That happens at most once: a weight that kept halving would freeze
 the iterates and pass the stopping test without a fixed point.  The residual
 of an iteration is the worst relative l1 change, between iterations, of the
 eight tracked series (R, C, P, p1, p2, p3, u1, u2); the loop stops as soon as
 it is <= tol_delta.
 
+An l2 solve first runs the sweep on a grid COARSENING times coarser and, if
+that converges, starts from its law interpolated to the fine nodes.  The fine
+residual is still first taken against zero, so at least 2 fine iterations run
+(2 at the defaults).  l1 starts from zero: its coarse grids chatter.
+
 The returned controls are the optimality law on the last iterate.  The
 returned state, adjoint and cost are integrated once more under exactly
-those controls, so they form one consistent solution: re-integrating
-``result.controls`` reproduces them bit for bit.  The law itself holds on
-the iterate one pass earlier, not exactly on the returned pair.
+those controls (a pass skipped when the law returned the controls it was
+evaluated under, bit for bit), so they form one consistent solution:
+re-integrating ``result.controls`` reproduces them bit for bit.  The law
+itself holds on the iterate one pass earlier, not exactly on the returned pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from .integrator import (
     IntegrationError,
     TimeGrid,
     Trajectory,
+    _sample_times,
     rk4_backward,
     rk4_forward,
     sample_rates,
@@ -41,6 +48,9 @@ from .integrator import (
 from .objectives import evaluate_cost
 from .pmp import Costate, bang_bang_terms, l2_law_terms, switching_terms
 from .scenarios import Scenario
+
+# An l2 sweep first runs on a grid this many times coarser (see ``solve``).
+COARSENING = 8
 
 
 class DivergenceError(RuntimeError):
@@ -65,10 +75,10 @@ class SweepSettings:
     relaxation is the starting weight on the fresh controls in the convex
     update; ``solve`` halves it once if the worst residual grows from the
     third iteration on, and reports the weight in force at the end as
-    ``SolveResult.relaxation``.  The default 1 takes 5-6 iterations on the
-    l2 presets at n=350, against 13 at 0.5.  On coarse bang-bang grids the
-    full step stalls and the halving rescues it (scenario3-l1 at n=700 ends
-    at 0.5 after 8 iterations).
+    ``SolveResult.relaxation``.  From the coarse start (see ``solve``) the l2
+    presets at n=350 take 2 fine iterations at 1 or at 0.5.  On coarse
+    bang-bang grids the full step stalls and the halving rescues it
+    (scenario3-l1 at n=700 ends at 0.5 after 8 iterations).
     """
 
     n: int
@@ -104,7 +114,9 @@ class SolveResult:
     converged if and only if its last entry is <= tol_delta.  relaxation is
     the blending weight in force when the sweep stopped.  For l1,
     interior_fraction is the share of nodes where a returned control lies
-    more than 1e-12 inside both of its bounds.
+    more than 1e-12 inside both of its bounds.  coarse_iterations counts the
+    iterations of the coarse l2 sweep (0 if none ran); the other fields are
+    the fine sweep's.
     """
 
     state: Trajectory
@@ -118,6 +130,7 @@ class SolveResult:
     relaxation: float
     singular_flags: np.ndarray | None = None
     interior_fraction: float | None = None
+    coarse_iterations: int = 0
 
 
 def _residual(old: np.ndarray, new: np.ndarray) -> float:
@@ -155,47 +168,71 @@ def _law_on_grid(
     return np.column_stack((u1, u2)), singular1 | singular2
 
 
-def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
-    """Run the sweep to convergence (or max_iters) and return the last iterate."""
-    grid = settings.grid_for(scenario)
-    p_terminal = Costate(0.0, 0.0, 0.0)
-    rates = sample_rates(scenario.beta, scenario.gamma, grid)
+def _integrate(scenario: Scenario, u: ControlGrid, rates: GridRates, iteration: int):
+    """State and adjoint under u; an IntegrationError diverges the sweep."""
+    params = scenario.params
+    try:
+        x = rk4_forward(scenario.x0, u, params, rates)
+        return x, rk4_backward(Costate(0.0, 0.0, 0.0), x, u, params, scenario.weights, rates)
+    except IntegrationError as err:
+        message = f"sweep diverged at iteration {iteration}: {err}"
+        raise DivergenceError(message, iteration) from err
 
-    u_work = np.zeros((grid.n + 1, 2))
+
+def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work):
+    """Iterate on the grid of rates from the controls u_work until the residual,
+    taken first against a zero iterate, meets tol_delta or max_iters runs out.
+
+    Returns the law on the last iterate, every residual, the weight in force,
+    the l1 singular flags, and the controls u the last iteration integrated,
+    with the state x and adjoint p under them.
+    """
+    grid = rates.grid
     prev = np.zeros((grid.n + 1, 8))
-    u_law = u_work
-    flags = None
     history: list[float] = []
-    converged = False
-    iterations = 0
     weight = settings.relaxation
-
-    def integrate(u: ControlGrid, iteration: int) -> tuple[Trajectory, Trajectory]:
-        try:
-            x = rk4_forward(scenario.x0, u, scenario.params, rates)
-            p = rk4_backward(p_terminal, x, u, scenario.params, scenario.weights, rates)
-        except IntegrationError as err:
-            raise DivergenceError(
-                f"sweep diverged at iteration {iteration}: {err}", iteration
-            ) from err
-        return x, p
-
     for iteration in range(1, settings.max_iters + 1):
-        iterations = iteration
-        x, p = integrate(ControlGrid(grid, u_work), iteration)
+        u = ControlGrid(grid, u_work)
+        x, p = _integrate(scenario, u, rates, iteration)
         u_law, flags = _law_on_grid(scenario, x, p, u_work, settings.eps_singular)
         u_work = weight * u_law + (1.0 - weight) * u_work
         current = np.hstack((x.values, p.values, u_work))
         history.append(_residual(prev, current))
         if history[-1] <= settings.tol_delta:
-            converged = True
             break
         if iteration >= 3 and history[-1] > history[-2] and weight == settings.relaxation:
             weight = settings.relaxation / 2.0
         prev = current
+    return u_law, history, weight, flags, u, x, p
+
+
+def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
+    """Run the sweep to convergence (or max_iters) and return the last iterate."""
+    grid = settings.grid_for(scenario)
+    rates = sample_rates(scenario.beta, scenario.gamma, grid)
+    u_start, coarse_iterations = np.zeros((grid.n + 1, 2)), 0
+    if scenario.objective == "l2" and grid.n // COARSENING >= 2:
+        # the coarse rates interpolate the fine table: no rate is sampled again
+        coarse = replace(grid, n=grid.n // COARSENING)
+        ts, fine_ts = _sample_times(coarse), _sample_times(grid)
+        beta, gamma = (np.interp(ts, fine_ts, r) for r in (rates.beta, rates.gamma))
+        coarse_rates = GridRates(coarse, beta, gamma, rates.names)
+        u_zero = np.zeros((coarse.n + 1, 2))
+        try:
+            u_law, history, *_ = _sweep(scenario, settings, coarse_rates, u_zero)
+        except DivergenceError as err:
+            coarse_iterations = err.iteration
+        else:
+            coarse_iterations = len(history)
+            if history[-1] <= settings.tol_delta:
+                columns = [np.interp(grid.nodes(), coarse.nodes(), c) for c in u_law.T]
+                u_start = np.column_stack(columns)
+    u_law, history, weight, flags, u, x, p = _sweep(scenario, settings, rates, u_start)
 
     controls = ControlGrid(grid, u_law)
-    x, p = integrate(controls, iterations)
+    # x and p are already under u_law if the law returned u bit for bit
+    if u_law.tobytes() != u.values.tobytes():
+        x, p = _integrate(scenario, controls, rates, len(history))
     interior = None
     if scenario.objective == "l1":
         bounds = (scenario.params.u1_max, scenario.params.u2_max)
@@ -206,11 +243,12 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
         costate=p,
         controls=controls,
         cost=evaluate_cost(scenario, x, controls, rates),
-        iterations=iterations,
-        converged=converged,
+        iterations=len(history),
+        converged=history[-1] <= settings.tol_delta,
         residual_history=tuple(history),
         rates=rates,
         relaxation=weight,
         singular_flags=flags,
         interior_fraction=interior,
+        coarse_iterations=coarse_iterations,
     )

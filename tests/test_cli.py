@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from marketopt import cli
 from marketopt.cli import main
 from marketopt.config import (
     ConfigError,
@@ -81,8 +82,13 @@ def test_relax_flag_restores_the_damped_sweep(tmp_path):
     assert _run("solve", "--preset", "scenario1", "--relax", "0.5",
                 "--out", str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["iterations"] == 13
+    # the coarse start leaves the fine sweep 2 iterations at either weight,
+    # so the cost tells whether 0.5 was used
+    assert summary["iterations"] == 2
     assert summary["settings"]["relaxation"] == 0.5
+    sc, n = preset_scenario("scenario1"), default_grid(7.0, "l2").n
+    assert summary["cost"] == solve(sc, SweepSettings(n=n, relaxation=0.5)).cost
+    assert summary["cost"] != solve(sc, SweepSettings(n=n)).cost
 
 
 def test_config_relaxation_round_trips_and_is_honoured(tmp_path):
@@ -94,7 +100,10 @@ def test_config_relaxation_round_trips_and_is_honoured(tmp_path):
     assert _run("solve", "--config", str(path), "--out", str(out1)) == 0
     written = json.loads((out1 / "config.json").read_text())
     assert written["solver"] == doc["solver"]
-    assert json.loads((out1 / "summary.json").read_text())["iterations"] == 13
+    summary = json.loads((out1 / "summary.json").read_text())
+    assert summary["iterations"] == 2
+    sc, n = preset_scenario("scenario1"), default_grid(7.0, "l2").n
+    assert summary["cost"] == solve(sc, SweepSettings(n=n, relaxation=0.5)).cost
     assert _run("solve", "--config", str(out1 / "config.json"),
                 "--out", str(out2)) == 0
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
@@ -526,11 +535,18 @@ def test_run_config_rejects_empty_sweep_values():
     assert cfg.sweep_spec().values == (4.0, 6.0, 8.0, 10.0, 12.0, 14.0)
 
 
-def test_uncreatable_out_dir_is_an_input_error(tmp_path, capsys):
+def test_uncreatable_out_dir_is_an_input_error(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("computed before --out was checked")
+
+    for name in ("solve", "compare_strategies", "run_sweep"):
+        monkeypatch.setattr(cli, name, never)
     taken = tmp_path / "taken"
     taken.write_text("")
-    code = _run("solve", "--preset", "scenario1", "--out", str(taken))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(taken) in err
+    for argv in (("solve",), ("compare",), ("sweep", "--param", "gamma")):
+        code = _run(*argv, "--preset", "comparison-default", "--out", str(taken))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(taken) in err and "File exists" in err
+    assert taken.read_text() == ""

@@ -110,7 +110,9 @@ def test_compare_integrates_the_uncontrolled_state_once(monkeypatch):
     monkeypatch.setattr(experiments, "rk4_forward", counted)
     monkeypatch.setattr(solver, "rk4_forward", counted)
     table = compare_strategies(COMPARISON, FAST_SETTINGS)
-    assert len(calls) == 4 + result.iterations
+    # the shared uncontrolled pass and two fixed strategies, then the coarse
+    # and fine sweeps and the final re-integration
+    assert len(calls) == 3 + result.coarse_iterations + result.iterations + 1
     rows = [(r.strategy, r.cost, r.converged, r.iterations) for r in table.rows]
     assert rows == expected
 

@@ -3,6 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from marketopt import experiments, solver
+from marketopt.experiments import (
+    SWEEP_PARAMETERS,
+    StrategyKind,
+    SweepSpec,
+    default_sweep_values,
+    run_sweep,
+)
 from marketopt.integrator import (
     TimeGrid,
     default_grid,
@@ -132,6 +140,8 @@ def test_l1_result_carries_diagnostics():
     assert not result.singular_flags.any()
     # measured on the returned bang-bang controls, not the blended iterate
     assert result.interior_fraction == 0.0
+    # l1 starts cold: its coarse grids chatter instead of converging
+    assert result.coarse_iterations == 0
     # bang-bang terminal values: both switching values end positive
     assert tuple(result.controls.values[-1]) == (0.0, 0.0)
 
@@ -256,17 +266,17 @@ def test_fine_l1_grid_converges_undamped():
     assert result.iterations <= 10
 
 
-# Costs and iteration counts of the three-component forward pass and the
-# log-depth adjoint scan.  A change meant only to speed the sweep up may move
-# a cost by roundoff, not more, and no iteration count.
+# Costs and iteration counts of the sweep, which for l2 starts from an 8x
+# coarser sweep.  A change meant only to speed the sweep up may move a cost by
+# roundoff, not more, and no iteration count.
 @pytest.mark.parametrize(
     "name, n, tol, cost, iterations",
     [
-        ("scenario1", None, 1e-3, 5.851595608717279, 6),
-        ("scenario2", None, 1e-3, 5.815234126683198, 6),
-        ("scenario3", None, 1e-3, 5.833254487770798, 6),
+        ("scenario1", None, 1e-3, 5.85159560873069, 2),
+        ("scenario2", None, 1e-3, 5.815234126694822, 2),
+        ("scenario3", None, 1e-3, 5.833254487774069, 2),
         ("scenario3-l1", None, 1e-3, 6.330618554071916, 6),
-        ("comparison-default", None, 1e-3, 0.962396684854709, 5),
+        ("comparison-default", None, 1e-3, 0.9623966848539478, 2),
         ("scenario3-l1", 2800, 1e-6, 6.330618374621364, 7),
     ],
 )
@@ -332,3 +342,76 @@ def test_solve_stops_exactly_when_the_last_residual_meets_the_tolerance(name, se
     assert all(r > settings.tol_delta for r in earlier)
     assert result.converged == (last <= settings.tol_delta)
     assert result.converged or result.iterations == settings.max_iters
+
+
+def test_final_pass_is_skipped_when_the_law_repeats_its_controls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rk4_forward(*args)
+
+    monkeypatch.setattr(solver, "rk4_forward", counted)
+    result = solve(preset_scenario("scenario3-l1"), SweepSettings(n=1400))
+    assert result.converged
+    # one forward pass per iteration: the last one already integrated the
+    # returned bang-bang controls
+    assert len(calls) == result.iterations
+
+
+L2_PRESETS = [name for name in PRESET_NAMES if preset_scenario(name).objective == "l2"]
+
+
+def _default_solves(case, monkeypatch):
+    """(scenario, settings, result) of an l2 preset at its default grid, or of
+    every optimal cell of the default sweep over the parameter case."""
+    if case in L2_PRESETS:
+        sc = preset_scenario(case)
+        settings = SweepSettings(n=default_grid(sc.t_f, sc.objective).n)
+        return [(sc, settings, solve(sc, settings))]
+    solves = []
+
+    def recorded(sc, settings):
+        solves.append((sc, settings, solve(sc, settings)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(experiments, "solve", recorded)
+    base = preset_scenario("comparison-default")
+    spec = SweepSpec(case, default_sweep_values(case), base, (StrategyKind.OPTIMAL,))
+    run_sweep(spec, SweepSettings(n=default_grid(base.t_f, base.objective).n))
+    assert len(solves) == len(spec.values)
+    return solves
+
+
+@pytest.mark.parametrize("case", L2_PRESETS + list(SWEEP_PARAMETERS))
+def test_coarse_start_leaves_at_most_three_fine_iterations(case, monkeypatch):
+    for sc, settings, result in _default_solves(case, monkeypatch):
+        assert result.converged
+        assert result.relaxation == 1.0
+        assert result.iterations <= 3
+        assert result.coarse_iterations > 0
+        reference = solve(sc, replace(settings, tol_delta=1e-8))
+        assert abs(result.cost - reference.cost) <= 1e-10 * reference.cost
+
+
+@pytest.mark.parametrize(
+    "scenario, settings",
+    [
+        # the n=43 coarse grid diverges at the first step
+        (replace(preset_scenario("comparison-default"), gamma=Constant(20.0)),
+         SweepSettings(n=350)),
+        # the coarse sweep needs 6 iterations, so it stops unconverged
+        (preset_scenario("scenario1"), SweepSettings(n=350, max_iters=3)),
+    ],
+    ids=["coarse-diverges", "coarse-unconverged"],
+)
+def test_failed_coarse_sweep_leaves_the_cold_start(scenario, settings, monkeypatch):
+    warm = solve(scenario, settings)
+    monkeypatch.setattr(solver, "COARSENING", 10**9)
+    cold = solve(scenario, settings)
+    assert warm.coarse_iterations > 0
+    assert cold.coarse_iterations == 0
+    assert warm.residual_history == cold.residual_history
+    assert warm.cost == cold.cost
+    for field in ("state", "costate", "controls"):
+        assert np.array_equal(getattr(warm, field).values, getattr(cold, field).values)
