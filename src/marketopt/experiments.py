@@ -10,7 +10,6 @@ rate beta, or horizon t_f) and tabulate the cost of every (value, strategy) cell
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -221,6 +220,8 @@ def run_sweep(
     table is identical regardless of worker count.
     """
     if workers > 1:
+        # imported here: only a pool needs it, and it is slow to import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_value = list(
                 pool.map(_run_cell, repeat(spec), repeat(settings), spec.values)

@@ -10,9 +10,11 @@ of the two adjacent nodes at each midpoint, which keeps fourth order for
 smooth controls.
 
 The forward pass steps node by node on the conserved total N = R + C + P of
-x0: it carries only R and P, with the stages of ``model.rhs_terms`` written
-out inline, operation for operation, so its bits are those of calling that
-kernel per stage, on scalars or on columns, and it fills in C as N - R - P.
+x0: it carries only R and P and fills in C as N - R - P.  Each stage evaluates
+the coefficient form of ``model.rhs_terms`` inline, operation for operation, on
+one ``model.flow_coefficients`` table per pass, so its bits are those of
+calling that kernel per stage, on scalars or on columns; every step is checked
+after the loop.
 ``rk4_stages`` makes those calls on whole columns: from the nodes of a
 trajectory it rebuilds every step's stage states, which the cost rule reads.
 The adjoint system is linear in p, so the backward pass makes one
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, RateCallable, State, Weights, _require_total, rhs_terms
+from .model import (ModelParams, RateCallable, State, Weights, _require_total,
+                    flow_coefficients, rhs_terms)
 from .pmp import Costate, costate_system
 
 # Default intervals per unit time, per objective.  With the RK4 stage cost (see
@@ -121,9 +124,6 @@ class ControlGrid:
             raise ValueError("control values must be >= 0")
         object.__setattr__(self, "values", values)
 
-    def within_bounds(self, params: ModelParams) -> bool:
-        return bool((self.values <= (params.u1_max, params.u2_max)).all())
-
 
 def zero_controls(grid: TimeGrid) -> ControlGrid:
     return ControlGrid(grid, np.zeros((grid.n + 1, 2)))
@@ -170,17 +170,24 @@ class GridRates:
 
 
 def sample_rates(beta: RateCallable, gamma: RateCallable, grid: TimeGrid) -> GridRates:
-    """Sample both rates at the nodes and midpoints of grid, one call per point.
+    """Sample both rates at the nodes and midpoints of grid.
 
-    The times are Python floats, so a rate that overflows gives inf, with no
-    warning, and one that cannot be evaluated raises ValueError naming it.
+    A rate with an array evaluator (``RateFunction.sample``) is sampled at once.
+    Other rates, and arrays that are not all finite, are called point by point
+    on Python floats: an overflow gives inf, with no warning, and a rate that
+    cannot be evaluated raises ValueError naming it.
     """
-    ts = _sample_times(grid).tolist()
-    rates: dict[str, list[float]] = {}
+    ts = _sample_times(grid)
+    rates = {}
     for kind, rate in (("beta", beta), ("gamma", gamma)):
         name = f"{kind} rate {getattr(rate, 'label', rate)}"
+        if getattr(rate, "sample", None) is not None:
+            with np.errstate(all="ignore"):
+                rates[name] = rate.sample(ts)
+            if np.isfinite(rates[name]).all():
+                continue
         values = rates[name] = []
-        for t in ts:
+        for t in ts.tolist():
             try:
                 values.append(float(rate(t)))
             except (ArithmeticError, ValueError) as err:
@@ -217,49 +224,50 @@ def rk4_forward(
     if rates.grid != grid:
         raise ValueError("controls and rates must share one grid")
     h = grid.h
-    half = 0.5 * h
-    sixth = h / 6.0
-    uh = _half_steps(u.values)
-    # u1, beta + u2 and gamma at every half-step row; step i reads rows 2i..2i+2
-    series = uh[:, 0].tolist(), (rates.beta + uh[:, 1]).tolist(), rates.gamma.tolist()
-    a1, a2 = params.alpha1, params.alpha2
-    l1, m2 = params.lambda1, -params.lambda2
-    floor = -NONNEG_TOLERANCE
-
+    half, sixth = 0.5 * h, h / 6.0
     R, P, N = x0.R, x0.P, _require_total(x0)
-    rows = [(R, P)]
-    steps = zip(*(s[k::2] for s in series for k in (0, 1, 2)))
-    for i, (ua, um, ub, da, dm, db, ga, gm, gb) in enumerate(steps, 1):
-        s, d = da * P * R / N, ua * P
-        kR1 = m2 * R + l1 * (N - R - P) - ga * R + a1 * d + a2 * s
-        kP1 = ga * (N - P) - s - d
+    inputs = (*_half_steps(u.values).T, rates.beta, rates.gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c, e, g, k, f = flow_coefficients(*inputs, params, N, N)
+    # step i reads the coefficients of half-step rows 2i, 2i+1 and 2i+2
+    series = [s.tolist() for s in (a, b, e, g, k, f)]
+    steps = zip(*(s[j::2] for s in series for j in (0, 1, 2)))
+    Rs, Ps = [R], [P]
+    for aa, am, ab, ba, bm, bb, ea, em, eb, ga, gm, gb, ka, km, kb, fa, fm, fb in steps:
+        q = R * P
+        kR1 = aa * R + ba * P + c + ea * q
+        kP1 = ga + ka * P - fa * q
         r, p = R + half * kR1, P + half * kP1
-        s, d = dm * p * r / N, um * p
-        kR2 = m2 * r + l1 * (N - r - p) - gm * r + a1 * d + a2 * s
-        kP2 = gm * (N - p) - s - d
+        q = r * p
+        kR2 = am * r + bm * p + c + em * q
+        kP2 = gm + km * p - fm * q
         r, p = R + half * kR2, P + half * kP2
-        s, d = dm * p * r / N, um * p
-        kR3 = m2 * r + l1 * (N - r - p) - gm * r + a1 * d + a2 * s
-        kP3 = gm * (N - p) - s - d
+        q = r * p
+        kR3 = am * r + bm * p + c + em * q
+        kP3 = gm + km * p - fm * q
         r, p = R + h * kR3, P + h * kP3
-        s, d = db * p * r / N, ub * p
-        kR4 = m2 * r + l1 * (N - r - p) - gb * r + a1 * d + a2 * s
-        kP4 = gb * (N - p) - s - d
+        q = r * p
+        kR4 = ab * r + bb * p + c + eb * q
+        kP4 = gb + kb * p - fb * q
         R += sixth * (kR1 + 2.0 * (kR2 + kR3) + kR4)
         P += sixth * (kP1 + 2.0 * (kP2 + kP3) + kP4)
-        # with N finite, this passes exactly the finite states with no
-        # component below the floor
-        if not (R >= floor and P >= floor and N - R - P >= floor):
-            t, C = grid.t0 + i * h, N - R - P
-            if not (math.isfinite(R) and math.isfinite(C) and math.isfinite(P)):
-                raise IntegrationError(f"non-finite state at step {i} (t={t:.6g})", i)
-            raise IntegrationError(
-                f"state component below -{NONNEG_TOLERANCE:g} at step {i} "
-                f"(t={t:.6g}); reduce the step size h={h:.6g}",
-                i,
-            )
-        rows.append((R, P))
-    values = _on_total(np.array(rows), N)
+        Rs.append(R)
+        Ps.append(P)
+    # float arithmetic does not raise, so every step is checked here; with N
+    # finite, this passes exactly the finite states with no component below
+    # -NONNEG_TOLERANCE
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _on_total(np.array((Rs, Ps)).T, N)
+        bad = ~(values[1:] >= -NONNEG_TOLERANCE).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad)) + 1
+        t = grid.t0 + i * h
+        if not np.isfinite(values[i]).all():
+            raise IntegrationError(f"non-finite state at step {i} (t={t:.6g})", i)
+        raise IntegrationError(
+            f"state component below -{NONNEG_TOLERANCE:g} at step {i} "
+            f"(t={t:.6g}); reduce the step size h={h:.6g}", i
+        )
     values[0] = x0.R, x0.C, x0.P
     return Trajectory(grid, values)
 

@@ -20,7 +20,8 @@ conserved; ``N0`` in the denominators is that constant total, fixed up front.
 Every Runge-Kutta method keeps a linear invariant exactly, so ``rhs_terms``
 works on the total: it reads C as total - R - P and gives (dR/dt, dP/dt), on
 scalars or node columns, in the form of the ``pmp`` kernels (states, controls,
-rates at t, then params, n0 and the total).  ``dynamics`` wraps it for one
+rates at t, then params, n0 and the total), as a flow bilinear in (R, P) with
+the coefficients of ``flow_coefficients``.  ``dynamics`` wraps it for one
 point, with dC/dt = -(dR/dt + dP/dt) and the checks ``pmp.costate_rhs`` shares.
 """
 
@@ -130,21 +131,27 @@ def _at_point(t: float, beta: RateCallable, gamma: RateCallable, n0: float):
     return beta_t, gamma_t, n0
 
 
+def flow_coefficients(u1, u2, beta_t, gamma_t, params: ModelParams, n0: float, total):
+    """(a, b, c, e, g, k, f) of dR/dt = a*R + b*P + c + e*R*P, dP/dt = g + k*P - f*R*P.
+
+    C is read as total - R - P; on scalars or columns, with no validation.
+    """
+    l1, f = params.lambda1, (beta_t + u2) / n0
+    a, b = -(params.lambda2 + l1 + gamma_t), params.alpha1 * u1 - l1
+    return a, b, l1 * total, params.alpha2 * f, gamma_t * total, -(gamma_t + u1), f
+
+
 def rhs_terms(R, P, u1, u2, beta_t, gamma_t, params: ModelParams, n0: float, total):
     """Raw (dR/dt, dP/dt), with C = total - R - P; no validation.
 
-    Rates are already evaluated at t.  ``dynamics`` wraps it for one point,
-    and ``integrator.rk4_forward`` writes it out inline, operation for
+    Rates are already evaluated at t.  It evaluates the coefficient form of
+    ``flow_coefficients``.  ``dynamics`` wraps it for one point, and
+    ``integrator.rk4_forward`` evaluates the form inline, operation for
     operation, so a change here must be made there too.
     """
-    a1, a2 = params.alpha1, params.alpha2
-    l1, l2 = params.lambda1, params.lambda2
-    C = total - R - P
-    spread = (beta_t + u2) * P * R / n0
-    direct = u1 * P
-    dR = -l2 * R + l1 * C - gamma_t * R + a1 * direct + a2 * spread
-    dP = gamma_t * (total - P) - spread - direct
-    return dR, dP
+    a, b, c, e, g, k, f = flow_coefficients(u1, u2, beta_t, gamma_t, params, n0, total)
+    rp = R * P
+    return a * R + b * P + c + e * rp, g + k * P - f * rp
 
 
 def dynamics(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,8 +27,14 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+# exp and cos of a float t for ``_curve``, which takes numpy's on arrays
+_ON_FLOATS = SimpleNamespace(exp=_exp_or_inf, cos=math.cos)
+
+
 class RateFunction:
     """Nonnegative time-varying rate, evaluable at any t."""
+
+    sample = None  # or sample(ts): the rate at every time of a float array at once
 
     def __call__(self, t: float) -> float:
         raise NotImplementedError
@@ -48,6 +55,9 @@ class Constant(RateFunction):
     def __call__(self, t: float) -> float:
         return self.value
 
+    def sample(self, ts: np.ndarray) -> np.ndarray:
+        return np.full(ts.shape, self.value)
+
     @property
     def label(self) -> str:
         return f"constant({self.value:g})"
@@ -55,7 +65,7 @@ class Constant(RateFunction):
 
 @dataclass(frozen=True)
 class _FourParameterRate(RateFunction):
-    """A closed-form family: every field finite, the first two (levels) >= 0."""
+    """A closed-form family ``_curve(t, xp)``: every field finite, the first two >= 0."""
 
     def __post_init__(self) -> None:
         names = [f.name for f in fields(self)]
@@ -64,6 +74,12 @@ class _FourParameterRate(RateFunction):
         first, second = names[:2]
         if getattr(self, first) < 0.0 or getattr(self, second) < 0.0:
             raise ValueError(f"{first} and {second} must be >= 0")
+
+    def __call__(self, t: float) -> float:
+        return self._curve(t, _ON_FLOATS)
+
+    def sample(self, ts: np.ndarray) -> np.ndarray:
+        return self._curve(ts, np)
 
 
 @dataclass(frozen=True)
@@ -75,8 +91,8 @@ class LogisticIncreasing(_FourParameterRate):
     rate: float
     midpoint: float
 
-    def __call__(self, t: float) -> float:
-        return self.base + self.gain / (1.0 + _exp_or_inf(-self.rate * (t - self.midpoint)))
+    def _curve(self, t, xp):
+        return self.base + self.gain / (1.0 + xp.exp(-self.rate * (t - self.midpoint)))
 
     @property
     def label(self) -> str:
@@ -92,9 +108,9 @@ class LogisticDecreasing(_FourParameterRate):
     rate: float
     midpoint: float
 
-    def __call__(self, t: float) -> float:
+    def _curve(self, t, xp):
         return self.base + self.gain * (
-            1.0 - 1.0 / (1.0 + _exp_or_inf(-self.rate * (t - self.midpoint)))
+            1.0 - 1.0 / (1.0 + xp.exp(-self.rate * (t - self.midpoint)))
         )
 
     @property
@@ -111,8 +127,8 @@ class SinusoidalPeriodic(_FourParameterRate):
     omega: float
     phase: float
 
-    def __call__(self, t: float) -> float:
-        return self.offset + self.amplitude * (1.0 - math.cos(self.omega * t + self.phase))
+    def _curve(self, t, xp):
+        return self.offset + self.amplitude * (1.0 - xp.cos(self.omega * t + self.phase))
 
     @property
     def label(self) -> str:
@@ -138,6 +154,9 @@ class PiecewiseLinear(RateFunction):
 
     def __call__(self, t: float) -> float:
         return float(np.interp(t, self.times, self.values))
+
+    def sample(self, ts: np.ndarray) -> np.ndarray:
+        return np.interp(ts, self.times, self.values)
 
     @property
     def label(self) -> str:

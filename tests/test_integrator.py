@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from marketopt import integrator
 from marketopt.integrator import (
     BACKWARD_BLOCK,
     NONNEG_TOLERANCE,
@@ -321,6 +322,23 @@ def test_inlined_forward_step_fails_like_the_reference(case, expected):
         assert isinstance(outcome, bytes)
     else:
         assert outcome[0].startswith(expected)
+
+
+def test_a_dip_is_reported_before_the_state_turns_non_finite(monkeypatch):
+    # every step is checked after the loop, which runs on past a bad step
+    args = _failing_forward("below the floor")
+    with pytest.raises(IntegrationError) as err:
+        rk4_forward(*args)
+    assert (str(err.value), err.value.step) == (
+        "state component below -1e-12 at step 25 (t=4.375); "
+        "reduce the step size h=0.175",
+        25,
+    )
+    # with no floor, the same pass fails later, where its state turns non-finite
+    monkeypatch.setattr(integrator, "NONNEG_TOLERANCE", math.inf)
+    with pytest.raises(IntegrationError) as err:
+        rk4_forward(*args)
+    assert (str(err.value), err.value.step) == ("non-finite state at step 27 (t=4.725)", 27)
 
 
 def test_passes_reject_a_zero_initial_total():

@@ -1,13 +1,15 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from marketopt.config import scenario_from_dict, scenario_to_dict
-from marketopt.integrator import TimeGrid, sample_rates
+from marketopt.integrator import TimeGrid, _sample_times, sample_rates
 from marketopt.model import State
 from marketopt.scenarios import (
     PRESET_NAMES,
@@ -208,3 +210,77 @@ def test_sample_rates_rejects_bad_samples(bad_value):
     # plain callables are named by their repr
     with pytest.raises(ValueError, match=r"beta rate <function .* at t=0\.5"):
         sample_rates(lambda t: bad_value if t >= 0.5 else 0.5, Constant(0.1), grid)
+
+
+# one rate of every built-in family; the exp and cos ones are the presets', and
+# a steep logistic whose exp overflows to its limit inf before t=3.29
+_FAMILIES = {
+    "constant": Constant(0.1),
+    "piecewise-linear": PiecewiseLinear(times=(0.5, 2.0, 6.0), values=(0.2, 0.8, 0.1)),
+    "logistic-increasing": builtin_beta_rate(1),
+    "logistic-decreasing": builtin_beta_rate(2),
+    "sinusoidal": builtin_beta_rate(3),
+    "logistic-increasing gamma": builtin_gamma_rate(2),
+    "sinusoidal gamma": builtin_gamma_rate(3),
+    "steep logistic-decreasing": LogisticDecreasing(
+        base=0.01, gain=0.99, rate=1000.0, midpoint=4.0
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [43, 350, 1400, 2800, 11200])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_array_evaluator_matches_per_point_calls(family, n):
+    rate = _FAMILIES[family]
+    ts = _sample_times(TimeGrid(0.0, 7.0, n))
+    with np.errstate(over="ignore"):  # as in sample_rates
+        values = rate.sample(ts)
+    expected = np.array([rate(t) for t in ts.tolist()])
+    assert values.shape == expected.shape
+    if isinstance(rate, (Constant, PiecewiseLinear)):
+        assert values.tobytes() == expected.tobytes()
+    else:
+        # np.exp may round a few ulps away from math.exp, and the logistic
+        # decrease cancels; how far depends on the CPU, so no bits are asserted
+        assert (np.abs(values - expected) <= 1e-13 * np.abs(expected)).all()
+
+
+class _PointByPoint(RateFunction):
+    """A rate with the label of inner and no array evaluator."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, t):
+        return self.inner(t)
+
+    @property
+    def label(self):
+        return self.inner.label
+
+
+def _sample_error(beta, grid):
+    with pytest.raises(ValueError) as err:
+        sample_rates(beta, Constant(0.1), grid)
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        # omega*t overflows to inf from t=1.8 on, where cos has no value
+        (SinusoidalPeriodic(offset=0.01, amplitude=0.49, omega=1e308, phase=0.26),
+         "has no value at t=1.8 (math domain error)"),
+        (LogisticIncreasing(base=1e308, gain=1e308, rate=2.0, midpoint=4.0),
+         "is inf at t=4.7"),
+        (SinusoidalPeriodic(offset=1e308, amplitude=1e308, omega=1.0, phase=0.0),
+         "is inf at t=1.4"),
+    ],
+)
+def test_array_sample_without_a_finite_value_fails_like_per_point_calls(rate, message):
+    grid = TimeGrid(0.0, 7.0, 35)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        text = _sample_error(rate, grid)
+    assert text == _sample_error(_PointByPoint(rate), grid)
+    assert text.startswith(f"beta rate {rate.label} {message}")

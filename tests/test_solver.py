@@ -112,7 +112,7 @@ def test_returned_controls_respect_bounds_exactly():
     assert result.converged
     u = result.controls.values
     assert u.min() >= 0.0
-    assert result.controls.within_bounds(sc.params)
+    assert (u <= (sc.params.u1_max, sc.params.u2_max)).all()
     assert result.singular_flags is None
     assert result.interior_fraction is None
     assert len(result.residual_history) == result.iterations
