@@ -37,13 +37,11 @@ from .model import (
     State,
     Weights,
     dynamics,
-    total_population,
 )
 from .objectives import evaluate_cost
 from .pmp import (
     Costate,
     SwitchingValues,
-    control_law_l1,
     control_law_l2,
     costate_rhs,
     hamiltonian,
@@ -100,7 +98,6 @@ __all__ = [
     "builtin_beta_rate",
     "builtin_gamma_rate",
     "compare_strategies",
-    "control_law_l1",
     "control_law_l2",
     "costate_rhs",
     "default_grid",
@@ -117,6 +114,5 @@ __all__ = [
     "solve",
     "strategy_controls",
     "switching_functions",
-    "total_population",
     "zero_controls",
 ]

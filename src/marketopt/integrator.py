@@ -19,8 +19,10 @@ after the loop.
 trajectory it rebuilds every step's stage states, which the cost rule reads.
 The adjoint system is linear in p, so the backward pass makes one
 ``pmp.costate_system`` call per block of steps, builds each step as an affine
-map, and composes them in linear work.  Trajectory and ControlGrid share one
-node-table check.
+map, and composes them in linear work.  Each pass is a raw kernel on node
+and half-step tables (``forward_table``, ``backward_table``), which the sweep
+calls directly, and a validating wrapper (``rk4_forward``, ``rk4_backward``).
+Trajectory and ControlGrid share one node-table check.
 """
 
 from __future__ import annotations
@@ -213,22 +215,18 @@ def _on_total(rp: np.ndarray, total: float) -> np.ndarray:
     return np.stack((R, total - R - P, P), axis=-1)
 
 
-def rk4_forward(
-    x0: State,
-    u: ControlGrid,
-    params: ModelParams,
-    rates: GridRates,
-) -> Trajectory:
-    """Integrate the state system over u.grid from x0, whose total R + C + P is n0."""
-    grid = u.grid
-    if rates.grid != grid:
-        raise ValueError("controls and rates must share one grid")
+def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
+                  rates: GridRates) -> np.ndarray:
+    """Raw forward pass: the (n+1, 3) state nodes from x0, whose total is n0,
+    under us, the ``_half_steps`` controls on rates.grid.  No input is checked;
+    every step is, after the loop, and the first bad one raises IntegrationError.
+    """
+    grid = rates.grid
     h = grid.h
     half, sixth = 0.5 * h, h / 6.0
-    R, P, N = x0.R, x0.P, _require_total(x0)
-    inputs = (*_half_steps(u.values).T, rates.beta, rates.gamma)
+    R, P, N = x0.R, x0.P, n0
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c, e, g, k, f = flow_coefficients(*inputs, params, N, N)
+        a, b, c, e, g, k, f = flow_coefficients(*us.T, rates.beta, rates.gamma, params, N, N)
     # step i reads the coefficients of half-step rows 2i, 2i+1 and 2i+2
     series = [s.tolist() for s in (a, b, e, g, k, f)]
     steps = zip(*(s[j::2] for s in series for j in (0, 1, 2)))
@@ -269,7 +267,16 @@ def rk4_forward(
             f"(t={t:.6g}); reduce the step size h={h:.6g}", i
         )
     values[0] = x0.R, x0.C, x0.P
-    return Trajectory(grid, values)
+    return values
+
+
+def rk4_forward(x0: State, u: ControlGrid, params: ModelParams,
+                rates: GridRates) -> Trajectory:
+    """Integrate the state system over u.grid from x0, whose total R + C + P is n0."""
+    if rates.grid != u.grid:
+        raise ValueError("controls and rates must share one grid")
+    values = forward_table(x0, _require_total(x0), _half_steps(u.values), params, rates)
+    return Trajectory(u.grid, values)
 
 
 def rk4_stages(
@@ -341,30 +348,23 @@ def _suffix_products(maps: np.ndarray, top: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, 3)[pad:]
 
 
-def rk4_backward(
-    p_terminal: Costate,
-    x: Trajectory,
-    u: ControlGrid,
-    params: ModelParams,
-    weights: Weights,
-    rates: GridRates,
-) -> Trajectory:
-    """Integrate the adjoint system from t_f down to t0 along x and u.
+def backward_table(p_terminal, x: np.ndarray, us: np.ndarray, params: ModelParams,
+                   weights: Weights, rates: GridRates, n0: float) -> np.ndarray:
+    """Raw backward pass: the (n+1, 3) adjoint nodes along the state nodes x,
+    under us, the ``_half_steps`` controls on rates.grid, from p_terminal =
+    (p1, p2, p3) at t_f.  No input is checked; a non-finite adjoint raises
+    IntegrationError.
 
     Each RK4 step is an affine map of p.  Per block of BACKWARD_BLOCK steps,
     one ``costate_system`` call on the block's half-step rows gives the maps,
     and ``_suffix_products`` composes them onto the block's top node in linear
-    work.  The final node equals p_terminal exactly, and the model's n0 is the
-    total of x's first node, which on a trajectory from ``rk4_forward`` is x0's.
+    work.
     """
-    if not x.grid == u.grid == rates.grid:
-        raise ValueError("state, controls and rates must share one grid")
-    grid, n0 = x.grid, _require_total(State(*x.values[0].tolist()))
+    grid = rates.grid
     h = grid.h
-    xs, us = _half_steps(x.values), _half_steps(u.values)
-
+    xs = _half_steps(x)
     out = np.empty((grid.n + 1, 3))
-    out[grid.n] = (p_terminal.p1, p_terminal.p2, p_terminal.p3)
+    out[grid.n] = p_terminal
     with np.errstate(over="ignore", invalid="ignore"):
         for hi in range(grid.n, 0, -BACKWARD_BLOCK):
             lo = max(0, hi - BACKWARD_BLOCK)
@@ -381,4 +381,19 @@ def rk4_backward(
                     f"non-finite adjoint at step {i} (t={grid.t0 + i * h:.6g})",
                     step=i,
                 )
-    return Trajectory(grid, out)
+    return out
+
+
+def rk4_backward(p_terminal: Costate, x: Trajectory, u: ControlGrid,
+                 params: ModelParams, weights: Weights, rates: GridRates) -> Trajectory:
+    """Integrate the adjoint system from t_f down to t0 along x and u.
+
+    The final node equals p_terminal exactly, and the model's n0 is the total
+    of x's first node, which on a trajectory from ``rk4_forward`` is x0's.
+    """
+    if not x.grid == u.grid == rates.grid:
+        raise ValueError("state, controls and rates must share one grid")
+    n0 = _require_total(State(*x.values[0].tolist()))
+    top = (p_terminal.p1, p_terminal.p2, p_terminal.p3)
+    out = backward_table(top, x.values, _half_steps(u.values), params, weights, rates, n0)
+    return Trajectory(x.grid, out)

@@ -168,19 +168,15 @@ def dynamics(
     dC/dt is -(dR/dt + dP/dt), so the components sum to zero up to roundoff.
     """
     beta_t, gamma_t, n0 = _at_point(t, beta, gamma, n0)
-    total = total_population(x)
+    total = x.R + x.C + x.P
     dR, dP = rhs_terms(x.R, x.P, u.u1, u.u2, beta_t, gamma_t, params, n0, total)
     return dR, -(dR + dP), dP
 
 
-def total_population(x: State) -> float:
-    """R + C + P; constant along any trajectory of the flow."""
-    return x.R + x.C + x.P
-
-
 def _require_total(x: State) -> float:
-    """total_population(x), checked finite and > 0: n0, and C = total - R - P."""
-    total = total_population(x)
+    """R + C + P, constant along the flow, checked finite and > 0: n0, and
+    C = total - R - P."""
+    total = x.R + x.C + x.P
     if not math.isfinite(total):
         raise ValueError("initial total R + C + P must be finite")
     if total <= 0.0:

@@ -24,13 +24,13 @@ gradient, so both objectives share the adjoint system above.
 The adjoint system is linear in p, dp/dt = A(t) p + b, and
 ``costate_system`` builds (A, b) on whole node columns for the backward
 integrator; ``costate_rhs`` wraps it for one point.  Likewise each pointwise
-law is one validation-free ``*_terms`` kernel on scalars or node columns,
-wrapped by a validating per-node function.
+law is one validation-free kernel on scalars or node columns
+(``l2_law_terms``, ``switching_terms``, ``bang_bang_terms``); the first two
+have validating per-node wrappers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,27 +194,6 @@ def switching_functions(
     n0 = _require_n0(n0)
     phi1, phi2 = switching_terms(x.R, x.P, p.p1, p.p2, p.p3, params, weights, n0)
     return SwitchingValues(phi1=float(phi1), phi2=float(phi2))
-
-
-def control_law_l1(
-    phi: SwitchingValues,
-    params: ModelParams,
-    previous: ControlPair,
-    eps_singular: float = 1e-9,
-) -> tuple[ControlPair, tuple[bool, bool]]:
-    """Bang-bang law: u_i = 0 where phi_i > 0, u_i_max where phi_i < 0.
-
-    Inside the deadband |phi_i| <= eps_singular the previous value is held
-    and the component is flagged as a potential singular arc; no singular
-    control synthesis is attempted.
-    """
-    if not 0.0 <= eps_singular < math.inf:
-        raise ValueError(f"eps_singular must be finite and >= 0, got {eps_singular}")
-    phi1 = _require_finite("phi1", phi.phi1)
-    phi2 = _require_finite("phi2", phi.phi2)
-    u1, singular1 = bang_bang_terms(phi1, params.u1_max, previous.u1, eps_singular)
-    u2, singular2 = bang_bang_terms(phi2, params.u2_max, previous.u2, eps_singular)
-    return ControlPair(u1=float(u1), u2=float(u2)), (bool(singular1), bool(singular2))
 
 
 def running_cost(objective: str, P, u1, u2, weights: Weights):

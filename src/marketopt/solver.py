@@ -11,8 +11,13 @@ larger than the one before halves the weight for the rest of the sweep
 iterate).  That happens at most once: a weight that kept halving would freeze
 the iterates and pass the stopping test without a fixed point.  The residual
 of an iteration is the worst relative l1 change, between iterations, of the
-eight tracked series (R, C, P, p1, p2, p3, u1, u2); the loop stops as soon as
-it is <= tol_delta.
+eight tracked series (R, C, P, p1, p2, p3, u1, u2), the rows of one
+C-contiguous table; the loop stops as soon as it is <= tol_delta.  The loop
+works on raw node tables and builds the checked ``Trajectory`` and
+``ControlGrid`` once, for the result.  An iteration that blends, byte for
+byte, the controls it integrated, at an unchanged weight, would be followed
+by its exact repeat (a converged bang-bang sweep is), so the repeat's
+residual 0.0 is recorded and it is not run.
 
 An l2 solve first runs the sweep on a grid COARSENING times coarser and, if
 that converges, starts from its law interpolated to the fine nodes.  The fine
@@ -40,13 +45,14 @@ from .integrator import (
     IntegrationError,
     TimeGrid,
     Trajectory,
+    _half_steps,
     _sample_times,
-    rk4_backward,
-    rk4_forward,
+    backward_table,
+    forward_table,
     sample_rates,
 )
 from .objectives import evaluate_cost
-from .pmp import Costate, bang_bang_terms, l2_law_terms, switching_terms
+from .pmp import bang_bang_terms, l2_law_terms, switching_terms
 from .scenarios import Scenario
 
 # An l2 sweep first runs on a grid this many times coarser (see ``solve``).
@@ -115,8 +121,8 @@ class SolveResult:
     the blending weight in force when the sweep stopped.  For l1,
     interior_fraction is the share of nodes where a returned control lies
     more than 1e-12 inside both of its bounds.  coarse_iterations counts the
-    iterations of the coarse l2 sweep (0 if none ran); the other fields are
-    the fine sweep's.
+    iterations of the coarse l2 sweep (0 if none ran), or is the iteration
+    at which it diverged; the other fields are the fine sweep's.
     """
 
     state: Trajectory
@@ -134,30 +140,32 @@ class SolveResult:
 
 
 def _residual(old: np.ndarray, new: np.ndarray) -> float:
-    """The worst relative l1 change, sum|new - old| / sum|new|, over the columns.
+    """The worst relative l1 change, sum|new - old| / sum|new|, over the rows.
 
-    A column that moves while its new values are all zero gives inf.
+    A row (series) that moves while its new values are all zero gives inf.
+    On C-contiguous tables each row sum has the bits of that series' own sum.
     """
+    changes = np.abs(new - old).sum(axis=1).tolist()
+    scales = np.abs(new).sum(axis=1).tolist()
     worst = 0.0
-    for o, n in zip(old.T, new.T):
-        change, scale = np.abs(n - o).sum(), np.abs(n).sum()
+    for change, scale in zip(changes, scales):
         if scale > 0.0:
             worst = max(worst, change / scale)
         elif change > 0.0:
             return math.inf
-    return float(worst)
+    return worst
 
 
 def _law_on_grid(
     scenario: Scenario,
-    x: Trajectory,
-    p: Trajectory,
+    x: np.ndarray,
+    p: np.ndarray,
     u_prev: np.ndarray,
     eps_singular: float,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Pointwise optimality law on whole node columns; singular flags for l1."""
-    R, _, P = x.values.T
-    p1, p2, p3 = p.values.T
+    R, _, P = x.T
+    p1, p2, p3 = p.T
     params = scenario.params
     columns = (R, P, p1, p2, p3, params, scenario.weights, scenario.n0)
     if scenario.objective == "l2":
@@ -168,12 +176,12 @@ def _law_on_grid(
     return np.column_stack((u1, u2)), singular1 | singular2
 
 
-def _integrate(scenario: Scenario, u: ControlGrid, rates: GridRates, iteration: int):
-    """State and adjoint under u; an IntegrationError diverges the sweep."""
-    params = scenario.params
+def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: int):
+    """State and adjoint tables under u; an IntegrationError diverges the sweep."""
+    params, n0, us = scenario.params, scenario.n0, _half_steps(u)
     try:
-        x = rk4_forward(scenario.x0, u, params, rates)
-        return x, rk4_backward(Costate(0.0, 0.0, 0.0), x, u, params, scenario.weights, rates)
+        x = forward_table(scenario.x0, n0, us, params, rates)
+        return x, backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
     except IntegrationError as err:
         message = f"sweep diverged at iteration {iteration}: {err}"
         raise DivergenceError(message, iteration) from err
@@ -187,22 +195,28 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
     the l1 singular flags, and the controls u the last iteration integrated,
     with the state x and adjoint p under them.
     """
-    grid = rates.grid
-    prev = np.zeros((grid.n + 1, 8))
+    prev, series = np.zeros((2, 8, rates.grid.n + 1))  # rows R, C, P, p1..p3, u1, u2
     history: list[float] = []
     weight = settings.relaxation
     for iteration in range(1, settings.max_iters + 1):
-        u = ControlGrid(grid, u_work)
+        u = u_work
         x, p = _integrate(scenario, u, rates, iteration)
-        u_law, flags = _law_on_grid(scenario, x, p, u_work, settings.eps_singular)
-        u_work = weight * u_law + (1.0 - weight) * u_work
-        current = np.hstack((x.values, p.values, u_work))
-        history.append(_residual(prev, current))
+        u_law, flags = _law_on_grid(scenario, x, p, u, settings.eps_singular)
+        u_work = weight * u_law + (1.0 - weight) * u
+        series[:3], series[3:6], series[6:] = x.T, p.T, u_work.T
+        history.append(_residual(prev, series))
         if history[-1] <= settings.tol_delta:
             break
+        blended = weight
         if iteration >= 3 and history[-1] > history[-2] and weight == settings.relaxation:
             weight = settings.relaxation / 2.0
-        prev = current
+        if weight == blended and iteration < settings.max_iters and (
+            u_work.tobytes() == u.tobytes()
+        ):
+            # the next iteration would integrate u again at the same weight
+            history.append(0.0)
+            break
+        prev, series = series, prev
     return u_law, history, weight, flags, u, x, p
 
 
@@ -229,20 +243,20 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
                 u_start = np.column_stack(columns)
     u_law, history, weight, flags, u, x, p = _sweep(scenario, settings, rates, u_start)
 
-    controls = ControlGrid(grid, u_law)
     # x and p are already under u_law if the law returned u bit for bit
-    if u_law.tobytes() != u.values.tobytes():
-        x, p = _integrate(scenario, controls, rates, len(history))
+    if u_law.tobytes() != u.tobytes():
+        x, p = _integrate(scenario, u_law, rates, len(history))
+    state, controls = Trajectory(grid, x), ControlGrid(grid, u_law)
     interior = None
     if scenario.objective == "l1":
         bounds = (scenario.params.u1_max, scenario.params.u2_max)
         inside = (u_law > 1e-12) & (u_law < np.subtract(bounds, 1e-12))
         interior = float(np.mean(np.any(inside, axis=1)))
     return SolveResult(
-        state=x,
-        costate=p,
+        state=state,
+        costate=Trajectory(grid, p),
         controls=controls,
-        cost=evaluate_cost(scenario, x, controls, rates),
+        cost=evaluate_cost(scenario, state, controls, rates),
         iterations=len(history),
         converged=history[-1] <= settings.tol_delta,
         residual_history=tuple(history),

