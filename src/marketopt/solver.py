@@ -207,10 +207,10 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
         history.append(_residual(prev, series))
         if history[-1] <= settings.tol_delta:
             break
-        blended = weight
+        blended_at = weight
         if iteration >= 3 and history[-1] > history[-2] and weight == settings.relaxation:
             weight = settings.relaxation / 2.0
-        if weight == blended and iteration < settings.max_iters and (
+        if weight == blended_at and iteration < settings.max_iters and (
             u_work.tobytes() == u.tobytes()
         ):
             # the next iteration would integrate u again at the same weight
