@@ -21,7 +21,8 @@ The adjoint system is linear in p, so the backward pass makes one
 ``pmp.costate_system`` call per block of steps, builds each step as an affine
 map, and composes them in linear work.  Each pass is a raw kernel on node
 and half-step tables (``forward_table``, ``backward_table``), which the sweep
-calls directly, and a validating wrapper (``rk4_forward``, ``rk4_backward``).
+calls directly, and a validating wrapper (``rk4_forward``, ``rk4_backward``);
+``forward_table`` resumes at node s from an earlier pass's first s+1 nodes.
 Trajectory and ControlGrid share one node-table check.
 """
 
@@ -50,6 +51,7 @@ NONNEG_TOLERANCE = 1e-12
 
 # Backward RK4 steps composed per block; bounds the memory of their 4x4 maps.
 BACKWARD_BLOCK = 1024
+_EYE4 = np.eye(4)  # the identity step map; never written
 
 
 class IntegrationError(RuntimeError):
@@ -216,21 +218,25 @@ def _on_total(rp: np.ndarray, total: float) -> np.ndarray:
 
 
 def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
-                  rates: GridRates) -> np.ndarray:
+                  rates: GridRates, head: np.ndarray | None = None) -> np.ndarray:
     """Raw forward pass: the (n+1, 3) state nodes from x0, whose total is n0,
     under us, the ``_half_steps`` controls on rates.grid.  No input is checked;
     every step is, after the loop, and the first bad one raises IntegrationError.
+    head, if given, is an earlier pass's first s+1 nodes, under controls equal to
+    us on rows 0..2s: the pass resumes at node s, with the same bits and errors.
     """
     grid = rates.grid
     h = grid.h
     half, sixth = 0.5 * h, h / 6.0
-    R, P, N = x0.R, x0.P, n0
+    head = np.array([(x0.R, x0.C, x0.P)]) if head is None else head
+    s, (R, _, P), N = len(head) - 1, head[-1].tolist(), n0
+    beta, gamma = rates.beta[2 * s:], rates.gamma[2 * s:]
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c, e, g, k, f = flow_coefficients(*us.T, rates.beta, rates.gamma, params, N, N)
-    # step i reads the coefficients of half-step rows 2i, 2i+1 and 2i+2
-    series = [s.tolist() for s in (a, b, e, g, k, f)]
-    steps = zip(*(s[j::2] for s in series for j in (0, 1, 2)))
-    Rs, Ps = [R], [P]
+        a, b, c, e, g, k, f = flow_coefficients(*us[2 * s:].T, beta, gamma, params, N, N)
+    # step s + i reads coefficient rows 2i, 2i+1 and 2i+2, counted from row 2s
+    series = [col.tolist() for col in (a, b, e, g, k, f)]
+    steps = zip(*(col[j::2] for col in series for j in (0, 1, 2)))
+    Rs, Ps = [], []
     for aa, am, ab, ba, bm, bb, ea, em, eb, ga, gm, gb, ka, km, kb, fa, fm, fb in steps:
         q = R * P
         kR1 = aa * R + ba * P + c + ea * q
@@ -251,14 +257,14 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
         P += sixth * (kP1 + 2.0 * (kP2 + kP3) + kP4)
         Rs.append(R)
         Ps.append(P)
-    # float arithmetic does not raise, so every step is checked here; with N
+    # float arithmetic does not raise, so every new step is checked here; with N
     # finite, this passes exactly the finite states with no component below
     # -NONNEG_TOLERANCE
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _on_total(np.array((Rs, Ps)).T, N)
-        bad = ~(values[1:] >= -NONNEG_TOLERANCE).all(axis=1)
+        values = np.concatenate((head, _on_total(np.array((Rs, Ps)).T, N)))
+        bad = ~(values[s + 1:] >= -NONNEG_TOLERANCE).all(axis=1)
     if bad.any():
-        i = int(np.argmax(bad)) + 1
+        i = s + 1 + int(np.argmax(bad))
         t = grid.t0 + i * h
         if not np.isfinite(values[i]).all():
             raise IntegrationError(f"non-finite state at step {i} (t={t:.6g})", i)
@@ -266,7 +272,6 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
             f"state component below -{NONNEG_TOLERANCE:g} at step {i} "
             f"(t={t:.6g}); reduce the step size h={h:.6g}", i
         )
-    values[0] = x0.R, x0.C, x0.P
     return values
 
 
@@ -324,7 +329,7 @@ def _step_maps(S: np.ndarray, h: float) -> np.ndarray:
     K2 = at_mid - (0.5 * h) * (at_mid @ K1)
     K3 = at_mid - (0.5 * h) * (at_mid @ K2)
     K4 = at_nodes[:-1] - h * (at_nodes[:-1] @ K3)
-    return np.eye(4) - (h / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
+    return _EYE4 - (h / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
 
 
 def _suffix_products(maps: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -337,7 +342,8 @@ def _suffix_products(maps: np.ndarray, top: np.ndarray) -> np.ndarray:
     """
     size = math.isqrt(len(maps) - 1) + 1
     pad = -len(maps) % size
-    chunks = np.concatenate((np.broadcast_to(np.eye(4), (pad, 4, 4)), maps))
+    chunks = np.empty((pad + len(maps), 4, 4))
+    chunks[:pad], chunks[pad:] = _EYE4, maps
     chunks = chunks.reshape(-1, size, 4, 4)
     for j in range(size - 2, -1, -1):
         chunks[:, j] = chunks[:, j] @ chunks[:, j + 1]

@@ -14,10 +14,12 @@ of an iteration is the worst relative l1 change, between iterations, of the
 eight tracked series (R, C, P, p1, p2, p3, u1, u2), the rows of one
 C-contiguous table; the loop stops as soon as it is <= tol_delta.  The loop
 works on raw node tables and builds the checked ``Trajectory`` and
-``ControlGrid`` once, for the result.  An iteration that blends, byte for
-byte, the controls it integrated, at an unchanged weight, would be followed
-by its exact repeat (a converged bang-bang sweep is), so the repeat's
-residual 0.0 is recorded and it is not run.
+``ControlGrid`` once, for the result.  Forward step i reads the controls of
+nodes i and i+1, so each forward pass resumes the one before at the node
+before the first control that changed bit for bit; the backward pass runs in
+full.  An iteration whose blend returns, bit for bit, the controls it
+integrated, at an unchanged weight, would be followed by its exact repeat, so
+the repeat's residual 0.0 is recorded and it is not run.
 
 An l2 solve first runs the sweep on a grid COARSENING times coarser and, if
 that converges, starts from its law interpolated to the fine nodes.  The fine
@@ -26,8 +28,8 @@ residual is still first taken against zero, so at least 2 fine iterations run
 
 The returned controls are the optimality law on the last iterate.  The
 returned state, adjoint and cost are integrated once more under exactly
-those controls (a pass skipped when the law returned the controls it was
-evaluated under, bit for bit), so they form one consistent solution:
+those controls (resumed as above, and skipped when the law returned the
+controls it was evaluated under), so they form one consistent solution:
 re-integrating ``result.controls`` reproduces them bit for bit.  The law
 itself holds on the iterate one pass earlier, not exactly on the returned pair.
 """
@@ -176,11 +178,23 @@ def _law_on_grid(
     return np.column_stack((u1, u2)), singular1 | singular2
 
 
-def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: int):
-    """State and adjoint tables under u; an IntegrationError diverges the sweep."""
+def _first_change(old: np.ndarray, new: np.ndarray) -> int | None:
+    """The first node at which two control tables differ bit for bit, or None
+    (their int64 views are compared, so a signed zero counts as a change)."""
+    changed = old.view(np.int64).ravel() != new.view(np.int64).ravel()
+    i = int(changed.argmax())
+    return i // old.shape[1] if changed[i] else None
+
+
+def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: int,
+               last=None):
+    """State and adjoint tables under u, the forward pass resumed from last, an
+    earlier pass's (u, x); an IntegrationError diverges the sweep."""
     params, n0, us = scenario.params, scenario.n0, _half_steps(u)
+    change = 0 if last is None else _first_change(last[0], u)
+    head = None if change == 0 else last[1][:change]  # all of x if u is unchanged
     try:
-        x = forward_table(scenario.x0, n0, us, params, rates)
+        x = forward_table(scenario.x0, n0, us, params, rates, head)
         return x, backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
     except IntegrationError as err:
         message = f"sweep diverged at iteration {iteration}: {err}"
@@ -197,10 +211,10 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
     """
     prev, series = np.zeros((2, 8, rates.grid.n + 1))  # rows R, C, P, p1..p3, u1, u2
     history: list[float] = []
-    weight = settings.relaxation
+    weight, last = settings.relaxation, None
     for iteration in range(1, settings.max_iters + 1):
         u = u_work
-        x, p = _integrate(scenario, u, rates, iteration)
+        x, p = _integrate(scenario, u, rates, iteration, last)
         u_law, flags = _law_on_grid(scenario, x, p, u, settings.eps_singular)
         u_work = weight * u_law + (1.0 - weight) * u
         series[:3], series[3:6], series[6:] = x.T, p.T, u_work.T
@@ -210,13 +224,13 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
         blended_at = weight
         if iteration >= 3 and history[-1] > history[-2] and weight == settings.relaxation:
             weight = settings.relaxation / 2.0
-        if weight == blended_at and iteration < settings.max_iters and (
-            u_work.tobytes() == u.tobytes()
-        ):
+        repeats = weight == blended_at and _first_change(u, u_work) is None
+        if repeats and iteration < settings.max_iters:
             # the next iteration would integrate u again at the same weight
             history.append(0.0)
             break
         prev, series = series, prev
+        last = u, x
     return u_law, history, weight, flags, u, x, p
 
 
@@ -244,8 +258,8 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     u_law, history, weight, flags, u, x, p = _sweep(scenario, settings, rates, u_start)
 
     # x and p are already under u_law if the law returned u bit for bit
-    if u_law.tobytes() != u.tobytes():
-        x, p = _integrate(scenario, u_law, rates, len(history))
+    if _first_change(u, u_law) is not None:
+        x, p = _integrate(scenario, u_law, rates, len(history), (u, x))
     state, controls = Trajectory(grid, x), ControlGrid(grid, u_law)
     interior = None
     if scenario.objective == "l1":

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from marketopt import integrator
@@ -14,7 +16,9 @@ from marketopt.integrator import (
     IntegrationError,
     TimeGrid,
     Trajectory,
+    _half_steps,
     default_grid,
+    forward_table,
     rk4_backward,
     rk4_forward,
     rk4_stages,
@@ -339,6 +343,51 @@ def test_a_dip_is_reported_before_the_state_turns_non_finite(monkeypatch):
     with pytest.raises(IntegrationError) as err:
         rk4_forward(*args)
     assert (str(err.value), err.value.step) == ("non-finite state at step 27 (t=4.725)", 27)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(PRESET_NAMES),
+    n=st.integers(2, 400),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_resumed_forward_pass_is_the_fresh_pass_bit_for_bit(name, n, seed, data):
+    # j is the first node whose controls change; j = n + 1 changes none
+    j = data.draw(st.one_of(st.sampled_from([0, n, n + 1]), st.integers(0, n + 1)))
+    sc = preset_scenario(name)
+    grid = TimeGrid(0.0, sc.t_f, n)
+    rates = _rates(sc, grid)
+    rng = np.random.default_rng(seed)
+    box = (sc.params.u1_max, sc.params.u2_max)
+    old = rng.uniform(0.0, 1.0, (n + 1, 2)) * box
+    new = old.copy()
+    new[j:] = rng.uniform(0.0, 1.0, (n + 1 - j, 2)) * box
+    args = (sc.x0, sc.n0)
+    earlier = forward_table(*args, _half_steps(old), sc.params, rates)
+    fresh = forward_table(*args, _half_steps(new), sc.params, rates)
+    # step i reads the controls of nodes i and i+1, so node max(j-1, 0) is kept
+    head = earlier[: max(j, 1)]
+    resumed = forward_table(*args, _half_steps(new), sc.params, rates, head)
+    assert resumed.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("floor", [NONNEG_TOLERANCE, math.inf])
+@pytest.mark.parametrize("start", [0, 1, 12, 24])
+def test_a_resumed_pass_fails_like_the_fresh_pass(start, floor, monkeypatch):
+    # the pass dips at step 25 (or, with no floor, turns non-finite at step 27)
+    x0, u, params, rates = _failing_forward("below the floor")
+    n0, calm = x0.R + x0.C + x0.P, u.values.copy()
+    calm[25:] = 0.0
+    head = forward_table(x0, n0, _half_steps(calm), params, rates)[: start + 1]
+    monkeypatch.setattr(integrator, "NONNEG_TOLERANCE", floor)
+    outcomes = []
+    for resume_from in (None, head):
+        with pytest.raises(IntegrationError) as err:
+            forward_table(x0, n0, _half_steps(u.values), params, rates, resume_from)
+        outcomes.append((str(err.value), err.value.step))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == (25 if floor == NONNEG_TOLERANCE else 27)
 
 
 def test_passes_reject_a_zero_initial_total():

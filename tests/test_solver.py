@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -30,6 +31,7 @@ from marketopt.scenarios import PRESET_NAMES, Constant, Scenario, preset_scenari
 from marketopt.solver import (
     DivergenceError,
     SweepSettings,
+    _first_change,
     _residual,
     solve,
 )
@@ -433,6 +435,63 @@ def test_a_repeat_past_max_iters_is_not_recorded():
     assert not capped.converged
     assert capped.iterations == capped_at
     assert capped.residual_history == full.residual_history[:-1]
+
+
+@pytest.mark.parametrize("node, column, value", [(0, 0, 1.0), (4, 1, 0.5), (9, 1, 2.0)])
+def test_first_change_is_the_first_node_that_differs_bit_for_bit(node, column, value):
+    old = np.zeros((10, 2))
+    assert _first_change(old, old.copy()) is None
+    new = old.copy()
+    new[node, column] = value
+    new[node + 1:] = 3.0
+    assert _first_change(old, new) == node
+    # a signed zero is a change, as it is to tobytes
+    new = old.copy()
+    new[node, column] = -0.0
+    assert _first_change(old, new) == node
+
+
+def _resume_cases():
+    for name in PRESET_NAMES:
+        objective = preset_scenario(name).objective
+        yield name, SweepSettings(n=default_grid(7.0, objective).n), None
+    # l1-fine (a recorded repeat), weight halving, and an unconverged grid
+    yield "scenario3-l1", SweepSettings(n=2800, tol_delta=1e-6), (13981, 16800)
+    yield "scenario3-l1", SweepSettings(n=700), None
+    yield "scenario3-l1", SweepSettings(n=2424, tol_delta=1e-6, max_iters=40), None
+
+
+@pytest.mark.parametrize("name, settings, steps", list(_resume_cases()))
+def test_resumed_forward_passes_change_no_result(name, settings, steps, monkeypatch):
+    starts = []
+
+    def counted(*args):
+        head = args[5]
+        starts.append((0 if head is None else len(head) - 1, len(args[2]) // 2))
+        return forward_table(*args)
+
+    def solved():
+        starts.clear()
+        r = solve(preset_scenario(name), settings)
+        digests = [
+            hashlib.sha256(t.values.tobytes()).hexdigest()
+            for t in (r.state, r.costate, r.controls)
+        ]
+        history = [h.hex() for h in r.residual_history]
+        return digests, history, r.iterations, r.coarse_iterations, r.relaxation, r.cost
+
+    monkeypatch.setattr(solver, "forward_table", counted)
+    resumed, resumed_starts = solved(), list(starts)
+    # every pass from node 0, and no repeat recorded or final pass skipped
+    monkeypatch.setattr(solver, "_first_change", lambda old, new: 0)
+    assert solved() == resumed
+    assert all(start == 0 for start, _ in starts)
+    if preset_scenario(name).objective == "l2":
+        # u2 is interior at t=0, so every l2 pass changes node 0
+        assert all(start == 0 for start, _ in resumed_starts)
+    if steps is not None:
+        assert (sum(n - start for start, n in resumed_starts),
+                sum(n for _, n in resumed_starts)) == steps
 
 
 L2_PRESETS = [name for name in PRESET_NAMES if preset_scenario(name).objective == "l2"]
