@@ -7,7 +7,12 @@ rows and interval midpoints at odd rows: step i reads rows 2i, 2i+1 (twice)
 and 2i+2.  ``sample_rates`` samples beta and gamma there once per grid, and
 ``_half_steps`` lays out controls and states the same way, with the average
 of the two adjacent nodes at each midpoint, which keeps fourth order for
-smooth controls.
+smooth controls.  A clamped control has a kink where it meets its bound, and
+the step that holds the kink would be only second order; every forward pass
+and the cost split such a step at the junction time tau into two RK4
+sub-steps, on [t_i, tau] and [tau, t_{i+1}] (the rule is in ``junctions``).
+Any other step, and so any pass with no junction, is unchanged, bit for bit.
+The backward pass does not split.
 
 The forward pass steps node by node on the conserved total N = R + C + P of
 x0: it carries only R and P and fills in C as N - R - P.  Each stage evaluates
@@ -22,7 +27,9 @@ The adjoint system is linear in p, so the backward pass makes one
 map, and composes them in linear work.  Each pass is a raw kernel on node
 and half-step tables (``forward_table``, ``backward_table``), which the sweep
 calls directly, and a validating wrapper (``rk4_forward``, ``rk4_backward``);
-``forward_table`` resumes at node s from an earlier pass's first s+1 nodes.
+``forward_table`` resumes at node s from an earlier pass's first s+1 nodes,
+under controls equal on nodes 0..s+3, the nodes that the steps before s and
+their junctions read.
 Trajectory and ControlGrid share one node-table check.
 """
 
@@ -30,20 +37,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from .junctions import junction_steps, split_step
 from .model import (ModelParams, RateCallable, State, Weights, _require_total,
                     flow_coefficients, rhs_terms)
 from .pmp import Costate, costate_system
 
 # Default intervals per unit time, per objective.  With the RK4 stage cost (see
-# ``objectives``) the l2 presets at 50 per unit (n=350) come within 5.4e-9 of
-# the n -> inf cost, closer than 200 per unit came with the trapezoid rule.  l1
-# keeps 200: its bang-bang controls keep the cost second order, and at n=350
-# its sweep halves its weight and stops on controls whose signs disagree with
-# the switching values (acceptance criterion 4).
-NODES_PER_TIME_UNIT = {"l2": 50, "l1": 200}
+# ``objectives``) and the steps that hold a clamp junction split there, the l2
+# presets at 25 per unit (n=175) come within 1.8e-10 of the n -> inf cost (an
+# n=5600, tol-1e-11 solve); at 50 per unit without the split they came within
+# 5.4e-9.  l1 keeps 200: its bang-bang controls keep the cost second order, and
+# at n=350 its sweep halves its weight and stops on controls whose signs
+# disagree with the switching values (acceptance criterion 4).
+NODES_PER_TIME_UNIT = {"l2": 25, "l1": 200}
 
 # Continuous trajectories stay nonnegative; anything below this after a step
 # signals the step size is too coarse for the current rates.
@@ -217,26 +227,10 @@ def _on_total(rp: np.ndarray, total: float) -> np.ndarray:
     return np.stack((R, total - R - P, P), axis=-1)
 
 
-def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
-                  rates: GridRates, head: np.ndarray | None = None) -> np.ndarray:
-    """Raw forward pass: the (n+1, 3) state nodes from x0, whose total is n0,
-    under us, the ``_half_steps`` controls on rates.grid.  No input is checked;
-    every step is, after the loop, and the first bad one raises IntegrationError.
-    head, if given, is an earlier pass's first s+1 nodes, under controls equal to
-    us on rows 0..2s: the pass resumes at node s, with the same bits and errors.
-    """
-    grid = rates.grid
-    h = grid.h
+def _rk4_steps(R, P, c, h, steps, Rs, Ps):
+    """Run RK4 steps of width h from (R, P) on the flow coefficient tuples of
+    ``forward_table``, appending each new node to Rs and Ps; returns the last."""
     half, sixth = 0.5 * h, h / 6.0
-    head = np.array([(x0.R, x0.C, x0.P)]) if head is None else head
-    s, (R, _, P), N = len(head) - 1, head[-1].tolist(), n0
-    beta, gamma = rates.beta[2 * s:], rates.gamma[2 * s:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c, e, g, k, f = flow_coefficients(*us[2 * s:].T, beta, gamma, params, N, N)
-    # step s + i reads coefficient rows 2i, 2i+1 and 2i+2, counted from row 2s
-    series = [col.tolist() for col in (a, b, e, g, k, f)]
-    steps = zip(*(col[j::2] for col in series for j in (0, 1, 2)))
-    Rs, Ps = [], []
     for aa, am, ab, ba, bm, bb, ea, em, eb, ga, gm, gb, ka, km, kb, fa, fm, fb in steps:
         q = R * P
         kR1 = aa * R + ba * P + c + ea * q
@@ -257,6 +251,42 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
         P += sixth * (kP1 + 2.0 * (kP2 + kP3) + kP4)
         Rs.append(R)
         Ps.append(P)
+    return R, P
+
+
+def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
+                  rates: GridRates, head: np.ndarray | None = None) -> np.ndarray:
+    """Raw forward pass: the (n+1, 3) state nodes from x0, whose total is n0,
+    under us, the ``_half_steps`` controls on rates.grid.  No input is checked;
+    every step is, after the loop, and the first bad one raises IntegrationError.
+    A step that holds a junction (``junctions.junction_steps``) runs as two
+    sub-steps.  head, if given, is an earlier pass's first s+1 nodes, under
+    controls equal to us on nodes 0..s+3: the pass resumes at node s, with the
+    same bits and errors.
+    """
+    grid = rates.grid
+    h = grid.h
+    head = np.array([(x0.R, x0.C, x0.P)]) if head is None else head
+    s, (R, _, P), N = len(head) - 1, head[-1].tolist(), n0
+    beta, gamma = rates.beta[2 * s:], rates.gamma[2 * s:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c, e, g, k, f = flow_coefficients(*us[2 * s:].T, beta, gamma, params, N, N)
+    # step s + i reads coefficient rows 2i, 2i+1 and 2i+2, counted from row 2s
+    series = [col.tolist() for col in (a, b, e, g, k, f)]
+    steps = zip(*(col[j::2] for col in series for j in (0, 1, 2)))
+    Rs, Ps = [], []
+    nodes, at = us[0::2], s
+    for split in junction_steps(nodes, params):
+        i = split[0]
+        if i < s:
+            continue
+        R, P = _rk4_steps(R, P, c, h, islice(steps, i - at), Rs, Ps)
+        next(steps)  # step i taken whole
+        _, _, (R, P) = _split_sub_steps(split, nodes, rates, params, N, R, P)
+        Rs.append(R)
+        Ps.append(P)
+        at = i + 1
+    _rk4_steps(R, P, c, h, steps, Rs, Ps)
     # float arithmetic does not raise, so every new step is checked here; with N
     # finite, this passes exactly the finite states with no component below
     # -NONNEG_TOLERANCE
@@ -284,20 +314,8 @@ def rk4_forward(x0: State, u: ControlGrid, params: ModelParams,
     return Trajectory(u.grid, values)
 
 
-def rk4_stages(
-    x: Trajectory,
-    u: ControlGrid,
-    params: ModelParams,
-    rates: GridRates,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every step's four RK4 stage inputs, rebuilt on whole columns from x's nodes.
-
-    Returns (states, controls) with shapes (4, n, 3) and (4, n, 2):
-    states[k, i] and controls[k, i] are where stage k+1 of step i evaluates
-    ``model.rhs_terms``: node i, the two midpoint predictions, then the
-    end-point prediction, under u_i, the midpoint average twice, then u_{i+1}.
-    The total of x's first node is n0 and N.
-    """
+def _stages(x: Trajectory, u: ControlGrid, params: ModelParams, rates: GridRates):
+    """``rk4_stages``, and the width of each (sub-)step as a fraction of h."""
     grid = x.grid
     if not grid == u.grid == rates.grid:
         raise ValueError("state, controls and rates must share one grid")
@@ -315,7 +333,83 @@ def rk4_stages(
         stages[k + 1] = rp + reach * np.column_stack(slope)
     states = _on_total(stages, N)
     states[0] = xs
-    return states, controls
+    widths = np.ones(grid.n)
+    splits = junction_steps(u.values, params)
+    if not splits:
+        return states, controls, widths
+    # a split step's first sub-step takes its place; the second ones follow the
+    # n steps, in step order
+    sub_stages, stage_controls = [], []
+    for split in splits:
+        R, _, P = xs[split[0]].tolist()
+        stages_rp, rows, _ = _split_sub_steps(split, u.values, rates, params, N, R, P)
+        sub_stages.append(stages_rp)
+        stage_controls.append([rows[r][:2] for r in (0, 1, 1, 2, 2, 3, 3, 4)])
+    steps = [split[0] for split in splits]
+    thetas = np.array([split[2] for split in splits])
+    sub_states = _on_total(np.array(sub_stages).swapaxes(0, 1), N)
+    sub_controls = np.array(stage_controls).swapaxes(0, 1)
+    states[1:, steps], controls[:, steps] = sub_states[1:4], sub_controls[:4]
+    widths[steps] = thetas
+    return (np.concatenate((states, sub_states[4:]), axis=1),
+            np.concatenate((controls, sub_controls[4:]), axis=1),
+            np.concatenate((widths, 1.0 - thetas)))
+
+
+def _split_sub_steps(split: tuple, nodes: np.ndarray, rates: GridRates,
+                     params: ModelParams, N: float, R: float, P: float):
+    """Step split[0] from (R, P) as its two RK4 sub-steps (``junctions.split_step``):
+    their 8 stage (R, P), the 5 (u1, u2, beta, gamma) rows they read, and
+    where the second lands."""
+    ha, hb, rows = split_step(split, nodes, rates)
+    flows = [flow_coefficients(*row, params, N, N) for row in rows]
+    first, tau = _sub_step(R, P, ha, flows[:3])
+    second, landing = _sub_step(*tau, hb, flows[2:])
+    return first + second, rows, landing
+
+
+def _sub_step(R: float, P: float, width: float, flows):
+    """An RK4 step of this width from (R, P), on the ``flow_coefficients``
+    tuples at its start, midpoint and end: its four stage (R, P) and where it
+    lands.  The operations are those of ``_rk4_steps``, so are the bits."""
+    (aa, ba, c, ea, ga, ka, fa), (am, bm, _, em, gm, km, fm), (ab, bb, _, eb, gb, kb, fb) = flows
+    half = 0.5 * width
+    q = R * P
+    kR1, kP1 = aa * R + ba * P + c + ea * q, ga + ka * P - fa * q
+    R2, P2 = R + half * kR1, P + half * kP1
+    q = R2 * P2
+    kR2, kP2 = am * R2 + bm * P2 + c + em * q, gm + km * P2 - fm * q
+    R3, P3 = R + half * kR2, P + half * kP2
+    q = R3 * P3
+    kR3, kP3 = am * R3 + bm * P3 + c + em * q, gm + km * P3 - fm * q
+    R4, P4 = R + width * kR3, P + width * kP3
+    q = R4 * P4
+    kR4, kP4 = ab * R4 + bb * P4 + c + eb * q, gb + kb * P4 - fb * q
+    sixth = width / 6.0
+    landing = (R + sixth * (kR1 + 2.0 * (kR2 + kR3) + kR4),
+               P + sixth * (kP1 + 2.0 * (kP2 + kP3) + kP4))
+    return [(R, P), (R2, P2), (R3, P3), (R4, P4)], landing
+
+
+def rk4_stages(
+    x: Trajectory,
+    u: ControlGrid,
+    params: ModelParams,
+    rates: GridRates,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every step's four RK4 stage inputs, rebuilt on whole columns from x's nodes.
+
+    Returns (states, controls) with shapes (4, m, 3) and (4, m, 2):
+    states[k, i] and controls[k, i] are where stage k+1 of step i evaluates
+    ``model.rhs_terms``: node i, the two midpoint predictions, then the
+    end-point prediction, under u_i, the midpoint average twice, then u_{i+1}.
+    A step that holds a junction (see ``junctions``) is two sub-steps, rebuilt
+    one by one: the first takes the step's place, and the second ones follow
+    the n steps, in step order, so m is n plus the number of those steps.  A
+    second sub-step starts where its first one lands.  The total of x's first
+    node is n0 and N.
+    """
+    return _stages(x, u, params, rates)[:2]
 
 
 def _step_maps(S: np.ndarray, h: float) -> np.ndarray:

@@ -15,16 +15,18 @@ eight tracked series (R, C, P, p1, p2, p3, u1, u2), the rows of one
 C-contiguous table; the loop stops as soon as it is <= tol_delta.  The loop
 works on raw node tables and builds the checked ``Trajectory`` and
 ``ControlGrid`` once, for the result.  Forward step i reads the controls of
-nodes i and i+1, so each forward pass resumes the one before at the node
-before the first control that changed bit for bit; the backward pass runs in
-full.  An iteration whose blend returns, bit for bit, the controls it
-integrated, at an unchanged weight, would be followed by its exact repeat, so
-the repeat's residual 0.0 is recorded and it is not run.
+nodes i and i+1, and its junction rule those of nodes i-3 .. i+4, so each
+forward pass resumes the one before 4 nodes before the first control that
+changed bit for bit; the backward pass runs in full.  An iteration whose
+blend returns, bit for bit, the controls it integrated, at an unchanged
+weight, would be followed by its exact repeat, so the repeat's residual 0.0 is
+recorded and it is not run.
 
 An l2 solve first runs the sweep on a grid COARSENING times coarser and, if
 that converges, starts from its law interpolated to the fine nodes.  The fine
 residual is still first taken against zero, so at least 2 fine iterations run
-(2 at the defaults).  l1 starts from zero: its coarse grids chatter.
+(at the defaults, 3 on the clamped presets and 2 on comparison-default).  l1
+starts from zero: its coarse grids chatter.
 
 The returned controls are the optimality law on the last iterate.  The
 returned state, adjoint and cost are integrated once more under exactly
@@ -53,6 +55,7 @@ from .integrator import (
     forward_table,
     sample_rates,
 )
+from .junctions import junction_steps
 from .objectives import evaluate_cost
 from .pmp import bang_bang_terms, l2_law_terms, switching_terms
 from .scenarios import Scenario
@@ -77,14 +80,16 @@ class SweepSettings:
     followed by its ``solver`` section.  n is the number of intervals on the
     scenario's horizon [0, t_f] (see ``grid_for``).  It has no default here;
     ``integrator.default_grid`` gives the per-objective one that config files
-    and the command line fall back on: 50 intervals per unit time for l2
-    (n=350 on the presets) and 200 for l1 (n=1400).
+    and the command line fall back on: 25 intervals per unit time for l2
+    (n=175 on the presets) and 200 for l1 (n=1400).
 
     relaxation is the starting weight on the fresh controls in the convex
     update; ``solve`` halves it once if the worst residual grows from the
     third iteration on, and reports the weight in force at the end as
-    ``SolveResult.relaxation``.  From the coarse start (see ``solve``) the l2
-    presets at n=350 take 2 fine iterations at 1 or at 0.5.  On coarse
+    ``SolveResult.relaxation``.  From the n=21 coarse start (see ``solve``)
+    the clamped l2 presets at n=175 take 3 fine iterations and
+    comparison-default 2, at 1 or at 0.5 (after 6 and 5 coarse iterations at
+    1, 13 at 0.5).  On coarse
     bang-bang grids the full step stalls and the halving rescues it
     (scenario3-l1 at n=700 ends at 0.5 after 8 iterations).
     """
@@ -124,7 +129,10 @@ class SolveResult:
     interior_fraction is the share of nodes where a returned control lies
     more than 1e-12 inside both of its bounds.  coarse_iterations counts the
     iterations of the coarse l2 sweep (0 if none ran), or is the iteration
-    at which it diverged; the other fields are the fine sweep's.
+    at which it diverged; the other fields are the fine sweep's.  junctions
+    holds a (control index, tau) pair for every step of the returned controls
+    that the integrator split at a clamp junction tau (none for bang-bang or
+    unclamped controls).
     """
 
     state: Trajectory
@@ -139,6 +147,7 @@ class SolveResult:
     singular_flags: np.ndarray | None = None
     interior_fraction: float | None = None
     coarse_iterations: int = 0
+    junctions: tuple[tuple[int, float], ...] = ()
 
 
 def _residual(old: np.ndarray, new: np.ndarray) -> float:
@@ -192,7 +201,9 @@ def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: i
     earlier pass's (u, x); an IntegrationError diverges the sweep."""
     params, n0, us = scenario.params, scenario.n0, _half_steps(u)
     change = 0 if last is None else _first_change(last[0], u)
-    head = None if change == 0 else last[1][:change]  # all of x if u is unchanged
+    # steps before max(change - 4, 0) read only unchanged nodes; all of x is kept
+    # if u is unchanged
+    head = last[1] if change is None else last[1][:change - 3] if change > 4 else None
     try:
         x = forward_table(scenario.x0, n0, us, params, rates, head)
         return x, backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
@@ -279,4 +290,6 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
         singular_flags=flags,
         interior_fraction=interior,
         coarse_iterations=coarse_iterations,
+        junctions=tuple((c, grid.t0 + (i + theta) * grid.h)
+                        for i, c, theta, _ in junction_steps(u_law, scenario.params)),
     )

@@ -37,10 +37,10 @@ def test_solve_writes_trajectory_and_summary(tmp_path):
     assert code == 0
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,R,C,P,u1,u2,p1,p2,p3,phi1,phi2"
-    assert len(lines) == 1 + 351  # header plus one row per node (n = 350)
+    assert len(lines) == 1 + 176  # header plus one row per node (n = 175)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
-    assert summary["settings"]["grid_n"] == 350
+    assert summary["settings"]["grid_n"] == 175
     assert summary["settings"]["objective"] == "l2"
     assert (out / "config.json").exists()
 
@@ -82,9 +82,9 @@ def test_relax_flag_restores_the_damped_sweep(tmp_path):
     assert _run("solve", "--preset", "scenario1", "--relax", "0.5",
                 "--out", str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
-    # the coarse start leaves the fine sweep 2 iterations at either weight,
+    # the coarse start leaves the fine sweep 3 iterations at either weight,
     # so the cost tells whether 0.5 was used
-    assert summary["iterations"] == 2
+    assert summary["iterations"] == 3
     assert summary["settings"]["relaxation"] == 0.5
     sc, n = preset_scenario("scenario1"), default_grid(7.0, "l2").n
     assert summary["cost"] == solve(sc, SweepSettings(n=n, relaxation=0.5)).cost
@@ -101,7 +101,7 @@ def test_config_relaxation_round_trips_and_is_honoured(tmp_path):
     written = json.loads((out1 / "config.json").read_text())
     assert written["solver"] == doc["solver"]
     summary = json.loads((out1 / "summary.json").read_text())
-    assert summary["iterations"] == 2
+    assert summary["iterations"] == 3
     sc, n = preset_scenario("scenario1"), default_grid(7.0, "l2").n
     assert summary["cost"] == solve(sc, SweepSettings(n=n, relaxation=0.5)).cost
     assert _run("solve", "--config", str(out1 / "config.json"),
@@ -180,7 +180,7 @@ def test_objective_flag_overrides_scenario(tmp_path):
     ("preset", "objective", "n", "grid_n"),
     [
         ("scenario3", "l1", None, 1400),
-        ("scenario3-l1", "l2", None, 350),
+        ("scenario3-l1", "l2", None, 175),
         ("scenario3", "l1", 700, 700),  # an explicit n wins
         ("scenario3-l1", "l2", 700, 700),
     ],
@@ -348,7 +348,7 @@ def test_nonfinite_rate_parameter_is_an_input_error(
          "error: sweep diverged at iteration 1: state component below -1e-12"),
         ("scenario1", {"base": 1e308, "gain": 1e308}, [],
          "error: beta rate logistic-increasing(base=1e+308, gain=1e+308) is inf "
-         "at t=4.69; rates must be finite and >= 0"),
+         "at t=4.7; rates must be finite and >= 0"),
     ],
     ids=["divergence", "overflowing-rate"],
 )

@@ -25,6 +25,7 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
+from marketopt.junctions import junction_steps, split_step
 from marketopt.model import ControlPair, ModelParams, State, Weights, rhs_terms
 from marketopt.pmp import Costate, costate_rhs
 from marketopt.scenarios import (
@@ -54,7 +55,7 @@ def test_grid_basics():
     assert len(nodes) == 1401
     assert nodes[0] == 0.0
     assert nodes[-1] == pytest.approx(7.0, rel=1e-15)
-    assert default_grid(7.0, "l2").n == 350
+    assert default_grid(7.0, "l2").n == 175
     assert default_grid(7.0, "l1").n == 1400
     with pytest.raises(ValueError):
         TimeGrid(0.0, 7.0, 1)
@@ -372,6 +373,54 @@ def test_a_resumed_forward_pass_is_the_fresh_pass_bit_for_bit(name, n, seed, dat
     assert resumed.tobytes() == fresh.tobytes()
 
 
+def _clamped(w, top):
+    """A control column clamped the way the l2 law clamps: to exactly 0 or top."""
+    return np.minimum(np.maximum(w, 0.0), top)
+
+
+def _clamped_controls(rng, t, box):
+    """Smooth random controls clamped to the box: arcs at 0 or the cap next to
+    runs of interior nodes, so that steps hold junctions."""
+    columns = []
+    for cap in box:
+        level, swing = rng.uniform(0.2, 0.8) * cap, rng.uniform(0.4, 1.2) * cap
+        omega, phase = rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * math.pi)
+        columns.append(_clamped(level + swing * np.sin(omega * t + phase), cap))
+    return np.column_stack(columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(PRESET_NAMES),
+    n=st.integers(12, 400),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_a_resumed_pass_over_clamped_controls_is_the_fresh_pass_bit_for_bit(
+    name, n, seed, data
+):
+    sc = preset_scenario(name)
+    grid = TimeGrid(0.0, sc.t_f, n)
+    rates = _rates(sc, grid)
+    rng = np.random.default_rng(seed)
+    box, t = (sc.params.u1_max, sc.params.u2_max), grid.nodes()
+    old = _clamped_controls(rng, t, box)
+    # j, the first node whose controls change, is drawn mostly from the
+    # stencils (nodes i-3 .. i+4) of the junction steps i of the old controls
+    stencils = {i + d for i, *_ in junction_steps(old, sc.params)
+                for d in range(-3, 5)} & set(range(n + 2))
+    j = data.draw(st.sampled_from(sorted({0, n, n + 1} | stencils)))
+    new = old.copy()
+    new[j:] = _clamped_controls(rng, t, box)[j:]
+    args = (sc.x0, sc.n0)
+    earlier = forward_table(*args, _half_steps(old), sc.params, rates)
+    fresh = forward_table(*args, _half_steps(new), sc.params, rates)
+    # a step reads nodes i-3 .. i+4, so node max(j-4, 0) is kept
+    head = earlier[: max(j - 3, 1)]
+    resumed = forward_table(*args, _half_steps(new), sc.params, rates, head)
+    assert resumed.tobytes() == fresh.tobytes()
+
+
 @pytest.mark.parametrize("floor", [NONNEG_TOLERANCE, math.inf])
 @pytest.mark.parametrize("start", [0, 1, 12, 24])
 def test_a_resumed_pass_fails_like_the_fresh_pass(start, floor, monkeypatch):
@@ -388,6 +437,110 @@ def test_a_resumed_pass_fails_like_the_fresh_pass(start, floor, monkeypatch):
         outcomes.append((str(err.value), err.value.step))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] == (25 if floor == NONNEG_TOLERANCE else 27)
+
+
+JUNCTION_GRID = TimeGrid(0.0, 7.0, 175)  # h = 0.04, the l2 default on the presets
+
+
+def test_a_clamped_smooth_control_locates_each_junction():
+    # w = 0.4 + 0.9 sin(0.8 t) reaches u2_max = 1 at asin(2/3)/0.8, leaves it at
+    # (pi - asin(2/3))/0.8 and reaches 0 at (pi + asin(4/9))/0.8
+    t = JUNCTION_GRID.nodes()
+    u = np.column_stack((np.full_like(t, 0.03), _clamped(0.4 + 0.9 * np.sin(0.8 * t), 1.0)))
+    found = junction_steps(u, SCENARIO1.params)
+    exact = [math.asin(2.0 / 3.0) / 0.8, (math.pi - math.asin(2.0 / 3.0)) / 0.8,
+             (math.pi + math.asin(4.0 / 9.0)) / 0.8]
+    h = JUNCTION_GRID.h
+    assert [(c, bound) for _, c, _, bound in found] == [(1, 1.0), (1, 1.0), (1, 0.0)]
+    for (i, _, theta, _), tau in zip(found, exact):
+        assert 0.0 < theta < 1.0
+        assert abs((i + theta) * h - tau) <= 1e-6
+
+
+@pytest.mark.parametrize("table", ["terminal touch", "bang-bang", "interior", "zero"])
+def test_tables_without_a_junction(table):
+    t = JUNCTION_GRID.nodes()
+    box = (SCENARIO1.params.u1_max, SCENARIO1.params.u2_max)
+    if table == "terminal touch":
+        # a smooth interior control that touches 0 at t_f only: a one-node arc
+        u = np.column_stack([cap * (7.0 - t) / 8.0 for cap in box])
+    elif table == "bang-bang":
+        u = np.column_stack([np.where(np.sin(t + k) > 0.0, cap, 0.0) for k, cap in enumerate(box)])
+    elif table == "interior":
+        u = np.column_stack([cap * (0.5 + 0.4 * np.sin(t + k)) for k, cap in enumerate(box)])
+    else:
+        u = np.zeros((len(t), 2))
+    assert junction_steps(u, SCENARIO1.params) == []
+
+
+def _junction_case():
+    """scenario1's model under a u2 that reaches u2_max in step 22 (t = 0.91),
+    with u1 interior and linear-in-time rates, which the rate polynomial
+    reproduces; returns the state, controls, rates and beta, gamma callables."""
+    grid, sc = JUNCTION_GRID, SCENARIO1
+    t = grid.nodes()
+    u = ControlGrid(grid, np.column_stack(
+        (0.03 + 0.01 * np.sin(t), _clamped(0.4 + 0.9 * np.sin(0.8 * t), 1.0))))
+    beta, gamma = (lambda s: 0.3 + 0.1 * s), (lambda s: 0.05 + 0.01 * s)
+    ts = integrator._sample_times(grid)
+    rates = GridRates(grid, beta(ts), gamma(ts))
+    return rk4_forward(sc.x0, u, sc.params, rates), u, rates, beta, gamma
+
+
+def test_a_split_step_is_two_rk4_sub_steps():
+    x, u, rates, beta, gamma = _junction_case()
+    sc, h = SCENARIO1, JUNCTION_GRID.h
+    i, c, theta, bound = junction_steps(u.values, sc.params)[0]
+    assert (i, c, bound) == (22, 1, 1.0)
+
+    def rk4(state, t, width, start, end):
+        def rhs(y, s, v):
+            return _three_component_rhs(*y, *v, beta(s), gamma(s), sc.params, sc.n0)
+
+        mid = 0.5 * (start + end)
+        k1 = rhs(state, t, start)
+        k2 = rhs(state + 0.5 * width * k1, t + 0.5 * width, mid)
+        k3 = rhs(state + 0.5 * width * k2, t + 0.5 * width, mid)
+        k4 = rhs(state + width * k3, t + width, end)
+        return state + width / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+    # at tau the kinked u2 sits on u2_max and u1 is linear between its nodes
+    ua, ub = u.values[i], u.values[i + 1]
+    at_tau = ua + theta * (ub - ua)
+    at_tau[c] = bound
+    t, ha = i * h, theta * h
+    split = rk4(rk4(x.values[i], t, ha, ua, at_tau), t + ha, h - ha, at_tau, ub)
+    assert np.abs(x.values[i + 1] - split).max() <= 1e-15 * sc.n0
+    # the step taken whole lands elsewhere, by far more than roundoff
+    assert np.abs(x.values[i + 1] - rk4(x.values[i], t, h, ua, ub)).max() > 1e-9 * sc.n0
+
+
+def test_split_step_stages_land_on_the_forward_nodes_bit_for_bit():
+    x, u, rates, _, _ = _junction_case()
+    sc, h, n0, n = SCENARIO1, JUNCTION_GRID.h, SCENARIO1.n0, JUNCTION_GRID.n
+    splits = junction_steps(u.values, sc.params)
+    assert len(splits) == 3
+    # every (sub-)step: its width, its rates at the four stages, and where it
+    # lands; a split step's first sub-step takes its place, and the second
+    # sub-steps follow the n steps
+    picks = [(2 * i, 2 * i + 1, 2 * i + 1, 2 * i + 2) for i in range(n)]
+    steps = [(h, [(rates.beta[r], rates.gamma[r]) for r in picks[i]], x.values[i + 1])
+             for i in range(n)]
+    states, controls = rk4_stages(x, u, sc.params, rates)
+    assert states.shape == (4, n + len(splits), 3)
+    for k, split in enumerate(splits):
+        i = split[0]
+        ha, hb, rows = split_step(split, u.values, rates)
+        steps[i] = (ha, [rows[r][2:] for r in (0, 1, 1, 2)], states[0, n + k])
+        steps.append((hb, [rows[r][2:] for r in (2, 3, 3, 4)], x.values[i + 1]))
+    for m, (width, stage_rates, lands_on) in enumerate(steps):
+        slopes = [rhs_terms(states[k, m, 0], states[k, m, 2], *controls[k, m],
+                            *stage_rates[k], sc.params, n0, n0) for k in range(4)]
+        (r1, p1), (r2, p2), (r3, p3), (r4, p4) = slopes
+        sixth = width / 6.0
+        R = states[0, m, 0] + sixth * (r1 + 2.0 * (r2 + r3) + r4)
+        P = states[0, m, 2] + sixth * (p1 + 2.0 * (p2 + p3) + p4)
+        assert (R, P) == (lands_on[0], lands_on[2])
 
 
 def test_passes_reject_a_zero_initial_total():

@@ -289,10 +289,11 @@ def test_presets_converge_undamped_at_the_defaults(name):
 
 
 # Relative distance allowed between a default solve's cost and a tol-1e-8 solve
-# at n=2800.  The RK4 stage cost gives at most 5.4e-9 on the l2 presets at
-# n=350; the trapezoid rule it replaced gave 3.4e-8 to 4.6e-8 at n=1400 (except
-# 1.2e-8 on comparison-default).  l1 stays at n=1400, where its second-order
-# cost gives 2.8e-8, against the trapezoid's 4.4e-8.
+# at n=2800.  The RK4 stage cost, with the steps that hold a clamp junction
+# split there, gives at most 1.8e-10 on the l2 presets at n=175 (5.4e-9 at
+# n=350 without the split); the trapezoid rule it replaced gave 3.4e-8 to
+# 4.6e-8 at n=1400 (except 1.2e-8 on comparison-default).  l1 stays at n=1400,
+# where its second-order cost gives 2.8e-8, against the trapezoid's 4.4e-8.
 DEFAULT_GRID_COST_BOUND = {"l2": 2e-8, "l1": 4e-8}
 
 
@@ -321,9 +322,9 @@ def test_fine_l1_grid_converges_undamped():
 @pytest.mark.parametrize(
     "name, n, tol, cost, iterations",
     [
-        ("scenario1", None, 1e-3, 5.85159560873069, 2),
-        ("scenario2", None, 1e-3, 5.815234126694822, 2),
-        ("scenario3", None, 1e-3, 5.833254487774069, 2),
+        ("scenario1", None, 1e-3, 5.851595582460026, 3),
+        ("scenario2", None, 1e-3, 5.815234095430976, 3),
+        ("scenario3", None, 1e-3, 5.833254488044247, 3),
         ("scenario3-l1", None, 1e-3, 6.330618554071916, 6),
         ("comparison-default", None, 1e-3, 0.9623966848539478, 2),
         ("scenario3-l1", 2800, 1e-6, 6.330618374621364, 7),
@@ -336,6 +337,33 @@ def test_pinned_costs_and_iterations(name, n, tol, cost, iterations):
     assert result.converged
     assert result.iterations == iterations
     assert abs(result.cost - cost) <= 1e-12 * cost
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_clamped_l2_solves_report_their_three_junctions(name):
+    sc = preset_scenario(name)
+    caps = (sc.params.u1_max, sc.params.u2_max)
+    found = []
+    for n in (175, 350, 700):
+        result = solve(sc, SweepSettings(n=n))
+        junctions = result.junctions
+        # u2 reaches u2_max, u2 leaves it, then u1 leaves u1_max; the terminal
+        # touch u(t_f) = 0 is a one-node arc, so no junction
+        assert [c for c, _ in junctions] == [1, 1, 0]
+        (_, reach), (_, leave), (_, u1_leaves) = junctions
+        assert 0.7 <= reach <= 1.3 and 4.8 <= leave <= 5.2 and 6.7 <= u1_leaves <= 6.8
+        h, u = result.state.grid.h, result.controls.values
+        for (c, tau), side in zip(junctions, (1, 0, 0)):
+            # the node on the clamped side of each junction sits on the cap
+            assert u[int(tau // h) + side, c] == caps[c]
+        found.append([tau for _, tau in junctions])
+    assert np.abs(np.diff(found, axis=0)).max() <= 7.0 / 175
+
+
+@pytest.mark.parametrize("name, n", [("comparison-default", 175), ("comparison-default", 350),
+                                     ("scenario3-l1", 1400)])
+def test_unclamped_and_bang_bang_solves_report_no_junction(name, n):
+    assert solve(preset_scenario(name), SweepSettings(n=n)).junctions == ()
 
 
 def test_growing_residual_halves_the_weight_and_rescues_a_coarse_l1_grid():
@@ -456,7 +484,7 @@ def _resume_cases():
         objective = preset_scenario(name).objective
         yield name, SweepSettings(n=default_grid(7.0, objective).n), None
     # l1-fine (a recorded repeat), weight halving, and an unconverged grid
-    yield "scenario3-l1", SweepSettings(n=2800, tol_delta=1e-6), (13981, 16800)
+    yield "scenario3-l1", SweepSettings(n=2800, tol_delta=1e-6), (13993, 16800)
     yield "scenario3-l1", SweepSettings(n=700), None
     yield "scenario3-l1", SweepSettings(n=2424, tol_delta=1e-6, max_iters=40), None
 
@@ -492,6 +520,29 @@ def test_resumed_forward_passes_change_no_result(name, settings, steps, monkeypa
     if steps is not None:
         assert (sum(n - start for start, n in resumed_starts),
                 sum(n for _, n in resumed_starts)) == steps
+
+
+def test_resumed_passes_next_to_a_junction_change_no_result(monkeypatch):
+    # with u2 nearly free, both controls start on their caps, so the passes
+    # resume late, inside the stencil of u1's junction near t_f
+    sc = replace(preset_scenario("scenario2"), weights=Weights(1.0, 1.5, 0.001))
+    starts = []
+
+    def counted(*args):
+        starts.append(0 if args[5] is None else len(args[5]) - 1)
+        return forward_table(*args)
+
+    def solved():
+        r = solve(sc, SweepSettings(n=175))
+        digests = [hashlib.sha256(t.values.tobytes()).hexdigest()
+                   for t in (r.state, r.costate, r.controls)]
+        return digests, [h.hex() for h in r.residual_history], r.cost, r.junctions
+
+    monkeypatch.setattr(solver, "forward_table", counted)
+    resumed = solved()
+    assert len(resumed[3]) == 2 and max(starts) > 160
+    monkeypatch.setattr(solver, "_first_change", lambda old, new: 0)
+    assert solved() == resumed
 
 
 L2_PRESETS = [name for name in PRESET_NAMES if preset_scenario(name).objective == "l2"]
