@@ -15,13 +15,14 @@ Any other step, and so any pass with no junction, is unchanged, bit for bit.
 The backward pass does not split.
 
 The forward pass steps node by node on the conserved total N = R + C + P of
-x0: it carries only R and P and fills in C as N - R - P.  Each stage evaluates
-the coefficient form of ``model.rhs_terms`` inline, operation for operation, on
-one ``model.flow_coefficients`` table per pass, so its bits are those of
-calling that kernel per stage, on scalars or on columns; every step is checked
-after the loop.
-``rk4_stages`` makes those calls on whole columns: from the nodes of a
-trajectory it rebuilds every step's stage states, which the cost rule reads.
+x0: it carries only R and P and fills in C as N - R - P.  An RK4 step has two
+forms.  ``_rk4_steps``, the one inline form, evaluates the coefficient form of
+``model.rhs_terms`` operation for operation, on one ``model.flow_coefficients``
+table per pass, so its bits are those of calling that kernel per stage, on
+scalars or on columns; every step is checked after the loop.  Split sub-steps
+run through it too, one call each.  ``rk4_stages`` makes those calls on whole
+columns, three per trajectory: from its nodes it rebuilds the stage states and
+the width of every (sub-)step, which the cost rule reads.
 The adjoint system is linear in p, so the backward pass makes one
 ``pmp.costate_system`` call per block of steps, builds each step as an affine
 map, and composes them in linear work.  Each pass is a raw kernel on node
@@ -228,8 +229,9 @@ def _on_total(rp: np.ndarray, total: float) -> np.ndarray:
 
 
 def _rk4_steps(R, P, c, h, steps, Rs, Ps):
-    """Run RK4 steps of width h from (R, P) on the flow coefficient tuples of
-    ``forward_table``, appending each new node to Rs and Ps; returns the last."""
+    """Run RK4 steps of width h from (R, P) on flow coefficient tuples, those of
+    ``forward_table`` or of ``_sub_steps``, appending each new node to Rs and
+    Ps; returns the last."""
     half, sixth = 0.5 * h, h / 6.0
     for aa, am, ab, ba, bm, bb, ea, em, eb, ga, gm, gb, ka, km, kb, fa, fm, fb in steps:
         q = R * P
@@ -282,9 +284,10 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
             continue
         R, P = _rk4_steps(R, P, c, h, islice(steps, i - at), Rs, Ps)
         next(steps)  # step i taken whole
-        _, _, (R, P) = _split_sub_steps(split, nodes, rates, params, N, R, P)
-        Rs.append(R)
-        Ps.append(P)
+        ha, hb, rows = split_step(split, nodes, rates)
+        _, first, second = _sub_steps(rows, params, N)
+        tau = _rk4_steps(R, P, c, ha, (first,), [], [])
+        R, P = _rk4_steps(*tau, c, hb, (second,), Rs, Ps)
         at = i + 1
     _rk4_steps(R, P, c, h, steps, Rs, Ps)
     # float arithmetic does not raise, so every new step is checked here; with N
@@ -314,81 +317,15 @@ def rk4_forward(x0: State, u: ControlGrid, params: ModelParams,
     return Trajectory(u.grid, values)
 
 
-def _stages(x: Trajectory, u: ControlGrid, params: ModelParams, rates: GridRates):
-    """``rk4_stages``, and the width of each (sub-)step as a fraction of h."""
-    grid = x.grid
-    if not grid == u.grid == rates.grid:
-        raise ValueError("state, controls and rates must share one grid")
-    h = grid.h
-    # half-step row read by stage k+1 of step i
-    rows = np.array([[0], [1], [1], [2]]) + 2 * np.arange(grid.n)
-    controls = _half_steps(u.values)[rows]
-    betas, gammas = rates.beta[rows], rates.gamma[rows]
-    N = _require_total(State(*x.values[0].tolist()))
-    xs = x.values[:-1]
-    stages = np.empty((4, grid.n, 2))
-    stages[0] = rp = xs[:, 0::2]
-    for k, reach in enumerate((0.5 * h, 0.5 * h, h)):
-        slope = rhs_terms(*stages[k].T, *controls[k].T, betas[k], gammas[k], params, N, N)
-        stages[k + 1] = rp + reach * np.column_stack(slope)
-    states = _on_total(stages, N)
-    states[0] = xs
-    widths = np.ones(grid.n)
-    splits = junction_steps(u.values, params)
-    if not splits:
-        return states, controls, widths
-    # a split step's first sub-step takes its place; the second ones follow the
-    # n steps, in step order
-    sub_stages, stage_controls = [], []
-    for split in splits:
-        R, _, P = xs[split[0]].tolist()
-        stages_rp, rows, _ = _split_sub_steps(split, u.values, rates, params, N, R, P)
-        sub_stages.append(stages_rp)
-        stage_controls.append([rows[r][:2] for r in (0, 1, 1, 2, 2, 3, 3, 4)])
-    steps = [split[0] for split in splits]
-    thetas = np.array([split[2] for split in splits])
-    sub_states = _on_total(np.array(sub_stages).swapaxes(0, 1), N)
-    sub_controls = np.array(stage_controls).swapaxes(0, 1)
-    states[1:, steps], controls[:, steps] = sub_states[1:4], sub_controls[:4]
-    widths[steps] = thetas
-    return (np.concatenate((states, sub_states[4:]), axis=1),
-            np.concatenate((controls, sub_controls[4:]), axis=1),
-            np.concatenate((widths, 1.0 - thetas)))
-
-
-def _split_sub_steps(split: tuple, nodes: np.ndarray, rates: GridRates,
-                     params: ModelParams, N: float, R: float, P: float):
-    """Step split[0] from (R, P) as its two RK4 sub-steps (``junctions.split_step``):
-    their 8 stage (R, P), the 5 (u1, u2, beta, gamma) rows they read, and
-    where the second lands."""
-    ha, hb, rows = split_step(split, nodes, rates)
-    flows = [flow_coefficients(*row, params, N, N) for row in rows]
-    first, tau = _sub_step(R, P, ha, flows[:3])
-    second, landing = _sub_step(*tau, hb, flows[2:])
-    return first + second, rows, landing
-
-
-def _sub_step(R: float, P: float, width: float, flows):
-    """An RK4 step of this width from (R, P), on the ``flow_coefficients``
-    tuples at its start, midpoint and end: its four stage (R, P) and where it
-    lands.  The operations are those of ``_rk4_steps``, so are the bits."""
-    (aa, ba, c, ea, ga, ka, fa), (am, bm, _, em, gm, km, fm), (ab, bb, _, eb, gb, kb, fb) = flows
-    half = 0.5 * width
-    q = R * P
-    kR1, kP1 = aa * R + ba * P + c + ea * q, ga + ka * P - fa * q
-    R2, P2 = R + half * kR1, P + half * kP1
-    q = R2 * P2
-    kR2, kP2 = am * R2 + bm * P2 + c + em * q, gm + km * P2 - fm * q
-    R3, P3 = R + half * kR2, P + half * kP2
-    q = R3 * P3
-    kR3, kP3 = am * R3 + bm * P3 + c + em * q, gm + km * P3 - fm * q
-    R4, P4 = R + width * kR3, P + width * kP3
-    q = R4 * P4
-    kR4, kP4 = ab * R4 + bb * P4 + c + eb * q, gb + kb * P4 - fb * q
-    sixth = width / 6.0
-    landing = (R + sixth * (kR1 + 2.0 * (kR2 + kR3) + kR4),
-               P + sixth * (kP1 + 2.0 * (kP2 + kP3) + kP4))
-    return [(R, P), (R2, P2), (R3, P3), (R4, P4)], landing
+def _sub_steps(rows, params: ModelParams, N: float) -> tuple:
+    """The ``_rk4_steps`` arguments of a split step's two sub-steps, from the 5
+    rows of ``junctions.split_step``: the constant c, then the coefficient
+    tuples of rows 0-2 and of rows 2-4."""
+    ((a0, b0, c, e0, g0, k0, f0), (a1, b1, _, e1, g1, k1, f1), (a2, b2, _, e2, g2, k2, f2),
+     (a3, b3, _, e3, g3, k3, f3), (a4, b4, _, e4, g4, k4, f4)) = [
+        flow_coefficients(*row, params, N, N) for row in rows]
+    return (c, (a0, a1, a2, b0, b1, b2, e0, e1, e2, g0, g1, g2, k0, k1, k2, f0, f1, f2),
+            (a2, a3, a4, b2, b3, b4, e2, e3, e4, g2, g3, g4, k2, k3, k4, f2, f3, f4))
 
 
 def rk4_stages(
@@ -396,20 +333,62 @@ def rk4_stages(
     u: ControlGrid,
     params: ModelParams,
     rates: GridRates,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every step's four RK4 stage inputs, rebuilt on whole columns from x's nodes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (sub-)step's four RK4 stage inputs, rebuilt on whole columns from x's nodes.
 
-    Returns (states, controls) with shapes (4, m, 3) and (4, m, 2):
-    states[k, i] and controls[k, i] are where stage k+1 of step i evaluates
-    ``model.rhs_terms``: node i, the two midpoint predictions, then the
-    end-point prediction, under u_i, the midpoint average twice, then u_{i+1}.
-    A step that holds a junction (see ``junctions``) is two sub-steps, rebuilt
-    one by one: the first takes the step's place, and the second ones follow
-    the n steps, in step order, so m is n plus the number of those steps.  A
-    second sub-step starts where its first one lands.  The total of x's first
-    node is n0 and N.
+    Returns (states, controls, widths) with shapes (4, m, 3), (4, m, 2) and
+    (m,): states[k, i] and controls[k, i] are where stage k+1 of step i
+    evaluates ``model.rhs_terms``: node i, the two midpoint predictions, then
+    the end-point prediction, under u_i, the midpoint average twice, then
+    u_{i+1}; widths[i] is the step's width as a fraction of h.  A step that
+    holds a junction (see ``junctions``) is two sub-steps: the first takes the
+    step's place, and the second ones follow the n steps, in step order, so m
+    is n plus the number of those steps.  A second sub-step starts where
+    ``_rk4_steps`` lands the first, as in the forward pass.  The total of x's
+    first node is n0 and N.
     """
-    return _stages(x, u, params, rates)[:2]
+    grid = x.grid
+    if not grid == u.grid == rates.grid:
+        raise ValueError("state, controls and rates must share one grid")
+    n, h = grid.n, grid.h
+    N = _require_total(State(*x.values[0].tolist()))
+    xs = x.values[:-1]
+    splits = junction_steps(u.values, params)
+    steps = [split[0] for split in splits]
+    m = n + len(steps)
+    cols = np.arange(m)
+    cols[n:] = steps  # gathered as whole steps, then overwritten
+    # half-step row read by stage k+1 of step i
+    rows = np.array([[0], [1], [1], [2]]) + 2 * cols
+    controls = _half_steps(u.values)[rows]
+    betas, gammas = rates.beta[rows], rates.gamma[rows]
+    stages = np.empty((4, m, 2))
+    stages[0, :n] = xs[:, 0::2]
+    widths, span = np.ones(m), h
+    if splits:
+        subs = []
+        for split in splits:
+            ha, hb, sub_rows = split_step(split, u.values, rates)
+            R, _, P = xs[split[0]].tolist()
+            c, first, _ = _sub_steps(sub_rows, params, N)
+            subs.append((ha, hb, _rk4_steps(R, P, c, ha, (first,), [], []), sub_rows))
+        ha, hb, taus, sub_rows = zip(*subs)
+        stages[0, n:] = taus
+        # the stage rows of every first sub-step, then of every second one
+        at = steps + list(range(n, m))
+        sub = np.array(sub_rows)[:, [[0, 1, 1, 2], [2, 3, 3, 4]]].transpose(2, 1, 0, 3)
+        sub = sub.reshape(4, len(at), 4)
+        controls[:, at], betas[:, at], gammas[:, at] = sub[..., :2], sub[..., 2], sub[..., 3]
+        thetas = np.array([split[2] for split in splits])
+        widths[steps], widths[n:] = thetas, 1.0 - thetas
+        span = np.full((m, 1), h)
+        span[steps, 0], span[n:, 0] = ha, hb
+    for k, reach in enumerate((0.5 * span, 0.5 * span, span)):
+        slope = rhs_terms(*stages[k].T, *controls[k].T, betas[k], gammas[k], params, N, N)
+        stages[k + 1] = stages[0] + reach * np.column_stack(slope)
+    states = _on_total(stages, N)
+    states[0, :n] = xs
+    return states, controls, widths
 
 
 def _step_maps(S: np.ndarray, h: float) -> np.ndarray:

@@ -146,8 +146,8 @@ def rhs_terms(R, P, u1, u2, beta_t, gamma_t, params: ModelParams, n0: float, tot
 
     Rates are already evaluated at t.  It evaluates the coefficient form of
     ``flow_coefficients``.  ``dynamics`` wraps it for one point, and
-    ``integrator.rk4_forward`` evaluates the form inline, operation for
-    operation, so a change here must be made there too.
+    ``integrator._rk4_steps``, its one inline copy, evaluates the form
+    operation for operation, so a change here must be made there too.
     """
     a, b, c, e, g, k, f = flow_coefficients(u1, u2, beta_t, gamma_t, params, n0, total)
     rp = R * P

@@ -3,10 +3,10 @@
 The running cost kappa1*P + kappa2*u1^a + kappa3*u2^a (a = 2 quadratic,
 a = 1 linear) is integrated as one more component of the forward RK4 step
 (Hager 2000): h/6 * (c1 + 2*c2 + 2*c3 + c4) per step, with c_k the running
-cost at stage k's P and stage control, read from ``integrator.rk4_stages``;
-a step split at a clamp junction counts as its two sub-steps, each weighed by
-its width.  The cost feeds nothing back, so the state bits are those of
-``rk4_forward``.
+cost at stage k's P and stage control.  ``integrator.rk4_stages`` gives the
+stages and the width of each (sub-)step, as a fraction of h: a step split at a
+clamp junction counts as its two sub-steps, each weighed by its width.  The
+cost feeds nothing back, so the state bits are those of ``rk4_forward``.
 
 The rule is fourth order where the problem is smooth; the trapezoid rule on
 the nodes that it replaced was second order.  A clamped l2 control bends at
@@ -20,7 +20,7 @@ stays second order, at 0.55-0.7 times the trapezoid rule's error.
 
 from __future__ import annotations
 
-from .integrator import ControlGrid, GridRates, Trajectory, _stages
+from .integrator import ControlGrid, GridRates, Trajectory, rk4_stages
 from .pmp import running_cost
 from .scenarios import Scenario
 
@@ -32,7 +32,7 @@ def evaluate_cost(
 
     x is the state under u from ``rk4_forward`` with the same rate table.
     """
-    states, controls, widths = _stages(x, u, scenario.params, rates)
+    states, controls, widths = rk4_stages(x, u, scenario.params, rates)
     c1, c2, c3, c4 = running_cost(
         scenario.objective, states[..., 2], controls[..., 0], controls[..., 1],
         scenario.weights,

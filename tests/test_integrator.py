@@ -35,6 +35,7 @@ from marketopt.scenarios import (
     builtin_gamma_rate,
     preset_scenario,
 )
+from marketopt.solver import SweepSettings, solve
 
 SCENARIO1 = preset_scenario("scenario1")
 
@@ -228,7 +229,8 @@ def test_inlined_forward_step_is_bit_identical_to_rhs_terms(name, n):
     # the column stages are the reference's, step by step
     stages = []
     x = _reference_forward(*args, stages)
-    states, controls = rk4_stages(x, *args[1:])
+    states, controls, widths = rk4_stages(x, *args[1:])
+    assert widths.tobytes() == np.ones(n).tobytes()  # random controls hold no junction
     ref_states, ref_controls = (np.array(a).swapaxes(0, 1) for a in zip(*stages))
     assert states.tobytes() == ref_states.tobytes()
     assert controls.tobytes() == ref_controls.tobytes()
@@ -515,24 +517,38 @@ def test_a_split_step_is_two_rk4_sub_steps():
     assert np.abs(x.values[i + 1] - rk4(x.values[i], t, h, ua, ub)).max() > 1e-9 * sc.n0
 
 
-def test_split_step_stages_land_on_the_forward_nodes_bit_for_bit():
-    x, u, rates, _, _ = _junction_case()
-    sc, h, n0, n = SCENARIO1, JUNCTION_GRID.h, SCENARIO1.n0, JUNCTION_GRID.n
+@pytest.mark.parametrize("name, n", [
+    ("junction_case", JUNCTION_GRID.n),
+    *((name, n) for name in ("scenario1", "scenario2", "scenario3") for n in (175, 350, 700)),
+])
+def test_split_step_stages_land_on_the_forward_nodes_bit_for_bit(name, n):
+    if name == "junction_case":
+        sc, (x, u, rates, _, _) = SCENARIO1, _junction_case()
+    else:
+        # the solved presets add u1 leaving u1_max, a junction of control 0
+        sc = preset_scenario(name)
+        result = solve(sc, SweepSettings(n=n))
+        x, u, rates = result.state, result.controls, result.rates
+    h, n0 = x.grid.h, sc.n0
     splits = junction_steps(u.values, sc.params)
-    assert len(splits) == 3
+    kinked = [c for _, c, _, _ in splits]
+    assert kinked == ([1, 1, 1] if name == "junction_case" else [1, 1, 0])
     # every (sub-)step: its width, its rates at the four stages, and where it
     # lands; a split step's first sub-step takes its place, and the second
     # sub-steps follow the n steps
     picks = [(2 * i, 2 * i + 1, 2 * i + 1, 2 * i + 2) for i in range(n)]
     steps = [(h, [(rates.beta[r], rates.gamma[r]) for r in picks[i]], x.values[i + 1])
              for i in range(n)]
-    states, controls = rk4_stages(x, u, sc.params, rates)
+    states, controls, widths = rk4_stages(x, u, sc.params, rates)
     assert states.shape == (4, n + len(splits), 3)
+    expected_widths = np.ones(n + len(splits))
     for k, split in enumerate(splits):
         i = split[0]
         ha, hb, rows = split_step(split, u.values, rates)
         steps[i] = (ha, [rows[r][2:] for r in (0, 1, 1, 2)], states[0, n + k])
         steps.append((hb, [rows[r][2:] for r in (2, 3, 3, 4)], x.values[i + 1]))
+        expected_widths[i], expected_widths[n + k] = split[2], 1.0 - split[2]
+    assert widths.tobytes() == expected_widths.tobytes()
     for m, (width, stage_rates, lands_on) in enumerate(steps):
         slopes = [rhs_terms(states[k, m, 0], states[k, m, 2], *controls[k, m],
                             *stage_rates[k], sc.params, n0, n0) for k in range(4)]

@@ -19,6 +19,7 @@ from marketopt.model import ModelParams, State, Weights
 from marketopt.objectives import evaluate_cost
 from marketopt.pmp import running_cost
 from marketopt.scenarios import Constant, Scenario, preset_scenario
+from marketopt.solver import SweepSettings, solve
 
 UNIT_WEIGHTS = Weights(1.0, 1.0, 1.0)
 SCENARIO1 = preset_scenario("scenario1")
@@ -81,28 +82,47 @@ def test_quadrature_is_fourth_order_on_the_linear_model():
     assert math.log2(errors[0] / errors[1]) >= 3.7
 
 
+def _weighed_stage_cost(h, states, controls, widths):
+    """h/6 * widths * (c1 + 2*c2 + 2*c3 + c4), summed over scenario1's (sub-)steps."""
+    stage_costs = [
+        running_cost("l2", s[:, 2], c[:, 0], c[:, 1], SCENARIO1.weights)
+        for s, c in zip(states, controls)
+    ]
+    return sum(
+        h / 6.0 * w * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+        for w, c1, c2, c3, c4 in zip(widths, *stage_costs)
+    )
+
+
 def test_cost_weighs_each_stage_by_the_rk4_weights():
     grid = TimeGrid(0.0, 7.0, 40)
     rng = np.random.default_rng(3)
     u = ControlGrid(grid, rng.uniform(0.0, 0.05, (grid.n + 1, 2)))
     rates = sample_rates(SCENARIO1.beta, SCENARIO1.gamma, grid)
     x = rk4_forward(SCENARIO1.x0, u, SCENARIO1.params, rates)
-    states, controls = rk4_stages(x, u, SCENARIO1.params, rates)
-    stage_costs = [
-        running_cost("l2", s[:, 2], c[:, 0], c[:, 1], SCENARIO1.weights)
-        for s, c in zip(states, controls)
-    ]
-    per_step = [
-        grid.h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        for c1, c2, c3, c4 in zip(*stage_costs)
-    ]
+    states, controls, widths = rk4_stages(x, u, SCENARIO1.params, rates)
+    assert widths.tobytes() == np.ones(grid.n).tobytes()  # no junction: n whole steps
     assert evaluate_cost(SCENARIO1, x, u, rates) == pytest.approx(
-        sum(per_step), rel=1e-14
+        _weighed_stage_cost(grid.h, states, controls, widths), rel=1e-14
     )
     # the stages start at the nodes, and the controls are nodal at the ends
     assert np.array_equal(states[0], x.values[:-1])
     assert np.array_equal(controls[0], u.values[:-1])
     assert np.array_equal(controls[3], u.values[1:])
+    # scenario1's solved controls are clamped: each of its 3 junction steps is
+    # two sub-steps, whose widths sum to 1, the second after the n steps
+    n = 175
+    result = solve(SCENARIO1, SweepSettings(n=n))
+    x, u, rates = result.state, result.controls, result.rates
+    states, controls, widths = rk4_stages(x, u, SCENARIO1.params, rates)
+    assert states.shape[1] == len(widths) == n + 3
+    firsts = np.flatnonzero(widths[:n] != 1.0)
+    assert len(firsts) == 3
+    assert ((0.0 < widths[firsts]) & (widths[firsts] < 1.0)).all()
+    assert (widths[firsts] + widths[n:] == 1.0).all()
+    assert evaluate_cost(SCENARIO1, x, u, rates) == pytest.approx(
+        _weighed_stage_cost(x.grid.h, states, controls, widths), rel=1e-14
+    )
 
 
 MONOTONE_GRID = TimeGrid(0.0, 2.0, 20)
