@@ -14,13 +14,11 @@ of an iteration is the worst relative l1 change, between iterations, of the
 eight tracked series (R, C, P, p1, p2, p3, u1, u2), the rows of one
 C-contiguous table; the loop stops as soon as it is <= tol_delta.  The loop
 works on raw node tables and builds the checked ``Trajectory`` and
-``ControlGrid`` once, for the result.  Forward step i reads the controls of
-nodes i and i+1, and its junction rule those of nodes i-3 .. i+4, so each
-forward pass resumes the one before 4 nodes before the first control that
-changed bit for bit; the backward pass runs in full.  An iteration whose
-blend returns, bit for bit, the controls it integrated, at an unchanged
-weight, would be followed by its exact repeat, so the repeat's residual 0.0 is
-recorded and it is not run.
+``ControlGrid`` once, for the result.  Each pass reuses the one before: under
+controls unchanged bit for bit it runs no pass (so a converged bang-bang sweep
+ends on a repeat with residual 0.0); else, as forward step i reads nodes i and
+i+1, and its junction rule nodes i-3 .. i+4, the forward pass resumes 4 nodes
+before the first changed control, and the backward pass runs in full.
 
 An l2 solve first runs the sweep on a grid COARSENING times coarser and, if
 that converges, starts from its law interpolated to the fine nodes.  The fine
@@ -30,10 +28,10 @@ starts from zero: its coarse grids chatter.
 
 The returned controls are the optimality law on the last iterate.  The
 returned state, adjoint and cost are integrated once more under exactly
-those controls (resumed as above, and skipped when the law returned the
-controls it was evaluated under), so they form one consistent solution:
-re-integrating ``result.controls`` reproduces them bit for bit.  The law
-itself holds on the iterate one pass earlier, not exactly on the returned pair.
+those controls (reusing the last pass as above), so they form one consistent
+solution: re-integrating ``result.controls`` reproduces them bit for bit.  The
+law itself holds on the iterate one pass earlier, not exactly on the returned
+pair.
 """
 
 from __future__ import annotations
@@ -197,13 +195,15 @@ def _first_change(old: np.ndarray, new: np.ndarray) -> int | None:
 
 def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: int,
                last=None):
-    """State and adjoint tables under u, the forward pass resumed from last, an
-    earlier pass's (u, x); an IntegrationError diverges the sweep."""
-    params, n0, us = scenario.params, scenario.n0, _half_steps(u)
+    """State and adjoint tables under u, reusing last, an earlier pass's
+    (u, x, p): last's own x and p if u is unchanged, else the forward pass
+    resumed from x; an IntegrationError diverges the sweep."""
     change = 0 if last is None else _first_change(last[0], u)
-    # steps before max(change - 4, 0) read only unchanged nodes; all of x is kept
-    # if u is unchanged
-    head = last[1] if change is None else last[1][:change - 3] if change > 4 else None
+    if change is None:
+        return last[1:]
+    params, n0, us = scenario.params, scenario.n0, _half_steps(u)
+    # steps before change - 4 read only unchanged nodes
+    head = last[1][:change - 3] if change > 4 else None
     try:
         x = forward_table(scenario.x0, n0, us, params, rates, head)
         return x, backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
@@ -214,7 +214,8 @@ def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: i
 
 def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work):
     """Iterate on the grid of rates from the controls u_work until the residual,
-    taken first against a zero iterate, meets tol_delta or max_iters runs out.
+    taken first against a zero iterate, meets tol_delta or max_iters runs out
+    (an iteration under unchanged controls runs no pass: see ``_integrate``).
 
     Returns the law on the last iterate, every residual, the weight in force,
     the l1 singular flags, and the controls u the last iteration integrated,
@@ -232,16 +233,10 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
         history.append(_residual(prev, series))
         if history[-1] <= settings.tol_delta:
             break
-        blended_at = weight
         if iteration >= 3 and history[-1] > history[-2] and weight == settings.relaxation:
             weight = settings.relaxation / 2.0
-        repeats = weight == blended_at and _first_change(u, u_work) is None
-        if repeats and iteration < settings.max_iters:
-            # the next iteration would integrate u again at the same weight
-            history.append(0.0)
-            break
         prev, series = series, prev
-        last = u, x
+        last = u, x, p
     return u_law, history, weight, flags, u, x, p
 
 
@@ -267,10 +262,7 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
                 columns = [np.interp(grid.nodes(), coarse.nodes(), c) for c in u_law.T]
                 u_start = np.column_stack(columns)
     u_law, history, weight, flags, u, x, p = _sweep(scenario, settings, rates, u_start)
-
-    # x and p are already under u_law if the law returned u bit for bit
-    if _first_change(u, u_law) is not None:
-        x, p = _integrate(scenario, u_law, rates, len(history), (u, x))
+    x, p = _integrate(scenario, u_law, rates, len(history), (u, x, p))
     state, controls = Trajectory(grid, x), ControlGrid(grid, u_law)
     interior = None
     if scenario.objective == "l1":

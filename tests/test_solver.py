@@ -16,7 +16,9 @@ from marketopt.experiments import (
     run_sweep,
 )
 from marketopt.integrator import (
+    ControlGrid,
     TimeGrid,
+    backward_table,
     default_grid,
     forward_table,
     rk4_backward,
@@ -421,37 +423,69 @@ def test_solve_stops_exactly_when_the_last_residual_meets_the_tolerance(name, se
     assert result.converged or result.iterations == settings.max_iters
 
 
+def _record_passes(monkeypatch):
+    """Patch both passes in the solver to record the arguments of each call."""
+    calls = {"forward": [], "backward": []}
+
+    def recorded(name, table):
+        def call(*args):
+            calls[name].append(args)
+            return table(*args)
+        return call
+
+    monkeypatch.setattr(solver, "forward_table", recorded("forward", forward_table))
+    monkeypatch.setattr(solver, "backward_table", recorded("backward", backward_table))
+    return calls
+
+
 def test_final_pass_is_skipped_when_the_law_repeats_its_controls(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return forward_table(*args)
-
-    monkeypatch.setattr(solver, "forward_table", counted)
+    calls = _record_passes(monkeypatch)
     result = solve(preset_scenario("scenario3-l1"), SweepSettings(n=1400))
     assert result.converged
-    # one forward pass per iteration: the last one already integrated the
+    # one pass of each kind per iteration: the last one already integrated the
     # returned bang-bang controls
-    assert len(calls) == result.iterations
+    assert len(calls["forward"]) == len(calls["backward"]) == 6
+    assert result.iterations == 6
 
 
-def test_an_iteration_that_would_repeat_its_controls_is_recorded_not_run(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return forward_table(*args)
-
-    monkeypatch.setattr(solver, "forward_table", counted)
+def test_an_iteration_that_would_repeat_its_controls_runs_no_pass(monkeypatch):
+    calls = _record_passes(monkeypatch)
     sc = preset_scenario("scenario3-l1")
     result = solve(sc, SweepSettings(n=2800, tol_delta=1e-6))
     assert result.converged
     assert result.residual_history[-1] == 0.0
-    # the last iteration would have integrated the controls of the one before
-    assert len(calls) == result.iterations - 1
+    # the last iteration integrates the controls of the one before, so it
+    # reuses that iteration's passes, as does the final pass
+    assert len(calls["forward"]) == len(calls["backward"]) == result.iterations - 1 == 6
     assert result.iterations == 7
     assert abs(result.cost - 6.330618374621364) <= 1e-12 * result.cost
+
+
+@pytest.mark.parametrize("node", [None, 0, 4, 5, 700])
+def test_integrate_reuses_exactly_the_unchanged_part_of_the_last_pass(node, monkeypatch):
+    sc = preset_scenario("scenario3-l1")
+    result = solve(sc, SweepSettings(n=1400))
+    rates = result.rates
+    last = (result.controls.values, result.state.values, result.costate.values)
+    u = last[0].copy()
+    if node is not None:
+        u[node, 0] = 0.5 * sc.params.u1_max
+    calls = _record_passes(monkeypatch)
+    x, p = solver._integrate(sc, u, rates, 1, last)
+    if node is None:
+        # unchanged controls: the last pass's own tables, and no pass runs
+        assert x is last[1] and p is last[2]
+        assert calls == {"forward": [], "backward": []}
+    else:
+        assert len(calls["forward"]) == len(calls["backward"]) == 1
+        head = calls["forward"][0][5]
+        # forward steps from node - 4 on read the changed node
+        assert (None if head is None else len(head)) == (node - 3 if node > 4 else None)
+    controls = ControlGrid(rates.grid, u)
+    fresh_x = rk4_forward(sc.x0, controls, sc.params, rates)
+    fresh_p = rk4_backward(Costate(0.0, 0.0, 0.0), fresh_x, controls, sc.params, sc.weights, rates)
+    assert x.tobytes() == fresh_x.values.tobytes()
+    assert p.tobytes() == fresh_p.values.tobytes()
 
 
 def test_a_repeat_past_max_iters_is_not_recorded():
@@ -483,7 +517,7 @@ def _resume_cases():
     for name in PRESET_NAMES:
         objective = preset_scenario(name).objective
         yield name, SweepSettings(n=default_grid(7.0, objective).n), None
-    # l1-fine (a recorded repeat), weight halving, and an unconverged grid
+    # l1-fine (a reused repeat), weight halving, and an unconverged grid
     yield "scenario3-l1", SweepSettings(n=2800, tol_delta=1e-6), (13993, 16800)
     yield "scenario3-l1", SweepSettings(n=700), None
     yield "scenario3-l1", SweepSettings(n=2424, tol_delta=1e-6, max_iters=40), None
@@ -510,7 +544,7 @@ def test_resumed_forward_passes_change_no_result(name, settings, steps, monkeypa
 
     monkeypatch.setattr(solver, "forward_table", counted)
     resumed, resumed_starts = solved(), list(starts)
-    # every pass from node 0, and no repeat recorded or final pass skipped
+    # every pass from node 0, and no pass reused
     monkeypatch.setattr(solver, "_first_change", lambda old, new: 0)
     assert solved() == resumed
     assert all(start == 0 for start, _ in starts)
