@@ -20,11 +20,17 @@ ends on a repeat with residual 0.0); else, as forward step i reads nodes i and
 i+1, and its junction rule nodes i-3 .. i+4, the forward pass resumes 4 nodes
 before the first changed control, and the backward pass runs in full.
 
-An l2 solve first runs the sweep on a grid COARSENING times coarser and, if
-that converges, starts from its law interpolated to the fine nodes.  The fine
-residual is still first taken against zero, so at least 2 fine iterations run
-(at the defaults, 3 on the clamped presets and 2 on comparison-default).  l1
-starts from zero: its coarse grids chatter.
+Both objectives first run the l2 sweep of the same scenario on a coarse grid,
+COARSENING times coarser than an l2 grid and as dense per unit time for l1
+(n=21 on every preset's default grid).  If it converges, the fine sweep starts
+from the fine law (the clamp for l2, bang-bang for l1) on the coarse state and
+adjoint, prolonged to the fine nodes by the cubic through the 4 nearest coarse
+nodes (the quadratic through all 3 if the coarse grid has 2 intervals): a
+smooth l2 solution is the usual first guess of a bang-bang one.  Else, or if
+kappa2 or kappa3 is 0, where the l2 law is undefined, it starts from zero.
+The fine residual is still first taken against zero, so at least 2 fine
+iterations run (at the defaults, 2 on every l2 preset and 4 on scenario3-l1,
+whose answer is the cold start's bit for bit).
 
 The returned controls are the optimality law on the last iterate.  The
 returned state, adjoint and cost are integrated once more under exactly
@@ -38,10 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .integrator import (
+    NODES_PER_TIME_UNIT,
     ControlGrid,
     GridRates,
     IntegrationError,
@@ -58,7 +66,8 @@ from .objectives import evaluate_cost
 from .pmp import bang_bang_terms, l2_law_terms, switching_terms
 from .scenarios import Scenario
 
-# An l2 sweep first runs on a grid this many times coarser (see ``solve``).
+# An l2 sweep first runs on a grid this many times coarser than an l2 grid
+# (see ``solve``).
 COARSENING = 8
 
 
@@ -84,12 +93,13 @@ class SweepSettings:
     relaxation is the starting weight on the fresh controls in the convex
     update; ``solve`` halves it once if the worst residual grows from the
     third iteration on, and reports the weight in force at the end as
-    ``SolveResult.relaxation``.  From the n=21 coarse start (see ``solve``)
-    the clamped l2 presets at n=175 take 3 fine iterations and
-    comparison-default 2, at 1 or at 0.5 (after 6 and 5 coarse iterations at
-    1, 13 at 0.5).  On coarse
-    bang-bang grids the full step stalls and the halving rescues it
-    (scenario3-l1 at n=700 ends at 0.5 after 8 iterations).
+    ``SolveResult.relaxation``.  From the n=21 coarse l2 start (see
+    ``solve``) every l2 preset at n=175 takes 2 fine iterations, at 1 or at
+    0.5 (after 6 coarse iterations on the clamped presets and 5 on
+    comparison-default at 1, 13 at 0.5), and scenario3-l1 at n=1400 takes 4
+    (after 6).  On coarse bang-bang grids the full step stalls and the
+    halving rescues it (scenario3-l1 at n=700 ends at 0.5 after 8
+    iterations).
     """
 
     n: int
@@ -126,8 +136,11 @@ class SolveResult:
     the blending weight in force when the sweep stopped.  For l1,
     interior_fraction is the share of nodes where a returned control lies
     more than 1e-12 inside both of its bounds.  coarse_iterations counts the
-    iterations of the coarse l2 sweep (0 if none ran), or is the iteration
-    at which it diverged; the other fields are the fine sweep's.  junctions
+    iterations of the coarse l2 sweep, which runs for both objectives (0 if
+    none ran), or is the iteration at which it diverged: 6 on the clamped l2
+    presets and on scenario3-l1 at their default grids, 5 on
+    comparison-default, 8 at n=2800 and tol 1e-6.  The other fields are the
+    fine sweep's.  junctions
     holds a (control index, tau) pair for every step of the returned controls
     that the integrator split at a clamp junction tau (none for bang-bang or
     unclamped controls).
@@ -240,27 +253,63 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
     return u_law, history, weight, flags, u, x, p
 
 
+@lru_cache(maxsize=2)  # an l2 and an l1 grid pair: computed once per sweep
+def _prolongation(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolation from the m+1 nodes of a coarse grid to the n+1 nodes of a
+    fine grid on the same interval, by the cubic through the 4 coarse nodes
+    nearest each fine node (the quadratic through all 3 if m = 2).
+
+    Returns the (width, n+1) indices of those coarse nodes and their Lagrange
+    weights: fine = (weights * coarse[indices]).sum(axis=0).
+    """
+    width = min(4, m + 1)
+    s = np.arange(n + 1) * m / n  # the fine nodes, in coarse steps
+    first = np.clip(s.astype(np.intp) - 1, 0, m + 1 - width)
+    a = s - first  # each fine node's place in its stencil
+    b, c = a - 1.0, a - 2.0
+    if width == 3:
+        weights = (0.5 * b * c, -a * c, 0.5 * a * b)
+    else:
+        d = a - 3.0
+        ab, cd = a * b, c * d
+        weights = (cd * b / -6.0, cd * a / 2.0, ab * d / -2.0, ab * c / 6.0)
+    tables = first + np.arange(width)[:, None], np.array(weights)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _coarse_start(scenario: Scenario, settings: SweepSettings, rates: GridRates):
+    """The fine sweep's first controls, and the coarse iterations (see ``solve``)."""
+    grid, kappa = rates.grid, scenario.weights
+    u_cold = np.zeros((grid.n + 1, 2))
+    # l1 grids are denser per unit time: both coarsen to the same density
+    ratio = COARSENING * NODES_PER_TIME_UNIT[scenario.objective] // NODES_PER_TIME_UNIT["l2"]
+    if grid.n // ratio < 2 or kappa.kappa2 == 0.0 or kappa.kappa3 == 0.0:
+        return u_cold, 0
+    # the coarse rates interpolate the fine table: no rate is sampled again
+    coarse = replace(grid, n=grid.n // ratio)
+    ts, fine_ts = _sample_times(coarse), _sample_times(grid)
+    beta, gamma = (np.interp(ts, fine_ts, r) for r in (rates.beta, rates.gamma))
+    coarse_rates = GridRates(coarse, beta, gamma, rates.names)
+    u_zero, twin = np.zeros((coarse.n + 1, 2)), replace(scenario, objective="l2")
+    try:
+        _, history, _, _, _, x, p = _sweep(twin, settings, coarse_rates, u_zero)
+    except DivergenceError as err:
+        return u_cold, err.iteration
+    if history[-1] > settings.tol_delta:
+        return u_cold, len(history)
+    indices, weights = _prolongation(coarse.n, grid.n)
+    xp = np.einsum("jn,cjn->nc", weights, np.take(np.hstack((x, p)).T, indices, axis=1))
+    u_start, _ = _law_on_grid(scenario, xp[:, :3], xp[:, 3:], u_cold, settings.eps_singular)
+    return u_start, len(history)
+
+
 def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     """Run the sweep to convergence (or max_iters) and return the last iterate."""
     grid = settings.grid_for(scenario)
     rates = sample_rates(scenario.beta, scenario.gamma, grid)
-    u_start, coarse_iterations = np.zeros((grid.n + 1, 2)), 0
-    if scenario.objective == "l2" and grid.n // COARSENING >= 2:
-        # the coarse rates interpolate the fine table: no rate is sampled again
-        coarse = replace(grid, n=grid.n // COARSENING)
-        ts, fine_ts = _sample_times(coarse), _sample_times(grid)
-        beta, gamma = (np.interp(ts, fine_ts, r) for r in (rates.beta, rates.gamma))
-        coarse_rates = GridRates(coarse, beta, gamma, rates.names)
-        u_zero = np.zeros((coarse.n + 1, 2))
-        try:
-            u_law, history, *_ = _sweep(scenario, settings, coarse_rates, u_zero)
-        except DivergenceError as err:
-            coarse_iterations = err.iteration
-        else:
-            coarse_iterations = len(history)
-            if history[-1] <= settings.tol_delta:
-                columns = [np.interp(grid.nodes(), coarse.nodes(), c) for c in u_law.T]
-                u_start = np.column_stack(columns)
+    u_start, coarse_iterations = _coarse_start(scenario, settings, rates)
     u_law, history, weight, flags, u, x, p = _sweep(scenario, settings, rates, u_start)
     x, p = _integrate(scenario, u_law, rates, len(history), (u, x, p))
     state, controls = Trajectory(grid, x), ControlGrid(grid, u_law)
