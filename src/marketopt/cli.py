@@ -23,16 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    config_from_scenario,
-    dump_config,
-    load_config,
-)
+from .config import ConfigError, RunConfig, config_from_dict, dump_config, load_config
 from .experiments import SWEEP_PARAMETERS, ComparisonTable, compare_strategies, run_sweep
 from .pmp import OBJECTIVE_TAGS, switching_terms
-from .scenarios import PRESET_NAMES, preset_scenario
+from .scenarios import PRESET_NAMES
 from .solver import DivergenceError, SolveResult, SweepSettings, solve
 
 TRAJECTORY_COLUMNS = ("t", "R", "C", "P", "u1", "u2", "p1", "p2", "p3", "phi1", "phi2")
@@ -138,17 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config and args.preset:
         raise ConfigError("use either --preset or --config, not both")
-    # --objective is applied before the grid, whose default depends on it
     if args.config:
         cfg = load_config(args.config, args.objective)
     elif args.preset:
-        try:
-            scenario = preset_scenario(args.preset)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-        if args.objective:
-            scenario = replace(scenario, objective=args.objective)
-        cfg = config_from_scenario(scenario)
+        cfg = config_from_dict({"scenario": {"preset": args.preset}}, args.objective)
     else:
         raise ConfigError("one of --preset or --config is required")
 

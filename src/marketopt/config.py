@@ -78,22 +78,17 @@ def _from_fields(cls: type, doc: dict, path: str) -> Any:
     })
 
 
-_RATE_KINDS = {
-    "constant": Constant,
-    "logistic-increasing": LogisticIncreasing,
-    "logistic-decreasing": LogisticDecreasing,
-    "sinusoidal": SinusoidalPeriodic,
-    "piecewise-linear": PiecewiseLinear,
-}
+_RATE_KINDS = {cls.tag: cls for cls in (Constant, LogisticIncreasing, LogisticDecreasing,
+                                        SinusoidalPeriodic, PiecewiseLinear)}
 
 
 def rate_to_dict(rate: RateFunction) -> dict:
-    for kind, cls in _RATE_KINDS.items():
-        if type(rate) is cls:
-            doc = {"kind": kind, **asdict(rate)}
-            # tuple fields (the piecewise-linear knots) are written as lists
-            return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
-    raise ConfigError(f"rate function {type(rate).__name__} has no config form")
+    kind = getattr(rate, "tag", None)  # a plain callable has none
+    if _RATE_KINDS.get(kind) is not type(rate):  # and a subclass inherits one
+        raise ConfigError(f"rate function {type(rate).__name__} has no config form")
+    doc = {"kind": kind, **asdict(rate)}
+    # tuple fields (knots) are written as lists
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
 
 def rate_from_dict(doc: dict, path: str) -> RateFunction:

@@ -29,8 +29,8 @@ map, and composes them in linear work.  Each pass is a raw kernel on node
 and half-step tables (``forward_table``, ``backward_table``), which the sweep
 calls directly, and a validating wrapper (``rk4_forward``, ``rk4_backward``);
 ``forward_table`` resumes at node s from an earlier pass's first s+1 nodes,
-under controls equal on nodes 0..s+3, the nodes that the steps before s and
-their junctions read.
+under controls equal on nodes 0..s-1+REACH, the nodes that the steps before s
+and their junctions read.
 Trajectory and ControlGrid share one node-table check.
 """
 
@@ -263,8 +263,8 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
     every step is, after the loop, and the first bad one raises IntegrationError.
     A step that holds a junction (``junctions.junction_steps``) runs as two
     sub-steps.  head, if given, is an earlier pass's first s+1 nodes, under
-    controls equal to us on nodes 0..s+3: the pass resumes at node s, with the
-    same bits and errors.
+    controls equal to us on nodes 0..s-1+REACH (``junctions.REACH``): the pass
+    resumes at node s, with the same bits and errors.
     """
     grid = rates.grid
     h = grid.h

@@ -8,8 +8,9 @@ its nodes sits exactly on a bound of c, on an arc of at least 2 such nodes, the
 other node is strictly inside, and so are the 3 free-side nodes beyond it.
 The junction time tau is where the cubic through those 4 free values meets the
 bound; a step over which the cubic does not cross the bound is not split.  A
-step thus reads nodes i-3 .. i+4.  ``split_step`` lays out the step's two RK4
-sub-steps, on [t_i, tau] and [tau, t_{i+1}], which ``integrator`` integrates.
+step thus reads nodes i+1-REACH .. i+REACH (i-3 .. i+4).  ``split_step`` lays
+out the step's two RK4 sub-steps, on [t_i, tau] and [tau, t_{i+1}], which
+``integrator`` integrates.
 
 Bang-bang controls have no free arc and unclamped ones no bound arc, so
 neither has a junction; the terminal touch u(t_f) = 0 is a one-node arc.
@@ -26,6 +27,8 @@ from .model import ModelParams
 
 if TYPE_CHECKING:
     from .integrator import GridRates
+
+REACH = 4  # step i reads nodes i+1-REACH .. i+REACH; a resumed pass relies on it
 
 
 def crossing(g0: float, g1: float, g2: float, g3: float) -> float | None:
@@ -66,8 +69,8 @@ def junction_steps(nodes: np.ndarray, params: ModelParams) -> list[tuple]:
     arc of at least 2 such nodes, and the other is strictly inside, as are the
     3 free-side nodes beyond it; theta is then where the cubic through those 4
     free values meets the bound, if the cubic crosses it over the step.  So
-    step i reads nodes i-3 .. i+4.  A step with two junctions keeps the earlier
-    one.
+    step i reads nodes i+1-REACH .. i+REACH.  A step with two junctions keeps
+    the earlier one.
     """
     bounds = (params.u1_max, params.u2_max)
     inside = (nodes > 0.0) & (nodes < bounds)
@@ -79,13 +82,13 @@ def junction_steps(nodes: np.ndarray, params: ModelParams) -> list[tuple]:
         i, c = divmod(flat, 2)
         if not 1 <= i <= last - 2:
             continue
-        w = nodes[max(i - 3, 0):i + 5, c].tolist()  # nodes i-3 .. i+4, or fewer
-        j, top = min(i, 3), bounds[c]  # node i is w[j]
+        w = nodes[max(i + 1 - REACH, 0):i + 1 + REACH, c].tolist()  # or fewer at the ends
+        j, top = min(i, REACH - 1), bounds[c]  # node i is w[j]
         right = 0.0 < w[j] < top  # clamped from node i+1 on, else up to node i
-        if right and j == 3:  # free nodes i, i-1, i-2, i-3
-            beyond, bound, free = w[5], w[4], w[3::-1]
-        elif not right and j + 4 < len(w):  # free nodes i+1 .. i+4
-            beyond, bound, free = w[j - 1], w[j], w[j + 1:j + 5]
+        if right and j == REACH - 1:  # free nodes i, i-1, i-2, i-3
+            beyond, bound, free = w[j + 2], w[j + 1], w[j::-1]
+        elif not right and j + REACH < len(w):  # free nodes i+1 .. i+4
+            beyond, bound, free = w[j - 1], w[j], w[j + 1:j + 1 + REACH]
         else:
             continue
         f0, f1, f2, f3 = free

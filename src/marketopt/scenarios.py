@@ -35,6 +35,7 @@ class RateFunction:
     """Nonnegative time-varying rate, evaluable at any t."""
 
     sample = None  # or sample(ts): the rate at every time of a float array at once
+    tag = None  # or the kind that names the family in a config file
 
     def __call__(self, t: float) -> float:
         raise NotImplementedError
@@ -46,6 +47,8 @@ class RateFunction:
 
 @dataclass(frozen=True)
 class Constant(RateFunction):
+    tag = "constant"
+
     value: float
 
     def __post_init__(self) -> None:
@@ -60,7 +63,7 @@ class Constant(RateFunction):
 
     @property
     def label(self) -> str:
-        return f"constant({self.value:g})"
+        return f"{self.tag}({self.value:g})"
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,17 @@ class _FourParameterRate(RateFunction):
     def sample(self, ts: np.ndarray) -> np.ndarray:
         return self._curve(ts, np)
 
+    @property
+    def label(self) -> str:
+        shown = (f"{f.name}={getattr(self, f.name):g}" for f in fields(self)[:2])
+        return f"{self.tag}({', '.join(shown)})"
+
 
 @dataclass(frozen=True)
 class LogisticIncreasing(_FourParameterRate):
     """base + gain / (1 + exp(-rate*(t - midpoint))); rises from ~base to base+gain."""
+
+    tag = "logistic-increasing"
 
     base: float
     gain: float
@@ -94,14 +104,12 @@ class LogisticIncreasing(_FourParameterRate):
     def _curve(self, t, xp):
         return self.base + self.gain / (1.0 + xp.exp(-self.rate * (t - self.midpoint)))
 
-    @property
-    def label(self) -> str:
-        return f"logistic-increasing(base={self.base:g}, gain={self.gain:g})"
-
 
 @dataclass(frozen=True)
 class LogisticDecreasing(_FourParameterRate):
     """base + gain*(1 - 1/(1 + exp(-rate*(t - midpoint)))); falls to ~base."""
+
+    tag = "logistic-decreasing"
 
     base: float
     gain: float
@@ -113,14 +121,12 @@ class LogisticDecreasing(_FourParameterRate):
             1.0 - 1.0 / (1.0 + xp.exp(-self.rate * (t - self.midpoint)))
         )
 
-    @property
-    def label(self) -> str:
-        return f"logistic-decreasing(base={self.base:g}, gain={self.gain:g})"
-
 
 @dataclass(frozen=True)
 class SinusoidalPeriodic(_FourParameterRate):
     """offset + amplitude*(1 - cos(omega*t + phase)); period 2*pi/omega."""
+
+    tag = "sinusoidal"
 
     offset: float
     amplitude: float
@@ -130,14 +136,12 @@ class SinusoidalPeriodic(_FourParameterRate):
     def _curve(self, t, xp):
         return self.offset + self.amplitude * (1.0 - xp.cos(self.omega * t + self.phase))
 
-    @property
-    def label(self) -> str:
-        return f"sinusoidal(offset={self.offset:g}, amplitude={self.amplitude:g})"
-
 
 @dataclass(frozen=True)
 class PiecewiseLinear(RateFunction):
     """User-supplied rate table with linear interpolation, clamped at the ends."""
+
+    tag = "piecewise-linear"
 
     times: tuple[float, ...]
     values: tuple[float, ...]
@@ -160,7 +164,7 @@ class PiecewiseLinear(RateFunction):
 
     @property
     def label(self) -> str:
-        return f"piecewise-linear({len(self.times)} knots)"
+        return f"{self.tag}({len(self.times)} knots)"
 
 
 GAMMA_BASE = 0.10

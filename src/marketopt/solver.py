@@ -17,8 +17,9 @@ works on raw node tables and builds the checked ``Trajectory`` and
 ``ControlGrid`` once, for the result.  Each pass reuses the one before: under
 controls unchanged bit for bit it runs no pass (so a converged bang-bang sweep
 ends on a repeat with residual 0.0); else, as forward step i reads nodes i and
-i+1, and its junction rule nodes i-3 .. i+4, the forward pass resumes 4 nodes
-before the first changed control, and the backward pass runs in full.
+i+1, and its junction rule nodes up to i + ``junctions.REACH``, the forward
+pass resumes REACH nodes before the first changed control; the backward pass
+runs in full.
 
 Both objectives first run the l2 sweep of the same scenario on a coarse grid,
 COARSENING times coarser than an l2 grid and as dense per unit time for l1
@@ -27,10 +28,11 @@ from the fine law (the clamp for l2, bang-bang for l1) on the coarse state and
 adjoint, prolonged to the fine nodes by the cubic through the 4 nearest coarse
 nodes (the quadratic through all 3 if the coarse grid has 2 intervals): a
 smooth l2 solution is the usual first guess of a bang-bang one.  Else, or if
-kappa2 or kappa3 is 0, where the l2 law is undefined, it starts from zero.
-The fine residual is still first taken against zero, so at least 2 fine
-iterations run (at the defaults, 2 on every l2 preset and 4 on scenario3-l1,
-whose answer is the cold start's bit for bit).
+the coarse grid would be under 2 intervals or ``Scenario`` rejects the l2 twin
+(kappa2 or kappa3 is 0), it starts from zero.  The fine residual is still
+first taken against zero, so at least 2 fine iterations run (at the defaults,
+2 on every l2 preset and 4 on scenario3-l1, whose answer is the cold start's
+bit for bit).
 
 The returned controls are the optimality law on the last iterate.  The
 returned state, adjoint and cost are integrated once more under exactly
@@ -61,7 +63,7 @@ from .integrator import (
     forward_table,
     sample_rates,
 )
-from .junctions import junction_steps
+from .junctions import REACH, junction_steps
 from .objectives import evaluate_cost
 from .pmp import bang_bang_terms, l2_law_terms, switching_terms
 from .scenarios import Scenario
@@ -215,8 +217,8 @@ def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: i
     if change is None:
         return last[1:]
     params, n0, us = scenario.params, scenario.n0, _half_steps(u)
-    # steps before change - 4 read only unchanged nodes
-    head = last[1][:change - 3] if change > 4 else None
+    # steps before change - REACH read only unchanged nodes
+    head = last[1][:change + 1 - REACH] if change > REACH else None
     try:
         x = forward_table(scenario.x0, n0, us, params, rates, head)
         return x, backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
@@ -281,18 +283,19 @@ def _prolongation(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _coarse_start(scenario: Scenario, settings: SweepSettings, rates: GridRates):
     """The fine sweep's first controls, and the coarse iterations (see ``solve``)."""
-    grid, kappa = rates.grid, scenario.weights
+    grid = rates.grid
     u_cold = np.zeros((grid.n + 1, 2))
     # l1 grids are denser per unit time: both coarsen to the same density
     ratio = COARSENING * NODES_PER_TIME_UNIT[scenario.objective] // NODES_PER_TIME_UNIT["l2"]
-    if grid.n // ratio < 2 or kappa.kappa2 == 0.0 or kappa.kappa3 == 0.0:
+    try:  # TimeGrid rejects under 2 intervals, Scenario zero l2 weights
+        coarse, twin = replace(grid, n=grid.n // ratio), replace(scenario, objective="l2")
+    except ValueError:
         return u_cold, 0
     # the coarse rates interpolate the fine table: no rate is sampled again
-    coarse = replace(grid, n=grid.n // ratio)
     ts, fine_ts = _sample_times(coarse), _sample_times(grid)
     beta, gamma = (np.interp(ts, fine_ts, r) for r in (rates.beta, rates.gamma))
     coarse_rates = GridRates(coarse, beta, gamma, rates.names)
-    u_zero, twin = np.zeros((coarse.n + 1, 2)), replace(scenario, objective="l2")
+    u_zero = np.zeros((coarse.n + 1, 2))
     try:
         _, history, _, _, _, x, p = _sweep(twin, settings, coarse_rates, u_zero)
     except DivergenceError as err:

@@ -17,10 +17,12 @@ from marketopt.config import (
 )
 from marketopt.integrator import default_grid
 from marketopt.scenarios import (
+    PRESET_NAMES,
     Constant,
     LogisticDecreasing,
     LogisticIncreasing,
     PiecewiseLinear,
+    RateFunction,
     SinusoidalPeriodic,
     preset_scenario,
 )
@@ -130,6 +132,68 @@ def test_every_rate_kind_round_trips_through_json(rate):
         rate_from_dict(doc, "scenario.beta")
 
 
+class _ScaledConstant(Constant):
+    """A subclass: it inherits Constant's tag, but not its config form."""
+
+
+class _Callback(RateFunction):
+    """A rate with no tag and no dataclass fields."""
+
+    def __call__(self, t):
+        return 0.1
+
+
+@pytest.mark.parametrize("rate", [_ScaledConstant(0.5), _Callback(), lambda t: 0.1],
+                         ids=["constant-subclass", "no-tag", "callable"])
+def test_rate_without_a_config_form_is_rejected(rate):
+    name = type(rate).__name__
+    with pytest.raises(ConfigError, match=f"^rate function {name} has no config form$"):
+        rate_to_dict(rate)
+
+
+def _integers_where_integral(value):
+    """value with every integer-valued float written as an integer."""
+    if isinstance(value, dict):
+        return {k: _integers_where_integral(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integers_where_integral(v) for v in value]
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def test_integer_valued_numbers_are_read_as_floats(tmp_path):
+    cfg = config_from_scenario(preset_scenario("comparison-default"), sweep_param="gamma",
+                               sweep_values=(0.5, 1.0, 2.0))
+    doc = config_to_dict(cfg)
+    written = _integers_where_integral(doc)
+    assert written["scenario"]["t_f"] == 7 and written["sweep"]["values"] == [0.5, 1, 2]
+    assert written["solver"]["relaxation"] == 1 and written["scenario"]["beta"]["value"] == 1
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(written))
+    # json writes a float as 7.0 and an int as 7, so the texts differ unless
+    # every integer came back as a float
+    assert json.dumps(config_to_dict(load_config(path))) == json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ([], "config document must be a JSON object"),
+        ({"scenario": {"preset": "scenario1"}, "objective": "l3"},
+         "field config.objective must be one of ('l2', 'l1'), got 'l3'"),
+        ({"scenario": {"preset": "scenario1"}, "output": {"format": "xml"}},
+         "field output.format must be 'csv' or 'json', got 'xml'"),
+    ],
+    ids=["not-an-object", "objective", "output-format"],
+)
+def test_bad_config_document_fails_before_any_output(tmp_path, capsys, doc, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert _run("solve", "--config", str(path), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_unknown_rate_kind_lists_every_kind():
     with pytest.raises(ConfigError) as err:
         rate_from_dict({"kind": "cubic"}, "scenario.gamma")
@@ -231,6 +295,18 @@ def test_invalid_preset_lists_choices(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "scenario1" in err and "comparison-default" in err
+
+
+def test_unknown_preset_fails_alike_from_the_flag_and_a_config(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"scenario": {"preset": "nope"}}))
+    for argv in (["--preset", "nope"], ["--config", str(path)]):
+        assert _run("solve", *argv, "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err == (
+            "error: field scenario.preset: unknown preset 'nope'; valid presets: "
+            f"{', '.join(PRESET_NAMES)}\n"
+        )
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_scenario_source_fails(tmp_path):
@@ -448,8 +524,10 @@ def test_malformed_sweep_values_are_input_errors(tmp_path, capsys, values):
         ([{"a": 1}], "field sweep.strategies.0 must be str, got dict"),
         ([], "field sweep.strategies must not be empty"),
         (["constant", "constant"], "field sweep.strategies must not repeat an entry"),
+        (["optimal", "bogus"], "field sweep.strategies contains unknown strategy 'bogus'; "
+         "valid: no-control, constant, follow-heuristic, optimal"),
     ],
-    ids=["list", "dict", "empty", "duplicate"],
+    ids=["list", "dict", "empty", "duplicate", "unknown"],
 )
 def test_malformed_sweep_strategies_are_input_errors(
     tmp_path, capsys, command, strategies, message

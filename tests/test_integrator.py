@@ -25,7 +25,7 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
-from marketopt.junctions import junction_steps, split_step
+from marketopt.junctions import REACH, junction_steps, split_step
 from marketopt.model import ControlPair, ModelParams, State, Weights, rhs_terms
 from marketopt.pmp import Costate, costate_rhs
 from marketopt.scenarios import (
@@ -408,17 +408,18 @@ def test_a_resumed_pass_over_clamped_controls_is_the_fresh_pass_bit_for_bit(
     box, t = (sc.params.u1_max, sc.params.u2_max), grid.nodes()
     old = _clamped_controls(rng, t, box)
     # j, the first node whose controls change, is drawn mostly from the
-    # stencils (nodes i-3 .. i+4) of the junction steps i of the old controls
+    # stencils (nodes i+1-REACH .. i+REACH) of the junction steps i of the old
+    # controls
     stencils = {i + d for i, *_ in junction_steps(old, sc.params)
-                for d in range(-3, 5)} & set(range(n + 2))
+                for d in range(1 - REACH, 1 + REACH)} & set(range(n + 2))
     j = data.draw(st.sampled_from(sorted({0, n, n + 1} | stencils)))
     new = old.copy()
     new[j:] = _clamped_controls(rng, t, box)[j:]
     args = (sc.x0, sc.n0)
     earlier = forward_table(*args, _half_steps(old), sc.params, rates)
     fresh = forward_table(*args, _half_steps(new), sc.params, rates)
-    # a step reads nodes i-3 .. i+4, so node max(j-4, 0) is kept
-    head = earlier[: max(j - 3, 1)]
+    # a step reads nodes i+1-REACH .. i+REACH, so node max(j-REACH, 0) is kept
+    head = earlier[: max(j + 1 - REACH, 1)]
     resumed = forward_table(*args, _half_steps(new), sc.params, rates, head)
     assert resumed.tobytes() == fresh.tobytes()
 

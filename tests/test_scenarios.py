@@ -202,6 +202,24 @@ class _Table(RateFunction):
         return "table"
 
 
+@pytest.mark.parametrize(
+    ("rate", "label"),
+    [
+        (Constant(0.1), "constant(0.1)"),
+        (builtin_beta_rate(1), "logistic-increasing(base=0.01, gain=0.99)"),
+        (builtin_beta_rate(2), "logistic-decreasing(base=0.01, gain=0.99)"),
+        (builtin_gamma_rate(3), "sinusoidal(offset=0.01, amplitude=0.09)"),
+        (PiecewiseLinear(times=(0.5, 2.0, 6.0), values=(0.2, 0.8, 0.1)),
+         "piecewise-linear(3 knots)"),
+    ],
+    ids=["constant", "logistic-increasing", "logistic-decreasing", "sinusoidal",
+         "piecewise-linear"],
+)
+def test_each_rate_family_labels_itself(rate, label):
+    # rates are named by label in error messages
+    assert rate.label == label
+
+
 @pytest.mark.parametrize("bad_value", [math.nan, math.inf, -1e-3])
 def test_sample_rates_rejects_bad_samples(bad_value):
     grid = TimeGrid(0.0, 1.0, 4)

@@ -26,6 +26,7 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
+from marketopt.junctions import REACH
 from marketopt.model import ControlPair, State, Weights
 from marketopt.objectives import evaluate_cost
 from marketopt.pmp import Costate, hamiltonian, switching_functions
@@ -492,8 +493,9 @@ def test_integrate_reuses_exactly_the_unchanged_part_of_the_last_pass(node, monk
     else:
         assert len(calls["forward"]) == len(calls["backward"]) == 1
         head = calls["forward"][0][5]
-        # forward steps from node - 4 on read the changed node
-        assert (None if head is None else len(head)) == (node - 3 if node > 4 else None)
+        # forward steps from node - REACH on read the changed node
+        expected = node + 1 - REACH if node > REACH else None
+        assert (None if head is None else len(head)) == expected
     controls = ControlGrid(rates.grid, u)
     fresh_x = rk4_forward(sc.x0, controls, sc.params, rates)
     fresh_p = rk4_backward(Costate(0.0, 0.0, 0.0), fresh_x, controls, sc.params, sc.weights, rates)
