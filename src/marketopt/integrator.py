@@ -12,7 +12,9 @@ the step that holds the kink would be only second order; every forward pass
 and the cost split such a step at the junction time tau into two RK4
 sub-steps, on [t_i, tau] and [tau, t_{i+1}] (the rule is in ``junctions``).
 Any other step, and so any pass with no junction, is unchanged, bit for bit.
-The backward pass does not split.
+The backward pass does not split a junction.  Both passes also take a split
+list from the caller: the steps that hold a bang-bang switch, each run as two
+sub-steps with their side's constant controls, forward and backward.
 
 The forward pass steps node by node on the conserved total N = R + C + P of
 x0: it carries only R and P and fills in C as N - R - P.  An RK4 step has two
@@ -25,9 +27,11 @@ columns, three per trajectory: from its nodes it rebuilds the stage states and
 the width of every (sub-)step, which the cost rule reads.
 The adjoint system is linear in p, so the backward pass makes one
 ``pmp.costate_system`` call per block of steps, builds each step as an affine
-map, and composes them in linear work.  Each pass is a raw kernel on node
-and half-step tables (``forward_table``, ``backward_table``), which the sweep
-calls directly, and a validating wrapper (``rk4_forward``, ``rk4_backward``);
+map, and composes them in linear work; a split step's map is the product of
+its sub-steps' maps, built for all splits in one more call.  Each pass is a
+raw kernel on node and half-step tables (``forward_table``,
+``backward_table``), which the sweep calls directly, and a validating wrapper
+(``rk4_forward``, ``rk4_backward``);
 ``forward_table`` resumes at node s from an earlier pass's first s+1 nodes,
 under controls equal on nodes 0..s-1+REACH, the nodes that the steps before s
 and their junctions read.
@@ -257,14 +261,17 @@ def _rk4_steps(R, P, c, h, steps, Rs, Ps):
 
 
 def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
-                  rates: GridRates, head: np.ndarray | None = None) -> np.ndarray:
+                  rates: GridRates, head: np.ndarray | None = None,
+                  splits: list[tuple] | None = None) -> np.ndarray:
     """Raw forward pass: the (n+1, 3) state nodes from x0, whose total is n0,
     under us, the ``_half_steps`` controls on rates.grid.  No input is checked;
     every step is, after the loop, and the first bad one raises IntegrationError.
-    A step that holds a junction (``junctions.junction_steps``) runs as two
-    sub-steps.  head, if given, is an earlier pass's first s+1 nodes, under
-    controls equal to us on nodes 0..s-1+REACH (``junctions.REACH``): the pass
-    resumes at node s, with the same bits and errors.
+    Each step of splits, in step order (by default the junction steps of us,
+    ``junctions.junction_steps``; or switch steps, ``junctions.switch_steps``),
+    runs as the two sub-steps of ``junctions.split_step``.  head, if given, is
+    an earlier pass's first s+1 nodes, under controls equal to us on nodes
+    0..s-1+REACH (``junctions.REACH``) and the same splits before step s: the
+    pass resumes at node s, with the same bits and errors.
     """
     grid = rates.grid
     h = grid.h
@@ -278,7 +285,7 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
     steps = zip(*(col[j::2] for col in series for j in (0, 1, 2)))
     Rs, Ps = [], []
     nodes, at = us[0::2], s
-    for split in junction_steps(nodes, params):
+    for split in junction_steps(nodes, params) if splits is None else splits:
         i = split[0]
         if i < s:
             continue
@@ -319,13 +326,15 @@ def rk4_forward(x0: State, u: ControlGrid, params: ModelParams,
 
 def _sub_steps(rows, params: ModelParams, N: float) -> tuple:
     """The ``_rk4_steps`` arguments of a split step's two sub-steps, from the 5
-    rows of ``junctions.split_step``: the constant c, then the coefficient
-    tuples of rows 0-2 and of rows 2-4."""
-    ((a0, b0, c, e0, g0, k0, f0), (a1, b1, _, e1, g1, k1, f1), (a2, b2, _, e2, g2, k2, f2),
-     (a3, b3, _, e3, g3, k3, f3), (a4, b4, _, e4, g4, k4, f4)) = [
-        flow_coefficients(*row, params, N, N) for row in rows]
+    or 6 rows of ``junctions.split_step``: the constant c, then the coefficient
+    tuples of the first 3 rows and of the last 3."""
+    coefficients = [flow_coefficients(*row, params, N, N) for row in rows]
+    (a0, b0, c, e0, g0, k0, f0), (a1, b1, _, e1, g1, k1, f1), (a2, b2, _, e2, g2, k2, f2) = (
+        coefficients[:3])
+    (a3, b3, _, e3, g3, k3, f3), (a4, b4, _, e4, g4, k4, f4), (a5, b5, _, e5, g5, k5, f5) = (
+        coefficients[-3:])
     return (c, (a0, a1, a2, b0, b1, b2, e0, e1, e2, g0, g1, g2, k0, k1, k2, f0, f1, f2),
-            (a2, a3, a4, b2, b3, b4, e2, e3, e4, g2, g3, g4, k2, k3, k4, f2, f3, f4))
+            (a3, a4, a5, b3, b4, b5, e3, e4, e5, g3, g4, g5, k3, k4, k5, f3, f4, f5))
 
 
 def rk4_stages(
@@ -391,17 +400,16 @@ def rk4_stages(
     return states, controls, widths
 
 
-def _step_maps(S: np.ndarray, h: float) -> np.ndarray:
-    """RK4 steps of (dp/dt, 0) = S @ (p, 1) with step -h, as 4x4 maps M_i.
+def _step_maps(start: np.ndarray, mid: np.ndarray, end: np.ndarray, h) -> np.ndarray:
+    """RK4 steps of (dp/dt, 0) = S @ (p, 1) with step -h, as 4x4 maps M, from S
+    at each step's start, midpoint and end: (p_start, 1) = M @ (p_end, 1).
 
-    S holds the system at the half-step rows of nodes lo..hi: nodes at even
-    rows, midpoints at odd rows; (p_i, 1) = M_i @ (p_{i+1}, 1).
+    h is one width, or an array of them that broadcasts against the maps.
     """
-    at_nodes, at_mid = S[0::2], S[1::2]
-    K1 = at_nodes[1:]
-    K2 = at_mid - (0.5 * h) * (at_mid @ K1)
-    K3 = at_mid - (0.5 * h) * (at_mid @ K2)
-    K4 = at_nodes[:-1] - h * (at_nodes[:-1] @ K3)
+    K1 = end
+    K2 = mid - (0.5 * h) * (mid @ K1)
+    K3 = mid - (0.5 * h) * (mid @ K2)
+    K4 = start - h * (start @ K3)
     return _EYE4 - (h / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
 
 
@@ -427,8 +435,38 @@ def _suffix_products(maps: np.ndarray, top: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, 3)[pad:]
 
 
+def _split_maps(splits: list[tuple], x: np.ndarray, us: np.ndarray, params: ModelParams,
+                weights: Weights, rates: GridRates, n0: float) -> np.ndarray:
+    """The backward step maps of the split steps, one per split: each the
+    product of its two sub-steps' maps, from one ``costate_system`` call on
+    every sub-step's start, midpoint and end.
+
+    A sub-step reads the rows of ``junctions.split_step``, and the states at
+    its ends, with their average at its midpoint; the state at tau is where
+    the forward pass's first sub-step lands.
+    """
+    nodes, table, widths = us[0::2], [], []
+    for split in splits:
+        i = split[0]
+        ha, hb, rows = split_step(split, nodes, rates)
+        c, first, _ = _sub_steps(rows, params, n0)
+        a, b = x[i].tolist(), x[i + 1].tolist()
+        R, P = _rk4_steps(a[0], a[2], c, ha, (first,), [], [])
+        tau = (R, n0 - R - P, P)
+        states = (a, [0.5 * (s + t) for s, t in zip(a, tau)], tau,
+                  tau, [0.5 * (t + s) for t, s in zip(tau, b)], b)
+        inputs = rows[:3] + rows[-3:]  # a junction's sub-steps share its row 2
+        table.append([(*state, *row) for state, row in zip(states, inputs)])
+        widths.append((ha, hb))
+    S = costate_system(*np.array(table).T, params, weights, n0)  # (6, k, 4, 4)
+    h = np.array(widths).T[:, :, None, None]
+    maps = _step_maps(S[0::3], S[1::3], S[2::3], h)  # each split's sub-steps a, b
+    return maps[0] @ maps[1]
+
+
 def backward_table(p_terminal, x: np.ndarray, us: np.ndarray, params: ModelParams,
-                   weights: Weights, rates: GridRates, n0: float) -> np.ndarray:
+                   weights: Weights, rates: GridRates, n0: float,
+                   splits: list[tuple] = ()) -> np.ndarray:
     """Raw backward pass: the (n+1, 3) adjoint nodes along the state nodes x,
     under us, the ``_half_steps`` controls on rates.grid, from p_terminal =
     (p1, p2, p3) at t_f.  No input is checked; a non-finite adjoint raises
@@ -437,7 +475,8 @@ def backward_table(p_terminal, x: np.ndarray, us: np.ndarray, params: ModelParam
     Each RK4 step is an affine map of p.  Per block of BACKWARD_BLOCK steps,
     one ``costate_system`` call on the block's half-step rows gives the maps,
     and ``_suffix_products`` composes them onto the block's top node in linear
-    work.
+    work.  The steps of splits, in step order (none by default), are the
+    products of their sub-steps' maps (``_split_maps``).
     """
     grid = rates.grid
     h = grid.h
@@ -445,6 +484,8 @@ def backward_table(p_terminal, x: np.ndarray, us: np.ndarray, params: ModelParam
     out = np.empty((grid.n + 1, 3))
     out[grid.n] = p_terminal
     with np.errstate(over="ignore", invalid="ignore"):
+        split_maps = (_split_maps(splits, x, us, params, weights, rates, n0) if splits
+                      else ())
         for hi in range(grid.n, 0, -BACKWARD_BLOCK):
             lo = max(0, hi - BACKWARD_BLOCK)
             rows = slice(2 * lo, 2 * hi + 1)
@@ -452,7 +493,11 @@ def backward_table(p_terminal, x: np.ndarray, us: np.ndarray, params: ModelParam
                 *xs[rows].T, *us[rows].T, rates.beta[rows], rates.gamma[rows],
                 params, weights, n0,
             )
-            out[lo:hi] = _suffix_products(_step_maps(S, h), out[hi])
+            maps = _step_maps(S[0:-1:2], S[1::2], S[2::2], h)
+            for split, split_map in zip(splits, split_maps):
+                if lo <= split[0] < hi:
+                    maps[split[0] - lo] = split_map
+            out[lo:hi] = _suffix_products(maps, out[hi])
             bad = ~np.isfinite(out[lo:hi]).all(axis=1)
             if bad.any():
                 i = lo + int(np.flatnonzero(bad)[-1])

@@ -1,4 +1,4 @@
-"""The junction rule: where a clamped control meets its bound between nodes.
+"""The junction and switch rules: where a control's kink or jump lies between nodes.
 
 The l2 law clamps each control to exactly 0.0 or its cap, so the control has a
 kink wherever the unclamped law crosses a bound, and an RK4 step that holds
@@ -14,6 +14,13 @@ out the step's two RK4 sub-steps, on [t_i, tau] and [tau, t_{i+1}], which
 
 Bang-bang controls have no free arc and unclamped ones no bound arc, so
 neither has a junction; the terminal touch u(t_f) = 0 is a one-node arc.
+
+A bang-bang control jumps where its switching value phi changes sign.
+``switch_steps`` finds the steps whose nodes take opposite sides and puts the
+switch time tau at the root of the cubic through phi at the 4 nearest nodes;
+``split_step`` then holds each side's node controls over its sub-step.  The
+l1 sweep of ``solver`` runs on such splits on a coarse grid, so its switch
+times move continuously with the iterate instead of by whole nodes.
 """
 
 from __future__ import annotations
@@ -31,23 +38,26 @@ if TYPE_CHECKING:
 REACH = 4  # step i reads nodes i+1-REACH .. i+REACH; a resumed pass relies on it
 
 
-def crossing(g0: float, g1: float, g2: float, g3: float) -> float | None:
-    """The root in (0, 1) of the cubic through (0, g0), (-1, g1), (-2, g2) and
-    (-3, g3), if the cubic changes sign over [0, 1], else None; g0 is not 0.
+def _cubic(g0: float, g1: float, g2: float, g3: float) -> tuple:
+    """(c1, c2, c3) of the cubic g0 + s*(c1 + s*(c2 + s*c3)) through (0, g0),
+    (-1, g1), (-2, g2) and (-3, g3)."""
+    d1, d2, d3 = g0 - g1, g0 - 2.0 * g1 + g2, g0 - 3.0 * (g1 - g2) - g3
+    return d1 + d2 / 2.0 + d3 / 3.0, (d2 + d3) / 2.0, d3 / 6.0
+
+
+def _root(g0: float, c1: float, c2: float, c3: float, lo: float, below: float,
+          above: float) -> float:
+    """The root in (lo, lo + 1) of g0 + s*(c1 + s*(c2 + s*c3)), whose values at
+    lo and lo + 1 are below and above, of opposite signs.
 
     Newton steps find it, each kept inside the bracket that the last ones left.
     """
-    d1, d2, d3 = g0 - g1, g0 - 2.0 * g1 + g2, g0 - 3.0 * (g1 - g2) - g3
-    c1, c2, c3 = d1 + d2 / 2.0 + d3 / 3.0, (d2 + d3) / 2.0, d3 / 6.0
-    at_one = g0 + c1 + c2 + c3
-    if at_one == 0.0 or (at_one < 0.0) == (g0 < 0.0):
-        return None
-    lo, hi, s = 0.0, 1.0, g0 / (g0 - at_one)
+    hi, s, negative = lo + 1.0, lo + below / (below - above), below < 0.0
     for _ in range(100):
         value = g0 + s * (c1 + s * (c2 + s * c3))
         if value == 0.0:
             return s
-        if (value < 0.0) == (g0 < 0.0):
+        if (value < 0.0) == negative:
             lo = s
         else:
             hi = s
@@ -59,6 +69,16 @@ def crossing(g0: float, g1: float, g2: float, g3: float) -> float | None:
             return step
         s = step
     return s
+
+
+def crossing(g0: float, g1: float, g2: float, g3: float) -> float | None:
+    """The root in (0, 1) of the cubic through (0, g0), (-1, g1), (-2, g2) and
+    (-3, g3), if the cubic changes sign over [0, 1], else None; g0 is not 0."""
+    c1, c2, c3 = _cubic(g0, g1, g2, g3)
+    at_one = g0 + c1 + c2 + c3
+    if at_one == 0.0 or (at_one < 0.0) == (g0 < 0.0):
+        return None
+    return _root(g0, c1, c2, c3, 0.0, g0, at_one)
 
 
 def junction_steps(nodes: np.ndarray, params: ModelParams) -> list[tuple]:
@@ -111,33 +131,72 @@ def _quintic_weights(x: float) -> tuple:
             p01 * d2 * p45 / 12.0, -p01 * p23 * d5 / 24.0, p01 * p23 * d4 / 120.0)
 
 
-def split_step(split: tuple, nodes: np.ndarray, rates: GridRates):
-    """The two RK4 sub-steps of step i, which holds a junction: their widths
-    (ha, hb) and the (u1, u2, beta, gamma) rows at t_i, the first sub-step's
-    midpoint, tau, the second's midpoint and t_{i+1}.
+def switch_steps(phi: np.ndarray, u: np.ndarray) -> list[tuple] | None:
+    """(i, c, theta, None) for every step i over which the bang-bang control c
+    switches, at tau = t_i + theta*h, in step order, from the node switching
+    values phi and the law u on them; None if a step holds two switches or the
+    grid has under 3 intervals.
 
-    At tau the kinked control sits on its bound and the other is linear
-    between its two nodes; each midpoint control is the average of its
-    sub-step's ends.  The rates at the three new times come from the quintic
-    through the 6 nearest half-step rows, among rows 2i-2 .. 2i+4 (which the
-    junction rule keeps inside the table), floored at 0.
+    No node of phi may lie in the law's deadband, so phi_c has opposite signs
+    at the two nodes of step i, and tau is the root over the step of the cubic
+    through phi_c at nodes i-1 .. i+2 (or the 4 nodes at that end of the grid).
+    """
+    last = len(phi) - 1
+    changed = u[:-1] != u[1:]
+    steps = np.flatnonzero(changed.any(axis=1)).tolist()
+    if last < 3 or changed[steps].all(axis=1).any():
+        return None
+    columns = phi.T.tolist()
+    found = []
+    for i in steps:
+        c = int(changed[i, 1])
+        first = min(max(i - 1, 0), last - 3)
+        f0, f1, f2, f3 = columns[c][first:first + 4]
+        # the cubic of ``crossing`` from node first+3, so step i is s - lo in (0, 1)
+        lo = float(i - first - 3)
+        s = _root(f3, *_cubic(f3, f2, f1, f0), lo, columns[c][i], columns[c][i + 1])
+        found.append((i, c, s - lo, None))
+    return found
+
+
+def split_step(split: tuple, nodes: np.ndarray, rates: GridRates):
+    """The two RK4 sub-steps of step i, which holds a junction, or a switch if
+    the split's bound is None: their widths (ha, hb) and the (u1, u2, beta,
+    gamma) rows at t_i, the first sub-step's midpoint and end tau, the
+    second's start tau, its midpoint and t_{i+1}; a junction's sub-steps
+    share their row at tau (5 rows), a switch's do not (6 rows).
+
+    At a junction tau the kinked control sits on its bound and the other is
+    linear between its two nodes; each midpoint control is the average of its
+    sub-step's ends.  Across a switch each sub-step holds its side's node
+    controls.  The rates at the three new times come from the quintic through
+    the 6 nearest half-step rows, among rows 2i-2 .. 2i+4 (or the 7 rows at
+    an end of the grid, which only a switch reaches), floored at 0.
     """
     i, c, theta, bound = split
     (a1, a2), (b1, b2) = nodes[i:i + 2].tolist()
-    t1, t2 = a1 + theta * (b1 - a1), a2 + theta * (b2 - a2)
-    if c == 0:
-        t1 = bound
+    if bound is None:  # (time in half-steps after t_i, u1, u2) at the new rows
+        new = ((theta, a1, a2), (2.0 * theta, a1, a2), (1.0 + theta, b1, b2))
     else:
-        t2 = bound
-    window = slice(2 * i - 2, 2 * i + 5)
+        t1, t2 = a1 + theta * (b1 - a1), a2 + theta * (b2 - a2)
+        if c == 0:
+            t1 = bound
+        else:
+            t2 = bound
+        new = ((theta, 0.5 * (a1 + t1), 0.5 * (a2 + t2)), (2.0 * theta, t1, t2),
+               (1.0 + theta, 0.5 * (t1 + b1), 0.5 * (t2 + b2)))
+    first = min(max(2 * i - 2, 0), len(rates.beta) - 7)
+    shift = 2 * i - 2 - first  # row 2i is window row 2 + shift
+    window = slice(first, first + 7)
     beta, gamma = rates.beta[window].tolist(), rates.gamma[window].tolist()
-    rows = [(a1, a2, beta[2], gamma[2])]
-    for at, u1, u2 in ((theta, 0.5 * (a1 + t1), 0.5 * (a2 + t2)), (2.0 * theta, t1, t2),
-                       (1.0 + theta, 0.5 * (t1 + b1), 0.5 * (t2 + b2))):
-        k = 1 if at >= 1.0 else 0  # the quintic through rows 2i-2+k .. 2i+3+k
-        weights = _quintic_weights(2.0 + at - k)
+    rows = [(a1, a2, beta[2 + shift], gamma[2 + shift])]
+    for at, u1, u2 in new:
+        k = 1 if at >= 1.0 else 0  # the quintic through window rows k .. k+5
+        weights = _quintic_weights(2.0 + at - k + shift)
         rows.append((u1, u2, max(sum(map(mul, weights, beta[k:k + 6])), 0.0),
                      max(sum(map(mul, weights, gamma[k:k + 6])), 0.0)))
-    rows.append((b1, b2, beta[4], gamma[4]))
+    if bound is None:  # the second sub-step starts at tau on the later side
+        rows.insert(3, (b1, b2, *rows[2][2:]))
+    rows.append((b1, b2, beta[4 + shift], gamma[4 + shift]))
     h = rates.grid.h
     return theta * h, h - theta * h, rows

@@ -21,18 +21,25 @@ i+1, and its junction rule nodes up to i + ``junctions.REACH``, the forward
 pass resumes REACH nodes before the first changed control; the backward pass
 runs in full.
 
-Both objectives first run the l2 sweep of the same scenario on a coarse grid,
-COARSENING times coarser than an l2 grid and as dense per unit time for l1
-(n=21 on every preset's default grid).  If it converges, the fine sweep starts
-from the fine law (the clamp for l2, bang-bang for l1) on the coarse state and
-adjoint, prolonged to the fine nodes by the cubic through the 4 nearest coarse
-nodes (the quadratic through all 3 if the coarse grid has 2 intervals): a
-smooth l2 solution is the usual first guess of a bang-bang one.  Else, or if
-the coarse grid would be under 2 intervals or ``Scenario`` rejects the l2 twin
-(kappa2 or kappa3 is 0), it starts from zero.  The fine residual is still
-first taken against zero, so at least 2 fine iterations run (at the defaults,
-2 on every l2 preset and 4 on scenario3-l1, whose answer is the cold start's
-bit for bit).
+Both objectives first sweep the same scenario on a coarse grid, on rates
+interpolated from the fine table.  l2 runs the l2 sweep on a grid COARSENING
+times coarser (n=21 at n=175); if it converges, the fine sweep starts from
+the clamp law on the coarse state and adjoint, prolonged to the fine nodes by
+the cubic through the 4 nearest coarse nodes (the quadratic through all 3 on
+2 intervals).  l1 runs the switch sweep on the switch grid (n=43 at t_f = 7,
+at every fine n): an l1 sweep from zero controls, at weight 1, whose steps
+that hold a switch are split at its time tau (``junctions.switch_steps``) in
+both passes, so tau moves with the iterate, not by nodes.  If it converges,
+the fine sweep starts from bang-bang controls that switch at its taus, which
+the nodal fixed point most often repeats: it puts each switch at the fine
+node just below its tau.  If the switch sweep gives up (see
+``_switch_sweep``), l1 starts from the bang-bang law on the prolonged l2
+sweep, as l2 does.  Either starts from zero if its coarse sweep fails, the
+coarse grid would have under 2 intervals or be no coarser than the fine one,
+or ``Scenario`` rejects the l2 twin (kappa2 or kappa3 is 0).  The fine
+residual is still first taken against zero, so at least 2 fine iterations
+run (at the defaults, 2 on every preset; scenario3-l1's answer is the cold
+start's bit for bit).
 
 The returned controls are the optimality law on the last iterate.  The
 returned state, adjoint and cost are integrated once more under exactly
@@ -51,7 +58,6 @@ from functools import lru_cache
 import numpy as np
 
 from .integrator import (
-    NODES_PER_TIME_UNIT,
     ControlGrid,
     GridRates,
     IntegrationError,
@@ -60,10 +66,11 @@ from .integrator import (
     _half_steps,
     _sample_times,
     backward_table,
+    default_grid,
     forward_table,
     sample_rates,
 )
-from .junctions import REACH, junction_steps
+from .junctions import REACH, junction_steps, switch_steps
 from .objectives import evaluate_cost
 from .pmp import bang_bang_terms, l2_law_terms, switching_terms
 from .scenarios import Scenario
@@ -95,13 +102,13 @@ class SweepSettings:
     relaxation is the starting weight on the fresh controls in the convex
     update; ``solve`` halves it once if the worst residual grows from the
     third iteration on, and reports the weight in force at the end as
-    ``SolveResult.relaxation``.  From the n=21 coarse l2 start (see
-    ``solve``) every l2 preset at n=175 takes 2 fine iterations, at 1 or at
-    0.5 (after 6 coarse iterations on the clamped presets and 5 on
-    comparison-default at 1, 13 at 0.5), and scenario3-l1 at n=1400 takes 4
-    (after 6).  On coarse bang-bang grids the full step stalls and the
-    halving rescues it (scenario3-l1 at n=700 ends at 0.5 after 8
-    iterations).
+    ``SolveResult.relaxation``.  From the coarse start (see ``solve``)
+    every l2 preset at n=175 takes 2 fine iterations, at 1 or at 0.5 (after
+    6 coarse iterations on the clamped presets and 5 on comparison-default
+    at 1, 13 at 0.5), and scenario3-l1 at n=1400 takes 2 (after 6 of the
+    switch sweep).  Where the fine sweep itself must move a bang-bang switch,
+    the full step can stall, and the halving rescues it (scenario3-l1 at
+    n=350 ends at 0.5 after 8 iterations).
     """
 
     n: int
@@ -138,14 +145,14 @@ class SolveResult:
     the blending weight in force when the sweep stopped.  For l1,
     interior_fraction is the share of nodes where a returned control lies
     more than 1e-12 inside both of its bounds.  coarse_iterations counts the
-    iterations of the coarse l2 sweep, which runs for both objectives (0 if
-    none ran), or is the iteration at which it diverged: 6 on the clamped l2
-    presets and on scenario3-l1 at their default grids, 5 on
-    comparison-default, 8 at n=2800 and tol 1e-6.  The other fields are the
-    fine sweep's.  junctions
-    holds a (control index, tau) pair for every step of the returned controls
-    that the integrator split at a clamp junction tau (none for bang-bang or
-    unclamped controls).
+    iterations of the coarse sweeps (0 if none ran), a diverged one up to the
+    iteration at which it diverged: the l2 sweep's for l2; for l1 the switch
+    sweep's, plus the l2 sweep's if the switch sweep gave up.  At the
+    default grids that is 6 on the clamped l2 presets and on scenario3-l1, 5
+    on comparison-default, and 8 on scenario3-l1 at n=2800 and tol 1e-6.
+    The other fields are the fine sweep's.  junctions holds a (control index,
+    tau) pair for every step of the returned controls that the integrator
+    split at a clamp junction tau (none for bang-bang or unclamped controls).
     """
 
     state: Trajectory
@@ -281,31 +288,104 @@ def _prolongation(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
+def _switch_law(scenario: Scenario, x: np.ndarray, p: np.ndarray, eps_singular: float):
+    """The bang-bang law on x and p and its switch steps
+    (``junctions.switch_steps``), or None if a node lies in the deadband or a
+    step holds two switches."""
+    R, _, P = x.T
+    p1, p2, p3 = p.T
+    params = scenario.params
+    phi = np.column_stack(
+        switching_terms(R, P, p1, p2, p3, params, scenario.weights, scenario.n0))
+    if (np.abs(phi) <= eps_singular).any():
+        return None
+    u = np.where(phi < 0.0, (params.u1_max, params.u2_max), 0.0)
+    splits = switch_steps(phi, u)
+    return None if splits is None else (u, splits)
+
+
+def _switch_sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates):
+    """The l1 sweep on the grid of rates from zero controls, at weight 1, with
+    every step that holds a switch split at it in both passes.
+
+    Returns the law on the last iterate (node controls and switch steps) and
+    the iterations run; the law is None if the sweep cannot settle the
+    switches: a law that ``_switch_law`` rejects, a residual that grows from
+    the third iteration on, divergence, or max_iters.
+    """
+    prev, series = np.zeros((2, 8, rates.grid.n + 1))
+    history: list[float] = []
+    params, n0, zero = scenario.params, scenario.n0, (0.0, 0.0, 0.0)
+    law = np.zeros((rates.grid.n + 1, 2)), []
+    for iteration in range(1, settings.max_iters + 1):
+        u, splits = law
+        us = _half_steps(u)
+        try:
+            x = forward_table(scenario.x0, n0, us, params, rates, None, splits)
+            p = backward_table(zero, x, us, params, scenario.weights, rates, n0, splits)
+        except IntegrationError:
+            return None, iteration
+        law = _switch_law(scenario, x, p, settings.eps_singular)
+        if law is None:
+            return None, iteration
+        series[:3], series[3:6], series[6:] = x.T, p.T, law[0].T
+        history.append(_residual(prev, series))
+        if history[-1] <= settings.tol_delta:
+            return law, iteration
+        if iteration >= 3 and history[-1] > history[-2]:
+            return None, iteration
+        prev, series = series, prev
+    return None, settings.max_iters
+
+
+def _switch_start(u: np.ndarray, splits: list[tuple], coarse: TimeGrid,
+                  grid: TimeGrid) -> np.ndarray:
+    """The controls u of the coarse grid, bang-bang and switching at the taus
+    of splits, at the nodes of grid (a node at a tau takes the later side)."""
+    ts, start = grid.nodes(), np.empty((grid.n + 1, 2))
+    for c in (0, 1):
+        steps = [(i, theta) for i, d, theta, _ in splits if d == c]
+        taus = [coarse.t0 + (i + theta) * coarse.h for i, theta in steps]
+        sides = [u[0, c]] + [u[i + 1, c] for i, _ in steps]
+        start[:, c] = np.take(sides, np.searchsorted(taus, ts, side="right"))
+    return start
+
+
 def _coarse_start(scenario: Scenario, settings: SweepSettings, rates: GridRates):
     """The fine sweep's first controls, and the coarse iterations (see ``solve``)."""
     grid = rates.grid
     u_cold = np.zeros((grid.n + 1, 2))
-    # l1 grids are denser per unit time: both coarsen to the same density
-    ratio = COARSENING * NODES_PER_TIME_UNIT[scenario.objective] // NODES_PER_TIME_UNIT["l2"]
+    if scenario.objective == "l2":
+        n = grid.n // COARSENING
+    else:  # the switch grid: n=43 at t_f = 7, the same at every fine n
+        n = 2 * default_grid(grid.t_f, "l2").n // COARSENING
+    if n >= grid.n:
+        return u_cold, 0
     try:  # TimeGrid rejects under 2 intervals, Scenario zero l2 weights
-        coarse, twin = replace(grid, n=grid.n // ratio), replace(scenario, objective="l2")
+        coarse, twin = replace(grid, n=n), replace(scenario, objective="l2")
     except ValueError:
         return u_cold, 0
     # the coarse rates interpolate the fine table: no rate is sampled again
     ts, fine_ts = _sample_times(coarse), _sample_times(grid)
     beta, gamma = (np.interp(ts, fine_ts, r) for r in (rates.beta, rates.gamma))
     coarse_rates = GridRates(coarse, beta, gamma, rates.names)
+    iterations = 0
+    if scenario.objective == "l1":
+        law, iterations = _switch_sweep(scenario, settings, coarse_rates)
+        if law is not None:
+            return _switch_start(*law, coarse, grid), iterations
     u_zero = np.zeros((coarse.n + 1, 2))
     try:
         _, history, _, _, _, x, p = _sweep(twin, settings, coarse_rates, u_zero)
     except DivergenceError as err:
-        return u_cold, err.iteration
+        return u_cold, iterations + err.iteration
+    iterations += len(history)
     if history[-1] > settings.tol_delta:
-        return u_cold, len(history)
+        return u_cold, iterations
     indices, weights = _prolongation(coarse.n, grid.n)
     xp = np.einsum("jn,cjn->nc", weights, np.take(np.hstack((x, p)).T, indices, axis=1))
     u_start, _ = _law_on_grid(scenario, xp[:, :3], xp[:, 3:], u_cold, settings.eps_singular)
-    return u_start, len(history)
+    return u_start, iterations
 
 
 def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:

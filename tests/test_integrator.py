@@ -25,9 +25,10 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
-from marketopt.junctions import REACH, junction_steps, split_step
-from marketopt.model import ControlPair, ModelParams, State, Weights, rhs_terms
-from marketopt.pmp import Costate, costate_rhs
+from marketopt.junctions import REACH, junction_steps, split_step, switch_steps
+from marketopt.model import (ControlPair, ModelParams, State, Weights, flow_coefficients,
+                             rhs_terms)
+from marketopt.pmp import Costate, costate_rhs, costate_system
 from marketopt.scenarios import (
     PRESET_NAMES,
     Constant,
@@ -476,6 +477,31 @@ def test_tables_without_a_junction(table):
     assert junction_steps(u, SCENARIO1.params) == []
 
 
+def test_switch_steps_locate_each_sign_change_of_the_switching_values():
+    grid = TimeGrid(0.0, 7.0, 43)
+    t, box = grid.nodes(), (SCENARIO1.params.u1_max, SCENARIO1.params.u2_max)
+
+    def located(phi):
+        return switch_steps(phi, np.where(phi < 0.0, box, 0.0))
+
+    # phi1 = sin(t) - 0.3 changes sign three times; phi2 is a quadratic, which
+    # the cubic reproduces, with a root in the first step and one in the last
+    phi = np.column_stack((np.sin(t) - 0.3, (t - 0.1) * (6.95 - t)))
+    found = located(phi)
+    asin = math.asin(0.3)
+    exact = [(1, 0.1), (0, asin), (0, math.pi - asin), (0, 2.0 * math.pi + asin), (1, 6.95)]
+    assert [(i, c) for i, c, _, _ in found] == [(0, 1), (1, 0), (17, 0), (40, 0), (42, 1)]
+    for (i, c, theta, bound), (_, tau) in zip(found, exact):
+        assert bound is None and 0.0 < theta < 1.0
+        error = abs((i + theta) * grid.h - tau)
+        assert error <= (1e-13 if c == 1 else 1e-4)
+    # a step that holds a switch of each control is not split
+    phi[:, 1] = (t - 0.25) * (6.95 - t)
+    assert located(phi) is None
+    # nor is a switch on a grid with too few nodes for a cubic
+    assert located(np.column_stack((np.sin(t) - 0.3, 1.0 + t))[:3]) is None
+
+
 def _junction_case():
     """scenario1's model under a u2 that reaches u2_max in step 22 (t = 0.91),
     with u1 interior and linear-in-time rates, which the rate polynomial
@@ -558,6 +584,129 @@ def test_split_step_stages_land_on_the_forward_nodes_bit_for_bit(name, n):
         R = states[0, m, 0] + sixth * (r1 + 2.0 * (r2 + r3) + r4)
         P = states[0, m, 2] + sixth * (p1 + 2.0 * (p2 + p3) + p4)
         assert (R, P) == (lands_on[0], lands_on[2])
+
+
+# scenario3-l1's bang-bang controls switch u2 on, u1 off, then u2 off; the
+# second set moves the u2 switches into the first and the last step of n=43
+SWITCHES = ((0.2362, 4.8805, 6.1302), (0.05, 4.8805, 6.95))
+
+
+def _switch_case(n, switches=SWITCHES[0]):
+    """scenario3-l1 on n intervals under bang-bang controls that switch u2
+    on, u1 off and u2 off at switches, with each step that holds a switch
+    split there: the scenario, node controls, switch steps, rates and
+    half-step controls."""
+    sc, grid = preset_scenario("scenario3-l1"), TimeGrid(0.0, 7.0, n)
+    t, h = grid.nodes(), grid.h
+    on, off1, off2 = switches
+    u = np.column_stack((np.where(t < off1, sc.params.u1_max, 0.0),
+                         np.where((on <= t) & (t < off2), sc.params.u2_max, 0.0)))
+    splits = [(int(tau // h), c, tau / h - int(tau // h), None)
+              for tau, c in zip(switches, (1, 0, 1))]
+    return sc, u, splits, _rates(sc, grid), _half_steps(u)
+
+
+def _linear_rates(ts):
+    """beta and gamma linear in time, which a split step's rate quintic reproduces."""
+    return 0.3 + 0.1 * ts, 0.05 + 0.01 * ts
+
+
+def _coefficients(rows, sc):
+    """A sub-step's ``_rk4_steps`` coefficient tuple from its 3 rows."""
+    a, b, _, e, g, k, f = zip(*(flow_coefficients(*row, sc.params, sc.n0, sc.n0)
+                                for row in rows))
+    return (*a, *b, *e, *g, *k, *f)
+
+
+@pytest.mark.parametrize("switches", SWITCHES)
+def test_a_split_switch_step_is_two_one_step_rk4_calls_bit_for_bit(switches):
+    sc, u, splits, rates, us = _switch_case(43, switches)
+    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, splits)
+    whole = forward_table(sc.x0, sc.n0, us, sc.params, rates)
+    steps = [split[0] for split in splits]
+    assert steps == ([1, 29, 37] if switches == SWITCHES[0] else [0, 29, 42])
+    assert x[:steps[0] + 1].tobytes() == whole[:steps[0] + 1].tobytes()
+    c = sc.params.lambda1 * sc.n0
+    for split in splits:
+        i = split[0]
+        ha, hb, rows = split_step(split, u, rates)
+        assert len(rows) == 6 and ha + hb == pytest.approx(rates.grid.h, rel=1e-15)
+        # each side holds its node's controls, and both read the rates at tau
+        assert [row[:2] for row in rows] == [tuple(u[i])] * 3 + [tuple(u[i + 1])] * 3
+        assert rows[2][2:] == rows[3][2:]
+        # the rate quintic reproduces linear rates, next to the ends too
+        ts = integrator._sample_times(rates.grid)
+        _, _, linear = split_step(split, u, GridRates(rates.grid, *_linear_rates(ts)))
+        t = i * rates.grid.h
+        times = np.array((t, t + 0.5 * ha, t + ha, t + ha, t + ha + 0.5 * hb, t + ha + hb))
+        error = np.array(linear)[:, 2:] - np.column_stack(_linear_rates(times))
+        assert np.abs(error).max() <= 1e-13
+        tau = integrator._rk4_steps(x[i, 0], x[i, 2], c, ha, (_coefficients(rows[:3], sc),),
+                                    [], [])
+        end = integrator._rk4_steps(*tau, c, hb, (_coefficients(rows[3:], sc),), [], [])
+        assert end == (x[i + 1, 0], x[i + 1, 2])
+        # the step taken whole lands elsewhere, by far more than roundoff
+        nodal = forward_table(sc.x0, sc.n0, us, sc.params, rates, x[:i + 1], [])
+        assert np.abs(nodal[i + 1] - x[i + 1]).max() > 1e-6 * sc.n0
+
+
+@pytest.mark.parametrize("switches", SWITCHES)
+def test_a_split_backward_step_is_the_product_of_its_sub_step_maps(switches):
+    sc, u, splits, rates, us = _switch_case(43, switches)
+    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, splits)
+    p = integrator.backward_table((0.0, 0.0, 0.0), x, us, sc.params, sc.weights, rates,
+                                  sc.n0, splits)
+    c = sc.params.lambda1 * sc.n0
+
+    def sub_step(p_end, width, states, rows):
+        # RK4 with step -width on dp/dt = A p + b, from the end to the start
+        S = [costate_system(*state, *row, sc.params, sc.weights, sc.n0)
+             for state, row in zip(states, rows)]
+
+        def rhs(k, q):
+            return (S[k] @ np.append(q, 1.0))[:3]
+
+        k1 = rhs(2, p_end)
+        k2 = rhs(1, p_end - 0.5 * width * k1)
+        k3 = rhs(1, p_end - 0.5 * width * k2)
+        k4 = rhs(0, p_end - width * k3)
+        return p_end - width / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+
+    for split in splits:
+        i = split[0]
+        ha, hb, rows = split_step(split, u, rates)
+        R, P = integrator._rk4_steps(x[i, 0], x[i, 2], c, ha,
+                                     (_coefficients(rows[:3], sc),), [], [])
+        tau = np.array((R, sc.n0 - R - P, P))
+        at_tau = sub_step(p[i + 1], hb, (tau, 0.5 * (tau + x[i + 1]), x[i + 1]), rows[3:])
+        expected = sub_step(at_tau, ha, (x[i], 0.5 * (x[i] + tau), tau), rows[:3])
+        assert np.abs(p[i] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_split_passes_converge_under_step_halving():
+    # differences between the passes on n and 2n intervals, at t_f for the
+    # state and at t = 0 for the adjoint
+    def ends(n, backward_splits):
+        sc, _, splits, rates, us = _switch_case(n)
+        x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, splits)
+        p = integrator.backward_table((0.0, 0.0, 0.0), x, us, sc.params, sc.weights,
+                                      rates, sc.n0, splits if backward_splits else ())
+        return x[-1], p[0]
+
+    for backward_splits in (True, False):
+        runs = [ends(n, backward_splits) for n in (40, 80, 160, 320)]
+        dx, dp = (np.array([np.abs(a[k] - b[k]).max() for a, b in zip(runs, runs[1:])])
+                  for k in (0, 1))
+        # the forward split keeps the state fourth order or better
+        assert np.all(dx[:-1] / dx[1:] >= 16.0)
+        if backward_splits:
+            # the adjoint reads the states at midpoints as node averages, so
+            # it is second order, split steps included
+            assert np.all((dp[:-1] / dp[1:] >= 3.8) & (dp[:-1] / dp[1:] <= 4.5))
+            split_dp = dp
+        else:
+            # a step taken whole across a switch misses by 100 times more
+            assert np.all(dp >= 100.0 * split_dp)
 
 
 def test_passes_reject_a_zero_initial_total():

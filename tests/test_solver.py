@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketopt import experiments, solver
+from marketopt import experiments, integrator, solver
 from marketopt.experiments import (
     SWEEP_PARAMETERS,
     StrategyKind,
@@ -192,7 +192,7 @@ def test_l1_result_carries_diagnostics():
     assert not result.singular_flags.any()
     # measured on the returned bang-bang controls, not the blended iterate
     assert result.interior_fraction == 0.0
-    # l1 starts from the l2 sweep on a coarse grid (n=10 here)
+    # l1 starts from the switch sweep on a coarse grid (n=43 here)
     assert result.coarse_iterations > 0
     # bang-bang terminal values: both switching values end positive
     assert tuple(result.controls.values[-1]) == (0.0, 0.0)
@@ -329,19 +329,20 @@ def test_fine_l1_grid_converges_undamped():
     assert result.iterations <= 10
 
 
-# Costs and fine iteration counts of the sweep, which starts from an l2 sweep
-# on a coarser grid.  A change meant only to speed the sweep up may move a cost
-# by roundoff, not more; an iteration count moves only with a change to the
-# path to the answer (such as the start), and never up.
+# Costs and fine iteration counts of the sweep, which starts from a sweep on a
+# coarser grid (l2 for l2, the switch sweep for l1).  A change meant only to
+# speed the sweep up may move a cost by roundoff, not more; an iteration count
+# moves only with a change to the path to the answer (such as the start), and
+# never up.
 @pytest.mark.parametrize(
     "name, n, tol, cost, iterations",
     [
         ("scenario1", None, 1e-3, 5.851595582460026, 2),
         ("scenario2", None, 1e-3, 5.815234095430976, 2),
         ("scenario3", None, 1e-3, 5.833254488044247, 2),
-        ("scenario3-l1", None, 1e-3, 6.330618554071916, 4),
+        ("scenario3-l1", None, 1e-3, 6.330618554071916, 2),
         ("comparison-default", None, 1e-3, 0.9623966848539478, 2),
-        ("scenario3-l1", 2800, 1e-6, 6.330618374621364, 5),
+        ("scenario3-l1", 2800, 1e-6, 6.330618374621364, 2),
     ],
 )
 def test_pinned_costs_and_iterations(name, n, tol, cost, iterations):
@@ -381,7 +382,9 @@ def test_unclamped_and_bang_bang_solves_report_no_junction(name, n):
 
 
 def test_growing_residual_halves_the_weight_and_rescues_a_coarse_l1_grid():
-    result = solve(preset_scenario("scenario3-l1"), SweepSettings(n=700))
+    # at n=350 the fine sweep must still move a switch of its start (at
+    # n=700 the start is already its fixed point)
+    result = solve(preset_scenario("scenario3-l1"), SweepSettings(n=350))
     assert result.converged
     assert result.relaxation == 0.5
     history = result.residual_history
@@ -456,10 +459,10 @@ def test_final_pass_is_skipped_when_the_law_repeats_its_controls(monkeypatch):
     calls = _record_passes(monkeypatch, n=1400)
     result = solve(preset_scenario("scenario3-l1"), SweepSettings(n=1400))
     assert result.converged
-    # one fine pass of each kind per iteration: the last one already
-    # integrated the returned bang-bang controls
-    assert len(calls["forward"]) == len(calls["backward"]) == 4
-    assert result.iterations == 4
+    # one fine pass of each kind: the switch start is the fixed point, so the
+    # second iteration repeats it and runs no pass, nor does the final pass
+    assert len(calls["forward"]) == len(calls["backward"]) == 1
+    assert result.iterations == 2
 
 
 def test_an_iteration_that_would_repeat_its_controls_runs_no_pass(monkeypatch):
@@ -470,8 +473,8 @@ def test_an_iteration_that_would_repeat_its_controls_runs_no_pass(monkeypatch):
     assert result.residual_history[-1] == 0.0
     # the last iteration integrates the controls of the one before, so it
     # reuses that iteration's passes, as does the final pass
-    assert len(calls["forward"]) == len(calls["backward"]) == result.iterations - 1 == 4
-    assert result.iterations == 5
+    assert len(calls["forward"]) == len(calls["backward"]) == result.iterations - 1 == 1
+    assert result.iterations == 2
     assert abs(result.cost - 6.330618374621364) <= 1e-12 * result.cost
 
 
@@ -536,10 +539,10 @@ def _resume_cases():
     for name in PRESET_NAMES:
         objective = preset_scenario(name).objective
         yield name, SweepSettings(n=default_grid(7.0, objective).n), None
-    # l1-fine (a reused repeat; the steps include the 8 coarse passes at
+    # l1-fine (a reused repeat; the steps include the 8 switch sweep passes at
     # n=43), weight halving, and an unconverged grid
-    yield "scenario3-l1", SweepSettings(n=2800, tol_delta=1e-6), (7557, 11544)
-    yield "scenario3-l1", SweepSettings(n=700), None
+    yield "scenario3-l1", SweepSettings(n=2800, tol_delta=1e-6), (3144, 3144)
+    yield "scenario3-l1", SweepSettings(n=350), None
     yield "scenario3-l1", SweepSettings(n=2424, tol_delta=1e-6, max_iters=40), None
 
 
@@ -711,3 +714,112 @@ def test_l1_with_a_zero_control_weight_starts_cold(weights):
     result = solve(sc, SweepSettings(n=1400))
     assert result.converged
     assert result.coarse_iterations == 0
+
+
+def test_switch_sweep_places_the_switches_alike_on_a_coarse_and_a_finer_grid():
+    sc = preset_scenario("scenario3-l1")
+    taus = []
+    for n in (43, 175):
+        grid = TimeGrid(0.0, sc.t_f, n)
+        rates = sample_rates(sc.beta, sc.gamma, grid)
+        law, iterations = solver._switch_sweep(sc, SweepSettings(n=n, tol_delta=1e-6), rates)
+        assert law is not None and iterations <= 10
+        u, splits = law
+        # u2 switches on, u1 off, then u2 off, between bang-bang node values
+        assert [c for _, c, _, _ in splits] == [1, 0, 1]
+        assert np.all((u == 0.0) | (u == (sc.params.u1_max, sc.params.u2_max)))
+        assert all(0.0 < theta < 1.0 for _, _, theta, _ in splits)
+        taus.append([(i + theta) * grid.h for i, _, theta, _ in splits])
+    assert np.abs(np.subtract(*taus)).max() <= 1e-4
+    # the switch times of an n=5600, tol-1e-8 nodal solve
+    assert np.abs(np.subtract(taus[0], (0.2362, 4.8805, 6.1302))).max() <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "gamma, iterations, cost",
+    [
+        # in its 4th iteration a step of the n=43 switch grid holds a switch
+        # of each control
+        (0.4, 9, 6.839914806050949),
+        # the switch sweep's residual grows in its 4th iteration: u1 has a
+        # near-singular arc, on which the full-step sweep cycles on every grid
+        (0.6, 300, 6.970957741309637),
+    ],
+)
+def test_l1_falls_back_to_the_l2_start_where_the_switch_sweep_cannot_settle(
+    gamma, iterations, cost, monkeypatch
+):
+    sc = replace(preset_scenario("scenario3-l1"), gamma=Constant(gamma))
+    settings = SweepSettings(n=700, max_iters=300)
+    laws = []
+
+    def recorded(*args):
+        laws.append(switch_sweep(*args))
+        return laws[-1]
+
+    switch_sweep = solver._switch_sweep
+    monkeypatch.setattr(solver, "_switch_sweep", recorded)
+    fallback = solve(sc, settings)
+    assert laws == [(None, 4)]
+    # the answer of a solve with no switch sweep, bit for bit
+    monkeypatch.setattr(solver, "_switch_sweep", lambda *args: (None, 0))
+    plain = solve(sc, settings)
+    assert fallback.coarse_iterations == plain.coarse_iterations + laws[0][1]
+    assert fallback.residual_history == plain.residual_history
+    assert fallback.cost.hex() == plain.cost.hex()
+    for field in ("state", "costate", "controls"):
+        assert getattr(fallback, field).values.tobytes() == getattr(plain, field).values.tobytes()
+    # and the iterations and cost of an l2 start from the n=10 grid of n/64
+    assert fallback.iterations == iterations
+    assert fallback.converged == (iterations < settings.max_iters)
+    assert abs(fallback.cost - cost) <= 1e-12 * cost
+
+
+def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in ((solver, "_switch_sweep"), (solver, "_switch_law"),
+                         (solver, "_switch_start"), (solver, "switch_steps"),
+                         (integrator, "_split_maps")):
+        counted(module, name)
+    split_lists = []
+
+    def passes(name, table, at):
+        def call(*args):
+            split_lists.append(args[at:])
+            return table(*args)
+        monkeypatch.setattr(solver, name, call)
+
+    passes("forward_table", forward_table, 6)
+    passes("backward_table", backward_table, 7)
+    for name in L2_PRESETS:
+        solve(preset_scenario(name), SweepSettings(n=175))
+    base = preset_scenario("comparison-default")
+    run_sweep(SweepSpec("gamma", (0.1, 1.2), base, (StrategyKind.OPTIMAL,)),
+              SweepSettings(n=175))
+    assert calls == {}
+    # every l2 pass takes its default splits: the junctions, forward only
+    assert split_lists and all(rest == () for rest in split_lists)
+    solve(preset_scenario("scenario3-l1"), SweepSettings(n=1400))
+    assert set(calls) == {"_switch_sweep", "_switch_law", "_switch_start", "switch_steps",
+                          "_split_maps"}
+    assert any(rest != () for rest in split_lists)
+
+
+def test_switch_sweep_gives_up_when_its_law_puts_a_node_in_the_deadband():
+    # a wide deadband: a node near a switch falls in it in the second iteration
+    sc, grid = preset_scenario("scenario3-l1"), TimeGrid(0.0, 7.0, 43)
+    rates = sample_rates(sc.beta, sc.gamma, grid)
+    settings = SweepSettings(n=43, eps_singular=1e-3)
+    assert solver._switch_sweep(sc, settings, rates) == (None, 2)
+    law, _ = solver._switch_sweep(sc, replace(settings, eps_singular=1e-9), rates)
+    assert law is not None
