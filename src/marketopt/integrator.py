@@ -1,41 +1,33 @@
 """Fixed-step classical RK4 on a shared uniform grid.
 
 The state system integrates forward from t0; the adjoint system integrates
-backward from t_f re-using the already-computed state trajectory.  Every RK4
-stage reads its inputs from one half-step layout of 2n+1 rows, nodes at even
-rows and interval midpoints at odd rows: step i reads rows 2i, 2i+1 (twice)
-and 2i+2.  ``sample_rates`` samples beta and gamma there once per grid, and
-``_half_steps`` lays out controls and states the same way, with the average
-of the two adjacent nodes at each midpoint, which keeps fourth order for
-smooth controls.  A clamped control has a kink where it meets its bound, and
-the step that holds the kink would be only second order; every forward pass
-and the cost split such a step at the junction time tau into two RK4
-sub-steps, on [t_i, tau] and [tau, t_{i+1}] (the rule is in ``junctions``).
-Any other step, and so any pass with no junction, is unchanged, bit for bit.
-The backward pass does not split a junction.  Both passes also take a split
-list from the caller: the steps that hold a bang-bang switch, each run as two
-sub-steps with their side's constant controls, forward and backward.
+backward from t_f along the computed states.  Every RK4 stage reads one
+half-step layout of 2n+1 rows, nodes at even rows and interval midpoints at
+odd rows: step i reads rows 2i, 2i+1 (twice) and 2i+2.  ``sample_rates``
+samples beta and gamma there once per grid, and ``_half_steps`` lays out
+controls and states the same way, with the average of the two adjacent
+nodes at each midpoint.  For smooth controls the state is then fourth order;
+the adjoint reads its midpoint states as those node averages, so it is
+second order.
 
-The forward pass steps node by node on the conserved total N = R + C + P of
-x0: it carries only R and P and fills in C as N - R - P.  An RK4 step has two
-forms.  ``_rk4_steps``, the one inline form, evaluates the coefficient form of
-``model.rhs_terms`` operation for operation, on one ``model.flow_coefficients``
-table per pass, so its bits are those of calling that kernel per stage, on
-scalars or on columns; every step is checked after the loop.  Split sub-steps
-run through it too, one call each.  ``rk4_stages`` makes those calls on whole
-columns, three per trajectory: from its nodes it rebuilds the stage states and
-the width of every (sub-)step, which the cost rule reads.
-The adjoint system is linear in p, so the backward pass makes one
-``pmp.costate_system`` call per block of steps, builds each step as an affine
-map, and composes them in linear work; a split step's map is the product of
-its sub-steps' maps, built for all splits in one more call.  Each pass is a
-raw kernel on node and half-step tables (``forward_table``,
-``backward_table``), which the sweep calls directly, and a validating wrapper
-(``rk4_forward``, ``rk4_backward``);
-``forward_table`` resumes at node s from an earlier pass's first s+1 nodes,
-under controls equal on nodes 0..s-1+REACH, the nodes that the steps before s
-and their junctions read.
-Trajectory and ControlGrid share one node-table check.
+A step that holds a kink of a clamped control (a junction) or a jump of a
+bang-bang one (a switch) runs as two RK4 sub-steps, on [t_i, tau] and
+[tau, t_{i+1}]; any other step, and so any pass with no split, is unchanged,
+bit for bit.  Every forward pass and the cost split the junctions; the
+switch sweep splits its switches, in both passes.  Each control table's
+split steps are laid out once (``junctions.split_layout``): the forward pass
+runs their sub-steps and leaves the state at each tau in the layout, where
+the backward pass and the cost read it.
+
+The forward pass carries only R and P, with C = N - R - P on the conserved
+total N of x0, through ``_rk4_steps``, the one inline copy of
+``model.rhs_terms``; ``rk4_stages`` rebuilds the same stages on whole
+columns for the cost.  The adjoint system is linear in p, so the backward
+pass builds each step as an affine map, from one ``pmp.costate_system`` call
+per block, and composes them in linear work.  Each pass is a raw kernel on
+node and half-step tables (``forward_table``, ``backward_table``), which the
+sweep calls directly, under a validating wrapper (``rk4_forward``,
+``rk4_backward``).
 """
 
 from __future__ import annotations
@@ -46,18 +38,16 @@ from itertools import islice
 
 import numpy as np
 
-from .junctions import junction_steps, split_step
+from .junctions import SplitLayout, junction_layout
 from .model import (ModelParams, RateCallable, State, Weights, _require_total,
                     flow_coefficients, rhs_terms)
 from .pmp import Costate, costate_system
 
-# Default intervals per unit time, per objective.  With the RK4 stage cost (see
-# ``objectives``) and the steps that hold a clamp junction split there, the l2
-# presets at 25 per unit (n=175) come within 1.8e-10 of the n -> inf cost (an
-# n=5600, tol-1e-11 solve); at 50 per unit without the split they came within
-# 5.4e-9.  l1 keeps 200: its bang-bang controls keep the cost second order, and
-# at n=350 its sweep halves its weight and stops on controls whose signs
-# disagree with the switching values (acceptance criterion 4).
+# Default intervals per unit time, per objective: at 25 per unit (n=175) the l2
+# presets' cost is within 1.8e-10 of the n -> inf cost (see ``objectives``).
+# l1 keeps 200: its bang-bang controls keep the cost second order, and at n=350
+# its sweep halves its weight and stops on controls whose signs disagree with
+# the switching values (acceptance criterion 4).
 NODES_PER_TIME_UNIT = {"l2": 25, "l1": 200}
 
 # Continuous trajectories stay nonnegative; anything below this after a step
@@ -234,8 +224,8 @@ def _on_total(rp: np.ndarray, total: float) -> np.ndarray:
 
 def _rk4_steps(R, P, c, h, steps, Rs, Ps):
     """Run RK4 steps of width h from (R, P) on flow coefficient tuples, those of
-    ``forward_table`` or of ``_sub_steps``, appending each new node to Rs and
-    Ps; returns the last."""
+    ``forward_table`` or of a ``junctions.SplitLayout``, appending each new
+    node to Rs and Ps; returns the last."""
     half, sixth = 0.5 * h, h / 6.0
     for aa, am, ab, ba, bm, bb, ea, em, eb, ga, gm, gb, ka, km, kb, fa, fm, fb in steps:
         q = R * P
@@ -262,16 +252,16 @@ def _rk4_steps(R, P, c, h, steps, Rs, Ps):
 
 def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
                   rates: GridRates, head: np.ndarray | None = None,
-                  splits: list[tuple] | None = None) -> np.ndarray:
+                  layout: SplitLayout | None = None) -> np.ndarray:
     """Raw forward pass: the (n+1, 3) state nodes from x0, whose total is n0,
     under us, the ``_half_steps`` controls on rates.grid.  No input is checked;
     every step is, after the loop, and the first bad one raises IntegrationError.
-    Each step of splits, in step order (by default the junction steps of us,
-    ``junctions.junction_steps``; or switch steps, ``junctions.switch_steps``),
-    runs as the two sub-steps of ``junctions.split_step``.  head, if given, is
-    an earlier pass's first s+1 nodes, under controls equal to us on nodes
-    0..s-1+REACH (``junctions.REACH``) and the same splits before step s: the
-    pass resumes at node s, with the same bits and errors.
+    Each step of layout (none by default) runs as its two sub-steps, and the
+    pass fills layout.taus.  head, if given, is an earlier pass's first s+1
+    nodes, under controls equal to us on nodes 0..s-1+REACH
+    (``junctions.REACH``) and the same splits before step s: the pass resumes
+    at node s, with the same bits and errors, landing the taus before s from
+    head's nodes.
     """
     grid = rates.grid
     h = grid.h
@@ -283,19 +273,20 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
     # step s + i reads coefficient rows 2i, 2i+1 and 2i+2, counted from row 2s
     series = [col.tolist() for col in (a, b, e, g, k, f)]
     steps = zip(*(col[j::2] for col in series for j in (0, 1, 2)))
-    Rs, Ps = [], []
-    nodes, at = us[0::2], s
-    for split in junction_steps(nodes, params) if splits is None else splits:
-        i = split[0]
-        if i < s:
-            continue
-        R, P = _rk4_steps(R, P, c, h, islice(steps, i - at), Rs, Ps)
-        next(steps)  # step i taken whole
-        ha, hb, rows = split_step(split, nodes, rates)
-        _, first, second = _sub_steps(rows, params, N)
-        tau = _rk4_steps(R, P, c, ha, (first,), [], [])
-        R, P = _rk4_steps(*tau, c, hb, (second,), Rs, Ps)
-        at = i + 1
+    Rs, Ps, at = [], [], s
+    if layout is not None:
+        taus = layout.taus
+        taus.clear()
+        for (i, *_), (ha, hb), (first, second) in zip(layout.splits, layout.widths,
+                                                       layout.coefficients):
+            if i < s:
+                taus.append(_rk4_steps(*head[i, 0::2].tolist(), c, ha, (first,), [], []))
+                continue
+            R, P = _rk4_steps(R, P, c, h, islice(steps, i - at), Rs, Ps)
+            next(steps)  # step i taken whole
+            taus.append(_rk4_steps(R, P, c, ha, (first,), [], []))
+            R, P = _rk4_steps(*taus[-1], c, hb, (second,), Rs, Ps)
+            at = i + 1
     _rk4_steps(R, P, c, h, steps, Rs, Ps)
     # float arithmetic does not raise, so every new step is checked here; with N
     # finite, this passes exactly the finite states with no component below
@@ -317,32 +308,18 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
 
 def rk4_forward(x0: State, u: ControlGrid, params: ModelParams,
                 rates: GridRates) -> Trajectory:
-    """Integrate the state system over u.grid from x0, whose total R + C + P is n0."""
+    """Integrate the state system over u.grid from x0, whose total R + C + P
+    is n0, splitting each step of u that holds a junction."""
     if rates.grid != u.grid:
         raise ValueError("controls and rates must share one grid")
-    values = forward_table(x0, _require_total(x0), _half_steps(u.values), params, rates)
+    n0 = _require_total(x0)
+    layout = junction_layout(u.values, rates, params, n0)
+    values = forward_table(x0, n0, _half_steps(u.values), params, rates, None, layout)
     return Trajectory(u.grid, values)
 
 
-def _sub_steps(rows, params: ModelParams, N: float) -> tuple:
-    """The ``_rk4_steps`` arguments of a split step's two sub-steps, from the 5
-    or 6 rows of ``junctions.split_step``: the constant c, then the coefficient
-    tuples of the first 3 rows and of the last 3."""
-    coefficients = [flow_coefficients(*row, params, N, N) for row in rows]
-    (a0, b0, c, e0, g0, k0, f0), (a1, b1, _, e1, g1, k1, f1), (a2, b2, _, e2, g2, k2, f2) = (
-        coefficients[:3])
-    (a3, b3, _, e3, g3, k3, f3), (a4, b4, _, e4, g4, k4, f4), (a5, b5, _, e5, g5, k5, f5) = (
-        coefficients[-3:])
-    return (c, (a0, a1, a2, b0, b1, b2, e0, e1, e2, g0, g1, g2, k0, k1, k2, f0, f1, f2),
-            (a3, a4, a5, b3, b4, b5, e3, e4, e5, g3, g4, g5, k3, k4, k5, f3, f4, f5))
-
-
-def rk4_stages(
-    x: Trajectory,
-    u: ControlGrid,
-    params: ModelParams,
-    rates: GridRates,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams,
+               rates: GridRates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (sub-)step's four RK4 stage inputs, rebuilt on whole columns from x's nodes.
 
     Returns (states, controls, widths) with shapes (4, m, 3), (4, m, 2) and
@@ -352,18 +329,27 @@ def rk4_stages(
     u_{i+1}; widths[i] is the step's width as a fraction of h.  A step that
     holds a junction (see ``junctions``) is two sub-steps: the first takes the
     step's place, and the second ones follow the n steps, in step order, so m
-    is n plus the number of those steps.  A second sub-step starts where
-    ``_rk4_steps`` lands the first, as in the forward pass.  The total of x's
-    first node is n0 and N.
+    is n plus the number of those steps.  A second sub-step starts where the
+    forward pass lands the first.  The total of x's first node is n0 and N.
     """
-    grid = x.grid
-    if not grid == u.grid == rates.grid:
+    if not x.grid == u.grid == rates.grid:
         raise ValueError("state, controls and rates must share one grid")
+    x0 = State(*x.values[0].tolist())
+    n0 = _require_total(x0)
+    layout = junction_layout(u.values, rates, params, n0)
+    if layout is not None:  # a pass resumed at t_f lands each first sub-step from x
+        forward_table(x0, n0, _half_steps(u.values), params, rates, x.values, layout)
+    return _rk4_stages(x, u, params, rates, n0, layout)
+
+
+def _rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams, rates: GridRates,
+                N: float, layout: SplitLayout | None) -> tuple:
+    """``rk4_stages`` on N and the layout of u's junction steps that the
+    forward pass to x filled in; nothing is checked."""
+    grid = x.grid
     n, h = grid.n, grid.h
-    N = _require_total(State(*x.values[0].tolist()))
     xs = x.values[:-1]
-    splits = junction_steps(u.values, params)
-    steps = [split[0] for split in splits]
+    steps = [] if layout is None else [split[0] for split in layout.splits]
     m = n + len(steps)
     cols = np.arange(m)
     cols[n:] = steps  # gathered as whole steps, then overwritten
@@ -374,24 +360,17 @@ def rk4_stages(
     stages = np.empty((4, m, 2))
     stages[0, :n] = xs[:, 0::2]
     widths, span = np.ones(m), h
-    if splits:
-        subs = []
-        for split in splits:
-            ha, hb, sub_rows = split_step(split, u.values, rates)
-            R, _, P = xs[split[0]].tolist()
-            c, first, _ = _sub_steps(sub_rows, params, N)
-            subs.append((ha, hb, _rk4_steps(R, P, c, ha, (first,), [], []), sub_rows))
-        ha, hb, taus, sub_rows = zip(*subs)
-        stages[0, n:] = taus
+    if steps:
+        stages[0, n:] = layout.taus
         # the stage rows of every first sub-step, then of every second one
         at = steps + list(range(n, m))
-        sub = np.array(sub_rows)[:, [[0, 1, 1, 2], [2, 3, 3, 4]]].transpose(2, 1, 0, 3)
+        sub = np.array(layout.rows)[:, [[0, 1, 1, 2], [3, 4, 4, 5]]].transpose(2, 1, 0, 3)
         sub = sub.reshape(4, len(at), 4)
         controls[:, at], betas[:, at], gammas[:, at] = sub[..., :2], sub[..., 2], sub[..., 3]
-        thetas = np.array([split[2] for split in splits])
+        thetas = np.array([split[2] for split in layout.splits])
         widths[steps], widths[n:] = thetas, 1.0 - thetas
         span = np.full((m, 1), h)
-        span[steps, 0], span[n:, 0] = ha, hb
+        span[steps, 0], span[n:, 0] = zip(*layout.widths)
     for k, reach in enumerate((0.5 * span, 0.5 * span, span)):
         slope = rhs_terms(*stages[k].T, *controls[k].T, betas[k], gammas[k], params, N, N)
         stages[k + 1] = stages[0] + reach * np.column_stack(slope)
@@ -435,38 +414,26 @@ def _suffix_products(maps: np.ndarray, top: np.ndarray) -> np.ndarray:
     return rows.reshape(-1, 3)[pad:]
 
 
-def _split_maps(splits: list[tuple], x: np.ndarray, us: np.ndarray, params: ModelParams,
-                weights: Weights, rates: GridRates, n0: float) -> np.ndarray:
-    """The backward step maps of the split steps, one per split: each the
-    product of its two sub-steps' maps, from one ``costate_system`` call on
-    every sub-step's start, midpoint and end.
-
-    A sub-step reads the rows of ``junctions.split_step``, and the states at
-    its ends, with their average at its midpoint; the state at tau is where
-    the forward pass's first sub-step lands.
-    """
-    nodes, table, widths = us[0::2], [], []
-    for split in splits:
-        i = split[0]
-        ha, hb, rows = split_step(split, nodes, rates)
-        c, first, _ = _sub_steps(rows, params, n0)
-        a, b = x[i].tolist(), x[i + 1].tolist()
-        R, P = _rk4_steps(a[0], a[2], c, ha, (first,), [], [])
-        tau = (R, n0 - R - P, P)
-        states = (a, [0.5 * (s + t) for s, t in zip(a, tau)], tau,
-                  tau, [0.5 * (t + s) for t, s in zip(tau, b)], b)
-        inputs = rows[:3] + rows[-3:]  # a junction's sub-steps share its row 2
-        table.append([(*state, *row) for state, row in zip(states, inputs)])
-        widths.append((ha, hb))
-    S = costate_system(*np.array(table).T, params, weights, n0)  # (6, k, 4, 4)
-    h = np.array(widths).T[:, :, None, None]
-    maps = _step_maps(S[0::3], S[1::3], S[2::3], h)  # each split's sub-steps a, b
-    return maps[0] @ maps[1]
+def _sub_step_table(layout: SplitLayout, x: np.ndarray, n0: float) -> np.ndarray:
+    """The (R, C, P, u1, u2, beta, gamma) rows after a block's half-step rows,
+    8 per split: on the stride of 2, a bridge step, the first sub-step, a
+    bridge, the second, each on its layout rows and the states at its ends,
+    averaged at its midpoint."""
+    table = []
+    for (i, *_), rows, (R, P) in zip(layout.splits, layout.rows, layout.taus):
+        (aR, aC, aP), (bR, bC, bP) = x[i:i + 2].tolist()
+        C = n0 - R - P
+        r0, r1, r2, r3, r4, r5 = rows
+        table += (aR, aC, aP, *r0, aR, aC, aP, *r0,
+                  0.5 * (aR + R), 0.5 * (aC + C), 0.5 * (aP + P), *r1, R, C, P, *r2,
+                  R, C, P, *r2, R, C, P, *r3,
+                  0.5 * (R + bR), 0.5 * (C + bC), 0.5 * (P + bP), *r4, bR, bC, bP, *r5)
+    return np.array(table).reshape(-1, 7)
 
 
 def backward_table(p_terminal, x: np.ndarray, us: np.ndarray, params: ModelParams,
                    weights: Weights, rates: GridRates, n0: float,
-                   splits: list[tuple] = ()) -> np.ndarray:
+                   layout: SplitLayout | None = None) -> np.ndarray:
     """Raw backward pass: the (n+1, 3) adjoint nodes along the state nodes x,
     under us, the ``_half_steps`` controls on rates.grid, from p_terminal =
     (p1, p2, p3) at t_f.  No input is checked; a non-finite adjoint raises
@@ -475,28 +442,35 @@ def backward_table(p_terminal, x: np.ndarray, us: np.ndarray, params: ModelParam
     Each RK4 step is an affine map of p.  Per block of BACKWARD_BLOCK steps,
     one ``costate_system`` call on the block's half-step rows gives the maps,
     and ``_suffix_products`` composes them onto the block's top node in linear
-    work.  The steps of splits, in step order (none by default), are the
-    products of their sub-steps' maps (``_split_maps``).
+    work.  Each step of layout (none by default), filled in by the forward
+    pass to x, is the product of its sub-steps' maps, which the first block's
+    calls also build (``_sub_step_table``).
     """
     grid = rates.grid
     h = grid.h
     xs = _half_steps(x)
     out = np.empty((grid.n + 1, 3))
     out[grid.n] = p_terminal
+    steps = [] if layout is None else [split[0] for split in layout.splits]
+    split_maps = ()
     with np.errstate(over="ignore", invalid="ignore"):
-        split_maps = (_split_maps(splits, x, us, params, weights, rates, n0) if splits
-                      else ())
         for hi in range(grid.n, 0, -BACKWARD_BLOCK):
             lo = max(0, hi - BACKWARD_BLOCK)
             rows = slice(2 * lo, 2 * hi + 1)
-            S = costate_system(
-                *xs[rows].T, *us[rows].T, rates.beta[rows], rates.gamma[rows],
-                params, weights, n0,
-            )
-            maps = _step_maps(S[0:-1:2], S[1::2], S[2::2], h)
-            for split, split_map in zip(splits, split_maps):
-                if lo <= split[0] < hi:
-                    maps[split[0] - lo] = split_map
+            columns = (*xs[rows].T, *us[rows].T, rates.beta[rows], rates.gamma[rows])
+            widths = h
+            if steps and hi == grid.n:
+                columns = np.concatenate((columns, _sub_step_table(layout, x, n0).T), axis=1)
+                widths = np.full((hi - lo + 4 * len(steps), 1, 1), h)
+                widths[hi - lo + 1::2, 0, 0] = [w for pair in layout.widths for w in pair]
+            S = costate_system(*columns, params, weights, n0)
+            maps = _step_maps(S[0:-1:2], S[1::2], S[2::2], widths)
+            if len(maps) > hi - lo:
+                split_maps = maps[hi - lo + 1::4] @ maps[hi - lo + 3::4]
+                maps = maps[:hi - lo]
+            for i, split_map in zip(steps, split_maps):
+                if lo <= i < hi:
+                    maps[i - lo] = split_map
             out[lo:hi] = _suffix_products(maps, out[hi])
             bad = ~np.isfinite(out[lo:hi]).all(axis=1)
             if bad.any():

@@ -3,34 +3,32 @@
 The l2 law clamps each control to exactly 0.0 or its cap, so the control has a
 kink wherever the unclamped law crosses a bound, and an RK4 step that holds
 the kink is only second-order accurate.  ``junction_steps`` finds those steps
-from the node controls alone: step i holds a junction of control c when one of
-its nodes sits exactly on a bound of c, on an arc of at least 2 such nodes, the
-other node is strictly inside, and so are the 3 free-side nodes beyond it.
-The junction time tau is where the cubic through those 4 free values meets the
-bound; a step over which the cubic does not cross the bound is not split.  A
-step thus reads nodes i+1-REACH .. i+REACH (i-3 .. i+4).  ``split_step`` lays
-out the step's two RK4 sub-steps, on [t_i, tau] and [tau, t_{i+1}], which
-``integrator`` integrates.
-
-Bang-bang controls have no free arc and unclamped ones no bound arc, so
-neither has a junction; the terminal touch u(t_f) = 0 is a one-node arc.
+and their junction times tau from the node controls alone; step i reads nodes
+i+1-REACH .. i+REACH (i-3 .. i+4).  Bang-bang controls have no free arc and
+unclamped ones no bound arc, so neither has a junction; the terminal touch
+u(t_f) = 0 is a one-node arc.
 
 A bang-bang control jumps where its switching value phi changes sign.
 ``switch_steps`` finds the steps whose nodes take opposite sides and puts the
-switch time tau at the root of the cubic through phi at the 4 nearest nodes;
-``split_step`` then holds each side's node controls over its sub-step.  The
-l1 sweep of ``solver`` runs on such splits on a coarse grid, so its switch
+switch time tau at the root of the cubic through phi at the 4 nearest nodes.
+The l1 sweep of ``solver`` runs on such splits on a coarse grid, so its switch
 times move continuously with the iterate instead of by whole nodes.
+
+``split_layout`` lays out the two RK4 sub-steps, on [t_i, tau] and
+[tau, t_{i+1}], of every split step of a control table, once per table: the
+forward pass, the backward pass and the cost in ``integrator`` read that
+one layout.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import mul
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, flow_coefficients
 
 if TYPE_CHECKING:
     from .integrator import GridRates
@@ -71,16 +69,6 @@ def _root(g0: float, c1: float, c2: float, c3: float, lo: float, below: float,
     return s
 
 
-def crossing(g0: float, g1: float, g2: float, g3: float) -> float | None:
-    """The root in (0, 1) of the cubic through (0, g0), (-1, g1), (-2, g2) and
-    (-3, g3), if the cubic changes sign over [0, 1], else None; g0 is not 0."""
-    c1, c2, c3 = _cubic(g0, g1, g2, g3)
-    at_one = g0 + c1 + c2 + c3
-    if at_one == 0.0 or (at_one < 0.0) == (g0 < 0.0):
-        return None
-    return _root(g0, c1, c2, c3, 0.0, g0, at_one)
-
-
 def junction_steps(nodes: np.ndarray, params: ModelParams) -> list[tuple]:
     """(i, c, theta, bound) for every step i that holds a junction of control c
     at tau = t_i + theta*h, in step order.
@@ -115,11 +103,16 @@ def junction_steps(nodes: np.ndarray, params: ModelParams) -> list[tuple]:
         if not (beyond == bound and (bound == 0.0 or bound == top) and 0.0 < f0 < top
                 and 0.0 < f1 < top and 0.0 < f2 < top and 0.0 < f3 < top):
             continue
-        sigma = crossing(f0 - bound, f1 - bound, f2 - bound, f3 - bound)
-        if sigma is not None:
-            theta = sigma if right else 1.0 - sigma
-            if i not in found or theta < found[i][2]:
-                found[i] = (i, c, theta, bound)
+        # the cubic through the free values, from the step's free node on
+        g0 = f0 - bound
+        c1, c2, c3 = _cubic(g0, f1 - bound, f2 - bound, f3 - bound)
+        at_one = g0 + c1 + c2 + c3
+        if at_one == 0.0 or (at_one < 0.0) == (g0 < 0.0):  # no crossing over the step
+            continue
+        sigma = _root(g0, c1, c2, c3, 0.0, g0, at_one)
+        theta = sigma if right else 1.0 - sigma
+        if i not in found or theta < found[i][2]:
+            found[i] = (i, c, theta, bound)
     return [found[i] for i in sorted(found)]
 
 
@@ -152,51 +145,75 @@ def switch_steps(phi: np.ndarray, u: np.ndarray) -> list[tuple] | None:
         c = int(changed[i, 1])
         first = min(max(i - 1, 0), last - 3)
         f0, f1, f2, f3 = columns[c][first:first + 4]
-        # the cubic of ``crossing`` from node first+3, so step i is s - lo in (0, 1)
+        # ``_cubic`` from node first+3, so step i is s - lo in (0, 1)
         lo = float(i - first - 3)
         s = _root(f3, *_cubic(f3, f2, f1, f0), lo, columns[c][i], columns[c][i + 1])
         found.append((i, c, s - lo, None))
     return found
 
 
-def split_step(split: tuple, nodes: np.ndarray, rates: GridRates):
-    """The two RK4 sub-steps of step i, which holds a junction, or a switch if
-    the split's bound is None: their widths (ha, hb) and the (u1, u2, beta,
-    gamma) rows at t_i, the first sub-step's midpoint and end tau, the
-    second's start tau, its midpoint and t_{i+1}; a junction's sub-steps
-    share their row at tau (5 rows), a switch's do not (6 rows).
+def _sub_steps(rows: list[tuple], params: ModelParams, n0: float) -> tuple:
+    """The ``integrator._rk4_steps`` coefficient tuples of a split step's two
+    sub-steps, from its 5 or 6 distinct rows: of the first 3 and the last 3."""
+    coefficients = [flow_coefficients(*row, params, n0, n0) for row in rows]
+    (a0, b0, _, e0, g0, k0, f0), (a1, b1, _, e1, g1, k1, f1), (a2, b2, _, e2, g2, k2, f2) = (
+        coefficients[:3])
+    (a3, b3, _, e3, g3, k3, f3), (a4, b4, _, e4, g4, k4, f4), (a5, b5, _, e5, g5, k5, f5) = (
+        coefficients[-3:])
+    return ((a0, a1, a2, b0, b1, b2, e0, e1, e2, g0, g1, g2, k0, k1, k2, f0, f1, f2),
+            (a3, a4, a5, b3, b4, b5, e3, e4, e5, g3, g4, g5, k3, k4, k5, f3, f4, f5))
 
-    At a junction tau the kinked control sits on its bound and the other is
-    linear between its two nodes; each midpoint control is the average of its
-    sub-step's ends.  Across a switch each sub-step holds its side's node
-    controls.  The rates at the three new times come from the quintic through
-    the 6 nearest half-step rows, among rows 2i-2 .. 2i+4 (or the 7 rows at
-    an end of the grid, which only a switch reaches), floored at 0.
+
+# A control table's split steps, per split in step order: the split, its
+# sub-step widths (ha, hb), the (u1, u2, beta, gamma) rows at each sub-step's
+# start, midpoint and end, their ``_sub_steps`` coefficients, and the (R, P)
+# at tau, which the forward pass fills in.
+SplitLayout = namedtuple("SplitLayout", "splits widths rows coefficients taus")
+
+
+def split_layout(splits: list[tuple], nodes: np.ndarray, rates: GridRates,
+                 params: ModelParams, n0: float) -> SplitLayout:
+    """The layout of splits, each step i of the node controls that holds a
+    junction, or a switch if the split's bound is None, as two RK4 sub-steps
+    on [t_i, tau] and [tau, t_{i+1}].
+
+    Each midpoint control of a junction's sub-steps is the average of its
+    ends, and both read one row at tau; across a switch each sub-step holds
+    its side's node controls.  The rates at the three new times come from the
+    quintic through the 6 nearest half-step rows, among rows 2i-2 .. 2i+4 (or
+    the 7 rows at an end of the grid, which only a switch reaches), floored at 0.
     """
-    i, c, theta, bound = split
-    (a1, a2), (b1, b2) = nodes[i:i + 2].tolist()
-    if bound is None:  # (time in half-steps after t_i, u1, u2) at the new rows
-        new = ((theta, a1, a2), (2.0 * theta, a1, a2), (1.0 + theta, b1, b2))
-    else:
-        t1, t2 = a1 + theta * (b1 - a1), a2 + theta * (b2 - a2)
-        if c == 0:
-            t1 = bound
-        else:
-            t2 = bound
-        new = ((theta, 0.5 * (a1 + t1), 0.5 * (a2 + t2)), (2.0 * theta, t1, t2),
-               (1.0 + theta, 0.5 * (t1 + b1), 0.5 * (t2 + b2)))
-    first = min(max(2 * i - 2, 0), len(rates.beta) - 7)
-    shift = 2 * i - 2 - first  # row 2i is window row 2 + shift
-    window = slice(first, first + 7)
-    beta, gamma = rates.beta[window].tolist(), rates.gamma[window].tolist()
-    rows = [(a1, a2, beta[2 + shift], gamma[2 + shift])]
-    for at, u1, u2 in new:
-        k = 1 if at >= 1.0 else 0  # the quintic through window rows k .. k+5
-        weights = _quintic_weights(2.0 + at - k + shift)
-        rows.append((u1, u2, max(sum(map(mul, weights, beta[k:k + 6])), 0.0),
-                     max(sum(map(mul, weights, gamma[k:k + 6])), 0.0)))
-    if bound is None:  # the second sub-step starts at tau on the later side
-        rows.insert(3, (b1, b2, *rows[2][2:]))
-    rows.append((b1, b2, beta[4 + shift], gamma[4 + shift]))
+    layout = SplitLayout(splits, [], [], [], [])
     h = rates.grid.h
-    return theta * h, h - theta * h, rows
+    for i, c, theta, bound in splits:
+        (a1, a2), (b1, b2) = nodes[i:i + 2].tolist()
+        if bound is None:  # (time in half-steps after t_i, u1, u2) at the new rows
+            new = ((theta, a1, a2), (2.0 * theta, a1, a2), (1.0 + theta, b1, b2))
+        else:  # the kinked control on its bound, the other linear
+            t1, t2 = ((bound, a2 + theta * (b2 - a2)) if c == 0
+                      else (a1 + theta * (b1 - a1), bound))
+            new = ((theta, 0.5 * (a1 + t1), 0.5 * (a2 + t2)), (2.0 * theta, t1, t2),
+                   (1.0 + theta, 0.5 * (t1 + b1), 0.5 * (t2 + b2)))
+        first = min(max(2 * i - 2, 0), len(rates.beta) - 7)
+        shift = 2 * i - 2 - first  # row 2i is window row 2 + shift
+        beta, gamma = rates.beta[first:first + 7].tolist(), rates.gamma[first:first + 7].tolist()
+        rows = [(a1, a2, beta[2 + shift], gamma[2 + shift])]
+        for at, u1, u2 in new:
+            k = 1 if at >= 1.0 else 0  # the quintic through window rows k .. k+5
+            weights = _quintic_weights(2.0 + at - k + shift)
+            rows.append((u1, u2, max(sum(map(mul, weights, beta[k:k + 6])), 0.0),
+                         max(sum(map(mul, weights, gamma[k:k + 6])), 0.0)))
+        if bound is None:  # the second sub-step starts at tau on the later side
+            rows.insert(3, (b1, b2, *rows[2][2:]))
+        rows.append((b1, b2, beta[4 + shift], gamma[4 + shift]))
+        layout.widths.append((theta * h, h - theta * h))
+        layout.rows.append(rows[:3] + rows[-3:])
+        layout.coefficients.append(_sub_steps(rows, params, n0))
+    return layout
+
+
+def junction_layout(nodes: np.ndarray, rates: GridRates, params: ModelParams,
+                    n0: float) -> SplitLayout | None:
+    """The layout of the node controls' junction steps, or None if there are none."""
+    splits = junction_steps(nodes, params)
+    return split_layout(splits, nodes, rates, params, n0) if splits else None

@@ -6,27 +6,24 @@ optimality law at every node, and blends the fresh controls with the
 previous iterate at the weight ``SweepSettings.relaxation`` (1 by default,
 a plain fixed-point step).  The sweep converges only when the dynamics'
 Lipschitz constant times the horizon is small enough, so a worst residual
-larger than the one before halves the weight for the rest of the sweep
-(from the third iteration on: the first residual is taken against a zero
-iterate).  That happens at most once: a weight that kept halving would freeze
-the iterates and pass the stopping test without a fixed point.  The residual
-of an iteration is the worst relative l1 change, between iterations, of the
-eight tracked series (R, C, P, p1, p2, p3, u1, u2), the rows of one
-C-contiguous table; the loop stops as soon as it is <= tol_delta.  The loop
-works on raw node tables and builds the checked ``Trajectory`` and
-``ControlGrid`` once, for the result.  Each pass reuses the one before: under
-controls unchanged bit for bit it runs no pass (so a converged bang-bang sweep
-ends on a repeat with residual 0.0); else, as forward step i reads nodes i and
-i+1, and its junction rule nodes up to i + ``junctions.REACH``, the forward
-pass resumes REACH nodes before the first changed control; the backward pass
-runs in full.
+(``_residual``) larger than the one before, or inf twice running, halves the
+weight for the rest of the sweep (from the third iteration on: the first
+residual is taken against a zero iterate).  That happens at most once: a
+weight that kept halving would freeze the iterates and pass the stopping
+test without a fixed point.  The loop stops as soon as the residual is <=
+tol_delta.  It works on raw node tables and builds the checked
+``Trajectory`` and ``ControlGrid`` once, for the result.  Each pass reuses
+the one before (``_integrate``): under controls unchanged bit for bit it
+runs none (so a converged bang-bang sweep ends on a repeat with residual
+0.0), else its forward pass resumes where the controls changed.  A pass
+carries its table's one layout of split steps (``junctions.split_layout``),
+which the cost and ``SolveResult.junctions`` read off the final pass.
 
 Both objectives first sweep the same scenario on a coarse grid, on rates
 interpolated from the fine table.  l2 runs the l2 sweep on a grid COARSENING
 times coarser (n=21 at n=175); if it converges, the fine sweep starts from
-the clamp law on the coarse state and adjoint, prolonged to the fine nodes by
-the cubic through the 4 nearest coarse nodes (the quadratic through all 3 on
-2 intervals).  l1 runs the switch sweep on the switch grid (n=43 at t_f = 7,
+the clamp law on the coarse state and adjoint, prolonged to the fine nodes
+(``_prolongation``).  l1 runs the switch sweep on the switch grid (n=43 at t_f = 7,
 at every fine n): an l1 sweep from zero controls, at weight 1, whose steps
 that hold a switch are split at its time tau (``junctions.switch_steps``) in
 both passes, so tau moves with the iterate, not by nodes.  If it converges,
@@ -70,8 +67,9 @@ from .integrator import (
     forward_table,
     sample_rates,
 )
-from .junctions import REACH, junction_steps, switch_steps
-from .objectives import evaluate_cost
+from .junctions import REACH, junction_layout, split_layout, switch_steps
+# under the name bench/tracer.py times
+from .objectives import _laid_out_cost as evaluate_cost
 from .pmp import bang_bang_terms, l2_law_terms, switching_terms
 from .scenarios import Scenario
 
@@ -102,13 +100,9 @@ class SweepSettings:
     relaxation is the starting weight on the fresh controls in the convex
     update; ``solve`` halves it once if the worst residual grows from the
     third iteration on, and reports the weight in force at the end as
-    ``SolveResult.relaxation``.  From the coarse start (see ``solve``)
-    every l2 preset at n=175 takes 2 fine iterations, at 1 or at 0.5 (after
-    6 coarse iterations on the clamped presets and 5 on comparison-default
-    at 1, 13 at 0.5), and scenario3-l1 at n=1400 takes 2 (after 6 of the
-    switch sweep).  Where the fine sweep itself must move a bang-bang switch,
-    the full step can stall, and the halving rescues it (scenario3-l1 at
-    n=350 ends at 0.5 after 8 iterations).
+    ``SolveResult.relaxation``.  Where the fine sweep itself must move a
+    bang-bang switch, the full step can stall, and the halving rescues it
+    (scenario3-l1 at n=350 ends at 0.5 after 8 iterations).
     """
 
     n: int
@@ -147,10 +141,8 @@ class SolveResult:
     more than 1e-12 inside both of its bounds.  coarse_iterations counts the
     iterations of the coarse sweeps (0 if none ran), a diverged one up to the
     iteration at which it diverged: the l2 sweep's for l2; for l1 the switch
-    sweep's, plus the l2 sweep's if the switch sweep gave up.  At the
-    default grids that is 6 on the clamped l2 presets and on scenario3-l1, 5
-    on comparison-default, and 8 on scenario3-l1 at n=2800 and tol 1e-6.
-    The other fields are the fine sweep's.  junctions holds a (control index,
+    sweep's, plus the l2 sweep's if the switch sweep gave up.  The other
+    fields are the fine sweep's.  junctions holds a (control index,
     tau) pair for every step of the returned controls that the integrator
     split at a clamp junction tau (none for bang-bang or unclamped controls).
     """
@@ -217,18 +209,21 @@ def _first_change(old: np.ndarray, new: np.ndarray) -> int | None:
 
 def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: int,
                last=None):
-    """State and adjoint tables under u, reusing last, an earlier pass's
-    (u, x, p): last's own x and p if u is unchanged, else the forward pass
-    resumed from x; an IntegrationError diverges the sweep."""
+    """State and adjoint tables under u, and u's junction layout, reusing
+    last, an earlier pass's (u, x, p, layout): as they are if u is unchanged,
+    else with the forward pass resumed from x and the backward pass in full;
+    an IntegrationError diverges the sweep."""
     change = 0 if last is None else _first_change(last[0], u)
     if change is None:
         return last[1:]
     params, n0, us = scenario.params, scenario.n0, _half_steps(u)
+    layout = junction_layout(u, rates, params, n0)
     # steps before change - REACH read only unchanged nodes
     head = last[1][:change + 1 - REACH] if change > REACH else None
     try:
-        x = forward_table(scenario.x0, n0, us, params, rates, head)
-        return x, backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
+        x = forward_table(scenario.x0, n0, us, params, rates, head, layout)
+        p = backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
+        return x, p, layout
     except IntegrationError as err:
         message = f"sweep diverged at iteration {iteration}: {err}"
         raise DivergenceError(message, iteration) from err
@@ -240,26 +235,31 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
     (an iteration under unchanged controls runs no pass: see ``_integrate``).
 
     Returns the law on the last iterate, every residual, the weight in force,
-    the l1 singular flags, and the controls u the last iteration integrated,
-    with the state x and adjoint p under them.
+    the l1 singular flags, and the last iteration's pass: the controls u it
+    integrated, with the state x, adjoint p and junction layout under them.
     """
     prev, series = np.zeros((2, 8, rates.grid.n + 1))  # rows R, C, P, p1..p3, u1, u2
     history: list[float] = []
     weight, last = settings.relaxation, None
     for iteration in range(1, settings.max_iters + 1):
         u = u_work
-        x, p = _integrate(scenario, u, rates, iteration, last)
+        x, p, layout = _integrate(scenario, u, rates, iteration, last)
         u_law, flags = _law_on_grid(scenario, x, p, u, settings.eps_singular)
         u_work = weight * u_law + (1.0 - weight) * u
         series[:3], series[3:6], series[6:] = x.T, p.T, u_work.T
         history.append(_residual(prev, series))
         if history[-1] <= settings.tol_delta:
             break
-        if iteration >= 3 and history[-1] > history[-2] and weight == settings.relaxation:
+        if iteration >= 3 and _grew(history) and weight == settings.relaxation:
             weight = settings.relaxation / 2.0
         prev, series = series, prev
-        last = u, x, p
-    return u_law, history, weight, flags, u, x, p
+        last = u, x, p, layout
+    return u_law, history, weight, flags, (u, x, p, layout)
+
+
+def _grew(history: list[float]) -> bool:
+    """Whether the last residual grew, or stayed inf (see ``_residual``)."""
+    return history[-1] > history[-2] or history[-1] == math.inf
 
 
 @lru_cache(maxsize=2)  # an l2 and an l1 grid pair: computed once per sweep
@@ -320,9 +320,10 @@ def _switch_sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates)
     for iteration in range(1, settings.max_iters + 1):
         u, splits = law
         us = _half_steps(u)
+        layout = split_layout(splits, u, rates, params, n0) if splits else None
         try:
-            x = forward_table(scenario.x0, n0, us, params, rates, None, splits)
-            p = backward_table(zero, x, us, params, scenario.weights, rates, n0, splits)
+            x = forward_table(scenario.x0, n0, us, params, rates, None, layout)
+            p = backward_table(zero, x, us, params, scenario.weights, rates, n0, layout)
         except IntegrationError:
             return None, iteration
         law = _switch_law(scenario, x, p, settings.eps_singular)
@@ -332,7 +333,7 @@ def _switch_sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates)
         history.append(_residual(prev, series))
         if history[-1] <= settings.tol_delta:
             return law, iteration
-        if iteration >= 3 and history[-1] > history[-2]:
+        if iteration >= 3 and _grew(history):
             return None, iteration
         prev, series = series, prev
     return None, settings.max_iters
@@ -376,7 +377,7 @@ def _coarse_start(scenario: Scenario, settings: SweepSettings, rates: GridRates)
             return _switch_start(*law, coarse, grid), iterations
     u_zero = np.zeros((coarse.n + 1, 2))
     try:
-        _, history, _, _, _, x, p = _sweep(twin, settings, coarse_rates, u_zero)
+        _, history, _, _, (_, x, p, _) = _sweep(twin, settings, coarse_rates, u_zero)
     except DivergenceError as err:
         return u_cold, iterations + err.iteration
     iterations += len(history)
@@ -393,8 +394,8 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     grid = settings.grid_for(scenario)
     rates = sample_rates(scenario.beta, scenario.gamma, grid)
     u_start, coarse_iterations = _coarse_start(scenario, settings, rates)
-    u_law, history, weight, flags, u, x, p = _sweep(scenario, settings, rates, u_start)
-    x, p = _integrate(scenario, u_law, rates, len(history), (u, x, p))
+    u_law, history, weight, flags, last = _sweep(scenario, settings, rates, u_start)
+    x, p, layout = _integrate(scenario, u_law, rates, len(history), last)
     state, controls = Trajectory(grid, x), ControlGrid(grid, u_law)
     interior = None
     if scenario.objective == "l1":
@@ -405,7 +406,7 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
         state=state,
         costate=Trajectory(grid, p),
         controls=controls,
-        cost=evaluate_cost(scenario, state, controls, rates),
+        cost=evaluate_cost(scenario, state, controls, rates, layout),
         iterations=len(history),
         converged=history[-1] <= settings.tol_delta,
         residual_history=tuple(history),
@@ -414,6 +415,6 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
         singular_flags=flags,
         interior_fraction=interior,
         coarse_iterations=coarse_iterations,
-        junctions=tuple((c, grid.t0 + (i + theta) * grid.h)
-                        for i, c, theta, _ in junction_steps(u_law, scenario.params)),
+        junctions=() if layout is None else tuple(
+            (c, grid.t0 + (i + theta) * grid.h) for i, c, theta, _ in layout.splits),
     )

@@ -25,7 +25,8 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
-from marketopt.junctions import REACH, junction_steps, split_step, switch_steps
+from marketopt.junctions import (REACH, junction_layout, junction_steps, split_layout,
+                                 switch_steps)
 from marketopt.model import (ControlPair, ModelParams, State, Weights, flow_coefficients,
                              rhs_terms)
 from marketopt.pmp import Costate, costate_rhs, costate_system
@@ -417,12 +418,16 @@ def test_a_resumed_pass_over_clamped_controls_is_the_fresh_pass_bit_for_bit(
     new = old.copy()
     new[j:] = _clamped_controls(rng, t, box)[j:]
     args = (sc.x0, sc.n0)
-    earlier = forward_table(*args, _half_steps(old), sc.params, rates)
-    fresh = forward_table(*args, _half_steps(new), sc.params, rates)
+    layouts = [junction_layout(u, rates, sc.params, sc.n0) for u in (old, new, new)]
+    earlier = forward_table(*args, _half_steps(old), sc.params, rates, None, layouts[0])
+    fresh = forward_table(*args, _half_steps(new), sc.params, rates, None, layouts[1])
     # a step reads nodes i+1-REACH .. i+REACH, so node max(j-REACH, 0) is kept
     head = earlier[: max(j + 1 - REACH, 1)]
-    resumed = forward_table(*args, _half_steps(new), sc.params, rates, head)
+    resumed = forward_table(*args, _half_steps(new), sc.params, rates, head, layouts[2])
     assert resumed.tobytes() == fresh.tobytes()
+    # the taus before the resumed node land from head's nodes, as the fresh pass lands them
+    if layouts[1] is not None:
+        assert layouts[2].taus == layouts[1].taus
 
 
 @pytest.mark.parametrize("floor", [NONNEG_TOLERANCE, math.inf])
@@ -569,11 +574,13 @@ def test_split_step_stages_land_on_the_forward_nodes_bit_for_bit(name, n):
     states, controls, widths = rk4_stages(x, u, sc.params, rates)
     assert states.shape == (4, n + len(splits), 3)
     expected_widths = np.ones(n + len(splits))
-    for k, split in enumerate(splits):
+    layout = split_layout(splits, u.values, rates, sc.params, n0)
+    for k, (split, (ha, hb), rows) in enumerate(zip(splits, layout.widths, layout.rows)):
         i = split[0]
-        ha, hb, rows = split_step(split, u.values, rates)
+        # a junction's sub-steps share their row at tau
+        assert rows[2] == rows[3]
         steps[i] = (ha, [rows[r][2:] for r in (0, 1, 1, 2)], states[0, n + k])
-        steps.append((hb, [rows[r][2:] for r in (2, 3, 3, 4)], x.values[i + 1]))
+        steps.append((hb, [rows[r][2:] for r in (3, 4, 4, 5)], x.values[i + 1]))
         expected_widths[i], expected_widths[n + k] = split[2], 1.0 - split[2]
     assert widths.tobytes() == expected_widths.tobytes()
     for m, (width, stage_rates, lands_on) in enumerate(steps):
@@ -594,8 +601,8 @@ SWITCHES = ((0.2362, 4.8805, 6.1302), (0.05, 4.8805, 6.95))
 def _switch_case(n, switches=SWITCHES[0]):
     """scenario3-l1 on n intervals under bang-bang controls that switch u2
     on, u1 off and u2 off at switches, with each step that holds a switch
-    split there: the scenario, node controls, switch steps, rates and
-    half-step controls."""
+    split there: the scenario, node controls, the layout of the switch
+    steps, rates and half-step controls."""
     sc, grid = preset_scenario("scenario3-l1"), TimeGrid(0.0, 7.0, n)
     t, h = grid.nodes(), grid.h
     on, off1, off2 = switches
@@ -603,7 +610,8 @@ def _switch_case(n, switches=SWITCHES[0]):
                          np.where((on <= t) & (t < off2), sc.params.u2_max, 0.0)))
     splits = [(int(tau // h), c, tau / h - int(tau // h), None)
               for tau, c in zip(switches, (1, 0, 1))]
-    return sc, u, splits, _rates(sc, grid), _half_steps(u)
+    rates = _rates(sc, grid)
+    return sc, u, split_layout(splits, u, rates, sc.params, sc.n0), rates, _half_steps(u)
 
 
 def _linear_rates(ts):
@@ -620,42 +628,49 @@ def _coefficients(rows, sc):
 
 @pytest.mark.parametrize("switches", SWITCHES)
 def test_a_split_switch_step_is_two_one_step_rk4_calls_bit_for_bit(switches):
-    sc, u, splits, rates, us = _switch_case(43, switches)
-    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, splits)
+    sc, u, layout, rates, us = _switch_case(43, switches)
+    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, layout)
     whole = forward_table(sc.x0, sc.n0, us, sc.params, rates)
-    steps = [split[0] for split in splits]
+    steps = [split[0] for split in layout.splits]
     assert steps == ([1, 29, 37] if switches == SWITCHES[0] else [0, 29, 42])
     assert x[:steps[0] + 1].tobytes() == whole[:steps[0] + 1].tobytes()
     c = sc.params.lambda1 * sc.n0
-    for split in splits:
-        i = split[0]
-        ha, hb, rows = split_step(split, u, rates)
+    # the rate quintic reproduces linear rates, next to the ends too
+    ts = integrator._sample_times(rates.grid)
+    linear_rates = GridRates(rates.grid, *_linear_rates(ts))
+    linear_rows = split_layout(layout.splits, u, linear_rates, sc.params, sc.n0).rows
+    for i, (ha, hb), rows, linear, landed in zip(steps, layout.widths, layout.rows,
+                                                 linear_rows, layout.taus):
         assert len(rows) == 6 and ha + hb == pytest.approx(rates.grid.h, rel=1e-15)
         # each side holds its node's controls, and both read the rates at tau
         assert [row[:2] for row in rows] == [tuple(u[i])] * 3 + [tuple(u[i + 1])] * 3
         assert rows[2][2:] == rows[3][2:]
-        # the rate quintic reproduces linear rates, next to the ends too
-        ts = integrator._sample_times(rates.grid)
-        _, _, linear = split_step(split, u, GridRates(rates.grid, *_linear_rates(ts)))
         t = i * rates.grid.h
         times = np.array((t, t + 0.5 * ha, t + ha, t + ha, t + ha + 0.5 * hb, t + ha + hb))
         error = np.array(linear)[:, 2:] - np.column_stack(_linear_rates(times))
         assert np.abs(error).max() <= 1e-13
         tau = integrator._rk4_steps(x[i, 0], x[i, 2], c, ha, (_coefficients(rows[:3], sc),),
                                     [], [])
+        assert tau == landed  # the state at tau that the pass left in the layout
         end = integrator._rk4_steps(*tau, c, hb, (_coefficients(rows[3:], sc),), [], [])
         assert end == (x[i + 1, 0], x[i + 1, 2])
         # the step taken whole lands elsewhere, by far more than roundoff
-        nodal = forward_table(sc.x0, sc.n0, us, sc.params, rates, x[:i + 1], [])
+        nodal = forward_table(sc.x0, sc.n0, us, sc.params, rates, x[:i + 1])
         assert np.abs(nodal[i + 1] - x[i + 1]).max() > 1e-6 * sc.n0
 
 
-@pytest.mark.parametrize("switches", SWITCHES)
-def test_a_split_backward_step_is_the_product_of_its_sub_step_maps(switches):
-    sc, u, splits, rates, us = _switch_case(43, switches)
-    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, splits)
+# on n=2100 the first switch lies in the lowest of the BACKWARD_BLOCK blocks
+# that holds one, the others in the top block, whose calls build every split's maps
+@pytest.mark.parametrize("switches, n", [
+    *(pytest.param(switches, 43, id=f"switches{k}") for k, switches in enumerate(SWITCHES)),
+    *(pytest.param(switches, 2100, id=f"switches{k}-n2100")
+      for k, switches in enumerate(SWITCHES)),
+])
+def test_a_split_backward_step_is_the_product_of_its_sub_step_maps(switches, n):
+    sc, u, layout, rates, us = _switch_case(n, switches)
+    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, layout)
     p = integrator.backward_table((0.0, 0.0, 0.0), x, us, sc.params, sc.weights, rates,
-                                  sc.n0, splits)
+                                  sc.n0, layout)
     c = sc.params.lambda1 * sc.n0
 
     def sub_step(p_end, width, states, rows):
@@ -672,9 +687,7 @@ def test_a_split_backward_step_is_the_product_of_its_sub_step_maps(switches):
         k4 = rhs(0, p_end - width * k3)
         return p_end - width / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
-    for split in splits:
-        i = split[0]
-        ha, hb, rows = split_step(split, u, rates)
+    for (i, *_), (ha, hb), rows in zip(layout.splits, layout.widths, layout.rows):
         R, P = integrator._rk4_steps(x[i, 0], x[i, 2], c, ha,
                                      (_coefficients(rows[:3], sc),), [], [])
         tau = np.array((R, sc.n0 - R - P, P))
@@ -687,10 +700,10 @@ def test_split_passes_converge_under_step_halving():
     # differences between the passes on n and 2n intervals, at t_f for the
     # state and at t = 0 for the adjoint
     def ends(n, backward_splits):
-        sc, _, splits, rates, us = _switch_case(n)
-        x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, splits)
+        sc, _, layout, rates, us = _switch_case(n)
+        x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, layout)
         p = integrator.backward_table((0.0, 0.0, 0.0), x, us, sc.params, sc.weights,
-                                      rates, sc.n0, splits if backward_splits else ())
+                                      rates, sc.n0, layout if backward_splits else None)
         return x[-1], p[0]
 
     for backward_splits in (True, False):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketopt import experiments, integrator, solver
+from marketopt import experiments, junctions, solver
 from marketopt.experiments import (
     SWEEP_PARAMETERS,
     StrategyKind,
@@ -26,7 +26,7 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
-from marketopt.junctions import REACH
+from marketopt.junctions import REACH, junction_steps
 from marketopt.model import ControlPair, State, Weights
 from marketopt.objectives import evaluate_cost
 from marketopt.pmp import Costate, hamiltonian, switching_functions
@@ -391,6 +391,26 @@ def test_growing_residual_halves_the_weight_and_rescues_a_coarse_l1_grid():
     assert any(history[k] > history[k - 1] for k in range(2, len(history)))
 
 
+def test_a_residual_that_stays_inf_halves_the_weight(monkeypatch):
+    # at kappa2 = 5 the full-step law alternates between u1 on somewhere with
+    # u2 = 0 everywhere and u1 = 0 everywhere with u2 on; a series that moves
+    # to all zeros has residual inf, so the residuals run 1, inf, inf, ...
+    sc = preset_scenario("scenario3-l1")
+    sc = replace(sc, weights=replace(sc.weights, kappa2=5.0))
+    result = solve(sc, SweepSettings(n=350))
+    assert result.residual_history[:3] == (1.0, math.inf, math.inf)
+    # the repeated inf of iteration 3 halves the weight, and the blended
+    # fourth iterate moves every series
+    assert math.isfinite(result.residual_history[3])
+    assert result.converged and result.relaxation == 0.5 and result.iterations == 19
+    # inf > inf is false: counting only a larger residual as growth, the
+    # weight stays 1 and the sweep cycles
+    monkeypatch.setattr(solver, "_grew", lambda history: history[-1] > history[-2])
+    stuck = solve(sc, SweepSettings(n=350, max_iters=40))
+    assert not stuck.converged and stuck.relaxation == 1.0
+    assert stuck.residual_history[1:] == (math.inf,) * 39
+
+
 @pytest.mark.parametrize("relaxation", [1.0, 0.5, 0.3])
 def test_weight_is_halved_only_once_although_the_residual_keeps_growing(relaxation):
     settings = replace(CHATTERING_L1, relaxation=relaxation)
@@ -483,12 +503,14 @@ def test_integrate_reuses_exactly_the_unchanged_part_of_the_last_pass(node, monk
     sc = preset_scenario("scenario3-l1")
     result = solve(sc, SweepSettings(n=1400))
     rates = result.rates
-    last = (result.controls.values, result.state.values, result.costate.values)
+    # bang-bang controls hold no junction, so the pass has no layout
+    last = (result.controls.values, result.state.values, result.costate.values, None)
     u = last[0].copy()
     if node is not None:
         u[node, 0] = 0.5 * sc.params.u1_max
     calls = _record_passes(monkeypatch)
-    x, p = solver._integrate(sc, u, rates, 1, last)
+    x, p, layout = solver._integrate(sc, u, rates, 1, last)
+    assert layout is None
     if node is None:
         # unchanged controls: the last pass's own tables, and no pass runs
         assert x is last[1] and p is last[2]
@@ -787,32 +809,52 @@ def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
 
         monkeypatch.setattr(module, name, call)
 
+    # the layout builder runs from the solver (switch steps) and from
+    # junctions.junction_layout (junction steps)
     for module, name in ((solver, "_switch_sweep"), (solver, "_switch_law"),
                          (solver, "_switch_start"), (solver, "switch_steps"),
-                         (integrator, "_split_maps")):
+                         (solver, "split_layout"), (junctions, "split_layout")):
         counted(module, name)
-    split_lists = []
+    passes = {"forward": [], "backward": []}
 
-    def passes(name, table, at):
+    def recorded(kind, table):
         def call(*args):
-            split_lists.append(args[at:])
+            passes[kind].append(args)
             return table(*args)
-        monkeypatch.setattr(solver, name, call)
+        monkeypatch.setattr(solver, f"{kind}_table", call)
 
-    passes("forward_table", forward_table, 6)
-    passes("backward_table", backward_table, 7)
+    recorded("forward", forward_table)
+    recorded("backward", backward_table)
     for name in L2_PRESETS:
         solve(preset_scenario(name), SweepSettings(n=175))
     base = preset_scenario("comparison-default")
     run_sweep(SweepSpec("gamma", (0.1, 1.2), base, (StrategyKind.OPTIMAL,)),
               SweepSettings(n=175))
+    layouts = calls.pop("split_layout")
     assert calls == {}
-    # every l2 pass takes its default splits: the junctions, forward only
-    assert split_lists and all(rest == () for rest in split_lists)
+    # each forward pass runs on a new table and carries the layout of its
+    # junctions, and the backward pass never splits one
+    junction_lists = [junction_steps(args[2][0::2], args[3]) for args in passes["forward"]]
+    for args, splits in zip(passes["forward"], junction_lists):
+        assert args[6] is None if not splits else args[6].splits == splits
+    assert all(len(args) == 7 for args in passes["backward"])
+    # so every clamped table is laid out once: the cost and result.junctions
+    # reuse the final pass's layout
+    assert layouts == sum(1 for splits in junction_lists if splits) > 0
+    for kind in passes:
+        passes[kind].clear()
     solve(preset_scenario("scenario3-l1"), SweepSettings(n=1400))
     assert set(calls) == {"_switch_sweep", "_switch_law", "_switch_start", "switch_steps",
-                          "_split_maps"}
-    assert any(rest != () for rest in split_lists)
+                          "split_layout"}
+    # one layout per switch-sweep iteration with switch steps (all but the
+    # first, from zero controls), read by both of its passes
+    coarse = [(f[6], b[7]) for f, b in zip(passes["forward"], passes["backward"])
+              if len(f[2]) == 2 * 43 + 1]
+    assert all(f is b for f, b in coarse)
+    assert calls["split_layout"] == sum(f is not None for f, _ in coarse) == len(coarse) - 1
+    # and none on the fine pass, whose bang-bang controls hold no junction
+    fine = [args for args in passes["forward"] if len(args[2]) == 2 * 1400 + 1]
+    assert fine and all(args[6] is None for args in fine)
 
 
 def test_switch_sweep_gives_up_when_its_law_puts_a_node_in_the_deadband():
