@@ -251,51 +251,42 @@ def _rk4_steps(R, P, c, h, steps, Rs, Ps):
 
 
 def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
-                  rates: GridRates, head: np.ndarray | None = None,
-                  layout: SplitLayout | None = None) -> np.ndarray:
+                  rates: GridRates, layout: SplitLayout | None = None) -> np.ndarray:
     """Raw forward pass: the (n+1, 3) state nodes from x0, whose total is n0,
     under us, the ``_half_steps`` controls on rates.grid.  No input is checked;
     every step is, after the loop, and the first bad one raises IntegrationError.
     Each step of layout (none by default) runs as its two sub-steps, and the
-    pass fills layout.taus.  head, if given, is an earlier pass's first s+1
-    nodes, under controls equal to us on nodes 0..s-1+REACH
-    (``junctions.REACH``) and the same splits before step s: the pass resumes
-    at node s, with the same bits and errors, landing the taus before s from
-    head's nodes.
+    pass fills layout.taus.
     """
     grid = rates.grid
     h = grid.h
-    head = np.array([(x0.R, x0.C, x0.P)]) if head is None else head
-    s, (R, _, P), N = len(head) - 1, head[-1].tolist(), n0
-    beta, gamma = rates.beta[2 * s:], rates.gamma[2 * s:]
+    start = np.array([(x0.R, x0.C, x0.P)])
+    (R, _, P), N = start[0].tolist(), n0
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b, c, e, g, k, f = flow_coefficients(*us[2 * s:].T, beta, gamma, params, N, N)
-    # step s + i reads coefficient rows 2i, 2i+1 and 2i+2, counted from row 2s
+        a, b, c, e, g, k, f = flow_coefficients(*us.T, rates.beta, rates.gamma, params, N, N)
+    # step i reads coefficient rows 2i, 2i+1 and 2i+2
     series = [col.tolist() for col in (a, b, e, g, k, f)]
     steps = zip(*(col[j::2] for col in series for j in (0, 1, 2)))
-    Rs, Ps, at = [], [], s
+    Rs, Ps, at = [], [], 0
     if layout is not None:
         taus = layout.taus
         taus.clear()
         for (i, *_), (ha, hb), (first, second) in zip(layout.splits, layout.widths,
                                                        layout.coefficients):
-            if i < s:
-                taus.append(_rk4_steps(*head[i, 0::2].tolist(), c, ha, (first,), [], []))
-                continue
             R, P = _rk4_steps(R, P, c, h, islice(steps, i - at), Rs, Ps)
             next(steps)  # step i taken whole
             taus.append(_rk4_steps(R, P, c, ha, (first,), [], []))
             R, P = _rk4_steps(*taus[-1], c, hb, (second,), Rs, Ps)
             at = i + 1
     _rk4_steps(R, P, c, h, steps, Rs, Ps)
-    # float arithmetic does not raise, so every new step is checked here; with N
+    # float arithmetic does not raise, so every step is checked here; with N
     # finite, this passes exactly the finite states with no component below
     # -NONNEG_TOLERANCE
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.concatenate((head, _on_total(np.array((Rs, Ps)).T, N)))
-        bad = ~(values[s + 1:] >= -NONNEG_TOLERANCE).all(axis=1)
+        values = np.concatenate((start, _on_total(np.array((Rs, Ps)).T, N)))
+        bad = ~(values[1:] >= -NONNEG_TOLERANCE).all(axis=1)
     if bad.any():
-        i = s + 1 + int(np.argmax(bad))
+        i = 1 + int(np.argmax(bad))
         t = grid.t0 + i * h
         if not np.isfinite(values[i]).all():
             raise IntegrationError(f"non-finite state at step {i} (t={t:.6g})", i)
@@ -314,7 +305,7 @@ def rk4_forward(x0: State, u: ControlGrid, params: ModelParams,
         raise ValueError("controls and rates must share one grid")
     n0 = _require_total(x0)
     layout = junction_layout(u.values, rates, params, n0)
-    values = forward_table(x0, n0, _half_steps(u.values), params, rates, None, layout)
+    values = forward_table(x0, n0, _half_steps(u.values), params, rates, layout)
     return Trajectory(u.grid, values)
 
 
@@ -337,8 +328,8 @@ def rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams,
     x0 = State(*x.values[0].tolist())
     n0 = _require_total(x0)
     layout = junction_layout(u.values, rates, params, n0)
-    if layout is not None:  # a pass resumed at t_f lands each first sub-step from x
-        forward_table(x0, n0, _half_steps(u.values), params, rates, x.values, layout)
+    if layout is not None:  # x is the forward pass of u: running it again lands the taus
+        forward_table(x0, n0, _half_steps(u.values), params, rates, layout)
     return _rk4_stages(x, u, params, rates, n0, layout)
 
 

@@ -33,7 +33,7 @@ from .model import ModelParams, flow_coefficients
 if TYPE_CHECKING:
     from .integrator import GridRates
 
-REACH = 4  # step i reads nodes i+1-REACH .. i+REACH; a resumed pass relies on it
+REACH = 4  # step i reads nodes i+1-REACH .. i+REACH
 
 
 def _cubic(g0: float, g1: float, g2: float, g3: float) -> tuple:

@@ -42,7 +42,7 @@ class RateFunction:
 
     @property
     def label(self) -> str:
-        raise NotImplementedError
+        return type(self).__name__
 
 
 @dataclass(frozen=True)

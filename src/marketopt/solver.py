@@ -12,12 +12,12 @@ residual is taken against a zero iterate).  That happens at most once: a
 weight that kept halving would freeze the iterates and pass the stopping
 test without a fixed point.  The loop stops as soon as the residual is <=
 tol_delta.  It works on raw node tables and builds the checked
-``Trajectory`` and ``ControlGrid`` once, for the result.  Each pass reuses
-the one before (``_integrate``): under controls unchanged bit for bit it
-runs none (so a converged bang-bang sweep ends on a repeat with residual
-0.0), else its forward pass resumes where the controls changed.  A pass
-carries its table's one layout of split steps (``junctions.split_layout``),
-which the cost and ``SolveResult.junctions`` read off the final pass.
+``Trajectory`` and ``ControlGrid`` once, for the result.  A pass under
+controls unchanged bit for bit reuses the one before whole (``_integrate``),
+so a converged bang-bang sweep ends on a repeat with residual 0.0; any other
+pass runs whole from x0.  A pass carries its table's one layout of split
+steps (``junctions.split_layout``), which the cost and
+``SolveResult.junctions`` read off the final pass.
 
 Both objectives first sweep the same scenario on a coarse grid, on rates
 interpolated from the fine table.  l2 runs the l2 sweep on a grid COARSENING
@@ -67,7 +67,7 @@ from .integrator import (
     forward_table,
     sample_rates,
 )
-from .junctions import REACH, junction_layout, split_layout, switch_steps
+from .junctions import junction_layout, split_layout, switch_steps
 # under the name bench/tracer.py times
 from .objectives import _laid_out_cost as evaluate_cost
 from .pmp import bang_bang_terms, l2_law_terms, switching_terms
@@ -199,29 +199,18 @@ def _law_on_grid(
     return np.column_stack((u1, u2)), singular1 | singular2
 
 
-def _first_change(old: np.ndarray, new: np.ndarray) -> int | None:
-    """The first node at which two control tables differ bit for bit, or None
-    (their int64 views are compared, so a signed zero counts as a change)."""
-    changed = old.view(np.int64).ravel() != new.view(np.int64).ravel()
-    i = int(changed.argmax())
-    return i // old.shape[1] if changed[i] else None
-
-
 def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: int,
                last=None):
-    """State and adjoint tables under u, and u's junction layout, reusing
-    last, an earlier pass's (u, x, p, layout): as they are if u is unchanged,
-    else with the forward pass resumed from x and the backward pass in full;
-    an IntegrationError diverges the sweep."""
-    change = 0 if last is None else _first_change(last[0], u)
-    if change is None:
+    """State and adjoint tables under u, and u's junction layout: those of
+    last, an earlier pass's (u, x, p, layout), if u is unchanged bit for bit
+    (int64 views are compared, so a signed zero counts as a change), else
+    those of a whole new pass; an IntegrationError diverges the sweep."""
+    if last is not None and np.array_equal(last[0].view(np.int64), u.view(np.int64)):
         return last[1:]
     params, n0, us = scenario.params, scenario.n0, _half_steps(u)
     layout = junction_layout(u, rates, params, n0)
-    # steps before change - REACH read only unchanged nodes
-    head = last[1][:change + 1 - REACH] if change > REACH else None
     try:
-        x = forward_table(scenario.x0, n0, us, params, rates, head, layout)
+        x = forward_table(scenario.x0, n0, us, params, rates, layout)
         p = backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
         return x, p, layout
     except IntegrationError as err:
@@ -322,7 +311,7 @@ def _switch_sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates)
         us = _half_steps(u)
         layout = split_layout(splits, u, rates, params, n0) if splits else None
         try:
-            x = forward_table(scenario.x0, n0, us, params, rates, None, layout)
+            x = forward_table(scenario.x0, n0, us, params, rates, layout)
             p = backward_table(zero, x, us, params, scenario.weights, rates, n0, layout)
         except IntegrationError:
             return None, iteration

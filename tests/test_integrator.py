@@ -3,8 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from marketopt import integrator
@@ -25,8 +23,7 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
-from marketopt.junctions import (REACH, junction_layout, junction_steps, split_layout,
-                                 switch_steps)
+from marketopt.junctions import junction_steps, split_layout, switch_steps
 from marketopt.model import (ControlPair, ModelParams, State, Weights, flow_coefficients,
                              rhs_terms)
 from marketopt.pmp import Costate, costate_rhs, costate_system
@@ -350,102 +347,9 @@ def test_a_dip_is_reported_before_the_state_turns_non_finite(monkeypatch):
     assert (str(err.value), err.value.step) == ("non-finite state at step 27 (t=4.725)", 27)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    name=st.sampled_from(PRESET_NAMES),
-    n=st.integers(2, 400),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_a_resumed_forward_pass_is_the_fresh_pass_bit_for_bit(name, n, seed, data):
-    # j is the first node whose controls change; j = n + 1 changes none
-    j = data.draw(st.one_of(st.sampled_from([0, n, n + 1]), st.integers(0, n + 1)))
-    sc = preset_scenario(name)
-    grid = TimeGrid(0.0, sc.t_f, n)
-    rates = _rates(sc, grid)
-    rng = np.random.default_rng(seed)
-    box = (sc.params.u1_max, sc.params.u2_max)
-    old = rng.uniform(0.0, 1.0, (n + 1, 2)) * box
-    new = old.copy()
-    new[j:] = rng.uniform(0.0, 1.0, (n + 1 - j, 2)) * box
-    args = (sc.x0, sc.n0)
-    earlier = forward_table(*args, _half_steps(old), sc.params, rates)
-    fresh = forward_table(*args, _half_steps(new), sc.params, rates)
-    # step i reads the controls of nodes i and i+1, so node max(j-1, 0) is kept
-    head = earlier[: max(j, 1)]
-    resumed = forward_table(*args, _half_steps(new), sc.params, rates, head)
-    assert resumed.tobytes() == fresh.tobytes()
-
-
 def _clamped(w, top):
     """A control column clamped the way the l2 law clamps: to exactly 0 or top."""
     return np.minimum(np.maximum(w, 0.0), top)
-
-
-def _clamped_controls(rng, t, box):
-    """Smooth random controls clamped to the box: arcs at 0 or the cap next to
-    runs of interior nodes, so that steps hold junctions."""
-    columns = []
-    for cap in box:
-        level, swing = rng.uniform(0.2, 0.8) * cap, rng.uniform(0.4, 1.2) * cap
-        omega, phase = rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0 * math.pi)
-        columns.append(_clamped(level + swing * np.sin(omega * t + phase), cap))
-    return np.column_stack(columns)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    name=st.sampled_from(PRESET_NAMES),
-    n=st.integers(12, 400),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_a_resumed_pass_over_clamped_controls_is_the_fresh_pass_bit_for_bit(
-    name, n, seed, data
-):
-    sc = preset_scenario(name)
-    grid = TimeGrid(0.0, sc.t_f, n)
-    rates = _rates(sc, grid)
-    rng = np.random.default_rng(seed)
-    box, t = (sc.params.u1_max, sc.params.u2_max), grid.nodes()
-    old = _clamped_controls(rng, t, box)
-    # j, the first node whose controls change, is drawn mostly from the
-    # stencils (nodes i+1-REACH .. i+REACH) of the junction steps i of the old
-    # controls
-    stencils = {i + d for i, *_ in junction_steps(old, sc.params)
-                for d in range(1 - REACH, 1 + REACH)} & set(range(n + 2))
-    j = data.draw(st.sampled_from(sorted({0, n, n + 1} | stencils)))
-    new = old.copy()
-    new[j:] = _clamped_controls(rng, t, box)[j:]
-    args = (sc.x0, sc.n0)
-    layouts = [junction_layout(u, rates, sc.params, sc.n0) for u in (old, new, new)]
-    earlier = forward_table(*args, _half_steps(old), sc.params, rates, None, layouts[0])
-    fresh = forward_table(*args, _half_steps(new), sc.params, rates, None, layouts[1])
-    # a step reads nodes i+1-REACH .. i+REACH, so node max(j-REACH, 0) is kept
-    head = earlier[: max(j + 1 - REACH, 1)]
-    resumed = forward_table(*args, _half_steps(new), sc.params, rates, head, layouts[2])
-    assert resumed.tobytes() == fresh.tobytes()
-    # the taus before the resumed node land from head's nodes, as the fresh pass lands them
-    if layouts[1] is not None:
-        assert layouts[2].taus == layouts[1].taus
-
-
-@pytest.mark.parametrize("floor", [NONNEG_TOLERANCE, math.inf])
-@pytest.mark.parametrize("start", [0, 1, 12, 24])
-def test_a_resumed_pass_fails_like_the_fresh_pass(start, floor, monkeypatch):
-    # the pass dips at step 25 (or, with no floor, turns non-finite at step 27)
-    x0, u, params, rates = _failing_forward("below the floor")
-    n0, calm = x0.R + x0.C + x0.P, u.values.copy()
-    calm[25:] = 0.0
-    head = forward_table(x0, n0, _half_steps(calm), params, rates)[: start + 1]
-    monkeypatch.setattr(integrator, "NONNEG_TOLERANCE", floor)
-    outcomes = []
-    for resume_from in (None, head):
-        with pytest.raises(IntegrationError) as err:
-            forward_table(x0, n0, _half_steps(u.values), params, rates, resume_from)
-        outcomes.append((str(err.value), err.value.step))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][1] == (25 if floor == NONNEG_TOLERANCE else 27)
 
 
 JUNCTION_GRID = TimeGrid(0.0, 7.0, 175)  # h = 0.04, the l2 default on the presets
@@ -629,7 +533,7 @@ def _coefficients(rows, sc):
 @pytest.mark.parametrize("switches", SWITCHES)
 def test_a_split_switch_step_is_two_one_step_rk4_calls_bit_for_bit(switches):
     sc, u, layout, rates, us = _switch_case(43, switches)
-    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, layout)
+    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, layout)
     whole = forward_table(sc.x0, sc.n0, us, sc.params, rates)
     steps = [split[0] for split in layout.splits]
     assert steps == ([1, 29, 37] if switches == SWITCHES[0] else [0, 29, 42])
@@ -655,8 +559,10 @@ def test_a_split_switch_step_is_two_one_step_rk4_calls_bit_for_bit(switches):
         end = integrator._rk4_steps(*tau, c, hb, (_coefficients(rows[3:], sc),), [], [])
         assert end == (x[i + 1, 0], x[i + 1, 2])
         # the step taken whole lands elsewhere, by far more than roundoff
-        nodal = forward_table(sc.x0, sc.n0, us, sc.params, rates, x[:i + 1])
-        assert np.abs(nodal[i + 1] - x[i + 1]).max() > 1e-6 * sc.n0
+        whole_rows = np.column_stack((us, rates.beta, rates.gamma))[2 * i:2 * i + 3]
+        nodal = integrator._rk4_steps(x[i, 0], x[i, 2], c, rates.grid.h,
+                                      (_coefficients(whole_rows.tolist(), sc),), [], [])
+        assert np.abs(np.subtract(nodal, x[i + 1, 0::2])).max() > 1e-6 * sc.n0
 
 
 # on n=2100 the first switch lies in the lowest of the BACKWARD_BLOCK blocks
@@ -668,7 +574,7 @@ def test_a_split_switch_step_is_two_one_step_rk4_calls_bit_for_bit(switches):
 ])
 def test_a_split_backward_step_is_the_product_of_its_sub_step_maps(switches, n):
     sc, u, layout, rates, us = _switch_case(n, switches)
-    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, layout)
+    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, layout)
     p = integrator.backward_table((0.0, 0.0, 0.0), x, us, sc.params, sc.weights, rates,
                                   sc.n0, layout)
     c = sc.params.lambda1 * sc.n0
@@ -701,7 +607,7 @@ def test_split_passes_converge_under_step_halving():
     # state and at t = 0 for the adjoint
     def ends(n, backward_splits):
         sc, _, layout, rates, us = _switch_case(n)
-        x = forward_table(sc.x0, sc.n0, us, sc.params, rates, None, layout)
+        x = forward_table(sc.x0, sc.n0, us, sc.params, rates, layout)
         p = integrator.backward_table((0.0, 0.0, 0.0), x, us, sc.params, sc.weights,
                                       rates, sc.n0, layout if backward_splits else None)
         return x[-1], p[0]

@@ -24,6 +24,7 @@ from marketopt.scenarios import (
     builtin_gamma_rate,
     preset_scenario,
 )
+from marketopt.solver import SweepSettings, solve
 
 sweep_times = st.floats(min_value=0.0, max_value=14.0, allow_nan=False)
 
@@ -228,6 +229,22 @@ def test_sample_rates_rejects_bad_samples(bad_value):
     # plain callables are named by their repr
     with pytest.raises(ValueError, match=r"beta rate <function .* at t=0\.5"):
         sample_rates(lambda t: bad_value if t >= 0.5 else 0.5, Constant(0.1), grid)
+
+
+class _Step(RateFunction):
+    # defines only __call__: no label, no array evaluator
+    def __call__(self, t):
+        return 0.2 if t < 3.0 else 0.05
+
+
+def test_a_rate_that_defines_only_call_solves_like_a_plain_callable():
+    sc, settings, step = preset_scenario("scenario2"), SweepSettings(n=175), _Step()
+    # a subclass that defines no label is named by its class
+    assert step.label == "_Step"
+    solved = [solve(replace(sc, gamma=gamma), settings) for gamma in (step, lambda t: step(t))]
+    digests = [[t.values.tobytes() for t in (r.state, r.costate, r.controls)] + [r.cost.hex()]
+               for r in solved]
+    assert digests[0] == digests[1]
 
 
 # one rate of every built-in family; the exp and cos ones are the presets', and

@@ -1,4 +1,3 @@
-import hashlib
 import math
 from dataclasses import replace
 
@@ -26,7 +25,7 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
-from marketopt.junctions import REACH, junction_steps
+from marketopt.junctions import junction_steps
 from marketopt.model import ControlPair, State, Weights
 from marketopt.objectives import evaluate_cost
 from marketopt.pmp import Costate, hamiltonian, switching_functions
@@ -34,7 +33,6 @@ from marketopt.scenarios import PRESET_NAMES, Constant, Scenario, preset_scenari
 from marketopt.solver import (
     DivergenceError,
     SweepSettings,
-    _first_change,
     _residual,
     solve,
 )
@@ -506,21 +504,20 @@ def test_integrate_reuses_exactly_the_unchanged_part_of_the_last_pass(node, monk
     # bang-bang controls hold no junction, so the pass has no layout
     last = (result.controls.values, result.state.values, result.costate.values, None)
     u = last[0].copy()
-    if node is not None:
-        u[node, 0] = 0.5 * sc.params.u1_max
     calls = _record_passes(monkeypatch)
-    x, p, layout = solver._integrate(sc, u, rates, 1, last)
-    assert layout is None
     if node is None:
         # unchanged controls: the last pass's own tables, and no pass runs
+        x, p, _ = solver._integrate(sc, u, rates, 1, last)
         assert x is last[1] and p is last[2]
         assert calls == {"forward": [], "backward": []}
+        # a signed zero is a change, as it is to tobytes
+        u[np.flatnonzero(u[:, 0] == 0.0)[0], 0] = -0.0
     else:
-        assert len(calls["forward"]) == len(calls["backward"]) == 1
-        head = calls["forward"][0][5]
-        # forward steps from node - REACH on read the changed node
-        expected = node + 1 - REACH if node > REACH else None
-        assert (None if head is None else len(head)) == expected
+        u[node, 0] = 0.5 * sc.params.u1_max
+    x, p, layout = solver._integrate(sc, u, rates, 1, last)
+    assert layout is None
+    # a changed table runs one whole pass of each kind
+    assert len(calls["forward"]) == len(calls["backward"]) == 1
     controls = ControlGrid(rates.grid, u)
     fresh_x = rk4_forward(sc.x0, controls, sc.params, rates)
     fresh_p = rk4_backward(Costate(0.0, 0.0, 0.0), fresh_x, controls, sc.params, sc.weights, rates)
@@ -541,87 +538,6 @@ def test_a_repeat_past_max_iters_is_not_recorded(monkeypatch):
     assert not capped.converged
     assert capped.iterations == capped_at
     assert capped.residual_history == full.residual_history[:-1]
-
-
-@pytest.mark.parametrize("node, column, value", [(0, 0, 1.0), (4, 1, 0.5), (9, 1, 2.0)])
-def test_first_change_is_the_first_node_that_differs_bit_for_bit(node, column, value):
-    old = np.zeros((10, 2))
-    assert _first_change(old, old.copy()) is None
-    new = old.copy()
-    new[node, column] = value
-    new[node + 1:] = 3.0
-    assert _first_change(old, new) == node
-    # a signed zero is a change, as it is to tobytes
-    new = old.copy()
-    new[node, column] = -0.0
-    assert _first_change(old, new) == node
-
-
-def _resume_cases():
-    for name in PRESET_NAMES:
-        objective = preset_scenario(name).objective
-        yield name, SweepSettings(n=default_grid(7.0, objective).n), None
-    # l1-fine (a reused repeat; the steps include the 8 switch sweep passes at
-    # n=43), weight halving, and an unconverged grid
-    yield "scenario3-l1", SweepSettings(n=2800, tol_delta=1e-6), (3144, 3144)
-    yield "scenario3-l1", SweepSettings(n=350), None
-    yield "scenario3-l1", SweepSettings(n=2424, tol_delta=1e-6, max_iters=40), None
-
-
-@pytest.mark.parametrize("name, settings, steps", list(_resume_cases()))
-def test_resumed_forward_passes_change_no_result(name, settings, steps, monkeypatch):
-    starts = []
-
-    def counted(*args):
-        head = args[5]
-        starts.append((0 if head is None else len(head) - 1, len(args[2]) // 2))
-        return forward_table(*args)
-
-    def solved():
-        starts.clear()
-        r = solve(preset_scenario(name), settings)
-        digests = [
-            hashlib.sha256(t.values.tobytes()).hexdigest()
-            for t in (r.state, r.costate, r.controls)
-        ]
-        history = [h.hex() for h in r.residual_history]
-        return digests, history, r.iterations, r.coarse_iterations, r.relaxation, r.cost
-
-    monkeypatch.setattr(solver, "forward_table", counted)
-    resumed, resumed_starts = solved(), list(starts)
-    # every pass from node 0, and no pass reused
-    monkeypatch.setattr(solver, "_first_change", lambda old, new: 0)
-    assert solved() == resumed
-    assert all(start == 0 for start, _ in starts)
-    if preset_scenario(name).objective == "l2":
-        # u2 is interior at t=0, so every l2 pass changes node 0
-        assert all(start == 0 for start, _ in resumed_starts)
-    if steps is not None:
-        assert (sum(n - start for start, n in resumed_starts),
-                sum(n for _, n in resumed_starts)) == steps
-
-
-def test_resumed_passes_next_to_a_junction_change_no_result(monkeypatch):
-    # with u2 nearly free, both controls start on their caps, so the passes
-    # resume late, inside the stencil of u1's junction near t_f
-    sc = replace(preset_scenario("scenario2"), weights=Weights(1.0, 1.5, 0.001))
-    starts = []
-
-    def counted(*args):
-        starts.append(0 if args[5] is None else len(args[5]) - 1)
-        return forward_table(*args)
-
-    def solved():
-        r = solve(sc, SweepSettings(n=175))
-        digests = [hashlib.sha256(t.values.tobytes()).hexdigest()
-                   for t in (r.state, r.costate, r.controls)]
-        return digests, [h.hex() for h in r.residual_history], r.cost, r.junctions
-
-    monkeypatch.setattr(solver, "forward_table", counted)
-    resumed = solved()
-    assert len(resumed[3]) == 2 and max(starts) > 160
-    monkeypatch.setattr(solver, "_first_change", lambda old, new: 0)
-    assert solved() == resumed
 
 
 def _default_solves(case, monkeypatch):
@@ -836,7 +752,7 @@ def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
     # junctions, and the backward pass never splits one
     junction_lists = [junction_steps(args[2][0::2], args[3]) for args in passes["forward"]]
     for args, splits in zip(passes["forward"], junction_lists):
-        assert args[6] is None if not splits else args[6].splits == splits
+        assert args[5] is None if not splits else args[5].splits == splits
     assert all(len(args) == 7 for args in passes["backward"])
     # so every clamped table is laid out once: the cost and result.junctions
     # reuse the final pass's layout
@@ -848,13 +764,13 @@ def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
                           "split_layout"}
     # one layout per switch-sweep iteration with switch steps (all but the
     # first, from zero controls), read by both of its passes
-    coarse = [(f[6], b[7]) for f, b in zip(passes["forward"], passes["backward"])
+    coarse = [(f[5], b[7]) for f, b in zip(passes["forward"], passes["backward"])
               if len(f[2]) == 2 * 43 + 1]
     assert all(f is b for f, b in coarse)
     assert calls["split_layout"] == sum(f is not None for f, _ in coarse) == len(coarse) - 1
     # and none on the fine pass, whose bang-bang controls hold no junction
     fine = [args for args in passes["forward"] if len(args[2]) == 2 * 1400 + 1]
-    assert fine and all(args[6] is None for args in fine)
+    assert fine and all(args[5] is None for args in fine)
 
 
 def test_switch_sweep_gives_up_when_its_law_puts_a_node_in_the_deadband():
