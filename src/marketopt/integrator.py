@@ -13,21 +13,22 @@ second order.
 A step that holds a kink of a clamped control (a junction) or a jump of a
 bang-bang one (a switch) runs as two RK4 sub-steps, on [t_i, tau] and
 [tau, t_{i+1}]; any other step, and so any pass with no split, is unchanged,
-bit for bit.  Every forward pass and the cost split the junctions; the
-switch sweep splits its switches, in both passes.  Each control table's
-split steps are laid out once (``junctions.split_layout``): the forward pass
-runs their sub-steps and leaves the state at each tau in the layout, where
-the backward pass and the cost read it.
+bit for bit.  Every fine forward pass and the cost split the junctions (the
+sweep's coarse l2 level passes no layout); the switch sweep splits its
+switches, in both passes.  Each control table's split steps are laid out
+once (``junctions.split_layout``): the forward pass runs their sub-steps and
+leaves the state at each tau in the layout, where the backward pass and the
+cost read it.
 
 The forward pass carries only R and P, with C = N - R - P on the conserved
 total N of x0, through ``_rk4_steps``, the one inline copy of
 ``model.rhs_terms``; ``rk4_stages`` rebuilds the same stages on whole
 columns for the cost.  The adjoint system is linear in p, so the backward
 pass builds each step as an affine map, from one ``pmp.costate_system`` call
-per block, and composes them in linear work.  Each pass is a raw kernel on
-node and half-step tables (``forward_table``, ``backward_table``), which the
-sweep calls directly, under a validating wrapper (``rk4_forward``,
-``rk4_backward``).
+(one constant-matrix product) per block, and composes them in linear work.
+Each pass is a raw kernel on node and half-step tables (``forward_table``,
+``backward_table``), which the sweep calls directly, under a validating
+wrapper (``rk4_forward``, ``rk4_backward``).
 """
 
 from __future__ import annotations

@@ -23,15 +23,17 @@ gradient, so both objectives share the adjoint system above.
 
 The adjoint system is linear in p, dp/dt = A(t) p + b, and
 ``costate_system`` builds (A, b) on whole node columns for the backward
-integrator; ``costate_rhs`` wraps it for one point.  Likewise each pointwise
-law is one validation-free kernel on scalars or node columns
-(``l2_law_terms``, ``switching_terms``, ``bang_bang_terms``); the first two
-have validating per-node wrappers.
+integrator, as one constant-matrix product; ``costate_rhs`` wraps it for one
+point.  Likewise each pointwise law is one validation-free kernel on scalars
+or node columns (``l2_law_terms``, ``switching_terms``, ``bang_bang_terms``);
+the first two have validating per-node wrappers.  The sweep reads the l2 law
+off whole tables instead (``l2_law_table``), also one constant-matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,32 +73,42 @@ class SwitchingValues:
     phi2: float
 
 
+@lru_cache(maxsize=8)
+def _costate_coefficients(params: ModelParams, weights: Weights) -> np.ndarray:
+    """The constant (6, 16) table T with S.reshape(..., 16) = f @ T, where f is
+    the feature row (1, gamma, w1, w2, w3, u1) of ``costate_system``."""
+    a1, a2, l1, l2 = params.alpha1, params.alpha2, params.lambda1, params.lambda2
+    spread = np.array((-a2, -(1.0 - a2), 1.0))  # the spread gap's coefficients
+    T = np.zeros((6, 4, 4))  # (feature, row of S, column of S)
+    T[0, 0, :2], T[0, 1, :2], T[0, 2, 3] = (l2, -l2), (-l1, l1), -weights.kappa1
+    T[1, 0, :3], T[1, 1, :3] = (1.0, 0.0, -1.0), (0.0, 1.0, -1.0)
+    T[2, 0, :3], T[3, 1, :3], T[4, 2, :3] = spread, -spread, spread
+    T[5, 2, :3] = -a1, -(1.0 - a1), 1.0  # the direct gap's coefficients
+    T = T.reshape(6, 16)
+    T.setflags(write=False)
+    return T
+
+
 def costate_system(R, C, P, u1, u2, beta_t, gamma_t, params: ModelParams,
                    weights: Weights, n0: float) -> np.ndarray:
     """Raw adjoint system on scalars or node columns; no validation.
 
-    Returns S = [[A, b], [0, 0]] with shape (..., 4, 4), one per node, so
-    that (dp/dt, 0) = S @ (p, 1) with b = (0, 0, -kappa1).
+    Returns S = [[A, b], [0, 0]] with the shape of R plus (4, 4), one per node,
+    so that (dp/dt, 0) = S @ (p, 1) with b = (0, 0, -kappa1).  Every entry is
+    linear in the features (1, gamma, w1, w2, w3, u1), where w1, w2 and w3
+    weigh the spread gap p3 - alpha2*p1 - (1-alpha2)*p2 in each row, so S is
+    one product of their table with ``_costate_coefficients``.
     """
-    a1, a2 = params.alpha1, params.alpha2
-    l1, l2 = params.lambda1, params.lambda2
     drive = (beta_t + u2) / (n0 * n0)
-    # weights of the spread gap p3 - alpha2*p1 - (1-alpha2)*p2 in each row
-    w1 = drive * P * (C + P)
-    w2 = drive * P * R
-    w3 = drive * R * (C + R)
-    S = np.zeros(np.shape(R) + (4, 4))
-    S[..., 0, 0] = l2 + gamma_t - a2 * w1
-    S[..., 0, 1] = -l2 - (1.0 - a2) * w1
-    S[..., 0, 2] = w1 - gamma_t
-    S[..., 1, 0] = a2 * w2 - l1
-    S[..., 1, 1] = l1 + gamma_t + (1.0 - a2) * w2
-    S[..., 1, 2] = -gamma_t - w2
-    S[..., 2, 0] = -a1 * u1 - a2 * w3
-    S[..., 2, 1] = -(1.0 - a1) * u1 - (1.0 - a2) * w3
-    S[..., 2, 2] = u1 + w3
-    S[..., 2, 3] = -weights.kappa1
-    return S
+    features = np.empty((6,) + np.shape(R))  # filled by rows, read transposed
+    features[0] = 1.0
+    features[1] = gamma_t
+    features[2] = drive * P * (C + P)
+    features[3] = drive * P * R
+    features[4] = drive * R * (C + R)
+    features[5] = u1
+    S = features.T @ _costate_coefficients(params, weights)
+    return S.reshape(np.shape(R) + (4, 4))
 
 
 def costate_rhs(
@@ -135,6 +147,27 @@ def l2_law_terms(R, P, p1, p2, p3, params: ModelParams, weights: Weights, n0: fl
     u1 = direct_gap * P / (2.0 * weights.kappa2)
     u2 = spread_gap * P * R / (2.0 * weights.kappa3 * n0)
     return _clamp(u1, params.u1_max), _clamp(u2, params.u2_max)
+
+
+@lru_cache(maxsize=8)
+def _gap_coefficients(params: ModelParams) -> np.ndarray:
+    """The constant 3x2 table G whose columns, p @ G, are the direct gap
+    p3 - alpha1*p1 - (1-alpha1)*p2 and the spread gap (alpha2 likewise)."""
+    a1, a2 = params.alpha1, params.alpha2
+    G = np.array(((-a1, -a2), (-(1.0 - a1), -(1.0 - a2)), (1.0, 1.0)))
+    G.setflags(write=False)
+    return G
+
+
+def l2_law_table(x: np.ndarray, p: np.ndarray, params: ModelParams, weights: Weights,
+                 n0: float) -> np.ndarray:
+    """``l2_law_terms`` on (n+1, 3) state and adjoint tables: the (n+1, 2)
+    control table, with both gaps read off one product p @ G; no validation."""
+    R, P = x[:, 0], x[:, 2]
+    u = p @ _gap_coefficients(params)
+    u[:, 0] *= P / (2.0 * weights.kappa2)
+    u[:, 1] *= P * R / (2.0 * weights.kappa3 * n0)
+    return _clamp(u, (params.u1_max, params.u2_max))
 
 
 def switching_terms(R, P, p1, p2, p3, params: ModelParams, weights: Weights, n0: float):

@@ -15,18 +15,20 @@ tol_delta.  It works on raw node tables and builds the checked
 ``Trajectory`` and ``ControlGrid`` once, for the result.  A pass under
 controls unchanged bit for bit reuses the one before whole (``_integrate``),
 so a converged bang-bang sweep ends on a repeat with residual 0.0; any other
-pass runs whole from x0.  A pass carries its table's one layout of split
-steps (``junctions.split_layout``), which the cost and
+pass runs whole from x0.  A fine pass carries its table's one layout of
+split steps (``junctions.split_layout``), which the cost and
 ``SolveResult.junctions`` read off the final pass.
 
 Both objectives first sweep the same scenario on a coarse grid, on rates
 interpolated from the fine table.  l2 runs the l2 sweep on a grid COARSENING
-times coarser (n=21 at n=175); if it converges, the fine sweep starts from
-the clamp law on the coarse state and adjoint, prolonged to the fine nodes
-(``_prolongation``).  l1 runs the switch sweep on the switch grid (n=43 at t_f = 7,
-at every fine n): an l1 sweep from zero controls, at weight 1, whose steps
-that hold a switch are split at its time tau (``junctions.switch_steps``) in
-both passes, so tau moves with the iterate, not by nodes.  If it converges,
+times coarser (n=21 at n=175), with no junction split: it only starts the
+fine sweep, and on every preset and default sweep it takes as many coarse
+and fine iterations as with them.  If it converges, the fine sweep starts from the clamp law on the coarse state
+and adjoint, prolonged to the fine nodes (``_prolongation``).  l1 runs the
+switch sweep on the switch grid (n=43 at t_f = 7, at every fine n): an l1
+sweep from zero controls, at weight 1, whose steps that hold a switch are
+split at its time tau (``junctions.switch_steps``) in both passes, so tau
+moves with the iterate, not by nodes.  If it converges,
 the fine sweep starts from bang-bang controls that switch at its taus, which
 the nodal fixed point most often repeats: it puts each switch at the fine
 node just below its tau.  If the switch sweep gives up (see
@@ -70,7 +72,7 @@ from .integrator import (
 from .junctions import junction_layout, split_layout, switch_steps
 # under the name bench/tracer.py times
 from .objectives import _laid_out_cost as evaluate_cost
-from .pmp import bang_bang_terms, l2_law_terms, switching_terms
+from .pmp import bang_bang_terms, l2_law_table, switching_terms
 from .scenarios import Scenario
 
 # An l2 sweep first runs on a grid this many times coarser than an l2 grid
@@ -187,28 +189,28 @@ def _law_on_grid(
     eps_singular: float,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Pointwise optimality law on whole node columns; singular flags for l1."""
+    params = scenario.params
+    if scenario.objective == "l2":
+        return l2_law_table(x, p, params, scenario.weights, scenario.n0), None
     R, _, P = x.T
     p1, p2, p3 = p.T
-    params = scenario.params
-    columns = (R, P, p1, p2, p3, params, scenario.weights, scenario.n0)
-    if scenario.objective == "l2":
-        return np.column_stack(l2_law_terms(*columns)), None
-    phi1, phi2 = switching_terms(*columns)
+    phi1, phi2 = switching_terms(R, P, p1, p2, p3, params, scenario.weights, scenario.n0)
     u1, singular1 = bang_bang_terms(phi1, params.u1_max, u_prev[:, 0], eps_singular)
     u2, singular2 = bang_bang_terms(phi2, params.u2_max, u_prev[:, 1], eps_singular)
     return np.column_stack((u1, u2)), singular1 | singular2
 
 
 def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: int,
-               last=None):
-    """State and adjoint tables under u, and u's junction layout: those of
-    last, an earlier pass's (u, x, p, layout), if u is unchanged bit for bit
-    (int64 views are compared, so a signed zero counts as a change), else
-    those of a whole new pass; an IntegrationError diverges the sweep."""
+               last=None, split: bool = True):
+    """State and adjoint tables under u, and u's junction layout (None unless
+    split): those of last, an earlier pass's (u, x, p, layout), if u is
+    unchanged bit for bit (int64 views are compared, so a signed zero counts
+    as a change), else those of a whole new pass; an IntegrationError diverges
+    the sweep."""
     if last is not None and np.array_equal(last[0].view(np.int64), u.view(np.int64)):
         return last[1:]
     params, n0, us = scenario.params, scenario.n0, _half_steps(u)
-    layout = junction_layout(u, rates, params, n0)
+    layout = junction_layout(u, rates, params, n0) if split else None
     try:
         x = forward_table(scenario.x0, n0, us, params, rates, layout)
         p = backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
@@ -218,10 +220,12 @@ def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: i
         raise DivergenceError(message, iteration) from err
 
 
-def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work):
+def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work,
+           split: bool = True):
     """Iterate on the grid of rates from the controls u_work until the residual,
     taken first against a zero iterate, meets tol_delta or max_iters runs out
     (an iteration under unchanged controls runs no pass: see ``_integrate``).
+    Each pass splits its junction steps only if split.
 
     Returns the law on the last iterate, every residual, the weight in force,
     the l1 singular flags, and the last iteration's pass: the controls u it
@@ -232,7 +236,7 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
     weight, last = settings.relaxation, None
     for iteration in range(1, settings.max_iters + 1):
         u = u_work
-        x, p, layout = _integrate(scenario, u, rates, iteration, last)
+        x, p, layout = _integrate(scenario, u, rates, iteration, last, split)
         u_law, flags = _law_on_grid(scenario, x, p, u, settings.eps_singular)
         u_work = weight * u_law + (1.0 - weight) * u
         series[:3], series[3:6], series[6:] = x.T, p.T, u_work.T
@@ -366,7 +370,8 @@ def _coarse_start(scenario: Scenario, settings: SweepSettings, rates: GridRates)
             return _switch_start(*law, coarse, grid), iterations
     u_zero = np.zeros((coarse.n + 1, 2))
     try:
-        _, history, _, _, (_, x, p, _) = _sweep(twin, settings, coarse_rates, u_zero)
+        _, history, _, _, (_, x, p, _) = _sweep(twin, settings, coarse_rates, u_zero,
+                                                split=False)
     except DivergenceError as err:
         return u_cold, iterations + err.iteration
     iterations += len(history)

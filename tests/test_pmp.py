@@ -13,7 +13,9 @@ from marketopt.pmp import (
     bang_bang_terms,
     control_law_l2,
     costate_rhs,
+    costate_system,
     hamiltonian,
+    l2_law_table,
     l2_law_terms,
     switching_functions,
     switching_terms,
@@ -140,8 +142,13 @@ def test_l2_law_clamps_negative_zero_to_positive_zero():
         np.array([x.R]), np.array([x.P]), np.array([p.p1]), np.array([p.p2]),
         np.array([p.p3]), PARAMS, WEIGHTS, 1.0,
     )
+    table = l2_law_table(np.array([[x.R, x.C, x.P]]), np.array([[p.p1, p.p2, p.p3]]),
+                         PARAMS, WEIGHTS, 1.0)
     assert u.u1 == 0.0 and not np.signbit(u.u1)
     assert u1[0] == 0.0 and not np.signbit(u1[0])
+    # the solver compares control tables by their int64 views, so a -0.0
+    # here would count as a change and cost it one more pass
+    assert np.all(table == 0.0) and not np.signbit(table).any()
 
 
 # Node columns for the array-kernel property test.  Costates up to +-60 push
@@ -200,6 +207,65 @@ def test_array_l2_and_switching_kernels_match_scalar_laws(nodes, n0):
         assert (_bits(phi1[i]), _bits(phi2[i])) == (_bits(phi.phi1), _bits(phi.phi2))
         assert type(u.u1) is float and type(phi.phi1) is float
     assert u1[-2] == PARAMS.u1_max and u1[-1] == 0.0
+
+
+@settings(max_examples=60)
+@given(nodes=kernel_nodes, n0=st.floats(min_value=0.5, max_value=2.0))
+def test_gap_form_l2_law_matches_the_scalar_law_node_by_node(nodes, n0):
+    nodes = nodes + CLAMP_NODES
+    table = np.array(nodes)
+    u = l2_law_table(table[:, :3], table[:, 3:], PARAMS, WEIGHTS, n0)
+    assert u.shape == (len(nodes), 2)
+    for i, (r, c, pp, q1, q2, q3) in enumerate(nodes):
+        ref = control_law_l2(State(r, c, pp), Costate(q1, q2, q3), PARAMS, WEIGHTS, n0)
+        # each gap rounds off within a few ulps of its largest term, and the
+        # clamp adds no error; 1e-300 covers products that underflow
+        scale = 4e-15 * (abs(q1) + abs(q2) + abs(q3))
+        assert abs(u[i, 0] - ref.u1) <= scale * pp / (2.0 * WEIGHTS.kappa2) + 1e-300
+        assert abs(u[i, 1] - ref.u2) <= scale * pp * r / (2.0 * WEIGHTS.kappa3 * n0) + 1e-300
+        assert 0.0 <= u[i, 0] <= PARAMS.u1_max and 0.0 <= u[i, 1] <= PARAMS.u2_max
+    assert u[-2, 0] == PARAMS.u1_max and u[-1, 0] == 0.0
+
+
+def _costate_reference(R, C, P, u1, u2, beta, gamma, n0):
+    # S entry by entry, as the adjoint system in pmp's docstring reads
+    a1, a2 = PARAMS.alpha1, PARAMS.alpha2
+    l1, l2 = PARAMS.lambda1, PARAMS.lambda2
+    drive = (beta + u2) / (n0 * n0)
+    w1, w2, w3 = drive * P * (C + P), drive * P * R, drive * R * (C + R)
+    A = [[l2 + gamma - a2 * w1, -l2 - (1.0 - a2) * w1, w1 - gamma],
+         [a2 * w2 - l1, l1 + gamma + (1.0 - a2) * w2, -gamma - w2],
+         [-a1 * u1 - a2 * w3, -(1.0 - a1) * u1 - (1.0 - a2) * w3, u1 + w3]]
+    S = np.zeros((4, 4))
+    S[:3, :3], S[2, 3] = A, -WEIGHTS.kappa1
+    return S, 1.0 + gamma + w1 + w2 + w3 + u1  # the sum of the features
+
+
+rate_values = st.floats(min_value=0.0, max_value=5.0)
+system_nodes = st.lists(
+    st.tuples(unit, unit, unit, st.floats(min_value=0.0, max_value=PARAMS.u1_max),
+              st.floats(min_value=0.0, max_value=PARAMS.u2_max), rate_values, rate_values),
+    min_size=1,
+)
+
+
+@settings(max_examples=60)
+@given(nodes=system_nodes, n0=st.floats(min_value=0.5, max_value=2.0))
+def test_costate_system_matches_its_entry_formulas_on_columns_and_scalars(nodes, n0):
+    columns = [np.array(column) for column in zip(*nodes)]
+    S = costate_system(*columns, PARAMS, WEIGHTS, n0)
+    assert S.shape == (len(nodes), 4, 4)
+    for i, node in enumerate(nodes):
+        reference, features = _costate_reference(*node, n0)
+        point = costate_system(*node, PARAMS, WEIGHTS, n0)
+        assert point.shape == (4, 4)
+        # every coefficient is at most 1 in size, so each entry rounds off
+        # within a few ulps of the features' sum
+        for got in (S[i], point):
+            assert np.abs(got - reference).max() <= 1e-15 * features
+            # R + C + P is conserved, so A (1, 1, 1) = 0: each row of A sums to 0
+            assert np.abs(got[:3, :3].sum(axis=1)).max() <= 1e-15 * features
+            assert np.all(got[3] == 0.0)
 
 
 @settings(max_examples=60)

@@ -748,10 +748,15 @@ def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
               SweepSettings(n=175))
     layouts = calls.pop("split_layout")
     assert calls == {}
-    # each forward pass runs on a new table and carries the layout of its
-    # junctions, and the backward pass never splits one
-    junction_lists = [junction_steps(args[2][0::2], args[3]) for args in passes["forward"]]
-    for args, splits in zip(passes["forward"], junction_lists):
+    # each forward pass runs on a new table: a coarse (n=21) one carries no
+    # layout, a fine one the layout of its junctions, and the backward pass
+    # never splits one
+    fine = [args for args in passes["forward"] if len(args[2]) == 2 * 175 + 1]
+    coarse = [args for args in passes["forward"] if len(args[2]) == 2 * 21 + 1]
+    assert fine and coarse and len(fine) + len(coarse) == len(passes["forward"])
+    assert all(args[5] is None for args in coarse)
+    junction_lists = [junction_steps(args[2][0::2], args[3]) for args in fine]
+    for args, splits in zip(fine, junction_lists):
         assert args[5] is None if not splits else args[5].splits == splits
     assert all(len(args) == 7 for args in passes["backward"])
     # so every clamped table is laid out once: the cost and result.junctions
@@ -771,6 +776,69 @@ def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
     # and none on the fine pass, whose bang-bang controls hold no junction
     fine = [args for args in passes["forward"] if len(args[2]) == 2 * 1400 + 1]
     assert fine and all(args[5] is None for args in fine)
+
+
+@pytest.mark.parametrize(
+    "scenario, settings",
+    [
+        (preset_scenario("scenario1"), SweepSettings(n=175)),
+        # the switch sweep gives up, so the l2 twin sweeps the n=43 switch grid
+        (replace(preset_scenario("scenario3-l1"), gamma=Constant(0.4)),
+         SweepSettings(n=700, max_iters=300)),
+    ],
+    ids=["l2", "l1-fallback"],
+)
+def test_the_coarse_l2_level_lays_out_no_junctions(scenario, settings, monkeypatch):
+    laid_out, coarse = [], []
+
+    def counted(u, rates, *args):
+        laid_out.append(rates.grid.n)
+        return junction_layout(u, rates, *args)
+
+    def recorded(x0, n0, us, params, rates, layout=None):
+        if rates.grid.n < settings.n:
+            coarse.append((us[0::2], layout))
+        return forward_table(x0, n0, us, params, rates, layout)
+
+    junction_layout = solver.junction_layout
+    monkeypatch.setattr(solver, "junction_layout", counted)
+    monkeypatch.setattr(solver, "forward_table", recorded)
+    result = solve(scenario, settings)
+    assert result.converged and result.coarse_iterations > 0
+    # only fine tables are laid out, though coarse l2 tables hold junctions
+    # (the l1 twin's here hold none)
+    assert laid_out and set(laid_out) == {settings.n}
+    if scenario.objective == "l2":
+        assert any(layout is None and junction_steps(u, scenario.params)
+                   for u, layout in coarse)
+    # and the result keeps the junctions of its own controls
+    h = settings.grid_for(scenario).h
+    splits = junction_steps(result.controls.values, scenario.params)
+    assert result.junctions == tuple((c, (i + theta) * h) for i, c, theta, _ in splits)
+    assert bool(splits) == (scenario.objective == "l2")
+
+
+# The coarse iterations of the default solves before the coarse l2 level
+# dropped its junction splits: dropping them must not make the fine start
+# cost more coarse iterations.
+@pytest.mark.parametrize(
+    "name, settings, bound",
+    [
+        *((name, None, 6) for name in ("scenario1", "scenario2", "scenario3")),
+        ("comparison-default", None, 5),
+        ("scenario3-l1", None, 6),  # the switch sweep, at n=1400
+        ("scenario3-l1", SweepSettings(n=2800, tol_delta=1e-6), 8),  # l1-fine
+    ],
+    ids=["scenario1", "scenario2", "scenario3", "comparison-default", "scenario3-l1",
+         "l1-fine"],
+)
+def test_coarse_iteration_counts_do_not_rise(name, settings, bound):
+    sc = preset_scenario(name)
+    if settings is None:
+        settings = SweepSettings(n=default_grid(sc.t_f, sc.objective).n)
+    result = solve(sc, settings)
+    assert result.converged and result.iterations == 2
+    assert 0 < result.coarse_iterations <= bound
 
 
 def test_switch_sweep_gives_up_when_its_law_puts_a_node_in_the_deadband():
