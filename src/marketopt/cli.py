@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, config_from_dict, dump_config, load_config
 from .experiments import SWEEP_PARAMETERS, ComparisonTable, compare_strategies, run_sweep
-from .pmp import OBJECTIVE_TAGS, switching_terms
+from .pmp import OBJECTIVE_TAGS, switching_table
 from .scenarios import PRESET_NAMES
 from .solver import DivergenceError, SolveResult, SweepSettings, solve
 
@@ -39,11 +39,8 @@ def _fmt(value: float) -> str:
 def _write_trajectory(result: SolveResult, cfg: RunConfig, out_dir: Path) -> None:
     scenario = cfg.scenario
     x, p = result.state.values, result.costate.values
-    phi = switching_terms(
-        x[:, 0], x[:, 2], p[:, 0], p[:, 1], p[:, 2],
-        scenario.params, scenario.weights, scenario.n0,
-    )
-    columns = (result.state.grid.nodes(), x, result.controls.values, p, *phi)
+    phi = switching_table(x, p, scenario.params, scenario.weights, scenario.n0)
+    columns = (result.state.grid.nodes(), x, result.controls.values, p, phi)
     rows = np.column_stack(columns).tolist()
     if cfg.out_format == "csv":
         # %.17g formats a float exactly as _fmt does, one call per row

@@ -16,9 +16,9 @@ bang-bang one (a switch) runs as two RK4 sub-steps, on [t_i, tau] and
 bit for bit.  Every fine forward pass and the cost split the junctions (the
 sweep's coarse l2 level passes no layout); the switch sweep splits its
 switches, in both passes.  Each control table's split steps are laid out
-once (``junctions.split_layout``): the forward pass runs their sub-steps and
-leaves the state at each tau in the layout, where the backward pass and the
-cost read it.
+once (``junctions.split_layout``): the forward pass runs their sub-steps on
+the layout's rows (``_step_coefficients``) and leaves the state at each tau
+in the layout, where the backward pass and the cost read it.
 
 The forward pass carries only R and P, with C = N - R - P on the conserved
 total N of x0, through ``_rk4_steps``, the one inline copy of
@@ -40,8 +40,8 @@ from itertools import islice
 import numpy as np
 
 from .junctions import SplitLayout, junction_layout
-from .model import (ModelParams, RateCallable, State, Weights, _require_total,
-                    flow_coefficients, rhs_terms)
+from .model import (ModelParams, RateCallable, State, Weights, _require_count,
+                    _require_total, flow_coefficients, rhs_terms)
 from .pmp import Costate, costate_system
 
 # Default intervals per unit time, per objective: at 25 per unit (n=175) the l2
@@ -77,6 +77,7 @@ class TimeGrid:
     n: int
 
     def __post_init__(self) -> None:
+        _require_count("n", self.n)
         if self.n < 2:
             raise ValueError(f"need at least 2 intervals, got n={self.n}")
         if not (self.t_f > self.t0):
@@ -223,10 +224,16 @@ def _on_total(rp: np.ndarray, total: float) -> np.ndarray:
     return np.stack((R, total - R - P, P), axis=-1)
 
 
+def _step_coefficients(rows, params: ModelParams, n0: float) -> tuple:
+    """A (sub-)step's ``_rk4_steps`` coefficient tuple from its (u1, u2, beta,
+    gamma) rows at its start, midpoint and end."""
+    a, b, _, e, g, k, f = zip(*(flow_coefficients(*row, params, n0, n0) for row in rows))
+    return (*a, *b, *e, *g, *k, *f)
+
+
 def _rk4_steps(R, P, c, h, steps, Rs, Ps):
-    """Run RK4 steps of width h from (R, P) on flow coefficient tuples, those of
-    ``forward_table`` or of a ``junctions.SplitLayout``, appending each new
-    node to Rs and Ps; returns the last."""
+    """Run RK4 steps of width h from (R, P) on ``_step_coefficients`` tuples,
+    appending each new node to Rs and Ps; returns the last."""
     half, sixth = 0.5 * h, h / 6.0
     for aa, am, ab, ba, bm, bb, ea, em, eb, ga, gm, gb, ka, km, kb, fa, fm, fb in steps:
         q = R * P
@@ -272,10 +279,11 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
     if layout is not None:
         taus = layout.taus
         taus.clear()
-        for (i, *_), (ha, hb), (first, second) in zip(layout.splits, layout.widths,
-                                                       layout.coefficients):
+        for (i, *_), (ha, hb), rows in zip(layout.splits, layout.widths, layout.rows):
             R, P = _rk4_steps(R, P, c, h, islice(steps, i - at), Rs, Ps)
             next(steps)  # step i taken whole
+            first, second = (_step_coefficients(half, params, N)
+                             for half in (rows[:3], rows[3:]))
             taus.append(_rk4_steps(R, P, c, ha, (first,), [], []))
             R, P = _rk4_steps(*taus[-1], c, hb, (second,), Rs, Ps)
             at = i + 1
@@ -305,7 +313,7 @@ def rk4_forward(x0: State, u: ControlGrid, params: ModelParams,
     if rates.grid != u.grid:
         raise ValueError("controls and rates must share one grid")
     n0 = _require_total(x0)
-    layout = junction_layout(u.values, rates, params, n0)
+    layout = junction_layout(u.values, rates, params)
     values = forward_table(x0, n0, _half_steps(u.values), params, rates, layout)
     return Trajectory(u.grid, values)
 
@@ -328,7 +336,7 @@ def rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams,
         raise ValueError("state, controls and rates must share one grid")
     x0 = State(*x.values[0].tolist())
     n0 = _require_total(x0)
-    layout = junction_layout(u.values, rates, params, n0)
+    layout = junction_layout(u.values, rates, params)
     if layout is not None:  # x is the forward pass of u: running it again lands the taus
         forward_table(x0, n0, _half_steps(u.values), params, rates, layout)
     return _rk4_stages(x, u, params, rates, n0, layout)

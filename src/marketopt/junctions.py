@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ModelParams, flow_coefficients
+from .model import ModelParams
 
 if TYPE_CHECKING:
     from .integrator import GridRates
@@ -152,27 +152,14 @@ def switch_steps(phi: np.ndarray, u: np.ndarray) -> list[tuple] | None:
     return found
 
 
-def _sub_steps(rows: list[tuple], params: ModelParams, n0: float) -> tuple:
-    """The ``integrator._rk4_steps`` coefficient tuples of a split step's two
-    sub-steps, from its 5 or 6 distinct rows: of the first 3 and the last 3."""
-    coefficients = [flow_coefficients(*row, params, n0, n0) for row in rows]
-    (a0, b0, _, e0, g0, k0, f0), (a1, b1, _, e1, g1, k1, f1), (a2, b2, _, e2, g2, k2, f2) = (
-        coefficients[:3])
-    (a3, b3, _, e3, g3, k3, f3), (a4, b4, _, e4, g4, k4, f4), (a5, b5, _, e5, g5, k5, f5) = (
-        coefficients[-3:])
-    return ((a0, a1, a2, b0, b1, b2, e0, e1, e2, g0, g1, g2, k0, k1, k2, f0, f1, f2),
-            (a3, a4, a5, b3, b4, b5, e3, e4, e5, g3, g4, g5, k3, k4, k5, f3, f4, f5))
-
-
 # A control table's split steps, per split in step order: the split, its
 # sub-step widths (ha, hb), the (u1, u2, beta, gamma) rows at each sub-step's
-# start, midpoint and end, their ``_sub_steps`` coefficients, and the (R, P)
-# at tau, which the forward pass fills in.
-SplitLayout = namedtuple("SplitLayout", "splits widths rows coefficients taus")
+# start, midpoint and end, and the (R, P) at tau, which the forward pass
+# fills in.
+SplitLayout = namedtuple("SplitLayout", "splits widths rows taus")
 
 
-def split_layout(splits: list[tuple], nodes: np.ndarray, rates: GridRates,
-                 params: ModelParams, n0: float) -> SplitLayout:
+def split_layout(splits: list[tuple], nodes: np.ndarray, rates: GridRates) -> SplitLayout:
     """The layout of splits, each step i of the node controls that holds a
     junction, or a switch if the split's bound is None, as two RK4 sub-steps
     on [t_i, tau] and [tau, t_{i+1}].
@@ -183,7 +170,7 @@ def split_layout(splits: list[tuple], nodes: np.ndarray, rates: GridRates,
     quintic through the 6 nearest half-step rows, among rows 2i-2 .. 2i+4 (or
     the 7 rows at an end of the grid, which only a switch reaches), floored at 0.
     """
-    layout = SplitLayout(splits, [], [], [], [])
+    layout = SplitLayout(splits, [], [], [])
     h = rates.grid.h
     for i, c, theta, bound in splits:
         (a1, a2), (b1, b2) = nodes[i:i + 2].tolist()
@@ -208,12 +195,11 @@ def split_layout(splits: list[tuple], nodes: np.ndarray, rates: GridRates,
         rows.append((b1, b2, beta[4 + shift], gamma[4 + shift]))
         layout.widths.append((theta * h, h - theta * h))
         layout.rows.append(rows[:3] + rows[-3:])
-        layout.coefficients.append(_sub_steps(rows, params, n0))
     return layout
 
 
-def junction_layout(nodes: np.ndarray, rates: GridRates, params: ModelParams,
-                    n0: float) -> SplitLayout | None:
+def junction_layout(nodes: np.ndarray, rates: GridRates,
+                    params: ModelParams) -> SplitLayout | None:
     """The layout of the node controls' junction steps, or None if there are none."""
     splits = junction_steps(nodes, params)
-    return split_layout(splits, nodes, rates, params, n0) if splits else None
+    return split_layout(splits, nodes, rates) if splits else None

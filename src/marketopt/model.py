@@ -28,6 +28,7 @@ point, with dC/dt = -(dR/dt + dP/dt) and the checks ``pmp.costate_rhs`` shares.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +40,12 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _require_count(name: str, value: int) -> None:
+    """Reject a bool or a non-integer; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_n0(n0: float) -> float:

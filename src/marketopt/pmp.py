@@ -24,10 +24,11 @@ gradient, so both objectives share the adjoint system above.
 The adjoint system is linear in p, dp/dt = A(t) p + b, and
 ``costate_system`` builds (A, b) on whole node columns for the backward
 integrator, as one constant-matrix product; ``costate_rhs`` wraps it for one
-point.  Likewise each pointwise law is one validation-free kernel on scalars
-or node columns (``l2_law_terms``, ``switching_terms``, ``bang_bang_terms``);
-the first two have validating per-node wrappers.  The sweep reads the l2 law
-off whole tables instead (``l2_law_table``), also one constant-matrix product.
+point.  Likewise each pointwise law is one validation-free kernel:
+``l2_law_terms`` on scalars or node columns, ``switching_table`` and the l1
+law ``bang_bang_terms`` on node tables; the first two have validating
+per-node wrappers.  The sweep reads the l2 law off whole tables instead
+(``l2_law_table``), also one constant-matrix product.
 """
 
 from __future__ import annotations
@@ -170,18 +171,20 @@ def l2_law_table(x: np.ndarray, p: np.ndarray, params: ModelParams, weights: Wei
     return _clamp(u, (params.u1_max, params.u2_max))
 
 
-def switching_terms(R, P, p1, p2, p3, params: ModelParams, weights: Weights, n0: float):
-    """Raw switching values (phi1, phi2) on scalars or node arrays; no validation."""
-    phi1 = weights.kappa2 + (params.alpha1 * p1 + (1.0 - params.alpha1) * p2 - p3) * P
-    phi2 = (
-        weights.kappa3
-        + (params.alpha2 * p1 + (1.0 - params.alpha2) * p2 - p3) * P * R / n0
-    )
-    return phi1, phi2
+def switching_table(x: np.ndarray, p: np.ndarray, params: ModelParams, weights: Weights,
+                    n0: float) -> np.ndarray:
+    """Raw switching values on (n+1, 3) state and adjoint tables, or on one row
+    of each: the (n+1, 2) table of (phi1, phi2); no validation."""
+    R, P, p1, p2, p3 = x[..., 0], x[..., 2], p[..., 0], p[..., 1], p[..., 2]
+    a1, a2, phi = params.alpha1, params.alpha2, np.empty(np.shape(R) + (2,))
+    phi[..., 0] = weights.kappa2 + (a1 * p1 + (1.0 - a1) * p2 - p3) * P
+    phi[..., 1] = weights.kappa3 + (a2 * p1 + (1.0 - a2) * p2 - p3) * P * R / n0
+    return phi
 
 
-def bang_bang_terms(phi, bound: float, previous, eps_singular: float):
-    """Raw bang-bang law for one control on scalars or node arrays.
+def bang_bang_terms(phi, bound, previous, eps_singular: float):
+    """Raw bang-bang law on scalars or node arrays: one control's, or both
+    controls' on a ``switching_table`` with the bound pair (u1_max, u2_max).
 
     Returns the control and the deadband (singular) flags; no validation.
     """
@@ -224,9 +227,9 @@ def switching_functions(
     With vanishing terminal adjoints these end at (kappa2, kappa3), which
     forces both controls to switch off at the final time.
     """
-    n0 = _require_n0(n0)
-    phi1, phi2 = switching_terms(x.R, x.P, p.p1, p.p2, p.p3, params, weights, n0)
-    return SwitchingValues(phi1=float(phi1), phi2=float(phi2))
+    row, adjoint = np.array((x.R, x.C, x.P)), np.array((p.p1, p.p2, p.p3))
+    phi = switching_table(row, adjoint, params, weights, _require_n0(n0))
+    return SwitchingValues(*phi.tolist())
 
 
 def running_cost(objective: str, P, u1, u2, weights: Weights):

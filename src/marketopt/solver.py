@@ -70,9 +70,10 @@ from .integrator import (
     sample_rates,
 )
 from .junctions import junction_layout, split_layout, switch_steps
+from .model import _require_count
 # under the name bench/tracer.py times
 from .objectives import _laid_out_cost as evaluate_cost
-from .pmp import bang_bang_terms, l2_law_table, switching_terms
+from .pmp import bang_bang_terms, l2_law_table, switching_table
 from .scenarios import Scenario
 
 # An l2 sweep first runs on a grid this many times coarser than an l2 grid
@@ -114,6 +115,8 @@ class SweepSettings:
     eps_singular: float = 1e-9
 
     def __post_init__(self) -> None:
+        _require_count("n", self.n)
+        _require_count("max_iters", self.max_iters)
         if self.n < 2:
             raise ValueError(f"need at least 2 intervals, got n={self.n}")
         if not (0.0 < self.relaxation <= 1.0):
@@ -189,15 +192,12 @@ def _law_on_grid(
     eps_singular: float,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Pointwise optimality law on whole node columns; singular flags for l1."""
-    params = scenario.params
+    params, weights, n0 = scenario.params, scenario.weights, scenario.n0
     if scenario.objective == "l2":
-        return l2_law_table(x, p, params, scenario.weights, scenario.n0), None
-    R, _, P = x.T
-    p1, p2, p3 = p.T
-    phi1, phi2 = switching_terms(R, P, p1, p2, p3, params, scenario.weights, scenario.n0)
-    u1, singular1 = bang_bang_terms(phi1, params.u1_max, u_prev[:, 0], eps_singular)
-    u2, singular2 = bang_bang_terms(phi2, params.u2_max, u_prev[:, 1], eps_singular)
-    return np.column_stack((u1, u2)), singular1 | singular2
+        return l2_law_table(x, p, params, weights, n0), None
+    phi = switching_table(x, p, params, weights, n0)
+    u, singular = bang_bang_terms(phi, (params.u1_max, params.u2_max), u_prev, eps_singular)
+    return u, singular[:, 0] | singular[:, 1]  # faster than any(axis=1)
 
 
 def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: int,
@@ -210,7 +210,7 @@ def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: i
     if last is not None and np.array_equal(last[0].view(np.int64), u.view(np.int64)):
         return last[1:]
     params, n0, us = scenario.params, scenario.n0, _half_steps(u)
-    layout = junction_layout(u, rates, params, n0) if split else None
+    layout = junction_layout(u, rates, params) if split else None
     try:
         x = forward_table(scenario.x0, n0, us, params, rates, layout)
         p = backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
@@ -285,14 +285,11 @@ def _switch_law(scenario: Scenario, x: np.ndarray, p: np.ndarray, eps_singular: 
     """The bang-bang law on x and p and its switch steps
     (``junctions.switch_steps``), or None if a node lies in the deadband or a
     step holds two switches."""
-    R, _, P = x.T
-    p1, p2, p3 = p.T
     params = scenario.params
-    phi = np.column_stack(
-        switching_terms(R, P, p1, p2, p3, params, scenario.weights, scenario.n0))
-    if (np.abs(phi) <= eps_singular).any():
+    phi = switching_table(x, p, params, scenario.weights, scenario.n0)
+    u, singular = bang_bang_terms(phi, (params.u1_max, params.u2_max), 0.0, eps_singular)
+    if singular.any():
         return None
-    u = np.where(phi < 0.0, (params.u1_max, params.u2_max), 0.0)
     splits = switch_steps(phi, u)
     return None if splits is None else (u, splits)
 
@@ -313,7 +310,7 @@ def _switch_sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates)
     for iteration in range(1, settings.max_iters + 1):
         u, splits = law
         us = _half_steps(u)
-        layout = split_layout(splits, u, rates, params, n0) if splits else None
+        layout = split_layout(splits, u, rates) if splits else None
         try:
             x = forward_table(scenario.x0, n0, us, params, rates, layout)
             p = backward_table(zero, x, us, params, scenario.weights, rates, n0, layout)

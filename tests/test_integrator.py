@@ -478,7 +478,7 @@ def test_split_step_stages_land_on_the_forward_nodes_bit_for_bit(name, n):
     states, controls, widths = rk4_stages(x, u, sc.params, rates)
     assert states.shape == (4, n + len(splits), 3)
     expected_widths = np.ones(n + len(splits))
-    layout = split_layout(splits, u.values, rates, sc.params, n0)
+    layout = split_layout(splits, u.values, rates)
     for k, (split, (ha, hb), rows) in enumerate(zip(splits, layout.widths, layout.rows)):
         i = split[0]
         # a junction's sub-steps share their row at tau
@@ -515,7 +515,7 @@ def _switch_case(n, switches=SWITCHES[0]):
     splits = [(int(tau // h), c, tau / h - int(tau // h), None)
               for tau, c in zip(switches, (1, 0, 1))]
     rates = _rates(sc, grid)
-    return sc, u, split_layout(splits, u, rates, sc.params, sc.n0), rates, _half_steps(u)
+    return sc, u, split_layout(splits, u, rates), rates, _half_steps(u)
 
 
 def _linear_rates(ts):
@@ -542,7 +542,7 @@ def test_a_split_switch_step_is_two_one_step_rk4_calls_bit_for_bit(switches):
     # the rate quintic reproduces linear rates, next to the ends too
     ts = integrator._sample_times(rates.grid)
     linear_rates = GridRates(rates.grid, *_linear_rates(ts))
-    linear_rows = split_layout(layout.splits, u, linear_rates, sc.params, sc.n0).rows
+    linear_rows = split_layout(layout.splits, u, linear_rates).rows
     for i, (ha, hb), rows, linear, landed in zip(steps, layout.widths, layout.rows,
                                                  linear_rows, layout.taus):
         assert len(rows) == 6 and ha + hb == pytest.approx(rates.grid.h, rel=1e-15)

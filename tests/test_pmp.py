@@ -18,7 +18,7 @@ from marketopt.pmp import (
     l2_law_table,
     l2_law_terms,
     switching_functions,
-    switching_terms,
+    switching_table,
 )
 from marketopt.scenarios import Constant, builtin_beta_rate, builtin_gamma_rate
 
@@ -197,7 +197,10 @@ def test_array_l2_and_switching_kernels_match_scalar_laws(nodes, n0):
     nodes = nodes + CLAMP_NODES
     R, C, P, p1, p2, p3 = (np.array(col) for col in zip(*nodes))
     u1, u2 = l2_law_terms(R, P, p1, p2, p3, PARAMS, WEIGHTS, n0)
-    phi1, phi2 = switching_terms(R, P, p1, p2, p3, PARAMS, WEIGHTS, n0)
+    table = np.array(nodes)
+    phi = switching_table(table[:, :3], table[:, 3:], PARAMS, WEIGHTS, n0)
+    assert phi.shape == (len(nodes), 2)
+    phi1, phi2 = phi.T
     for i, (r, c, pp, q1, q2, q3) in enumerate(nodes):
         x, p = State(r, c, pp), Costate(q1, q2, q3)
         u = control_law_l2(x, p, PARAMS, WEIGHTS, n0)
@@ -289,6 +292,15 @@ def test_array_bang_bang_kernel_matches_scalar_law(nodes, eps):
         ref2 = _bang_bang_reference(f2, PARAMS.u2_max, prev[1], eps)
         assert ((u.u1, flags[0]), (u.u2, flags[1])) == (ref1, ref2)
     assert singular1[-1] and u1[-1] == 0.03 and singular2[-1] and u2[-1] == 0.5
+    # the (n+1, 2) table form, with the bound pair: the column laws bit for bit
+    phi, bounds = np.column_stack((phi1, phi2)), (PARAMS.u1_max, PARAMS.u2_max)
+    u, singular = bang_bang_terms(phi, bounds, np.column_stack((prev1, prev2)), eps)
+    assert u.shape == singular.shape == (len(nodes), 2)
+    assert u.tobytes() == np.column_stack((u1, u2)).tobytes()
+    assert np.array_equal(singular, np.column_stack((singular1, singular2)))
+    # and with a scalar previous value, held at every flagged node
+    held, _ = bang_bang_terms(phi, bounds, 0.0, eps)
+    assert held.tobytes() == np.where(singular, 0.0, u).tobytes()
 
 
 def test_hamiltonian_with_zero_costate_and_control_is_the_state_cost():

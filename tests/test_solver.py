@@ -116,6 +116,22 @@ def test_settings_validation():
     assert SweepSettings(n=grid.n, eps_singular=0.0).eps_singular == 0.0
 
 
+@pytest.mark.parametrize("build, field, bad", [
+    (lambda v: SweepSettings(n=v), "n", 175.0),
+    (lambda v: SweepSettings(n=v), "n", True),
+    (lambda v: SweepSettings(n=175, max_iters=v), "max_iters", 2.5),
+    (lambda v: SweepSettings(n=175, max_iters=v), "max_iters", True),
+    (lambda v: TimeGrid(0.0, 7.0, v), "n", 3.5),
+    (lambda v: TimeGrid(0.0, 7.0, v), "n", np.float64(175.0)),
+], ids=["settings-n-float", "settings-n-bool", "max-iters-float", "max-iters-bool",
+        "grid-n-float", "grid-n-numpy-float"])
+def test_grid_size_and_iteration_cap_must_be_integers(build, field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        build(bad)
+    # numpy integers stay accepted
+    assert build(np.int64(3)) is not None
+
+
 def test_settings_need_two_intervals():
     with pytest.raises(ValueError, match="need at least 2 intervals, got n=1"):
         SweepSettings(n=1)
