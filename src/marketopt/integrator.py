@@ -293,9 +293,9 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
     # -NONNEG_TOLERANCE
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.concatenate((start, _on_total(np.array((Rs, Ps)).T, N)))
-        bad = ~(values[1:] >= -NONNEG_TOLERANCE).all(axis=1)
-    if bad.any():
-        i = 1 + int(np.argmax(bad))
+        above = values[1:] >= -NONNEG_TOLERANCE
+    if not above.all():  # a flat check first: the row search is slow
+        i = 1 + int(np.argmax(~above.all(axis=1)))
         t = grid.t0 + i * h
         if not np.isfinite(values[i]).all():
             raise IntegrationError(f"non-finite state at step {i} (t={t:.6g})", i)
@@ -472,9 +472,9 @@ def backward_table(p_terminal, x: np.ndarray, us: np.ndarray, params: ModelParam
                 if lo <= i < hi:
                     maps[i - lo] = split_map
             out[lo:hi] = _suffix_products(maps, out[hi])
-            bad = ~np.isfinite(out[lo:hi]).all(axis=1)
-            if bad.any():
-                i = lo + int(np.flatnonzero(bad)[-1])
+            finite = np.isfinite(out[lo:hi])
+            if not finite.all():
+                i = lo + int(np.flatnonzero(~finite.all(axis=1))[-1])
                 raise IntegrationError(
                     f"non-finite adjoint at step {i} (t={grid.t0 + i * h:.6g})",
                     step=i,

@@ -23,22 +23,20 @@ Both objectives first sweep the same scenario on a coarse grid, on rates
 interpolated from the fine table.  l2 runs the l2 sweep on a grid COARSENING
 times coarser (n=21 at n=175), with no junction split: it only starts the
 fine sweep, and on every preset and default sweep it takes as many coarse
-and fine iterations as with them.  If it converges, the fine sweep starts from the clamp law on the coarse state
-and adjoint, prolonged to the fine nodes (``_prolongation``).  l1 runs the
-switch sweep on the switch grid (n=43 at t_f = 7, at every fine n): an l1
-sweep from zero controls, at weight 1, whose steps that hold a switch are
-split at its time tau (``junctions.switch_steps``) in both passes, so tau
-moves with the iterate, not by nodes.  If it converges,
-the fine sweep starts from bang-bang controls that switch at its taus, which
-the nodal fixed point most often repeats: it puts each switch at the fine
-node just below its tau.  If the switch sweep gives up (see
-``_switch_sweep``), l1 starts from the bang-bang law on the prolonged l2
-sweep, as l2 does.  Either starts from zero if its coarse sweep fails, the
-coarse grid would have under 2 intervals or be no coarser than the fine one,
-or ``Scenario`` rejects the l2 twin (kappa2 or kappa3 is 0).  The fine
-residual is still first taken against zero, so at least 2 fine iterations
-run (at the defaults, 2 on every preset; scenario3-l1's answer is the cold
-start's bit for bit).
+and fine iterations as with them.  If it converges, the fine sweep starts
+from the clamp law on the coarse state and adjoint, prolonged to the fine
+nodes (``_prolongation``).  l1 runs the switch sweep on the switch grid
+(n=43 at t_f = 7, at every fine n): an l1 sweep from zero controls, at
+weight 1, whose steps that hold a switch are split at its time tau
+(``junctions.switch_steps``) in both passes, so tau moves with the iterate,
+not by nodes.  If it converges, the fine sweep starts from bang-bang
+controls that switch at its taus, which the nodal fixed point most often
+repeats: it puts each switch at the fine node just below its tau.  Either
+starts from zero if its coarse sweep fails (for l1, the switch sweep gives
+up: see ``_switch_sweep``) or the coarse grid would have under 2 intervals
+or be no coarser than the fine one.  The fine residual is still first taken
+against zero, so at least 2 fine iterations run (at the defaults, 2 on every
+preset; scenario3-l1's answer is the cold start's bit for bit).
 
 The returned controls are the optimality law on the last iterate.  The
 returned state, adjoint and cost are integrated once more under exactly
@@ -57,6 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .integrator import (
+    NODES_PER_TIME_UNIT,
     ControlGrid,
     GridRates,
     IntegrationError,
@@ -65,7 +64,6 @@ from .integrator import (
     _half_steps,
     _sample_times,
     backward_table,
-    default_grid,
     forward_table,
     sample_rates,
 )
@@ -144,12 +142,12 @@ class SolveResult:
     the blending weight in force when the sweep stopped.  For l1,
     interior_fraction is the share of nodes where a returned control lies
     more than 1e-12 inside both of its bounds.  coarse_iterations counts the
-    iterations of the coarse sweeps (0 if none ran), a diverged one up to the
-    iteration at which it diverged: the l2 sweep's for l2; for l1 the switch
-    sweep's, plus the l2 sweep's if the switch sweep gave up.  The other
-    fields are the fine sweep's.  junctions holds a (control index,
-    tau) pair for every step of the returned controls that the integrator
-    split at a clamp junction tau (none for bang-bang or unclamped controls).
+    iterations of the one coarse sweep (0 if none ran), a diverged one up to
+    the iteration at which it diverged: the l2 sweep's for l2, the switch
+    sweep's for l1.  The other fields are the fine sweep's.  junctions holds
+    a (control index, tau) pair for every step of the returned controls that
+    the integrator split at a clamp junction tau (none for bang-bang or
+    unclamped controls).
     """
 
     state: Trajectory
@@ -255,7 +253,7 @@ def _grew(history: list[float]) -> bool:
     return history[-1] > history[-2] or history[-1] == math.inf
 
 
-@lru_cache(maxsize=2)  # an l2 and an l1 grid pair: computed once per sweep
+@lru_cache(maxsize=1)  # one grid pair: computed once per sweep
 def _prolongation(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Interpolation from the m+1 nodes of a coarse grid to the n+1 nodes of a
     fine grid on the same interval, by the cubic through the 4 coarse nodes
@@ -349,35 +347,29 @@ def _coarse_start(scenario: Scenario, settings: SweepSettings, rates: GridRates)
     if scenario.objective == "l2":
         n = grid.n // COARSENING
     else:  # the switch grid: n=43 at t_f = 7, the same at every fine n
-        n = 2 * default_grid(grid.t_f, "l2").n // COARSENING
-    if n >= grid.n:
+        n = 2 * round(NODES_PER_TIME_UNIT["l2"] * grid.t_f) // COARSENING
+    if not 2 <= n < grid.n:
         return u_cold, 0
-    try:  # TimeGrid rejects under 2 intervals, Scenario zero l2 weights
-        coarse, twin = replace(grid, n=n), replace(scenario, objective="l2")
-    except ValueError:
-        return u_cold, 0
+    coarse = replace(grid, n=n)
     # the coarse rates interpolate the fine table: no rate is sampled again
     ts, fine_ts = _sample_times(coarse), _sample_times(grid)
     beta, gamma = (np.interp(ts, fine_ts, r) for r in (rates.beta, rates.gamma))
     coarse_rates = GridRates(coarse, beta, gamma, rates.names)
-    iterations = 0
     if scenario.objective == "l1":
         law, iterations = _switch_sweep(scenario, settings, coarse_rates)
-        if law is not None:
-            return _switch_start(*law, coarse, grid), iterations
+        return u_cold if law is None else _switch_start(*law, coarse, grid), iterations
     u_zero = np.zeros((coarse.n + 1, 2))
     try:
-        _, history, _, _, (_, x, p, _) = _sweep(twin, settings, coarse_rates, u_zero,
+        _, history, _, _, (_, x, p, _) = _sweep(scenario, settings, coarse_rates, u_zero,
                                                 split=False)
     except DivergenceError as err:
-        return u_cold, iterations + err.iteration
-    iterations += len(history)
+        return u_cold, err.iteration
     if history[-1] > settings.tol_delta:
-        return u_cold, iterations
+        return u_cold, len(history)
     indices, weights = _prolongation(coarse.n, grid.n)
     xp = np.einsum("jn,cjn->nc", weights, np.take(np.hstack((x, p)).T, indices, axis=1))
-    u_start, _ = _law_on_grid(scenario, xp[:, :3], xp[:, 3:], u_cold, settings.eps_singular)
-    return u_start, iterations
+    u_start = l2_law_table(xp[:, :3], xp[:, 3:], scenario.params, scenario.weights, scenario.n0)
+    return u_start, len(history)
 
 
 def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:

@@ -408,21 +408,27 @@ def test_growing_residual_halves_the_weight_and_rescues_a_coarse_l1_grid():
 def test_a_residual_that_stays_inf_halves_the_weight(monkeypatch):
     # at kappa2 = 5 the full-step law alternates between u1 on somewhere with
     # u2 = 0 everywhere and u1 = 0 everywhere with u2 on; a series that moves
-    # to all zeros has residual inf, so the residuals run 1, inf, inf, ...
+    # to all zeros has residual inf, so from u1 on and u2 off the residuals
+    # run 1, inf, inf, ...
     sc = preset_scenario("scenario3-l1")
     sc = replace(sc, weights=replace(sc.weights, kappa2=5.0))
-    result = solve(sc, SweepSettings(n=350))
-    assert result.residual_history[:3] == (1.0, math.inf, math.inf)
+    settings = SweepSettings(n=350)
+    rates = sample_rates(sc.beta, sc.gamma, settings.grid_for(sc))
+    u = np.zeros((settings.n + 1, 2))
+    u[:, 0] = sc.params.u1_max
+    _, history, weight, _, _ = solver._sweep(sc, settings, rates, u)
+    assert history[:3] == [1.0, math.inf, math.inf]
     # the repeated inf of iteration 3 halves the weight, and the blended
     # fourth iterate moves every series
-    assert math.isfinite(result.residual_history[3])
-    assert result.converged and result.relaxation == 0.5 and result.iterations == 19
+    assert math.isfinite(history[3])
+    assert history[-1] <= settings.tol_delta and weight == 0.5 and len(history) == 19
     # inf > inf is false: counting only a larger residual as growth, the
     # weight stays 1 and the sweep cycles
     monkeypatch.setattr(solver, "_grew", lambda history: history[-1] > history[-2])
-    stuck = solve(sc, SweepSettings(n=350, max_iters=40))
-    assert not stuck.converged and stuck.relaxation == 1.0
-    assert stuck.residual_history[1:] == (math.inf,) * 39
+    stuck = replace(settings, max_iters=40)
+    _, history, weight, _, _ = solver._sweep(sc, stuck, rates, u)
+    assert history[-1] > stuck.tol_delta and weight == 1.0
+    assert history[1:] == [math.inf] * 39
 
 
 @pytest.mark.parametrize("relaxation", [1.0, 0.5, 0.3])
@@ -662,12 +668,21 @@ def test_a_three_node_coarse_grid_still_starts_the_fine_sweep(name, n):
 
 
 @pytest.mark.parametrize("weights", [Weights(1.0, 1.5, 0.0), Weights(1.0, 0.0, 0.01)])
-def test_l1_with_a_zero_control_weight_starts_cold(weights):
-    # the l2 law divides by both control weights, so no coarse l2 sweep runs
+def test_l1_with_a_zero_control_weight_starts_cold(weights, monkeypatch):
+    # with a zero weight phi ends in the deadband, so the switch sweep gives
+    # up in its first iteration and the fine sweep starts from zero
     sc = replace(preset_scenario("scenario3-l1"), weights=weights)
-    result = solve(sc, SweepSettings(n=1400))
+    settings = SweepSettings(n=1400)
+    result = solve(sc, settings)
     assert result.converged
-    assert result.coarse_iterations == 0
+    assert result.coarse_iterations == 1
+    monkeypatch.setattr(solver, "COARSENING", 10**9)
+    cold = solve(sc, settings)
+    assert cold.coarse_iterations == 0
+    assert result.residual_history == cold.residual_history
+    assert result.cost.hex() == cold.cost.hex()
+    for field in ("state", "costate", "controls"):
+        assert getattr(result, field).values.tobytes() == getattr(cold, field).values.tobytes()
 
 
 def test_switch_sweep_places_the_switches_alike_on_a_coarse_and_a_finer_grid():
@@ -694,13 +709,14 @@ def test_switch_sweep_places_the_switches_alike_on_a_coarse_and_a_finer_grid():
     [
         # in its 4th iteration a step of the n=43 switch grid holds a switch
         # of each control
-        (0.4, 9, 6.839914806050949),
+        (0.4, 17, 6.839914806050949),
         # the switch sweep's residual grows in its 4th iteration: u1 has a
         # near-singular arc, on which the full-step sweep cycles on every grid
         (0.6, 300, 6.970957741309637),
     ],
+    ids=["gamma0.4", "gamma0.6"],
 )
-def test_l1_falls_back_to_the_l2_start_where_the_switch_sweep_cannot_settle(
+def test_l1_starts_cold_where_the_switch_sweep_cannot_settle(
     gamma, iterations, cost, monkeypatch
 ):
     sc = replace(preset_scenario("scenario3-l1"), gamma=Constant(gamma))
@@ -713,20 +729,30 @@ def test_l1_falls_back_to_the_l2_start_where_the_switch_sweep_cannot_settle(
 
     switch_sweep = solver._switch_sweep
     monkeypatch.setattr(solver, "_switch_sweep", recorded)
-    fallback = solve(sc, settings)
+    result = solve(sc, settings)
     assert laws == [(None, 4)]
-    # the answer of a solve with no switch sweep, bit for bit
+    assert result.coarse_iterations == 4
+    # the answer of a solve whose switch sweep gives up at once, bit for bit
     monkeypatch.setattr(solver, "_switch_sweep", lambda *args: (None, 0))
     plain = solve(sc, settings)
-    assert fallback.coarse_iterations == plain.coarse_iterations + laws[0][1]
-    assert fallback.residual_history == plain.residual_history
-    assert fallback.cost.hex() == plain.cost.hex()
+    assert plain.coarse_iterations == 0
+    assert result.residual_history == plain.residual_history
+    assert result.cost.hex() == plain.cost.hex()
     for field in ("state", "costate", "controls"):
-        assert getattr(fallback, field).values.tobytes() == getattr(plain, field).values.tobytes()
-    # and the iterations and cost of an l2 start from the n=10 grid of n/64
-    assert fallback.iterations == iterations
-    assert fallback.converged == (iterations < settings.max_iters)
-    assert abs(fallback.cost - cost) <= 1e-12 * cost
+        assert getattr(result, field).values.tobytes() == getattr(plain, field).values.tobytes()
+    # and the cost of the l2 start this cold start replaced, bit for bit
+    assert result.iterations == iterations
+    assert result.converged == (iterations < settings.max_iters)
+    assert result.cost.hex() == cost.hex()
+
+
+@pytest.mark.parametrize("t_f", [0.05, 0.02])
+def test_an_l1_horizon_too_short_for_a_switch_grid_starts_cold(t_f):
+    # 2 * round(25 t_f) // COARSENING is under 2 intervals
+    sc = replace(preset_scenario("scenario3-l1"), t_f=t_f)
+    result = solve(sc, SweepSettings(n=10))
+    assert result.converged
+    assert result.coarse_iterations == 0
 
 
 def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
@@ -795,14 +821,7 @@ def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "scenario, settings",
-    [
-        (preset_scenario("scenario1"), SweepSettings(n=175)),
-        # the switch sweep gives up, so the l2 twin sweeps the n=43 switch grid
-        (replace(preset_scenario("scenario3-l1"), gamma=Constant(0.4)),
-         SweepSettings(n=700, max_iters=300)),
-    ],
-    ids=["l2", "l1-fallback"],
+    "scenario, settings", [(preset_scenario("scenario1"), SweepSettings(n=175))], ids=["l2"]
 )
 def test_the_coarse_l2_level_lays_out_no_junctions(scenario, settings, monkeypatch):
     laid_out, coarse = [], []
@@ -822,16 +841,13 @@ def test_the_coarse_l2_level_lays_out_no_junctions(scenario, settings, monkeypat
     result = solve(scenario, settings)
     assert result.converged and result.coarse_iterations > 0
     # only fine tables are laid out, though coarse l2 tables hold junctions
-    # (the l1 twin's here hold none)
     assert laid_out and set(laid_out) == {settings.n}
-    if scenario.objective == "l2":
-        assert any(layout is None and junction_steps(u, scenario.params)
-                   for u, layout in coarse)
+    assert any(layout is None and junction_steps(u, scenario.params) for u, layout in coarse)
     # and the result keeps the junctions of its own controls
     h = settings.grid_for(scenario).h
     splits = junction_steps(result.controls.values, scenario.params)
+    assert splits
     assert result.junctions == tuple((c, (i + theta) * h) for i, c, theta, _ in splits)
-    assert bool(splits) == (scenario.objective == "l2")
 
 
 # The coarse iterations of the default solves before the coarse l2 level
