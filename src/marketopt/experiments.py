@@ -197,9 +197,11 @@ def _run_cell(
     elif spec.parameter == "kappa2":
         scenario = replace(base, weights=replace(base.weights, kappa2=value))
     else:
-        # tf: move the horizon, re-normalize the state-cost weight to 1/t_f, and
-        # keep the step size constant across horizons so costs stay comparable
-        weights = replace(base.weights, kappa1=1.0 / value)
+        # tf: move the horizon, scale the state-cost weight by t_f / value so the
+        # base's kappa1 * t_f stays fixed (the cell at the base's own horizon
+        # solves the base), and keep the step size constant across horizons so
+        # costs stay comparable
+        weights = replace(base.weights, kappa1=base.weights.kappa1 * base.t_f / value)
         scenario = replace(base, t_f=value, weights=weights)
         settings = replace(settings, n=max(2, round(value / (base.t_f / settings.n))))
     table = compare_strategies(

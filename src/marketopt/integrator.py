@@ -164,16 +164,16 @@ class GridRates:
 
     def __post_init__(self) -> None:
         n = self.grid.n
-        ts = _sample_times(self.grid)
         for name, field in zip(self.names, ("beta", "gamma")):
             values = np.array(getattr(self, field), dtype=float)
-            if values.shape != ts.shape:
+            if values.shape != (2 * n + 1,):
                 raise ValueError(f"{field} needs {n + 1} node and {n} midpoint values")
             bad = ~(np.isfinite(values) & (values >= 0.0))
             if bad.any():
                 i = int(np.argmax(bad))
+                t = _sample_times(self.grid)[i]
                 raise ValueError(
-                    f"{name} is {float(values[i])!r} at t={ts[i]:.6g}; "
+                    f"{name} is {float(values[i])!r} at t={t:.6g}; "
                     "rates must be finite and >= 0"
                 )
             values.setflags(write=False)
@@ -218,12 +218,6 @@ def _half_steps(nodes: np.ndarray) -> np.ndarray:
     return rows.T
 
 
-def _on_total(rp: np.ndarray, total: float) -> np.ndarray:
-    """(R, P) rows as (R, C, P) rows, with C = total - R - P."""
-    R, P = rp[..., 0], rp[..., 1]
-    return np.stack((R, total - R - P, P), axis=-1)
-
-
 def _step_coefficients(rows, params: ModelParams, n0: float) -> tuple:
     """A (sub-)step's ``_rk4_steps`` coefficient tuple from its (u1, u2, beta,
     gamma) rows at its start, midpoint and end."""
@@ -264,35 +258,37 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
     under us, the ``_half_steps`` controls on rates.grid.  No input is checked;
     every step is, after the loop, and the first bad one raises IntegrationError.
     Each step of layout (none by default) runs as its two sub-steps, and the
-    pass fills layout.taus.
+    pass fills layout.taus.  The node table is built once: row 0 from x0, then
+    the loop's R and P columns, and C = (N - R) - P.
     """
     grid = rates.grid
     h = grid.h
-    start = np.array([(x0.R, x0.C, x0.P)])
-    (R, _, P), N = start[0].tolist(), n0
+    values = np.empty((grid.n + 1, 3))
+    values[0] = x0.R, x0.C, x0.P
+    (R, _, P), N = values[0].tolist(), n0
+    Rs, Ps, at = [], [], 0
     with np.errstate(over="ignore", invalid="ignore"):
         a, b, c, e, g, k, f = flow_coefficients(*us.T, rates.beta, rates.gamma, params, N, N)
-    # step i reads coefficient rows 2i, 2i+1 and 2i+2
-    series = [col.tolist() for col in (a, b, e, g, k, f)]
-    steps = zip(*(col[j::2] for col in series for j in (0, 1, 2)))
-    Rs, Ps, at = [], [], 0
-    if layout is not None:
-        taus = layout.taus
-        taus.clear()
-        for (i, *_), (ha, hb), rows in zip(layout.splits, layout.widths, layout.rows):
-            R, P = _rk4_steps(R, P, c, h, islice(steps, i - at), Rs, Ps)
-            next(steps)  # step i taken whole
-            first, second = (_step_coefficients(half, params, N)
-                             for half in (rows[:3], rows[3:]))
-            taus.append(_rk4_steps(R, P, c, ha, (first,), [], []))
-            R, P = _rk4_steps(*taus[-1], c, hb, (second,), Rs, Ps)
-            at = i + 1
-    _rk4_steps(R, P, c, h, steps, Rs, Ps)
-    # float arithmetic does not raise, so every step is checked here; with N
-    # finite, this passes exactly the finite states with no component below
-    # -NONNEG_TOLERANCE
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.concatenate((start, _on_total(np.array((Rs, Ps)).T, N)))
+        # step i reads coefficient rows 2i, 2i+1 and 2i+2
+        series = [col.tolist() for col in (a, b, e, g, k, f)]
+        steps = zip(*(col[j::2] for col in series for j in (0, 1, 2)))
+        if layout is not None:
+            taus = layout.taus
+            taus.clear()
+            for (i, *_), (ha, hb), rows in zip(layout.splits, layout.widths, layout.rows):
+                R, P = _rk4_steps(R, P, c, h, islice(steps, i - at), Rs, Ps)
+                next(steps)  # step i taken whole
+                first, second = (_step_coefficients(half, params, N)
+                                 for half in (rows[:3], rows[3:]))
+                taus.append(_rk4_steps(R, P, c, ha, (first,), [], []))
+                R, P = _rk4_steps(*taus[-1], c, hb, (second,), Rs, Ps)
+                at = i + 1
+        _rk4_steps(R, P, c, h, steps, Rs, Ps)
+        values[1:, 0], values[1:, 2] = Rs, Ps
+        np.subtract(N - values[1:, 0], values[1:, 2], out=values[1:, 1])
+        # float arithmetic does not raise, so every step is checked here; with
+        # N finite, this passes exactly the finite states with no component
+        # below -NONNEG_TOLERANCE
         above = values[1:] >= -NONNEG_TOLERANCE
     if not above.all():  # a flat check first: the row search is slow
         i = 1 + int(np.argmax(~above.all(axis=1)))
@@ -345,7 +341,9 @@ def rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams,
 def _rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams, rates: GridRates,
                 N: float, layout: SplitLayout | None) -> tuple:
     """``rk4_stages`` on N and the layout of u's junction steps that the
-    forward pass to x filled in; nothing is checked."""
+    forward pass to x filled in; nothing is checked.  The (4, m, 3) state
+    table is built once: each stage's R and P columns, then C = (N - R) - P
+    on all four, then x's nodes over stage 1 of the n whole steps."""
     grid = x.grid
     n, h = grid.n, grid.h
     xs = x.values[:-1]
@@ -357,11 +355,12 @@ def _rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams, rates: GridR
     rows = np.array([[0], [1], [1], [2]]) + 2 * cols
     controls = _half_steps(u.values)[rows]
     betas, gammas = rates.beta[rows], rates.gamma[rows]
-    stages = np.empty((4, m, 2))
-    stages[0, :n] = xs[:, 0::2]
+    states = np.empty((4, m, 3))
+    R, C, P = states.transpose(2, 0, 1)  # (4, m) views
+    R[0, :n], P[0, :n] = xs[:, 0], xs[:, 2]
     widths, span = np.ones(m), h
     if steps:
-        stages[0, n:] = layout.taus
+        R[0, n:], P[0, n:] = zip(*layout.taus)
         # the stage rows of every first sub-step, then of every second one
         at = steps + list(range(n, m))
         sub = np.array(layout.rows)[:, [[0, 1, 1, 2], [3, 4, 4, 5]]].transpose(2, 1, 0, 3)
@@ -369,12 +368,12 @@ def _rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams, rates: GridR
         controls[:, at], betas[:, at], gammas[:, at] = sub[..., :2], sub[..., 2], sub[..., 3]
         thetas = np.array([split[2] for split in layout.splits])
         widths[steps], widths[n:] = thetas, 1.0 - thetas
-        span = np.full((m, 1), h)
-        span[steps, 0], span[n:, 0] = zip(*layout.widths)
+        span = np.full(m, h)
+        span[steps], span[n:] = zip(*layout.widths)
     for k, reach in enumerate((0.5 * span, 0.5 * span, span)):
-        slope = rhs_terms(*stages[k].T, *controls[k].T, betas[k], gammas[k], params, N, N)
-        stages[k + 1] = stages[0] + reach * np.column_stack(slope)
-    states = _on_total(stages, N)
+        dR, dP = rhs_terms(R[k], P[k], *controls[k].T, betas[k], gammas[k], params, N, N)
+        R[k + 1], P[k + 1] = R[0] + reach * dR, P[0] + reach * dP
+    np.subtract(N - R, P, out=C)
     states[0, :n] = xs
     return states, controls, widths
 
@@ -384,12 +383,28 @@ def _step_maps(start: np.ndarray, mid: np.ndarray, end: np.ndarray, h) -> np.nda
     at each step's start, midpoint and end: (p_start, 1) = M @ (p_end, 1).
 
     h is one width, or an array of them that broadcasts against the maps.
+    With K1 = end, K2 = mid - (h/2) mid K1, K3 = mid - (h/2) mid K2 and
+    K4 = start - h start K3, M = I - (h/6)(K1 + 2(K2 + K3) + K4), computed in
+    the buffers of the three matrix products: a - s*b is a + (-s)*b, bit for
+    bit, since negation is exact.
     """
-    K1 = end
-    K2 = mid - (0.5 * h) * (mid @ K1)
-    K3 = mid - (0.5 * h) * (mid @ K2)
-    K4 = start - h * (start @ K3)
-    return _EYE4 - (h / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
+    half = -(0.5 * h)
+    K2 = mid @ end
+    K2 *= half
+    K2 += mid
+    K3 = mid @ K2
+    K3 *= half
+    K3 += mid
+    K4 = start @ K3
+    K4 *= -h
+    K4 += start
+    K2 += K3
+    K2 *= 2.0
+    K2 += end
+    K2 += K4
+    K2 *= -(h / 6.0)
+    K2 += _EYE4
+    return K2
 
 
 def _suffix_products(maps: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -407,7 +422,7 @@ def _suffix_products(maps: np.ndarray, top: np.ndarray) -> np.ndarray:
     chunks = chunks.reshape(-1, size, 4, 4)
     for j in range(size - 2, -1, -1):
         chunks[:, j] = chunks[:, j] @ chunks[:, j + 1]
-    tops = [np.append(top, 1.0)]
+    tops = [np.array((*top.tolist(), 1.0))]
     for chunk in chunks[:0:-1]:
         tops.append(chunk[0] @ tops[-1])
     rows = chunks[:, :, :3] @ np.array(tops[::-1])[:, None, :, None]

@@ -236,7 +236,8 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
         u = u_work
         x, p, layout = _integrate(scenario, u, rates, iteration, last, split)
         u_law, flags = _law_on_grid(scenario, x, p, u, settings.eps_singular)
-        u_work = weight * u_law + (1.0 - weight) * u
+        # at weight 1 the blend is u_law bit for bit: no law holds -0.0
+        u_work = u_law if weight == 1.0 else weight * u_law + (1.0 - weight) * u
         series[:3], series[3:6], series[6:] = x.T, p.T, u_work.T
         history.append(_residual(prev, series))
         if history[-1] <= settings.tol_delta:

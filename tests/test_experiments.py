@@ -243,6 +243,16 @@ def test_tf_cells_keep_the_step_size():
     assert run_sweep(spec, FAST_SETTINGS) == expected
 
 
+def test_tf_cell_at_the_base_horizon_solves_the_base():
+    # scenario1 weighs the state cost 1, not 1/t_f: the cell scales that weight
+    base = preset_scenario("scenario1")
+    settings = SweepSettings(n=175)
+    spec = SweepSpec(parameter="tf", values=(base.t_f,), base=base,
+                     strategies=(StrategyKind.OPTIMAL,))
+    (row,) = run_sweep(spec, settings).rows
+    assert row.cost.hex() == solve(base, settings).cost.hex()
+
+
 def test_failed_cells_are_recorded_not_raised():
     wild = Scenario(
         params=COMPARISON.params,

@@ -741,6 +741,27 @@ def test_blocked_backward_matches_scalar_rk4(n, index):
     assert np.all(err <= 1e-12 * np.abs(ref).max(axis=0))
 
 
+def _textbook_step_maps(start, mid, end, h):
+    """RK4 step maps composed out of place, one new array per operation."""
+    K1 = end
+    K2 = mid - (0.5 * h) * (mid @ K1)
+    K3 = mid - (0.5 * h) * (mid @ K2)
+    K4 = start - h * (start @ K3)
+    return np.eye(4) - (h / 6.0) * (K1 + 2.0 * (K2 + K3) + K4)
+
+
+@pytest.mark.parametrize("m", [1, 21, 175, 1024])
+def test_step_maps_equal_the_textbook_composition(m):
+    rng = np.random.default_rng(m)
+    S = rng.uniform(-3.0, 3.0, (2 * m + 1, 4, 4))
+    S[:, 3] = 0.0  # (dp/dt, 0): the last row of every system is zero
+    start, mid, end = S[0:-1:2], S[1::2], S[2::2]
+    # one width, or a width per step as on a block with split steps
+    for h in (7.0 / 175, rng.uniform(0.0, 0.08, (m, 1, 1))):
+        maps = integrator._step_maps(start, mid, end, h)
+        assert maps.tobytes() == _textbook_step_maps(start, mid, end, h).tobytes()
+
+
 @pytest.mark.parametrize("n", [200, 1400, 2800])
 def test_nonfinite_adjoint_aborts_at_the_highest_bad_node(n):
     grid = TimeGrid(0.0, 7.0, n)
