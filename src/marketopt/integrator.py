@@ -13,8 +13,9 @@ second order.
 A step that holds a kink of a clamped control (a junction) or a jump of a
 bang-bang one (a switch) runs as two RK4 sub-steps, on [t_i, tau] and
 [tau, t_{i+1}]; any other step, and so any pass with no split, is unchanged,
-bit for bit.  Every fine forward pass and the cost split the junctions (the
-sweep's coarse l2 level passes no layout); the switch sweep splits its
+bit for bit.  The cost and every fine forward pass split the junctions, but
+for the sweep's seed passes, which pass no layout: the coarse l2 level's and
+the fine sweep's first (see ``solver``); the switch sweep splits its
 switches, in both passes.  Each control table's split steps are laid out
 once (``junctions.split_layout``): the forward pass runs their sub-steps on
 the layout's rows (``_step_coefficients``) and leaves the state at each tau

@@ -17,7 +17,12 @@ controls unchanged bit for bit reuses the one before whole (``_integrate``),
 so a converged bang-bang sweep ends on a repeat with residual 0.0; any other
 pass runs whole from x0.  A fine pass carries its table's one layout of
 split steps (``junctions.split_layout``), which the cost and
-``SolveResult.junctions`` read off the final pass.
+``SolveResult.junctions`` read off the final pass; but the fine sweep's first
+pass, whose residual is taken against zero, only seeds the sweep, so it runs
+on whole steps, as the coarse l2 level does.  A whole-step pass stands in for
+a split one only if its controls hold no junction, so the returned state,
+adjoint and cost always come from a split pass, and so does the returned law
+unless the sweep stops after one iteration (max_iters 1, or tol_delta >= 1).
 
 Both objectives first sweep the same scenario on a coarse grid, on rates
 interpolated from the fine table.  l2 runs the l2 sweep on a grid COARSENING
@@ -203,12 +208,16 @@ def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: i
     """State and adjoint tables under u, and u's junction layout (None unless
     split): those of last, an earlier pass's (u, x, p, layout), if u is
     unchanged bit for bit (int64 views are compared, so a signed zero counts
-    as a change), else those of a whole new pass; an IntegrationError diverges
-    the sweep."""
-    if last is not None and np.array_equal(last[0].view(np.int64), u.view(np.int64)):
+    as a change) and, if split, last carries a layout or u holds no junction;
+    else those of a whole new pass.  An IntegrationError diverges the sweep."""
+    params, n0 = scenario.params, scenario.n0
+    same = last is not None and np.array_equal(last[0].view(np.int64), u.view(np.int64))
+    if same and (not split or last[3] is not None):
         return last[1:]
-    params, n0, us = scenario.params, scenario.n0, _half_steps(u)
     layout = junction_layout(u, rates, params) if split else None
+    if same and layout is None:
+        return last[1:]
+    us = _half_steps(u)
     try:
         x = forward_table(scenario.x0, n0, us, params, rates, layout)
         p = backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
@@ -223,7 +232,8 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
     """Iterate on the grid of rates from the controls u_work until the residual,
     taken first against a zero iterate, meets tol_delta or max_iters runs out
     (an iteration under unchanged controls runs no pass: see ``_integrate``).
-    Each pass splits its junction steps only if split.
+    Each pass but the first splits its junction steps if split; the first
+    only seeds the sweep (see the module notes).
 
     Returns the law on the last iterate, every residual, the weight in force,
     the l1 singular flags, and the last iteration's pass: the controls u it
@@ -234,7 +244,7 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
     weight, last = settings.relaxation, None
     for iteration in range(1, settings.max_iters + 1):
         u = u_work
-        x, p, layout = _integrate(scenario, u, rates, iteration, last, split)
+        x, p, layout = _integrate(scenario, u, rates, iteration, last, split and iteration > 1)
         u_law, flags = _law_on_grid(scenario, x, p, u, settings.eps_singular)
         # at weight 1 the blend is u_law bit for bit: no law holds -0.0
         u_work = u_law if weight == 1.0 else weight * u_law + (1.0 - weight) * u

@@ -791,18 +791,27 @@ def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
     layouts = calls.pop("split_layout")
     assert calls == {}
     # each forward pass runs on a new table: a coarse (n=21) one carries no
-    # layout, a fine one the layout of its junctions, and the backward pass
-    # never splits one
-    fine = [args for args in passes["forward"] if len(args[2]) == 2 * 175 + 1]
-    coarse = [args for args in passes["forward"] if len(args[2]) == 2 * 21 + 1]
-    assert fine and coarse and len(fine) + len(coarse) == len(passes["forward"])
-    assert all(args[5] is None for args in coarse)
-    junction_lists = [junction_steps(args[2][0::2], args[3]) for args in fine]
-    for args, splits in zip(fine, junction_lists):
+    # layout, nor does the first fine one of each solve, which only seeds the
+    # sweep; every later fine one carries the layout of its junctions, and the
+    # backward pass never splits one
+    forward, fine = passes["forward"], 2 * 175 + 1
+    sizes = [len(args[2]) for args in forward]
+    assert set(sizes) == {2 * 21 + 1, fine}
+    assert all(args[5] is None for args, size in zip(forward, sizes) if size < fine)
+    # a solve's first fine pass is the one right after its last coarse pass
+    steps = list(zip(forward, sizes[:1] + sizes, sizes))
+    seeds = [args for args, before, size in steps if before < size]
+    later = [args for args, before, size in steps if before == size == fine]
+    assert len(seeds) == len(L2_PRESETS) + 2 and all(args[5] is None for args in seeds)
+    # though the seeds of scenario1-3 hold junctions, and the others none
+    held = [bool(junction_steps(args[2][0::2], args[3])) for args in seeds]
+    assert held == [name != "comparison-default" for name in L2_PRESETS] + [False, False]
+    junction_lists = [junction_steps(args[2][0::2], args[3]) for args in later]
+    for args, splits in zip(later, junction_lists):
         assert args[5] is None if not splits else args[5].splits == splits
     assert all(len(args) == 7 for args in passes["backward"])
-    # so every clamped table is laid out once: the cost and result.junctions
-    # reuse the final pass's layout
+    # so every later clamped table is laid out once: the cost and
+    # result.junctions reuse the final pass's layout
     assert layouts == sum(1 for splits in junction_lists if splits) > 0
     for kind in passes:
         passes[kind].clear()
@@ -848,6 +857,22 @@ def test_the_coarse_l2_level_lays_out_no_junctions(scenario, settings, monkeypat
     splits = junction_steps(result.controls.values, scenario.params)
     assert splits
     assert result.junctions == tuple((c, (i + theta) * h) for i, c, theta, _ in splits)
+
+
+def test_a_seed_pass_is_never_returned_unsplit(monkeypatch):
+    # a law that repeats its controls: the fine sweep's second pass runs under
+    # its seed's controls, which hold junctions, so the seed's whole-step pass
+    # must not stand in for it
+    monkeypatch.setattr(solver, "_law_on_grid", lambda sc, x, p, u, eps: (u, None))
+    sc, settings = preset_scenario("scenario1"), SweepSettings(n=175)
+    result = solve(sc, settings)
+    h = settings.grid_for(sc).h
+    splits = junction_steps(result.controls.values, sc.params)
+    assert splits
+    assert result.junctions == tuple((c, (i + theta) * h) for i, c, theta, _ in splits)
+    x = rk4_forward(sc.x0, result.controls, sc.params, result.rates)
+    assert result.state.values.tobytes() == x.values.tobytes()
+    assert result.cost == evaluate_cost(sc, x, result.controls, result.rates)
 
 
 # The coarse iterations of the default solves before the coarse l2 level
