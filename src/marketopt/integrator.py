@@ -13,13 +13,12 @@ second order.
 A step that holds a kink of a clamped control (a junction) or a jump of a
 bang-bang one (a switch) runs as two RK4 sub-steps, on [t_i, tau] and
 [tau, t_{i+1}]; any other step, and so any pass with no split, is unchanged,
-bit for bit.  The cost and every fine forward pass split the junctions, but
-for the sweep's seed passes, which pass no layout: the coarse l2 level's and
-the fine sweep's first (see ``solver``); the switch sweep splits its
-switches, in both passes.  Each control table's split steps are laid out
-once (``junctions.split_layout``): the forward pass runs their sub-steps on
-the layout's rows (``_step_coefficients``) and leaves the state at each tau
-in the layout, where the backward pass and the cost read it.
+bit for bit.  The forward pass and the cost split the steps a control table
+declares (``ControlGrid.splits``); only the switch sweep's backward pass
+splits any.  Each table's split steps are laid out once
+(``junctions.split_layout``): the forward pass runs their sub-steps on the
+layout's rows (``_step_coefficients``) and leaves the state at each tau in
+the layout, where the backward pass and the cost read it.
 
 The forward pass carries only R and P, with C = N - R - P on the conserved
 total N of x0, through ``_rk4_steps``, the one inline copy of
@@ -40,7 +39,7 @@ from itertools import islice
 
 import numpy as np
 
-from .junctions import SplitLayout, junction_layout
+from .junctions import SplitLayout, split_layout
 from .model import (ModelParams, RateCallable, State, Weights, _require_count,
                     _require_total, flow_coefficients, rhs_terms)
 from .pmp import Costate, costate_system
@@ -125,16 +124,32 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class ControlGrid:
-    """A (u1, u2) pair at every grid node; the sweep solver's unknown."""
+    """A (u1, u2) pair at every grid node; the sweep solver's unknown.
+
+    splits holds (i, c, theta, bound), in rising step order, for each step i
+    in which control c kinks on bound (a junction) or, if bound is None, jumps
+    (a switch) at tau = t_i + theta*h; by default none, so every step is whole.
+    """
 
     grid: TimeGrid
     values: np.ndarray
+    splits: tuple = ()
 
     def __post_init__(self) -> None:
         values = _node_table(self.values, self.grid, 2, "control")
         if values.min() < 0.0:
             raise ValueError("control values must be >= 0")
         object.__setattr__(self, "values", values)
+        splits, at = tuple(map(tuple, self.splits)), -1
+        for split in splits:
+            i, c, theta, bound = split
+            _require_count("split step", i)
+            if not (at < i < self.grid.n and c in (0, 1) and 0.0 < theta < 1.0
+                    and (bound is None or 0.0 <= bound < math.inf)):
+                raise ValueError(f"split {split} needs steps rising in 0..{self.grid.n - 1}, "
+                                 "control 0 or 1, theta in (0, 1), bound None or >= 0")
+            at = i
+        object.__setattr__(self, "splits", splits)
 
 
 def zero_controls(grid: TimeGrid) -> ControlGrid:
@@ -306,11 +321,11 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
 def rk4_forward(x0: State, u: ControlGrid, params: ModelParams,
                 rates: GridRates) -> Trajectory:
     """Integrate the state system over u.grid from x0, whose total R + C + P
-    is n0, splitting each step of u that holds a junction."""
+    is n0, splitting the steps that u declares."""
     if rates.grid != u.grid:
         raise ValueError("controls and rates must share one grid")
     n0 = _require_total(x0)
-    layout = junction_layout(u.values, rates, params)
+    layout = split_layout(u.splits, u.values, rates)
     values = forward_table(x0, n0, _half_steps(u.values), params, rates, layout)
     return Trajectory(u.grid, values)
 
@@ -323,17 +338,17 @@ def rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams,
     (m,): states[k, i] and controls[k, i] are where stage k+1 of step i
     evaluates ``model.rhs_terms``: node i, the two midpoint predictions, then
     the end-point prediction, under u_i, the midpoint average twice, then
-    u_{i+1}; widths[i] is the step's width as a fraction of h.  A step that
-    holds a junction (see ``junctions``) is two sub-steps: the first takes the
-    step's place, and the second ones follow the n steps, in step order, so m
-    is n plus the number of those steps.  A second sub-step starts where the
-    forward pass lands the first.  The total of x's first node is n0 and N.
+    u_{i+1}; widths[i] is the step's width as a fraction of h.  A step that u
+    splits is two sub-steps: the first takes the step's place, and the second
+    ones follow the n steps, in step order, so m is n plus the number of
+    splits.  A second sub-step starts where the forward pass lands the first.
+    The total of x's first node is n0 and N.
     """
     if not x.grid == u.grid == rates.grid:
         raise ValueError("state, controls and rates must share one grid")
     x0 = State(*x.values[0].tolist())
     n0 = _require_total(x0)
-    layout = junction_layout(u.values, rates, params)
+    layout = split_layout(u.splits, u.values, rates)
     if layout is not None:  # x is the forward pass of u: running it again lands the taus
         forward_table(x0, n0, _half_steps(u.values), params, rates, layout)
     return _rk4_stages(x, u, params, rates, n0, layout)
@@ -341,8 +356,8 @@ def rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams,
 
 def _rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams, rates: GridRates,
                 N: float, layout: SplitLayout | None) -> tuple:
-    """``rk4_stages`` on N and the layout of u's junction steps that the
-    forward pass to x filled in; nothing is checked.  The (4, m, 3) state
+    """``rk4_stages`` on N and the layout of u's splits that the forward pass
+    to x filled in; nothing is checked.  The (4, m, 3) state
     table is built once: each stage's R and P columns, then C = (N - R) - P
     on all four, then x's nodes over stage 1 of the n whole steps."""
     grid = x.grid
@@ -504,6 +519,7 @@ def rk4_backward(p_terminal: Costate, x: Trajectory, u: ControlGrid,
 
     The final node equals p_terminal exactly, and the model's n0 is the total
     of x's first node, which on a trajectory from ``rk4_forward`` is x0's.
+    Every step runs whole, whatever u splits.
     """
     if not x.grid == u.grid == rates.grid:
         raise ValueError("state, controls and rates must share one grid")

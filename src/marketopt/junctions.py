@@ -1,18 +1,19 @@
-"""The junction and switch rules: where a control's kink or jump lies between nodes.
+"""The split rule: where a control's kink or jump lies between nodes.
 
-The l2 law clamps each control to exactly 0.0 or its cap, so the control has a
-kink wherever the unclamped law crosses a bound, and an RK4 step that holds
-the kink is only second-order accurate.  ``junction_steps`` finds those steps
-and their junction times tau from the node controls alone; step i reads nodes
-i+1-REACH .. i+REACH (i-3 .. i+4).  Bang-bang controls have no free arc and
-unclamped ones no bound arc, so neither has a junction; the terminal touch
-u(t_f) = 0 is a one-node arc.
+An RK4 step that holds a kink or a jump of a control loses RK4's fourth
+order.  Both come from a value g of the law that changes sign inside the
+step, and one rule locates them: where g takes strictly opposite signs at
+the two nodes of step i, the crossing time tau = t_i + theta*h is the root
+over the step of the cubic through g at the 4 nodes nearest it, i-1 .. i+2
+(or the 4 nodes at that end of the grid: ``_crossing``).
 
-A bang-bang control jumps where its switching value phi changes sign.
-``switch_steps`` finds the steps whose nodes take opposite sides and puts the
-switch time tau at the root of the cubic through phi at the 4 nearest nodes.
-The l1 sweep of ``solver`` runs on such splits on a coarse grid, so its switch
-times move continuously with the iterate instead of by whole nodes.
+The l2 law clamps each control's stationary value w to [0, cap], so the
+control kinks wherever w crosses a bound: ``junction_splits`` takes g as
+w - bound.  A control that meets a bound only at a node, as u(t_f) = 0 does
+where w is 0.0 exactly, has no junction.  A bang-bang control jumps where its
+switching value phi changes sign: ``switch_steps`` takes g as phi.  The l1
+sweep of ``solver`` runs on such splits on a coarse grid, so its switch times
+move continuously with the iterate instead of by whole nodes.
 
 ``split_layout`` lays out the two RK4 sub-steps, on [t_i, tau] and
 [tau, t_{i+1}], of every split step of a control table, once per table: the
@@ -28,12 +29,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ModelParams
-
 if TYPE_CHECKING:
     from .integrator import GridRates
-
-REACH = 4  # step i reads nodes i+1-REACH .. i+REACH
 
 
 def _cubic(g0: float, g1: float, g2: float, g3: float) -> tuple:
@@ -69,51 +66,39 @@ def _root(g0: float, c1: float, c2: float, c3: float, lo: float, below: float,
     return s
 
 
-def junction_steps(nodes: np.ndarray, params: ModelParams) -> list[tuple]:
-    """(i, c, theta, bound) for every step i that holds a junction of control c
-    at tau = t_i + theta*h, in step order.
+def _crossing(g: np.ndarray, i: int) -> float:
+    """theta of the root over step i of the cubic through the column g at
+    the 4 nodes nearest the step; g[i] and g[i + 1] have opposite signs."""
+    first = min(max(i - 1, 0), len(g) - 4)
+    f = g[first:first + 4].tolist()
+    # ``_cubic`` from node first+3, so step i is s - lo in (0, 1)
+    j, lo = i - first, float(i - first - 3)
+    return _root(f[3], *_cubic(f[3], f[2], f[1], f[0]), lo, f[j], f[j + 1]) - lo
 
-    Step i holds one when one of its nodes sits exactly on a bound of c, on an
-    arc of at least 2 such nodes, and the other is strictly inside, as are the
-    3 free-side nodes beyond it; theta is then where the cubic through those 4
-    free values meets the bound, if the cubic crosses it over the step.  So
-    step i reads nodes i+1-REACH .. i+REACH.  A step with two junctions keeps
-    the earlier one.
+
+def junction_splits(w: np.ndarray, bounds: tuple) -> tuple:
+    """(i, c, theta, bound) for every step i over which the stationary value
+    w of control c crosses its bound 0.0 or bounds[c], at tau = t_i + theta*h,
+    in step order; none if the grid has under 3 intervals.
+
+    A step with two crossings keeps the earlier one, and a root that rounds
+    onto a node (theta not inside (0, 1)) is no junction.  Only a column that
+    lies on both sides of a bound is searched.
     """
-    bounds = (params.u1_max, params.u2_max)
-    inside = (nodes > 0.0) & (nodes < bounds)
-    if not inside.any():  # bang-bang: no free arc
-        return []
-    last = len(nodes) - 1
     found: dict[int, tuple] = {}
-    for flat in np.flatnonzero(inside[:-1] != inside[1:]).tolist():
-        i, c = divmod(flat, 2)
-        if not 1 <= i <= last - 2:
-            continue
-        w = nodes[max(i + 1 - REACH, 0):i + 1 + REACH, c].tolist()  # or fewer at the ends
-        j, top = min(i, REACH - 1), bounds[c]  # node i is w[j]
-        right = 0.0 < w[j] < top  # clamped from node i+1 on, else up to node i
-        if right and j == REACH - 1:  # free nodes i, i-1, i-2, i-3
-            beyond, bound, free = w[j + 2], w[j + 1], w[j::-1]
-        elif not right and j + REACH < len(w):  # free nodes i+1 .. i+4
-            beyond, bound, free = w[j - 1], w[j], w[j + 1:j + 1 + REACH]
-        else:
-            continue
-        f0, f1, f2, f3 = free
-        if not (beyond == bound and (bound == 0.0 or bound == top) and 0.0 < f0 < top
-                and 0.0 < f1 < top and 0.0 < f2 < top and 0.0 < f3 < top):
-            continue
-        # the cubic through the free values, from the step's free node on
-        g0 = f0 - bound
-        c1, c2, c3 = _cubic(g0, f1 - bound, f2 - bound, f3 - bound)
-        at_one = g0 + c1 + c2 + c3
-        if at_one == 0.0 or (at_one < 0.0) == (g0 < 0.0):  # no crossing over the step
-            continue
-        sigma = _root(g0, c1, c2, c3, 0.0, g0, at_one)
-        theta = sigma if right else 1.0 - sigma
-        if i not in found or theta < found[i][2]:
-            found[i] = (i, c, theta, bound)
-    return [found[i] for i in sorted(found)]
+    for c in (0, 1):
+        column = w[:, c]  # by columns: 10-20x faster than over axis 0
+        low, high = column.min(), column.max()
+        for bound in (0.0, bounds[c]):
+            if len(w) < 4 or not low < bound < high:
+                continue
+            g = column - bound
+            sides = np.sign(g)
+            for i in np.flatnonzero(sides[:-1] * sides[1:] < 0.0).tolist():
+                theta = _crossing(g, i)
+                if 0.0 < theta < 1.0 and (i not in found or theta < found[i][2]):
+                    found[i] = (i, c, theta, bound)
+    return tuple(found[i] for i in sorted(found))
 
 
 def _quintic_weights(x: float) -> tuple:
@@ -128,27 +113,18 @@ def switch_steps(phi: np.ndarray, u: np.ndarray) -> list[tuple] | None:
     """(i, c, theta, None) for every step i over which the bang-bang control c
     switches, at tau = t_i + theta*h, in step order, from the node switching
     values phi and the law u on them; None if a step holds two switches or the
-    grid has under 3 intervals.
-
-    No node of phi may lie in the law's deadband, so phi_c has opposite signs
-    at the two nodes of step i, and tau is the root over the step of the cubic
-    through phi_c at nodes i-1 .. i+2 (or the 4 nodes at that end of the grid).
+    grid has under 3 intervals.  No node of phi may lie in the law's deadband,
+    so phi_c has opposite signs at the two nodes of step i.
     """
     last = len(phi) - 1
     changed = u[:-1] != u[1:]
     steps = np.flatnonzero(changed.any(axis=1)).tolist()
     if last < 3 or changed[steps].all(axis=1).any():
         return None
-    columns = phi.T.tolist()
     found = []
     for i in steps:
         c = int(changed[i, 1])
-        first = min(max(i - 1, 0), last - 3)
-        f0, f1, f2, f3 = columns[c][first:first + 4]
-        # ``_cubic`` from node first+3, so step i is s - lo in (0, 1)
-        lo = float(i - first - 3)
-        s = _root(f3, *_cubic(f3, f2, f1, f0), lo, columns[c][i], columns[c][i + 1])
-        found.append((i, c, s - lo, None))
+        found.append((i, c, _crossing(phi[:, c], i), None))
     return found
 
 
@@ -159,17 +135,19 @@ def switch_steps(phi: np.ndarray, u: np.ndarray) -> list[tuple] | None:
 SplitLayout = namedtuple("SplitLayout", "splits widths rows taus")
 
 
-def split_layout(splits: list[tuple], nodes: np.ndarray, rates: GridRates) -> SplitLayout:
+def split_layout(splits, nodes: np.ndarray, rates: GridRates) -> SplitLayout | None:
     """The layout of splits, each step i of the node controls that holds a
     junction, or a switch if the split's bound is None, as two RK4 sub-steps
-    on [t_i, tau] and [tau, t_{i+1}].
+    on [t_i, tau] and [tau, t_{i+1}]; None if there are no splits.
 
     Each midpoint control of a junction's sub-steps is the average of its
     ends, and both read one row at tau; across a switch each sub-step holds
     its side's node controls.  The rates at the three new times come from the
     quintic through the 6 nearest half-step rows, among rows 2i-2 .. 2i+4 (or
-    the 7 rows at an end of the grid, which only a switch reaches), floored at 0.
+    the 7 rows at an end of the grid), floored at 0.
     """
+    if not splits:
+        return None
     layout = SplitLayout(splits, [], [], [])
     h = rates.grid.h
     for i, c, theta, bound in splits:
@@ -196,10 +174,3 @@ def split_layout(splits: list[tuple], nodes: np.ndarray, rates: GridRates) -> Sp
         layout.widths.append((theta * h, h - theta * h))
         layout.rows.append(rows[:3] + rows[-3:])
     return layout
-
-
-def junction_layout(nodes: np.ndarray, rates: GridRates,
-                    params: ModelParams) -> SplitLayout | None:
-    """The layout of the node controls' junction steps, or None if there are none."""
-    splits = junction_steps(nodes, params)
-    return split_layout(splits, nodes, rates) if splits else None

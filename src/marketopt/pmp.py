@@ -28,7 +28,8 @@ point.  Likewise each pointwise law is one validation-free kernel:
 ``l2_law_terms`` on scalars or node columns, ``switching_table`` and the l1
 law ``bang_bang_terms`` on node tables; the first two have validating
 per-node wrappers.  The sweep reads the l2 law off whole tables instead
-(``l2_law_table``), also one constant-matrix product.
+(``l2_law_table``), also one constant-matrix product, with the unclamped
+values whose bound crossings are the clamp junctions.
 """
 
 from __future__ import annotations
@@ -161,14 +162,15 @@ def _gap_coefficients(params: ModelParams) -> np.ndarray:
 
 
 def l2_law_table(x: np.ndarray, p: np.ndarray, params: ModelParams, weights: Weights,
-                 n0: float) -> np.ndarray:
+                 n0: float) -> tuple[np.ndarray, np.ndarray]:
     """``l2_law_terms`` on (n+1, 3) state and adjoint tables: the (n+1, 2)
-    control table, with both gaps read off one product p @ G; no validation."""
+    control table, and the unclamped stationary table w that it clamps, with
+    both gaps read off one product p @ G; no validation."""
     R, P = x[:, 0], x[:, 2]
-    u = p @ _gap_coefficients(params)
-    u[:, 0] *= P / (2.0 * weights.kappa2)
-    u[:, 1] *= P * R / (2.0 * weights.kappa3 * n0)
-    return _clamp(u, (params.u1_max, params.u2_max))
+    w = p @ _gap_coefficients(params)
+    w[:, 0] *= P / (2.0 * weights.kappa2)
+    w[:, 1] *= P * R / (2.0 * weights.kappa3 * n0)
+    return _clamp(w, (params.u1_max, params.u2_max)), w
 
 
 def switching_table(x: np.ndarray, p: np.ndarray, params: ModelParams, weights: Weights,

@@ -12,25 +12,27 @@ residual is taken against a zero iterate).  That happens at most once: a
 weight that kept halving would freeze the iterates and pass the stopping
 test without a fixed point.  The loop stops as soon as the residual is <=
 tol_delta.  It works on raw node tables and builds the checked
-``Trajectory`` and ``ControlGrid`` once, for the result.  A pass under
-controls unchanged bit for bit reuses the one before whole (``_integrate``),
-so a converged bang-bang sweep ends on a repeat with residual 0.0; any other
-pass runs whole from x0.  A fine pass carries its table's one layout of
-split steps (``junctions.split_layout``), which the cost and
-``SolveResult.junctions`` read off the final pass; but the fine sweep's first
-pass, whose residual is taken against zero, only seeds the sweep, so it runs
-on whole steps, as the coarse l2 level does.  A whole-step pass stands in for
-a split one only if its controls hold no junction, so the returned state,
-adjoint and cost always come from a split pass, and so does the returned law
-unless the sweep stops after one iteration (max_iters 1, or tol_delta >= 1).
+``Trajectory`` and ``ControlGrid`` once, for the result.
+
+The fine l2 law returns its node controls and their splits: the steps over
+which its unclamped value crosses a bound (``junctions.junction_splits``).
+Each forward pass splits the steps its controls declare, laid out once per
+table (``junctions.split_layout``), and the cost reads the final pass's
+layout.  A blend of two tables declares the splits of the law in it, so the
+passes split where the law kinks at every weight; the start controls declare
+none, so the fine sweep's first pass, which only seeds it, runs on whole
+steps, as the coarse l2 level does.  A pass under controls and splits both
+unchanged bit for bit reuses the one before whole (``_integrate``), so a
+converged bang-bang sweep ends on a repeat with residual 0.0; any other pass
+runs whole from x0.
 
 Both objectives first sweep the same scenario on a coarse grid, on rates
 interpolated from the fine table.  l2 runs the l2 sweep on a grid COARSENING
-times coarser (n=21 at n=175), with no junction split: it only starts the
-fine sweep, and on every preset and default sweep it takes as many coarse
-and fine iterations as with them.  If it converges, the fine sweep starts
-from the clamp law on the coarse state and adjoint, prolonged to the fine
-nodes (``_prolongation``).  l1 runs the switch sweep on the switch grid
+times coarser (n=21 at n=175), whose law finds no junction: it only starts
+the fine sweep, and on every preset and default sweep it takes as many
+coarse and fine iterations as with them.  If it converges, the fine sweep
+starts from the clamp law on the coarse state and adjoint, prolonged to the
+fine nodes (``_prolongation``).  l1 runs the switch sweep on the switch grid
 (n=43 at t_f = 7, at every fine n): an l1 sweep from zero controls, at
 weight 1, whose steps that hold a switch are split at its time tau
 (``junctions.switch_steps``) in both passes, so tau moves with the iterate,
@@ -43,12 +45,12 @@ or be no coarser than the fine one.  The fine residual is still first taken
 against zero, so at least 2 fine iterations run (at the defaults, 2 on every
 preset; scenario3-l1's answer is the cold start's bit for bit).
 
-The returned controls are the optimality law on the last iterate.  The
-returned state, adjoint and cost are integrated once more under exactly
-those controls (reusing the last pass as above), so they form one consistent
-solution: re-integrating ``result.controls`` reproduces them bit for bit.  The
-law itself holds on the iterate one pass earlier, not exactly on the returned
-pair.
+The returned controls are the optimality law on the last iterate, with its
+splits.  The returned state, adjoint and cost are integrated once more under
+exactly those controls (reusing the last pass as above), so they form one
+consistent solution: re-integrating ``result.controls`` reproduces them bit
+for bit.  The law itself holds on the iterate one pass earlier, not exactly
+on the returned pair.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from .integrator import (
     forward_table,
     sample_rates,
 )
-from .junctions import junction_layout, split_layout, switch_steps
+from .junctions import junction_splits, split_layout, switch_steps
 from .model import _require_count
 # under the name bench/tracer.py times
 from .objectives import _laid_out_cost as evaluate_cost
@@ -150,9 +152,9 @@ class SolveResult:
     iterations of the one coarse sweep (0 if none ran), a diverged one up to
     the iteration at which it diverged: the l2 sweep's for l2, the switch
     sweep's for l1.  The other fields are the fine sweep's.  junctions holds
-    a (control index, tau) pair for every step of the returned controls that
-    the integrator split at a clamp junction tau (none for bang-bang or
-    unclamped controls).
+    a (control index, tau) pair for every clamp junction that the returned
+    controls split (``ControlGrid.splits``; none for bang-bang or unclamped
+    controls).
     """
 
     state: Trajectory
@@ -187,36 +189,32 @@ def _residual(old: np.ndarray, new: np.ndarray) -> float:
     return worst
 
 
-def _law_on_grid(
-    scenario: Scenario,
-    x: np.ndarray,
-    p: np.ndarray,
-    u_prev: np.ndarray,
-    eps_singular: float,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Pointwise optimality law on whole node columns; singular flags for l1."""
+def _law_on_grid(scenario: Scenario, x: np.ndarray, p: np.ndarray, u_prev: np.ndarray,
+                 eps_singular: float, split: bool) -> tuple:
+    """Pointwise optimality law on whole node columns: the control table, its
+    splits (the l2 junctions if split, else none) and the l1 singular flags."""
     params, weights, n0 = scenario.params, scenario.weights, scenario.n0
+    bounds = (params.u1_max, params.u2_max)
     if scenario.objective == "l2":
-        return l2_law_table(x, p, params, weights, n0), None
+        u, w = l2_law_table(x, p, params, weights, n0)
+        return u, junction_splits(w, bounds) if split else (), None
     phi = switching_table(x, p, params, weights, n0)
-    u, singular = bang_bang_terms(phi, (params.u1_max, params.u2_max), u_prev, eps_singular)
-    return u, singular[:, 0] | singular[:, 1]  # faster than any(axis=1)
+    u, singular = bang_bang_terms(phi, bounds, u_prev, eps_singular)
+    return u, (), singular[:, 0] | singular[:, 1]  # faster than any(axis=1)
 
 
 def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: int,
-               last=None, split: bool = True):
-    """State and adjoint tables under u, and u's junction layout (None unless
-    split): those of last, an earlier pass's (u, x, p, layout), if u is
-    unchanged bit for bit (int64 views are compared, so a signed zero counts
-    as a change) and, if split, last carries a layout or u holds no junction;
-    else those of a whole new pass.  An IntegrationError diverges the sweep."""
+               last=None, splits: tuple = ()):
+    """State and adjoint tables under u split at splits, and their layout
+    (None if there are none): those of last, an earlier pass's (u, x, p,
+    layout), if u and splits are both unchanged bit for bit (int64 views of u
+    are compared, so a signed zero counts as a change; no theta is 0.0), else
+    those of a whole new pass.  An IntegrationError diverges the sweep."""
     params, n0 = scenario.params, scenario.n0
-    same = last is not None and np.array_equal(last[0].view(np.int64), u.view(np.int64))
-    if same and (not split or last[3] is not None):
+    if (last is not None and (last[3].splits if last[3] else ()) == splits
+            and np.array_equal(last[0].view(np.int64), u.view(np.int64))):
         return last[1:]
-    layout = junction_layout(u, rates, params) if split else None
-    if same and layout is None:
-        return last[1:]
+    layout = split_layout(splits, u, rates)
     us = _half_steps(u)
     try:
         x = forward_table(scenario.x0, n0, us, params, rates, layout)
@@ -229,23 +227,24 @@ def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: i
 
 def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work,
            split: bool = True):
-    """Iterate on the grid of rates from the controls u_work until the residual,
-    taken first against a zero iterate, meets tol_delta or max_iters runs out
-    (an iteration under unchanged controls runs no pass: see ``_integrate``).
-    Each pass but the first splits its junction steps if split; the first
-    only seeds the sweep (see the module notes).
+    """Iterate on the grid of rates from the controls u_work, which split no
+    step, until the residual, taken first against a zero iterate, meets
+    tol_delta or max_iters runs out (an iteration under unchanged controls and
+    splits runs no pass: see ``_integrate``).  Each later pass splits the
+    junctions of the l2 law that made its controls, blended or not, if split.
 
-    Returns the law on the last iterate, every residual, the weight in force,
-    the l1 singular flags, and the last iteration's pass: the controls u it
-    integrated, with the state x, adjoint p and junction layout under them.
+    Returns the law on the last iterate and its splits, every residual, the
+    weight in force, the l1 singular flags, and the last iteration's pass: the
+    controls u it integrated, with the state x, adjoint p and split layout
+    under them.
     """
     prev, series = np.zeros((2, 8, rates.grid.n + 1))  # rows R, C, P, p1..p3, u1, u2
     history: list[float] = []
-    weight, last = settings.relaxation, None
+    weight, last, splits = settings.relaxation, None, ()
     for iteration in range(1, settings.max_iters + 1):
         u = u_work
-        x, p, layout = _integrate(scenario, u, rates, iteration, last, split and iteration > 1)
-        u_law, flags = _law_on_grid(scenario, x, p, u, settings.eps_singular)
+        x, p, layout = _integrate(scenario, u, rates, iteration, last, splits)
+        u_law, splits, flags = _law_on_grid(scenario, x, p, u, settings.eps_singular, split)
         # at weight 1 the blend is u_law bit for bit: no law holds -0.0
         u_work = u_law if weight == 1.0 else weight * u_law + (1.0 - weight) * u
         series[:3], series[3:6], series[6:] = x.T, p.T, u_work.T
@@ -256,7 +255,7 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
             weight = settings.relaxation / 2.0
         prev, series = series, prev
         last = u, x, p, layout
-    return u_law, history, weight, flags, (u, x, p, layout)
+    return (u_law, splits), history, weight, flags, (u, x, p, layout)
 
 
 def _grew(history: list[float]) -> bool:
@@ -319,7 +318,7 @@ def _switch_sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates)
     for iteration in range(1, settings.max_iters + 1):
         u, splits = law
         us = _half_steps(u)
-        layout = split_layout(splits, u, rates) if splits else None
+        layout = split_layout(splits, u, rates)
         try:
             x = forward_table(scenario.x0, n0, us, params, rates, layout)
             p = backward_table(zero, x, us, params, scenario.weights, rates, n0, layout)
@@ -379,7 +378,8 @@ def _coarse_start(scenario: Scenario, settings: SweepSettings, rates: GridRates)
         return u_cold, len(history)
     indices, weights = _prolongation(coarse.n, grid.n)
     xp = np.einsum("jn,cjn->nc", weights, np.take(np.hstack((x, p)).T, indices, axis=1))
-    u_start = l2_law_table(xp[:, :3], xp[:, 3:], scenario.params, scenario.weights, scenario.n0)
+    u_start, _ = l2_law_table(xp[:, :3], xp[:, 3:], scenario.params, scenario.weights,
+                              scenario.n0)
     return u_start, len(history)
 
 
@@ -388,9 +388,9 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     grid = settings.grid_for(scenario)
     rates = sample_rates(scenario.beta, scenario.gamma, grid)
     u_start, coarse_iterations = _coarse_start(scenario, settings, rates)
-    u_law, history, weight, flags, last = _sweep(scenario, settings, rates, u_start)
-    x, p, layout = _integrate(scenario, u_law, rates, len(history), last)
-    state, controls = Trajectory(grid, x), ControlGrid(grid, u_law)
+    (u_law, splits), history, weight, flags, last = _sweep(scenario, settings, rates, u_start)
+    x, p, layout = _integrate(scenario, u_law, rates, len(history), last, splits)
+    state, controls = Trajectory(grid, x), ControlGrid(grid, u_law, splits)
     interior = None
     if scenario.objective == "l1":
         bounds = (scenario.params.u1_max, scenario.params.u2_max)
@@ -409,6 +409,5 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
         singular_flags=flags,
         interior_fraction=interior,
         coarse_iterations=coarse_iterations,
-        junctions=() if layout is None else tuple(
-            (c, grid.t0 + (i + theta) * grid.h) for i, c, theta, _ in layout.splits),
+        junctions=tuple((c, grid.t0 + (i + theta) * grid.h) for i, c, theta, _ in splits),
     )

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
-from marketopt.junctions import junction_steps, split_layout, switch_steps
+from marketopt.junctions import junction_splits, split_layout, switch_steps
 from marketopt.model import (ControlPair, ModelParams, State, Weights, flow_coefficients,
                              rhs_terms)
 from marketopt.pmp import Costate, costate_rhs, costate_system
@@ -353,37 +354,113 @@ def _clamped(w, top):
 
 
 JUNCTION_GRID = TimeGrid(0.0, 7.0, 175)  # h = 0.04, the l2 default on the presets
+BOX = (SCENARIO1.params.u1_max, SCENARIO1.params.u2_max)
 
 
 def test_a_clamped_smooth_control_locates_each_junction():
+    # the l2 law clamps w to [0, u2_max]: its junctions are found from w, and
     # w = 0.4 + 0.9 sin(0.8 t) reaches u2_max = 1 at asin(2/3)/0.8, leaves it at
     # (pi - asin(2/3))/0.8 and reaches 0 at (pi + asin(4/9))/0.8
     t = JUNCTION_GRID.nodes()
-    u = np.column_stack((np.full_like(t, 0.03), _clamped(0.4 + 0.9 * np.sin(0.8 * t), 1.0)))
-    found = junction_steps(u, SCENARIO1.params)
+    w = np.column_stack((np.full_like(t, 0.03), 0.4 + 0.9 * np.sin(0.8 * t)))
+    found = junction_splits(w, BOX)
     exact = [math.asin(2.0 / 3.0) / 0.8, (math.pi - math.asin(2.0 / 3.0)) / 0.8,
              (math.pi + math.asin(4.0 / 9.0)) / 0.8]
     h = JUNCTION_GRID.h
     assert [(c, bound) for _, c, _, bound in found] == [(1, 1.0), (1, 1.0), (1, 0.0)]
     for (i, _, theta, _), tau in zip(found, exact):
         assert 0.0 < theta < 1.0
-        assert abs((i + theta) * h - tau) <= 1e-6
+        assert abs((i + theta) * h - tau) <= 1e-7
 
 
-@pytest.mark.parametrize("table", ["terminal touch", "bang-bang", "interior", "zero"])
+def test_a_junction_in_the_first_or_last_step_is_found_on_the_end_stencil():
+    # polynomials that the cubic reproduces: w1 falls below u1_max in step 0
+    # and w2 rises off 0 in the last step
+    grid = TimeGrid(0.0, 7.0, 43)
+    t = grid.nodes()
+    w = np.column_stack((BOX[0] * (1.0 - (t - 0.1) / 20.0), (7.5 - t) * (t - 6.95)))
+    found = junction_splits(w, BOX)
+    assert [(i, c, bound) for i, c, _, bound in found] == [(0, 0, BOX[0]), (42, 1, 0.0)]
+    for (i, _, theta, _), tau in zip(found, (0.1, 6.95)):
+        assert abs((i + theta) * grid.h - tau) <= 1e-13
+    # and the table runs on those splits, next to the ends of the rate rows
+    sc, rates = SCENARIO1, _rates(SCENARIO1, grid)
+    u = ControlGrid(grid, _clamped(w, np.array(BOX)), found)
+    x = rk4_forward(sc.x0, u, sc.params, rates)
+    whole = rk4_forward(sc.x0, ControlGrid(grid, u.values), sc.params, rates)
+    assert (x.values[1] != whole.values[1]).any()
+    states, _, widths = rk4_stages(x, u, sc.params, rates)
+    assert states.shape == (4, 45, 3)
+    assert widths[[0, 42, 43, 44]].tolist() == [found[0][2], found[1][2],
+                                                1.0 - found[0][2], 1.0 - found[1][2]]
+
+
+@pytest.mark.parametrize("table", ["terminal touch", "bang-bang", "kink on a node",
+                                   "root rounds onto a node", "clamped throughout",
+                                   "interior", "zero", "under 3 intervals"])
 def test_tables_without_a_junction(table):
     t = JUNCTION_GRID.nodes()
-    box = (SCENARIO1.params.u1_max, SCENARIO1.params.u2_max)
     if table == "terminal touch":
         # a smooth interior control that touches 0 at t_f only: a one-node arc
-        u = np.column_stack([cap * (7.0 - t) / 8.0 for cap in box])
+        w = np.column_stack([cap * (7.0 - t) / 8.0 for cap in BOX])
     elif table == "bang-bang":
-        u = np.column_stack([np.where(np.sin(t + k) > 0.0, cap, 0.0) for k, cap in enumerate(box)])
+        # jumps between the bounds, which it meets but never crosses
+        w = np.column_stack([np.where(np.sin(t + k) > 0.0, cap, 0.0) for k, cap in enumerate(BOX)])
+    elif table == "kink on a node":
+        # w2 is 0.0 exactly at node 40: the kink lies in no step
+        w = np.column_stack((np.full_like(t, 0.03), (np.arange(len(t)) - 40) / 64.0))
+    elif table == "root rounds onto a node":
+        # w2 crosses 0 in step 40, but the root rounds onto node 40: theta 0.0
+        w = np.column_stack((np.full_like(t, 0.03), (np.arange(len(t)) - 40) / 64.0))
+        w[40, 1] = -1e-300
+    elif table == "clamped throughout":
+        w = np.column_stack((BOX[0] + 2.0 + np.sin(t), -2.0 - np.sin(t)))
     elif table == "interior":
-        u = np.column_stack([cap * (0.5 + 0.4 * np.sin(t + k)) for k, cap in enumerate(box)])
+        w = np.column_stack([cap * (0.5 + 0.4 * np.sin(t + k)) for k, cap in enumerate(BOX)])
+    elif table == "zero":
+        w = np.zeros((len(t), 2))
     else:
-        u = np.zeros((len(t), 2))
-    assert junction_steps(u, SCENARIO1.params) == []
+        # a sign change, but too few nodes for a cubic
+        w = np.column_stack((np.full(3, 0.03), (-1.0, 0.5, 0.7)))
+    assert junction_splits(w, BOX) == ()
+
+
+def test_a_clamped_table_with_no_splits_runs_on_whole_steps():
+    # the clamped table of the junction case, which holds 3 junctions, but
+    # declares no split
+    x, u, rates, _, _ = _junction_case()
+    plain = ControlGrid(u.grid, u.values)
+    assert plain.splits == () and len(u.splits) == 3
+    sc = SCENARIO1
+    x_plain = rk4_forward(sc.x0, plain, sc.params, rates)
+    whole = forward_table(sc.x0, sc.n0, _half_steps(u.values), sc.params, rates)
+    assert x_plain.values.tobytes() == whole.tobytes()
+    assert x_plain.values.tobytes() != x.values.tobytes()
+    states, _, widths = rk4_stages(x_plain, plain, sc.params, rates)
+    assert states.shape == (4, u.grid.n, 3) and (widths == 1.0).all()
+
+
+@pytest.mark.parametrize("split", [
+    (175, 1, 0.5, 1.0),  # past the last step
+    (-1, 1, 0.5, 1.0),
+    (5, 1, 0.5, 1.0),  # after a split of step 5
+    (6, 1, 0.0, 1.0),
+    (6, 1, 1.0, 1.0),
+    (6, 1, math.nan, 1.0),
+    (6, 2, 0.5, 1.0),
+    (6, -1, 0.5, 1.0),
+    (6, 1, 0.5, -1.0),
+    (6, 1, 0.5, math.inf),
+])
+def test_control_grid_rejects_malformed_splits(split):
+    values = np.zeros((JUNCTION_GRID.n + 1, 2))
+    with pytest.raises(ValueError, match=re.escape(f"split {split} needs steps rising in 0..174")):
+        ControlGrid(JUNCTION_GRID, values, ((5, 0, 0.5, 0.0), split))
+    with pytest.raises(ValueError, match="split step must be an integer"):
+        ControlGrid(JUNCTION_GRID, values, ((6.0, 1, 0.5, 1.0),))
+    # the same split list is accepted with a well-formed second split
+    grid = ControlGrid(JUNCTION_GRID, values, [(5, 0, 0.5, 0.0), (6, 1, 0.25, None)])
+    assert grid.splits == ((5, 0, 0.5, 0.0), (6, 1, 0.25, None))
 
 
 def test_switch_steps_locate_each_sign_change_of_the_switching_values():
@@ -414,11 +491,12 @@ def test_switch_steps_locate_each_sign_change_of_the_switching_values():
 def _junction_case():
     """scenario1's model under a u2 that reaches u2_max in step 22 (t = 0.91),
     with u1 interior and linear-in-time rates, which the rate polynomial
-    reproduces; returns the state, controls, rates and beta, gamma callables."""
+    reproduces, on the splits found from the unclamped controls; returns the
+    state, controls, rates and beta, gamma callables."""
     grid, sc = JUNCTION_GRID, SCENARIO1
     t = grid.nodes()
-    u = ControlGrid(grid, np.column_stack(
-        (0.03 + 0.01 * np.sin(t), _clamped(0.4 + 0.9 * np.sin(0.8 * t), 1.0))))
+    w = np.column_stack((0.03 + 0.01 * np.sin(t), 0.4 + 0.9 * np.sin(0.8 * t)))
+    u = ControlGrid(grid, _clamped(w, np.array(BOX)), junction_splits(w, BOX))
     beta, gamma = (lambda s: 0.3 + 0.1 * s), (lambda s: 0.05 + 0.01 * s)
     ts = integrator._sample_times(grid)
     rates = GridRates(grid, beta(ts), gamma(ts))
@@ -428,7 +506,7 @@ def _junction_case():
 def test_a_split_step_is_two_rk4_sub_steps():
     x, u, rates, beta, gamma = _junction_case()
     sc, h = SCENARIO1, JUNCTION_GRID.h
-    i, c, theta, bound = junction_steps(u.values, sc.params)[0]
+    i, c, theta, bound = u.splits[0]
     assert (i, c, bound) == (22, 1, 1.0)
 
     def rk4(state, t, width, start, end):
@@ -466,7 +544,7 @@ def test_split_step_stages_land_on_the_forward_nodes_bit_for_bit(name, n):
         result = solve(sc, SweepSettings(n=n))
         x, u, rates = result.state, result.controls, result.rates
     h, n0 = x.grid.h, sc.n0
-    splits = junction_steps(u.values, sc.params)
+    splits = u.splits
     kinked = [c for _, c, _, _ in splits]
     assert kinked == ([1, 1, 1] if name == "junction_case" else [1, 1, 0])
     # every (sub-)step: its width, its rates at the four stages, and where it

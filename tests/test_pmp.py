@@ -142,8 +142,8 @@ def test_l2_law_clamps_negative_zero_to_positive_zero():
         np.array([x.R]), np.array([x.P]), np.array([p.p1]), np.array([p.p2]),
         np.array([p.p3]), PARAMS, WEIGHTS, 1.0,
     )
-    table = l2_law_table(np.array([[x.R, x.C, x.P]]), np.array([[p.p1, p.p2, p.p3]]),
-                         PARAMS, WEIGHTS, 1.0)
+    table, _ = l2_law_table(np.array([[x.R, x.C, x.P]]), np.array([[p.p1, p.p2, p.p3]]),
+                            PARAMS, WEIGHTS, 1.0)
     assert u.u1 == 0.0 and not np.signbit(u.u1)
     assert u1[0] == 0.0 and not np.signbit(u1[0])
     # the solver compares control tables by their int64 views, so a -0.0
@@ -217,8 +217,8 @@ def test_array_l2_and_switching_kernels_match_scalar_laws(nodes, n0):
 def test_gap_form_l2_law_matches_the_scalar_law_node_by_node(nodes, n0):
     nodes = nodes + CLAMP_NODES
     table = np.array(nodes)
-    u = l2_law_table(table[:, :3], table[:, 3:], PARAMS, WEIGHTS, n0)
-    assert u.shape == (len(nodes), 2)
+    u, w = l2_law_table(table[:, :3], table[:, 3:], PARAMS, WEIGHTS, n0)
+    assert u.shape == w.shape == (len(nodes), 2)
     for i, (r, c, pp, q1, q2, q3) in enumerate(nodes):
         ref = control_law_l2(State(r, c, pp), Costate(q1, q2, q3), PARAMS, WEIGHTS, n0)
         # each gap rounds off within a few ulps of its largest term, and the
@@ -228,6 +228,8 @@ def test_gap_form_l2_law_matches_the_scalar_law_node_by_node(nodes, n0):
         assert abs(u[i, 1] - ref.u2) <= scale * pp * r / (2.0 * WEIGHTS.kappa3 * n0) + 1e-300
         assert 0.0 <= u[i, 0] <= PARAMS.u1_max and 0.0 <= u[i, 1] <= PARAMS.u2_max
     assert u[-2, 0] == PARAMS.u1_max and u[-1, 0] == 0.0
+    # the control table is the stationary table w clamped to the box
+    assert np.array_equal(u, np.clip(w, 0.0, (PARAMS.u1_max, PARAMS.u2_max)))
 
 
 def _costate_reference(R, C, P, u1, u2, beta, gamma, n0):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketopt import experiments, junctions, solver
+from marketopt import experiments, integrator, solver
 from marketopt.experiments import (
     SWEEP_PARAMETERS,
     StrategyKind,
@@ -25,10 +25,10 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
-from marketopt.junctions import junction_steps
+from marketopt.junctions import junction_splits
 from marketopt.model import ControlPair, State, Weights
 from marketopt.objectives import evaluate_cost
-from marketopt.pmp import Costate, hamiltonian, switching_functions
+from marketopt.pmp import Costate, hamiltonian, l2_law_table, switching_functions
 from marketopt.scenarios import PRESET_NAMES, Constant, Scenario, preset_scenario
 from marketopt.solver import (
     DivergenceError,
@@ -215,9 +215,9 @@ def test_l1_result_carries_diagnostics():
 L2_PRESETS = [name for name in PRESET_NAMES if preset_scenario(name).objective == "l2"]
 
 
-def _check_stationary_at_interior_nodes(name, n):
+def _check_stationary_at_interior_nodes(name, n, relaxation=1.0):
     sc = preset_scenario(name)
-    result = solve(sc, SweepSettings(n=n))
+    result = solve(sc, SweepSettings(n=n, relaxation=relaxation))
     assert result.converged, (name, n)
     ts = result.state.grid.nodes()
     bounds = (sc.params.u1_max, sc.params.u2_max)
@@ -249,6 +249,14 @@ def test_converged_l2_controls_are_stationary_at_interior_nodes():
     for name in L2_PRESETS:
         for n in (175, 700):
             _check_stationary_at_interior_nodes(name, n)
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+def test_relaxed_l2_controls_are_stationary_at_interior_nodes(name):
+    # a blend of two tables splits the junctions of the law in it, so the
+    # returned law is still read off split passes (1.0e-6 and 1.6e-6 on
+    # whole-step ones; 3.6e-7 and 2.4e-7 here)
+    _check_stationary_at_interior_nodes(name, 350, relaxation=0.5)
 
 
 def test_converged_l1_run_is_strictly_bang_bang():
@@ -448,7 +456,9 @@ def test_weight_is_halved_only_once_although_the_residual_keeps_growing(relaxati
         (name, SweepSettings(n=default_grid(7.0, preset_scenario(name).objective).n))
         for name in PRESET_NAMES
     ]
-    + [("scenario3-l1", CHATTERING_L1)],
+    + [("scenario3-l1", CHATTERING_L1)]
+    + [(name, SweepSettings(n=n)) for name in ("scenario1", "scenario2", "scenario3")
+       for n in (44, 88)],
 )
 def test_reported_solution_is_the_reintegration_of_its_controls(name, settings):
     sc = preset_scenario(name)
@@ -756,23 +766,31 @@ def test_an_l1_horizon_too_short_for_a_switch_grid_starts_cold(t_f):
 
 
 def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
-    calls = {}
+    calls, found = {}, []
 
     def counted(module, name):
         original = getattr(module, name)
 
         def call(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            # every pass calls the layout builder, which lays out only splits
+            if name != "split_layout" or args[0]:
+                calls[name] = calls.get(name, 0) + 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, call)
 
-    # the layout builder runs from the solver (switch steps) and from
-    # junctions.junction_layout (junction steps)
+    # the layout builder runs from the solver's passes and from the
+    # integrator's passes on a ControlGrid
     for module, name in ((solver, "_switch_sweep"), (solver, "_switch_law"),
                          (solver, "_switch_start"), (solver, "switch_steps"),
-                         (solver, "split_layout"), (junctions, "split_layout")):
+                         (solver, "split_layout"), (integrator, "split_layout")):
         counted(module, name)
+
+    def finder(w, bounds):
+        found.append((len(w), junction_splits(w, bounds)))
+        return found[-1][1]
+
+    monkeypatch.setattr(solver, "junction_splits", finder)
     passes = {"forward": [], "backward": []}
 
     def recorded(kind, table):
@@ -790,10 +808,13 @@ def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
               SweepSettings(n=175))
     layouts = calls.pop("split_layout")
     assert calls == {}
-    # each forward pass runs on a new table: a coarse (n=21) one carries no
-    # layout, nor does the first fine one of each solve, which only seeds the
-    # sweep; every later fine one carries the layout of its junctions, and the
-    # backward pass never splits one
+    # only the fine l2 law looks for junctions: the coarse (n=21) one splits none
+    assert found and {size for size, _ in found} == {176}
+    laws = [splits for _, splits in found]
+    # each forward pass runs on a new table: a coarse one carries no layout,
+    # nor does the first fine one of each solve, whose start controls declare
+    # no split; every later fine one carries the splits of the law that made
+    # its controls, and the backward pass never splits one
     forward, fine = passes["forward"], 2 * 175 + 1
     sizes = [len(args[2]) for args in forward]
     assert set(sizes) == {2 * 21 + 1, fine}
@@ -803,28 +824,28 @@ def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
     seeds = [args for args, before, size in steps if before < size]
     later = [args for args, before, size in steps if before == size == fine]
     assert len(seeds) == len(L2_PRESETS) + 2 and all(args[5] is None for args in seeds)
-    # though the seeds of scenario1-3 hold junctions, and the others none
-    held = [bool(junction_steps(args[2][0::2], args[3])) for args in seeds]
-    assert held == [name != "comparison-default" for name in L2_PRESETS] + [False, False]
-    junction_lists = [junction_steps(args[2][0::2], args[3]) for args in later]
-    for args, splits in zip(later, junction_lists):
-        assert args[5] is None if not splits else args[5].splits == splits
+    later_splits = [() if args[5] is None else args[5].splits for args in later]
+    unread = iter(laws)  # in the order the laws found them
+    assert all(any(splits is law for law in unread) for splits in later_splits)
+    assert any(later_splits) and not all(later_splits)
     assert all(len(args) == 7 for args in passes["backward"])
-    # so every later clamped table is laid out once: the cost and
+    # so every later table with splits is laid out once: the cost and
     # result.junctions reuse the final pass's layout
-    assert layouts == sum(1 for splits in junction_lists if splits) > 0
+    assert layouts == sum(1 for splits in later_splits if splits) > 0
     for kind in passes:
         passes[kind].clear()
+    found.clear()
     solve(preset_scenario("scenario3-l1"), SweepSettings(n=1400))
     assert set(calls) == {"_switch_sweep", "_switch_law", "_switch_start", "switch_steps",
                           "split_layout"}
+    assert found == []
     # one layout per switch-sweep iteration with switch steps (all but the
     # first, from zero controls), read by both of its passes
     coarse = [(f[5], b[7]) for f, b in zip(passes["forward"], passes["backward"])
               if len(f[2]) == 2 * 43 + 1]
     assert all(f is b for f, b in coarse)
     assert calls["split_layout"] == sum(f is not None for f, _ in coarse) == len(coarse) - 1
-    # and none on the fine pass, whose bang-bang controls hold no junction
+    # and none on the fine pass, whose bang-bang controls declare no split
     fine = [args for args in passes["forward"] if len(args[2]) == 2 * 1400 + 1]
     assert fine and all(args[5] is None for args in fine)
 
@@ -833,46 +854,64 @@ def test_only_an_l1_solve_runs_the_switch_and_split_code(monkeypatch):
     "scenario, settings", [(preset_scenario("scenario1"), SweepSettings(n=175))], ids=["l2"]
 )
 def test_the_coarse_l2_level_lays_out_no_junctions(scenario, settings, monkeypatch):
-    laid_out, coarse = [], []
+    laws, coarse = [], []
+    law_on_grid = solver._law_on_grid
 
-    def counted(u, rates, *args):
-        laid_out.append(rates.grid.n)
-        return junction_layout(u, rates, *args)
+    def recorded_law(sc, x, p, u, eps, split):
+        laws.append((len(x), x, p, split))
+        return law_on_grid(sc, x, p, u, eps, split)
 
     def recorded(x0, n0, us, params, rates, layout=None):
         if rates.grid.n < settings.n:
-            coarse.append((us[0::2], layout))
+            coarse.append(layout)
         return forward_table(x0, n0, us, params, rates, layout)
 
-    junction_layout = solver.junction_layout
-    monkeypatch.setattr(solver, "junction_layout", counted)
+    monkeypatch.setattr(solver, "_law_on_grid", recorded_law)
     monkeypatch.setattr(solver, "forward_table", recorded)
     result = solve(scenario, settings)
     assert result.converged and result.coarse_iterations > 0
-    # only fine tables are laid out, though coarse l2 tables hold junctions
-    assert laid_out and set(laid_out) == {settings.n}
-    assert any(layout is None and junction_steps(u, scenario.params) for u, layout in coarse)
-    # and the result keeps the junctions of its own controls
-    h = settings.grid_for(scenario).h
-    splits = junction_steps(result.controls.values, scenario.params)
-    assert splits
+    # only the fine law finds junctions, and no coarse pass splits a step
+    assert {(size, split) for size, _, _, split in laws} == {(22, False), (settings.n + 1, True)}
+    assert coarse and all(layout is None for layout in coarse)
+    # though the coarse law's stationary values cross the bounds
+    sc, box = scenario, (scenario.params.u1_max, scenario.params.u2_max)
+    assert any(junction_splits(l2_law_table(x, p, sc.params, sc.weights, sc.n0)[1], box)
+               for _, x, p, split in laws if not split)
+    # and the result reports the junctions its controls declare
+    h, splits = settings.grid_for(scenario).h, result.controls.splits
+    assert len(splits) == 3
     assert result.junctions == tuple((c, (i + theta) * h) for i, c, theta, _ in splits)
 
 
 def test_a_seed_pass_is_never_returned_unsplit(monkeypatch):
-    # a law that repeats its controls: the fine sweep's second pass runs under
-    # its seed's controls, which hold junctions, so the seed's whole-step pass
-    # must not stand in for it
-    monkeypatch.setattr(solver, "_law_on_grid", lambda sc, x, p, u, eps: (u, None))
+    # a law that repeats its node controls but finds their junctions: the fine
+    # sweep's second pass runs under its seed's node controls, now split, so
+    # the seed's whole-step pass must not stand in for it
+    law_on_grid = solver._law_on_grid
+    monkeypatch.setattr(solver, "_law_on_grid", lambda sc, x, p, u, eps, split: (
+        u, *law_on_grid(sc, x, p, u, eps, split)[1:]))
+    calls = _record_passes(monkeypatch, n=175)
     sc, settings = preset_scenario("scenario1"), SweepSettings(n=175)
     result = solve(sc, settings)
-    h = settings.grid_for(sc).h
-    splits = junction_steps(result.controls.values, sc.params)
-    assert splits
-    assert result.junctions == tuple((c, (i + theta) * h) for i, c, theta, _ in splits)
+    layouts = [args[5] for args in calls["forward"]]
+    assert layouts[0] is None and len(layouts) > 1 and None not in layouts[1:]
+    splits = result.controls.splits
+    assert len(splits) == 3
+    assert layouts[-1].splits == splits
     x = rk4_forward(sc.x0, result.controls, sc.params, result.rates)
     assert result.state.values.tobytes() == x.values.tobytes()
     assert result.cost == evaluate_cost(sc, x, result.controls, result.rates)
+
+
+@pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+def test_a_coarse_l2_grid_finds_every_junction(name):
+    # at n=88 the stationary values cross each bound with too few clamped or
+    # free nodes around the crossing to read it off the node controls alone
+    sc = preset_scenario(name)
+    result = solve(sc, SweepSettings(n=88))
+    assert [c for c, _ in result.junctions] == [1, 1, 0]
+    fine = solve(sc, SweepSettings(n=700)).cost
+    assert abs(result.cost - fine) <= 1e-8 * fine
 
 
 # The coarse iterations of the default solves before the coarse l2 level
