@@ -2,10 +2,10 @@
 
 Three commands: ``solve`` writes the converged trajectory plus a JSON
 summary, ``compare`` costs the four control strategies at one parameter
-point, and ``sweep`` repeats the comparison over a parameter range.  All
-numeric text is written with 17 significant digits, which re-parses to the
-exact in-memory doubles, and identical inputs produce byte-identical
-artifacts.
+point, and ``sweep`` repeats the comparison over a parameter range.  CSV
+cells are written with 17 significant digits and JSON numbers as the
+shortest text that round-trips (``json.dumps``); both re-parse to the exact
+in-memory doubles, and identical inputs produce byte-identical artifacts.
 
 Exit status: 0 on success with convergence, 2 when a sweep solve did not
 converge (artifacts are still written), 1 on unusable input or a diverged
@@ -38,17 +38,19 @@ def _fmt(value: float) -> str:
 
 def _write_trajectory(result: SolveResult, cfg: RunConfig, out_dir: Path) -> None:
     scenario = cfg.scenario
-    x, p = result.state.values, result.costate.values
+    nodes, x, u, p = (result.state.grid.nodes(), result.state.values,
+                      result.controls.values, result.costate.values)
     phi = switching_table(x, p, scenario.params, scenario.weights, scenario.n0)
-    columns = (result.state.grid.nodes(), x, result.controls.values, p, phi)
-    rows = np.column_stack(columns).tolist()
     if cfg.out_format == "csv":
-        # %.17g formats a float exactly as _fmt does, one call per row
+        # %.17g formats a float exactly as _fmt does, one call per row; read
+        # through memoryviews, each row's floats are made as it is formatted
         row_format = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS))
         lines = [",".join(TRAJECTORY_COLUMNS)]
-        lines.extend(row_format % tuple(row) for row in rows)
+        columns = map(memoryview, (nodes, *x.T, *u.T, *p.T, *phi.T))
+        lines.extend(row_format % row for row in zip(*columns))
         (out_dir / "trajectory.csv").write_text("\n".join(lines) + "\n")
     else:
+        rows = np.column_stack((nodes, x, u, p, phi)).tolist()
         doc = {"columns": list(TRAJECTORY_COLUMNS), "rows": rows}
         (out_dir / "trajectory.json").write_text(json.dumps(doc) + "\n")
 

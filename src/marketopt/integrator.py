@@ -23,9 +23,12 @@ the layout, where the backward pass and the cost read it.
 The forward pass carries only R and P, with C = N - R - P on the conserved
 total N of x0, through ``_rk4_steps``, the one inline copy of
 ``model.rhs_terms``; ``rk4_stages`` rebuilds the same stages on whole
-columns for the cost.  The adjoint system is linear in p, so the backward
-pass builds each step as an affine map, from one ``pmp.costate_system`` call
-(one constant-matrix product) per block, and composes them in linear work.
+columns for the cost.  The loop reads its coefficient columns through
+memoryviews, one float per read: no coefficient list is built per pass, so
+only the step in hand's floats are alive, not 6(2n+1) for the whole loop.  The
+adjoint system is linear in p, so the backward pass builds each step as an
+affine map, from one ``pmp.costate_system`` call (one constant-matrix
+product) per block, and composes them in linear work.
 Each pass is a raw kernel on node and half-step tables (``forward_table``,
 ``backward_table``), which the sweep calls directly, under a validating
 wrapper (``rk4_forward``, ``rk4_backward``).
@@ -285,8 +288,8 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
     Rs, Ps, at = [], [], 0
     with np.errstate(over="ignore", invalid="ignore"):
         a, b, c, e, g, k, f = flow_coefficients(*us.T, rates.beta, rates.gamma, params, N, N)
-        # step i reads coefficient rows 2i, 2i+1 and 2i+2
-        series = [col.tolist() for col in (a, b, e, g, k, f)]
+        # step i reads coefficient rows 2i, 2i+1 and 2i+2, as it unpacks them
+        series = [memoryview(col) for col in (a, b, e, g, k, f)]
         steps = zip(*(col[j::2] for col in series for j in (0, 1, 2)))
         if layout is not None:
             taus = layout.taus

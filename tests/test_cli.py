@@ -15,7 +15,8 @@ from marketopt.config import (
     rate_from_dict,
     rate_to_dict,
 )
-from marketopt.integrator import default_grid
+from marketopt.integrator import ControlGrid, GridRates, TimeGrid, Trajectory, default_grid
+from marketopt.pmp import switching_table
 from marketopt.scenarios import (
     PRESET_NAMES,
     Constant,
@@ -26,7 +27,7 @@ from marketopt.scenarios import (
     SinusoidalPeriodic,
     preset_scenario,
 )
-from marketopt.solver import SweepSettings, solve
+from marketopt.solver import SolveResult, SweepSettings, solve
 
 
 def _run(*argv):
@@ -278,6 +279,39 @@ def test_json_trajectory_format(tmp_path):
     assert doc["columns"][0] == "t"
     assert len(doc["rows"]) == 401
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("out_format", ["csv", "json"])
+def test_trajectory_writer_keeps_edge_doubles(tmp_path, out_format):
+    # every column holds each edge double once: a signed zero, the least
+    # subnormal, tiny and huge normals, 0.1, and 0.1 + 0.2, whose shortest
+    # round-trip text needs all 17 digits
+    edges = np.array([-0.0, 5e-324, 1e-300, 1e300, 0.1, 0.1 + 0.2])
+    table = np.array([np.roll(edges, j) for j in range(8)]).T
+    scenario = preset_scenario("scenario1")
+    grid = TimeGrid(0.0, scenario.t_f, len(edges) - 1)
+    zeros = np.zeros(2 * grid.n + 1)
+    result = SolveResult(
+        Trajectory(grid, table[:, :3]), Trajectory(grid, table[:, 5:]),
+        ControlGrid(grid, table[:, 3:5]), 1.0, 1, True, (0.0,),
+        GridRates(grid, zeros, zeros), 1.0,
+    )
+    cfg = config_from_scenario(scenario, grid_n=grid.n, out_format=out_format)
+    cli._write_trajectory(result, cfg, tmp_path)
+    x, p = table[:, :3], table[:, 5:]
+    phi = switching_table(x, p, scenario.params, scenario.weights, scenario.n0)
+    rows = np.column_stack((grid.nodes(), x, table[:, 3:5], p, phi)).tolist()
+    if out_format == "csv":
+        row_format = ",".join(["%.17g"] * 11)
+        lines = ["t,R,C,P,u1,u2,p1,p2,p3,phi1,phi2", *(row_format % tuple(r) for r in rows)]
+        text = (tmp_path / "trajectory.csv").read_text()
+        assert text == "\n".join(lines) + "\n"
+        assert "-0," in text and "4.9406564584124654e-324" in text
+        parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert parsed[:, 1:9].tobytes() == table.tobytes()
+    else:
+        doc = {"columns": list(cli.TRAJECTORY_COLUMNS), "rows": rows}
+        assert (tmp_path / "trajectory.json").read_text() == json.dumps(doc) + "\n"
 
 
 def test_exit_code_two_on_non_convergence(tmp_path):

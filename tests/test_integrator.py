@@ -217,7 +217,7 @@ def _random_controls(sc, grid, seed):
     )
 
 
-@pytest.mark.parametrize("n", [2, 3, 17, 350, 1400])
+@pytest.mark.parametrize("n", [2, 3, 17, 350, 1400, 2800])
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_inlined_forward_step_is_bit_identical_to_rhs_terms(name, n):
     sc = preset_scenario(name)
