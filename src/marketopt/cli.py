@@ -10,11 +10,16 @@ in-memory doubles, and identical inputs produce byte-identical artifacts.
 Exit status: 0 on success with convergence, 2 when a sweep solve did not
 converge (artifacts are still written), 1 on unusable input or a diverged
 solve.  Every command computes before it writes, so exit 1 writes nothing.
+
+``main`` may be called any number of times in one process, as the
+experiment scripts and the benchmark do.  It builds its parser once, on the
+first call, and every later call parses with that parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -98,7 +103,9 @@ def _write_table(table: ComparisonTable, cfg: RunConfig, out_dir: Path) -> None:
     (out_dir / "table.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one: do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="marketopt",
         description="Optimal marketing-control policies for customer dynamics",

@@ -1,5 +1,10 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -662,3 +667,79 @@ def test_uncreatable_out_dir_is_an_input_error(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(taken) in err and "File exists" in err
     assert taken.read_text() == ""
+
+
+def _artifacts(out):
+    """Every file under out by name; config.json without its own output.dir."""
+    if not out.exists():
+        return None
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    if "config.json" in files:
+        doc = json.loads(files["config.json"])
+        del doc["output"]["dir"]
+        files["config.json"] = doc
+    return files
+
+
+def test_one_parser_serves_a_mixed_command_sequence(tmp_path, capsys, monkeypatch):
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        builds[-1] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    first = ("solve", "--preset", "scenario1", "--n", "44")
+    sequence = (
+        first,
+        ("solve", "--preset", "scenario2", "--n", "44", "--format", "json"),
+        ("compare", "--preset", "comparison-default", "--n", "44"),
+        ("sweep", "--preset", "comparison-default", "--param", "gamma", "--n", "44"),
+        ("solve", "--preset", "scenario1", "--n", "44", "--format", "xml"),
+        ("--help",),
+        ("solve", "--preset", "nope", "--n", "44"),
+        first,
+    )
+
+    def run_all(side, fresh):
+        seen = []
+        cli._build_parser.cache_clear()
+        for index, argv in enumerate(sequence):
+            if fresh:
+                cli._build_parser.cache_clear()
+            out = tmp_path / side / str(index)
+            builds.append(0)
+            code = _run(*argv, *(() if argv == ("--help",) else ("--out", str(out))))
+            seen.append((code, capsys.readouterr(), _artifacts(out)))
+        return seen
+
+    shared = run_all("shared", fresh=False)
+    assert builds == [4] + [0] * (len(sequence) - 1)
+    builds.clear()
+    assert run_all("fresh", fresh=True) == shared
+    assert builds == [4] * len(sequence)
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 1, 0, 1, 0]
+    assert shared[-1] == shared[0]
+    assert "sweep" not in shared[-1][2]["config.json"]
+    assert "sweep" in shared[3][2]["config.json"]
+
+
+def test_importing_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "calls = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    calls.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import marketopt.cli\n"
+        "print(len(calls))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == "0\n"
