@@ -3,7 +3,9 @@
 Four control strategies are costed on identical grids: no control, a fixed
 constant pair, a heuristic that follows the uncontrolled trajectory (the three
 fixed ones built by ``strategy_controls`` from one uncontrolled pass), and the
-converged sweep optimum.  Sweeps re-run the comparison over a range of one
+converged sweep optimum.  Each fixed row costs one forward pass, whose cost
+is read off its own stages (``objectives.evaluate_cost``); the uncontrolled
+pass is the no-control row's.  Sweeps re-run the comparison over a range of one
 parameter in ``_SWEEPS`` (defection rate gamma, control weight kappa2, pull
 rate beta, or horizon t_f) and tabulate the cost of every (value, strategy) cell.
 """
@@ -18,15 +20,8 @@ from math import isfinite, nan
 
 import numpy as np
 
-from .integrator import (
-    ControlGrid,
-    IntegrationError,
-    Trajectory,
-    rk4_forward,
-    sample_rates,
-    zero_controls,
-)
-from .objectives import evaluate_cost
+from .integrator import ControlGrid, IntegrationError, Trajectory, sample_rates, zero_controls
+from .objectives import _costed_forward, evaluate_cost
 from .scenarios import Constant, Scenario
 from .solver import DivergenceError, SolveResult, SweepSettings, solve
 
@@ -174,15 +169,17 @@ def compare_strategies(
     if fixed:
         if rates is None:
             rates = sample_rates(scenario.beta, scenario.gamma, settings.grid_for(scenario))
-        x0, params = scenario.x0, scenario.params
         with suppress(IntegrationError):
-            free = rk4_forward(x0, zero_controls(rates.grid), params, rates)
+            values, free_cost = _costed_forward(scenario, scenario.x0,
+                                                zero_controls(rates.grid), rates)
+            free = Trajectory(rates.grid, values)
             for strategy in fixed:
                 with suppress(IntegrationError):
-                    u = strategy_controls(strategy, scenario, free)
-                    no_control = strategy is StrategyKind.NO_CONTROL
-                    x = free if no_control else rk4_forward(x0, u, params, rates)
-                    cost = evaluate_cost(scenario, x, u, rates)
+                    if strategy is StrategyKind.NO_CONTROL:
+                        cost = free_cost
+                    else:  # one pass of u from free's first node, x0
+                        u = strategy_controls(strategy, scenario, free)
+                        cost = evaluate_cost(scenario, free, u, rates)
                     rows[strategy] = (cost, True, 0)
     cells = [(s, *rows[s]) for s in ALL_STRATEGIES if s in rows]
     return ComparisonTable(tuple(ComparisonRow(parameter, value, *c) for c in cells))

@@ -13,22 +13,24 @@ second order.
 A step that holds a kink of a clamped control (a junction) or a jump of a
 bang-bang one (a switch) runs as two RK4 sub-steps, on [t_i, tau] and
 [tau, t_{i+1}]; any other step, and so any pass with no split, is unchanged,
-bit for bit.  The forward pass and the cost split the steps a control table
-declares (``ControlGrid.splits``); only the switch sweep's backward pass
-splits any.  Each table's split steps are laid out once
-(``junctions.split_layout``): the forward pass runs their sub-steps on the
-layout's rows (``_step_coefficients``) and leaves the state at each tau in
-the layout, where the backward pass and the cost read it.
+bit for bit.  The forward pass splits the steps a control table declares
+(``ControlGrid.splits``); only the switch sweep's backward pass splits any.
+Each table's split steps are laid out once (``junctions.split_layout``): the
+forward pass runs their sub-steps on the layout's rows
+(``_step_coefficients``) and leaves the state at each tau in the layout,
+where the backward pass reads it.
 
 The forward pass carries only R and P, with C = N - R - P on the conserved
 total N of x0, through ``_rk4_steps``, the one inline copy of
-``model.rhs_terms``; ``rk4_stages`` rebuilds the same stages on whole
-columns for the cost.  The loop reads its coefficient columns through
-memoryviews, one float per read: no coefficient list is built per pass, so
-only the step in hand's floats are alive, not 6(2n+1) for the whole loop.  The
-adjoint system is linear in p, so the backward pass builds each step as an
-affine map, from one ``pmp.costate_system`` call (one constant-matrix
-product) per block, and composes them in linear work.
+``model.rhs_terms``; it also sums each step's stage P values, the P part of
+the pass's cost (``objectives``).  ``rk4_stages`` rebuilds the same stages on
+whole columns, as the reference for that sum; no solve or sweep calls it.
+The loop reads its coefficient columns through memoryviews, one float per
+read: no coefficient list is built per pass, so only the step in hand's
+floats are alive, not 6(2n+1) for the whole loop.  The adjoint system is
+linear in p, so the backward pass builds each step as an affine map, from
+one ``pmp.costate_system`` call (one constant-matrix product) per block, and
+composes them in linear work.
 Each pass is a raw kernel on node and half-step tables (``forward_table``,
 ``backward_table``), which the sweep calls directly, under a validating
 wrapper (``rk4_forward``, ``rk4_backward``).
@@ -246,46 +248,50 @@ def _step_coefficients(rows, params: ModelParams, n0: float) -> tuple:
 
 def _rk4_steps(R, P, c, h, steps, Rs, Ps):
     """Run RK4 steps of width h from (R, P) on ``_step_coefficients`` tuples,
-    appending each new node to Rs and Ps; returns the last."""
-    half, sixth = 0.5 * h, h / 6.0
+    appending each new node to Rs and Ps; returns the last, and the steps'
+    sum of P1 + 2*(P2 + P3) + P4, the P of their four stages."""
+    half, sixth, stage_sum = 0.5 * h, h / 6.0, 0.0
     for aa, am, ab, ba, bm, bb, ea, em, eb, ga, gm, gb, ka, km, kb, fa, fm, fb in steps:
         q = R * P
         kR1 = aa * R + ba * P + c + ea * q
         kP1 = ga + ka * P - fa * q
-        r, p = R + half * kR1, P + half * kP1
-        q = r * p
-        kR2 = am * r + bm * p + c + em * q
-        kP2 = gm + km * p - fm * q
-        r, p = R + half * kR2, P + half * kP2
-        q = r * p
-        kR3 = am * r + bm * p + c + em * q
-        kP3 = gm + km * p - fm * q
+        r, p2 = R + half * kR1, P + half * kP1
+        q = r * p2
+        kR2 = am * r + bm * p2 + c + em * q
+        kP2 = gm + km * p2 - fm * q
+        r, p3 = R + half * kR2, P + half * kP2
+        q = r * p3
+        kR3 = am * r + bm * p3 + c + em * q
+        kP3 = gm + km * p3 - fm * q
         r, p = R + h * kR3, P + h * kP3
         q = r * p
         kR4 = ab * r + bb * p + c + eb * q
         kP4 = gb + kb * p - fb * q
+        stage_sum += P + 2.0 * (p2 + p3) + p
         R += sixth * (kR1 + 2.0 * (kR2 + kR3) + kR4)
         P += sixth * (kP1 + 2.0 * (kP2 + kP3) + kP4)
         Rs.append(R)
         Ps.append(P)
-    return R, P
+    return R, P, stage_sum
 
 
 def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
-                  rates: GridRates, layout: SplitLayout | None = None) -> np.ndarray:
+                  rates: GridRates, layout: SplitLayout | None = None) -> tuple:
     """Raw forward pass: the (n+1, 3) state nodes from x0, whose total is n0,
-    under us, the ``_half_steps`` controls on rates.grid.  No input is checked;
-    every step is, after the loop, and the first bad one raises IntegrationError.
-    Each step of layout (none by default) runs as its two sub-steps, and the
-    pass fills layout.taus.  The node table is built once: row 0 from x0, then
-    the loop's R and P columns, and C = (N - R) - P.
+    under us, the ``_half_steps`` controls on rates.grid, and the RK4
+    quadrature of P: each (sub-)step's P1 + 2*(P2 + P3) + P4, weighted by its
+    width (6 times the integral of P).  No input is checked; every step is,
+    after the loop, and the first bad one raises IntegrationError.  Each step
+    of layout (none by default) runs as its two sub-steps, and the pass fills
+    layout.taus.  The node table is built once: row 0 from x0, then the
+    loop's R and P columns, and C = (N - R) - P.
     """
     grid = rates.grid
     h = grid.h
     values = np.empty((grid.n + 1, 3))
     values[0] = x0.R, x0.C, x0.P
     (R, _, P), N = values[0].tolist(), n0
-    Rs, Ps, at = [], [], 0
+    Rs, Ps, at, whole, split = [], [], 0, 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         a, b, c, e, g, k, f = flow_coefficients(*us.T, rates.beta, rates.gamma, params, N, N)
         # step i reads coefficient rows 2i, 2i+1 and 2i+2, as it unpacks them
@@ -295,14 +301,17 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
             taus = layout.taus
             taus.clear()
             for (i, *_), (ha, hb), rows in zip(layout.splits, layout.widths, layout.rows):
-                R, P = _rk4_steps(R, P, c, h, islice(steps, i - at), Rs, Ps)
+                R, P, stage_sum = _rk4_steps(R, P, c, h, islice(steps, i - at), Rs, Ps)
+                whole += stage_sum
                 next(steps)  # step i taken whole
                 first, second = (_step_coefficients(half, params, N)
                                  for half in (rows[:3], rows[3:]))
-                taus.append(_rk4_steps(R, P, c, ha, (first,), [], []))
-                R, P = _rk4_steps(*taus[-1], c, hb, (second,), Rs, Ps)
+                R, P, first_sum = _rk4_steps(R, P, c, ha, (first,), [], [])
+                taus.append((R, P))
+                R, P, second_sum = _rk4_steps(R, P, c, hb, (second,), Rs, Ps)
+                split += ha * first_sum + hb * second_sum
                 at = i + 1
-        _rk4_steps(R, P, c, h, steps, Rs, Ps)
+        whole += _rk4_steps(R, P, c, h, steps, Rs, Ps)[2]
         values[1:, 0], values[1:, 2] = Rs, Ps
         np.subtract(N - values[1:, 0], values[1:, 2], out=values[1:, 1])
         # float arithmetic does not raise, so every step is checked here; with
@@ -318,7 +327,7 @@ def forward_table(x0: State, n0: float, us: np.ndarray, params: ModelParams,
             f"state component below -{NONNEG_TOLERANCE:g} at step {i} "
             f"(t={t:.6g}); reduce the step size h={h:.6g}", i
         )
-    return values
+    return values, h * whole + split
 
 
 def rk4_forward(x0: State, u: ControlGrid, params: ModelParams,
@@ -329,7 +338,7 @@ def rk4_forward(x0: State, u: ControlGrid, params: ModelParams,
         raise ValueError("controls and rates must share one grid")
     n0 = _require_total(x0)
     layout = split_layout(u.splits, u.values, rates)
-    values = forward_table(x0, n0, _half_steps(u.values), params, rates, layout)
+    values, _ = forward_table(x0, n0, _half_steps(u.values), params, rates, layout)
     return Trajectory(u.grid, values)
 
 

@@ -17,14 +17,15 @@ tol_delta.  It works on raw node tables and builds the checked
 The fine l2 law returns its node controls and their splits: the steps over
 which its unclamped value crosses a bound (``junctions.junction_splits``).
 Each forward pass splits the steps its controls declare, laid out once per
-table (``junctions.split_layout``), and the cost reads the final pass's
-layout.  A blend of two tables declares the splits of the law in it, so the
-passes split where the law kinks at every weight; the start controls declare
-none, so the fine sweep's first pass, which only seeds it, runs on whole
-steps, as the coarse l2 level does.  A pass under controls and splits both
-unchanged bit for bit reuses the one before whole (``_integrate``), so a
-converged bang-bang sweep ends on a repeat with residual 0.0; any other pass
-runs whole from x0.
+table (``junctions.split_layout``), and sums the P of its RK4 stages; the
+cost is read off the final pass, from that sum, its controls and its layout
+(``objectives._pass_cost``).  A blend of two tables declares the splits of
+the law in it, so the passes split where the law kinks at every weight; the
+start controls declare none, so the fine sweep's first pass, which only
+seeds it, runs on whole steps, as the coarse l2 level does.  A pass under
+controls and splits both unchanged bit for bit reuses the one before whole
+(``_integrate``), so a converged bang-bang sweep ends on a repeat with
+residual 0.0; any other pass runs whole from x0.
 
 Both objectives first sweep the same scenario on a coarse grid, on rates
 interpolated from the fine table.  l2 runs the l2 sweep on a grid COARSENING
@@ -47,10 +48,11 @@ preset; scenario3-l1's answer is the cold start's bit for bit).
 
 The returned controls are the optimality law on the last iterate, with its
 splits.  The returned state, adjoint and cost are integrated once more under
-exactly those controls (reusing the last pass as above), so they form one
-consistent solution: re-integrating ``result.controls`` reproduces them bit
-for bit.  The law itself holds on the iterate one pass earlier, not exactly
-on the returned pair.
+exactly those controls (reusing the last pass, and its cost, as above), so
+they form one consistent solution: re-integrating ``result.controls``
+reproduces them bit for bit, and ``objectives.evaluate_cost`` the cost.
+The law itself holds on the iterate one pass earlier, not exactly on the
+returned pair.
 """
 
 from __future__ import annotations
@@ -76,8 +78,7 @@ from .integrator import (
 )
 from .junctions import junction_splits, split_layout, switch_steps
 from .model import _require_count
-# under the name bench/tracer.py times
-from .objectives import _laid_out_cost as evaluate_cost
+from .objectives import _pass_cost
 from .pmp import bang_bang_terms, l2_law_table, switching_table
 from .scenarios import Scenario
 
@@ -205,11 +206,12 @@ def _law_on_grid(scenario: Scenario, x: np.ndarray, p: np.ndarray, u_prev: np.nd
 
 def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: int,
                last=None, splits: tuple = ()):
-    """State and adjoint tables under u split at splits, and their layout
-    (None if there are none): those of last, an earlier pass's (u, x, p,
-    layout), if u and splits are both unchanged bit for bit (int64 views of u
-    are compared, so a signed zero counts as a change; no theta is 0.0), else
-    those of a whole new pass.  An IntegrationError diverges the sweep."""
+    """State and adjoint tables under u split at splits, their layout (None if
+    there are none) and the forward pass's P quadrature: those of last, an
+    earlier pass's (u, x, p, layout, quadrature), if u and splits are both
+    unchanged bit for bit (int64 views of u are compared, so a signed zero
+    counts as a change; no theta is 0.0), else those of a whole new pass.  An
+    IntegrationError diverges the sweep."""
     params, n0 = scenario.params, scenario.n0
     if (last is not None and (last[3].splits if last[3] else ()) == splits
             and np.array_equal(last[0].view(np.int64), u.view(np.int64))):
@@ -217,9 +219,9 @@ def _integrate(scenario: Scenario, u: np.ndarray, rates: GridRates, iteration: i
     layout = split_layout(splits, u, rates)
     us = _half_steps(u)
     try:
-        x = forward_table(scenario.x0, n0, us, params, rates, layout)
+        x, quadrature = forward_table(scenario.x0, n0, us, params, rates, layout)
         p = backward_table((0.0, 0.0, 0.0), x, us, params, scenario.weights, rates, n0)
-        return x, p, layout
+        return x, p, layout, quadrature
     except IntegrationError as err:
         message = f"sweep diverged at iteration {iteration}: {err}"
         raise DivergenceError(message, iteration) from err
@@ -235,15 +237,15 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
 
     Returns the law on the last iterate and its splits, every residual, the
     weight in force, the l1 singular flags, and the last iteration's pass: the
-    controls u it integrated, with the state x, adjoint p and split layout
-    under them.
+    controls u it integrated, with the state x, adjoint p, split layout and P
+    quadrature under them.
     """
     prev, series = np.zeros((2, 8, rates.grid.n + 1))  # rows R, C, P, p1..p3, u1, u2
     history: list[float] = []
     weight, last, splits = settings.relaxation, None, ()
     for iteration in range(1, settings.max_iters + 1):
         u = u_work
-        x, p, layout = _integrate(scenario, u, rates, iteration, last, splits)
+        x, p, layout, quadrature = _integrate(scenario, u, rates, iteration, last, splits)
         u_law, splits, flags = _law_on_grid(scenario, x, p, u, settings.eps_singular, split)
         # at weight 1 the blend is u_law bit for bit: no law holds -0.0
         u_work = u_law if weight == 1.0 else weight * u_law + (1.0 - weight) * u
@@ -254,8 +256,8 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
         if iteration >= 3 and _grew(history) and weight == settings.relaxation:
             weight = settings.relaxation / 2.0
         prev, series = series, prev
-        last = u, x, p, layout
-    return (u_law, splits), history, weight, flags, (u, x, p, layout)
+        last = u, x, p, layout, quadrature
+    return (u_law, splits), history, weight, flags, (u, x, p, layout, quadrature)
 
 
 def _grew(history: list[float]) -> bool:
@@ -320,7 +322,7 @@ def _switch_sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates)
         us = _half_steps(u)
         layout = split_layout(splits, u, rates)
         try:
-            x = forward_table(scenario.x0, n0, us, params, rates, layout)
+            x, _ = forward_table(scenario.x0, n0, us, params, rates, layout)
             p = backward_table(zero, x, us, params, scenario.weights, rates, n0, layout)
         except IntegrationError:
             return None, iteration
@@ -370,8 +372,8 @@ def _coarse_start(scenario: Scenario, settings: SweepSettings, rates: GridRates)
         return u_cold if law is None else _switch_start(*law, coarse, grid), iterations
     u_zero = np.zeros((coarse.n + 1, 2))
     try:
-        _, history, _, _, (_, x, p, _) = _sweep(scenario, settings, coarse_rates, u_zero,
-                                                split=False)
+        _, history, _, _, (_, x, p, _, _) = _sweep(scenario, settings, coarse_rates, u_zero,
+                                                   split=False)
     except DivergenceError as err:
         return u_cold, err.iteration
     if history[-1] > settings.tol_delta:
@@ -389,7 +391,7 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     rates = sample_rates(scenario.beta, scenario.gamma, grid)
     u_start, coarse_iterations = _coarse_start(scenario, settings, rates)
     (u_law, splits), history, weight, flags, last = _sweep(scenario, settings, rates, u_start)
-    x, p, layout = _integrate(scenario, u_law, rates, len(history), last, splits)
+    x, p, layout, quadrature = _integrate(scenario, u_law, rates, len(history), last, splits)
     state, controls = Trajectory(grid, x), ControlGrid(grid, u_law, splits)
     interior = None
     if scenario.objective == "l1":
@@ -400,7 +402,7 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
         state=state,
         costate=Trajectory(grid, p),
         controls=controls,
-        cost=evaluate_cost(scenario, state, controls, rates, layout),
+        cost=_pass_cost(scenario, quadrature, _half_steps(u_law), layout, grid.h),
         iterations=len(history),
         converged=history[-1] <= settings.tol_delta,
         residual_history=tuple(history),

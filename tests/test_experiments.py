@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marketopt import experiments, solver
+from marketopt import integrator, objectives, solver
 from marketopt.experiments import (
     StrategyKind,
     SweepSpec,
@@ -107,20 +107,28 @@ def test_compare_integrates_the_uncontrolled_state_once(monkeypatch):
         (StrategyKind.OPTIMAL, result.cost, result.converged, result.iterations)
     )
 
-    calls = []
+    calls = {objectives: [], solver: []}
 
-    def counted(forward):
+    def counted(module):
         def wrapped(*args):
-            calls.append(args)
-            return forward(*args)
-        return wrapped
+            calls[module].append(args)
+            return forward_table(*args)
+        monkeypatch.setattr(module, "forward_table", wrapped)
 
-    monkeypatch.setattr(experiments, "rk4_forward", counted(rk4_forward))
-    monkeypatch.setattr(solver, "forward_table", counted(forward_table))
+    def rebuilt(*args):
+        raise AssertionError("a comparison rebuilt the RK4 stages")
+
+    counted(objectives)
+    counted(solver)
+    monkeypatch.setattr(integrator, "_rk4_stages", rebuilt)
     table = compare_strategies(COMPARISON, FAST_SETTINGS)
-    # the shared uncontrolled pass and two fixed strategies, then the coarse
-    # and fine sweeps and the final re-integration
-    assert len(calls) == 3 + result.coarse_iterations + result.iterations + 1
+    # the shared uncontrolled pass, whose cost is the no-control row's, and
+    # one pass for each other fixed strategy, each costed off its own stages
+    fixed = calls[objectives]
+    assert len(fixed) == 3
+    assert not fixed[0][2].any() and all(args[2].any() for args in fixed[1:])
+    # then the coarse and fine sweeps and the final re-integration
+    assert len(calls[solver]) == result.coarse_iterations + result.iterations + 1
     rows = [(r.strategy, r.cost, r.converged, r.iterations) for r in table.rows]
     assert rows == expected
 
@@ -145,12 +153,12 @@ def test_any_subset_gives_the_full_rows_from_one_uncontrolled_pass(
 ):
     uncontrolled = []
 
-    def counted(x0, u, *args):
-        if not u.values.any():
-            uncontrolled.append(u)
-        return rk4_forward(x0, u, *args)
+    def counted(x0, n0, us, *args):
+        if not us.any():
+            uncontrolled.append(us)
+        return forward_table(x0, n0, us, *args)
 
-    monkeypatch.setattr(experiments, "rk4_forward", counted)
+    monkeypatch.setattr(objectives, "forward_table", counted)
     # asked for in reverse, answered in ALL_STRATEGIES order
     table = compare_strategies(COMPARISON, SweepSettings(n=200), subset[::-1])
     assert table.rows == tuple(r for r in full_table_n200.rows if r.strategy in subset)

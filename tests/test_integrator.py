@@ -433,7 +433,7 @@ def test_a_clamped_table_with_no_splits_runs_on_whole_steps():
     assert plain.splits == () and len(u.splits) == 3
     sc = SCENARIO1
     x_plain = rk4_forward(sc.x0, plain, sc.params, rates)
-    whole = forward_table(sc.x0, sc.n0, _half_steps(u.values), sc.params, rates)
+    whole, _ = forward_table(sc.x0, sc.n0, _half_steps(u.values), sc.params, rates)
     assert x_plain.values.tobytes() == whole.tobytes()
     assert x_plain.values.tobytes() != x.values.tobytes()
     states, _, widths = rk4_stages(x_plain, plain, sc.params, rates)
@@ -611,8 +611,8 @@ def _coefficients(rows, sc):
 @pytest.mark.parametrize("switches", SWITCHES)
 def test_a_split_switch_step_is_two_one_step_rk4_calls_bit_for_bit(switches):
     sc, u, layout, rates, us = _switch_case(43, switches)
-    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, layout)
-    whole = forward_table(sc.x0, sc.n0, us, sc.params, rates)
+    x, _ = forward_table(sc.x0, sc.n0, us, sc.params, rates, layout)
+    whole, _ = forward_table(sc.x0, sc.n0, us, sc.params, rates)
     steps = [split[0] for split in layout.splits]
     assert steps == ([1, 29, 37] if switches == SWITCHES[0] else [0, 29, 42])
     assert x[:steps[0] + 1].tobytes() == whole[:steps[0] + 1].tobytes()
@@ -632,14 +632,14 @@ def test_a_split_switch_step_is_two_one_step_rk4_calls_bit_for_bit(switches):
         error = np.array(linear)[:, 2:] - np.column_stack(_linear_rates(times))
         assert np.abs(error).max() <= 1e-13
         tau = integrator._rk4_steps(x[i, 0], x[i, 2], c, ha, (_coefficients(rows[:3], sc),),
-                                    [], [])
+                                    [], [])[:2]
         assert tau == landed  # the state at tau that the pass left in the layout
         end = integrator._rk4_steps(*tau, c, hb, (_coefficients(rows[3:], sc),), [], [])
-        assert end == (x[i + 1, 0], x[i + 1, 2])
+        assert end[:2] == (x[i + 1, 0], x[i + 1, 2])
         # the step taken whole lands elsewhere, by far more than roundoff
         whole_rows = np.column_stack((us, rates.beta, rates.gamma))[2 * i:2 * i + 3]
         nodal = integrator._rk4_steps(x[i, 0], x[i, 2], c, rates.grid.h,
-                                      (_coefficients(whole_rows.tolist(), sc),), [], [])
+                                      (_coefficients(whole_rows.tolist(), sc),), [], [])[:2]
         assert np.abs(np.subtract(nodal, x[i + 1, 0::2])).max() > 1e-6 * sc.n0
 
 
@@ -652,7 +652,7 @@ def test_a_split_switch_step_is_two_one_step_rk4_calls_bit_for_bit(switches):
 ])
 def test_a_split_backward_step_is_the_product_of_its_sub_step_maps(switches, n):
     sc, u, layout, rates, us = _switch_case(n, switches)
-    x = forward_table(sc.x0, sc.n0, us, sc.params, rates, layout)
+    x, _ = forward_table(sc.x0, sc.n0, us, sc.params, rates, layout)
     p = integrator.backward_table((0.0, 0.0, 0.0), x, us, sc.params, sc.weights, rates,
                                   sc.n0, layout)
     c = sc.params.lambda1 * sc.n0
@@ -672,8 +672,8 @@ def test_a_split_backward_step_is_the_product_of_its_sub_step_maps(switches, n):
         return p_end - width / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
     for (i, *_), (ha, hb), rows in zip(layout.splits, layout.widths, layout.rows):
-        R, P = integrator._rk4_steps(x[i, 0], x[i, 2], c, ha,
-                                     (_coefficients(rows[:3], sc),), [], [])
+        R, P, _ = integrator._rk4_steps(x[i, 0], x[i, 2], c, ha,
+                                        (_coefficients(rows[:3], sc),), [], [])
         tau = np.array((R, sc.n0 - R - P, P))
         at_tau = sub_step(p[i + 1], hb, (tau, 0.5 * (tau + x[i + 1]), x[i + 1]), rows[3:])
         expected = sub_step(at_tau, ha, (x[i], 0.5 * (x[i] + tau), tau), rows[:3])
@@ -685,7 +685,7 @@ def test_split_passes_converge_under_step_halving():
     # state and at t = 0 for the adjoint
     def ends(n, backward_splits):
         sc, _, layout, rates, us = _switch_case(n)
-        x = forward_table(sc.x0, sc.n0, us, sc.params, rates, layout)
+        x, _ = forward_table(sc.x0, sc.n0, us, sc.params, rates, layout)
         p = integrator.backward_table((0.0, 0.0, 0.0), x, us, sc.params, sc.weights,
                                       rates, sc.n0, layout if backward_splits else None)
         return x[-1], p[0]

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from marketopt import solver
 from marketopt.integrator import (
     ControlGrid,
     TimeGrid,
@@ -82,10 +83,10 @@ def test_quadrature_is_fourth_order_on_the_linear_model():
     assert math.log2(errors[0] / errors[1]) >= 3.7
 
 
-def _weighed_stage_cost(h, states, controls, widths):
-    """h/6 * widths * (c1 + 2*c2 + 2*c3 + c4), summed over scenario1's (sub-)steps."""
+def _weighed_stage_cost(h, states, controls, widths, sc=SCENARIO1):
+    """h/6 * widths * (c1 + 2*c2 + 2*c3 + c4), summed over sc's (sub-)steps."""
     stage_costs = [
-        running_cost("l2", s[:, 2], c[:, 0], c[:, 1], SCENARIO1.weights)
+        running_cost(sc.objective, s[:, 2], c[:, 0], c[:, 1], sc.weights)
         for s, c in zip(states, controls)
     ]
     return sum(
@@ -123,6 +124,46 @@ def test_cost_weighs_each_stage_by_the_rk4_weights():
     assert evaluate_cost(SCENARIO1, x, u, rates) == pytest.approx(
         _weighed_stage_cost(x.grid.h, states, controls, widths), rel=1e-14
     )
+
+
+def _stage_rule_case(case):
+    """A scenario, state, control table and rates on which to cost the stage rule."""
+    if case == "whole":
+        grid = TimeGrid(0.0, 7.0, 40)
+        rng = np.random.default_rng(5)
+        u = ControlGrid(grid, rng.uniform(0.0, 0.05, (grid.n + 1, 2)))
+        rates = sample_rates(SCENARIO1.beta, SCENARIO1.gamma, grid)
+        return SCENARIO1, u, rates
+    if case.startswith("junctions"):
+        result = solve(SCENARIO1, SweepSettings(n=int(case.split("-n")[1])))
+        assert len(result.controls.splits) == 3  # clamp junctions
+        return SCENARIO1, result.controls, result.rates
+    # the bang-bang law of the switch sweep, on the n=43 switch grid
+    sc = preset_scenario("scenario3-l1")
+    grid = TimeGrid(0.0, sc.t_f, 43)
+    rates = sample_rates(sc.beta, sc.gamma, grid)
+    (u, splits), _ = solver._switch_sweep(sc, SweepSettings(n=grid.n), rates)
+    assert splits and all(bound is None for *_, bound in splits)  # switches
+    return sc, ControlGrid(grid, u, splits), rates
+
+
+@pytest.mark.parametrize("objective", ["l2", "l1"])
+@pytest.mark.parametrize("case", ["whole", "junctions-n88", "junctions-n175", "switches-n43"])
+def test_pass_cost_matches_the_stage_rule_on_the_rebuilt_stages(case, objective):
+    sc, u, rates = _stage_rule_case(case)
+    sc = replace(sc, objective=objective)
+    x = rk4_forward(sc.x0, u, sc.params, rates)
+    states, controls, widths = rk4_stages(x, u, sc.params, rates)
+    reference = _weighed_stage_cost(rates.grid.h, states, controls, widths, sc)
+    cost = evaluate_cost(sc, x, u, rates)
+    assert cost == pytest.approx(reference, rel=1e-14)
+    if u.splits:
+        # a sub-step weighed by h, not by its width, is far outside that
+        n = rates.grid.n
+        misweighed = widths.copy()
+        misweighed[n:] = 1.0
+        wrong = _weighed_stage_cost(rates.grid.h, states, controls, misweighed, sc)
+        assert abs(wrong - reference) > 1e-6 * reference
 
 
 MONOTONE_GRID = TimeGrid(0.0, 2.0, 20)

@@ -17,6 +17,7 @@ from marketopt.experiments import (
 from marketopt.integrator import (
     ControlGrid,
     TimeGrid,
+    _half_steps,
     backward_table,
     default_grid,
     forward_table,
@@ -460,7 +461,12 @@ def test_weight_is_halved_only_once_although_the_residual_keeps_growing(relaxati
     + [(name, SweepSettings(n=n)) for name in ("scenario1", "scenario2", "scenario3")
        for n in (44, 88)],
 )
-def test_reported_solution_is_the_reintegration_of_its_controls(name, settings):
+def test_reported_solution_is_the_reintegration_of_its_controls(name, settings, monkeypatch):
+    def rebuilt(*args):
+        raise AssertionError("the solve rebuilt the RK4 stages")
+
+    # the cost is read off the final pass, not off stages rebuilt from its nodes
+    monkeypatch.setattr(integrator, "_rk4_stages", rebuilt)
     sc = preset_scenario(name)
     result = solve(sc, settings)
     u = result.controls
@@ -513,6 +519,9 @@ def test_final_pass_is_skipped_when_the_law_repeats_its_controls(monkeypatch):
     # second iteration repeats it and runs no pass, nor does the final pass
     assert len(calls["forward"]) == len(calls["backward"]) == 1
     assert result.iterations == 2
+    # the reused pass keeps its cost: that of its controls, run again
+    sc = preset_scenario("scenario3-l1")
+    assert result.cost == evaluate_cost(sc, result.state, result.controls, result.rates)
 
 
 def test_an_iteration_that_would_repeat_its_controls_runs_no_pass(monkeypatch):
@@ -534,19 +543,20 @@ def test_integrate_reuses_exactly_the_unchanged_part_of_the_last_pass(node, monk
     result = solve(sc, SweepSettings(n=1400))
     rates = result.rates
     # bang-bang controls hold no junction, so the pass has no layout
-    last = (result.controls.values, result.state.values, result.costate.values, None)
+    last = (result.controls.values, result.state.values, result.costate.values, None, 1.0)
     u = last[0].copy()
     calls = _record_passes(monkeypatch)
     if node is None:
-        # unchanged controls: the last pass's own tables, and no pass runs
-        x, p, _ = solver._integrate(sc, u, rates, 1, last)
-        assert x is last[1] and p is last[2]
+        # unchanged controls: the last pass's own tables and P quadrature, and
+        # no pass runs
+        x, p, _, quadrature = solver._integrate(sc, u, rates, 1, last)
+        assert x is last[1] and p is last[2] and quadrature == 1.0
         assert calls == {"forward": [], "backward": []}
         # a signed zero is a change, as it is to tobytes
         u[np.flatnonzero(u[:, 0] == 0.0)[0], 0] = -0.0
     else:
         u[node, 0] = 0.5 * sc.params.u1_max
-    x, p, layout = solver._integrate(sc, u, rates, 1, last)
+    x, p, layout, quadrature = solver._integrate(sc, u, rates, 1, last)
     assert layout is None
     # a changed table runs one whole pass of each kind
     assert len(calls["forward"]) == len(calls["backward"]) == 1
@@ -555,6 +565,7 @@ def test_integrate_reuses_exactly_the_unchanged_part_of_the_last_pass(node, monk
     fresh_p = rk4_backward(Costate(0.0, 0.0, 0.0), fresh_x, controls, sc.params, sc.weights, rates)
     assert x.tobytes() == fresh_x.values.tobytes()
     assert p.tobytes() == fresh_p.values.tobytes()
+    assert quadrature == forward_table(sc.x0, sc.n0, _half_steps(u), sc.params, rates)[1]
 
 
 def test_a_repeat_past_max_iters_is_not_recorded(monkeypatch):
@@ -719,10 +730,10 @@ def test_switch_sweep_places_the_switches_alike_on_a_coarse_and_a_finer_grid():
     [
         # in its 4th iteration a step of the n=43 switch grid holds a switch
         # of each control
-        (0.4, 17, 6.839914806050949),
+        (0.4, 17, 6.8399148060509525),
         # the switch sweep's residual grows in its 4th iteration: u1 has a
         # near-singular arc, on which the full-step sweep cycles on every grid
-        (0.6, 300, 6.970957741309637),
+        (0.6, 300, 6.970957741309642),
     ],
     ids=["gamma0.4", "gamma0.6"],
 )
