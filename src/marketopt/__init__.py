@@ -5,6 +5,9 @@ potential customers under two marketing controls) with its Pontryagin
 adjoint system, and solves for optimal policies with a forward-backward RK4
 sweep.  Both quadratic and linear (bang-bang) control costs are supported,
 along with benchmark scenarios, strategy comparisons and parameter sweeps.
+
+No command runs the per-point API or the RK4 stage reference (``pointwise``),
+so that module is imported on the first use of one of their names.
 """
 
 from .experiments import (
@@ -27,26 +30,11 @@ from .integrator import (
     default_grid,
     rk4_backward,
     rk4_forward,
-    rk4_stages,
     sample_rates,
     zero_controls,
 )
-from .model import (
-    ControlPair,
-    ModelParams,
-    State,
-    Weights,
-    dynamics,
-)
+from .model import ModelParams, State, Weights
 from .objectives import evaluate_cost
-from .pmp import (
-    Costate,
-    SwitchingValues,
-    control_law_l2,
-    costate_rhs,
-    hamiltonian,
-    switching_functions,
-)
 from .scenarios import (
     PRESET_NAMES,
     Constant,
@@ -116,3 +104,19 @@ __all__ = [
     "switching_functions",
     "zero_controls",
 ]
+
+_POINTWISE = frozenset(("ControlPair", "Costate", "SwitchingValues", "control_law_l2",
+                        "costate_rhs", "dynamics", "hamiltonian", "rk4_stages",
+                        "switching_functions"))
+
+
+def __getattr__(name: str):
+    if name in _POINTWISE:
+        from . import pointwise
+
+        return getattr(pointwise, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_POINTWISE})

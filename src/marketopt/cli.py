@@ -47,13 +47,14 @@ def _write_trajectory(result: SolveResult, cfg: RunConfig, out_dir: Path) -> Non
                       result.controls.values, result.costate.values)
     phi = switching_table(x, p, scenario.params, scenario.weights, scenario.n0)
     if cfg.out_format == "csv":
-        # %.17g formats a float exactly as _fmt does, one call per row; read
-        # through memoryviews, each row's floats are made as it is formatted
-        row_format = ",".join(["%.17g"] * len(TRAJECTORY_COLUMNS))
-        lines = [",".join(TRAJECTORY_COLUMNS)]
+        # %.17g formats a float exactly as _fmt does, one call per row, and
+        # straight to ASCII bytes; read through memoryviews, each row's floats
+        # are made as it is formatted
+        row_format = b",".join([b"%.17g"] * len(TRAJECTORY_COLUMNS))
+        lines = [",".join(TRAJECTORY_COLUMNS).encode()]
         columns = map(memoryview, (nodes, *x.T, *u.T, *p.T, *phi.T))
         lines.extend(row_format % row for row in zip(*columns))
-        (out_dir / "trajectory.csv").write_text("\n".join(lines) + "\n")
+        (out_dir / "trajectory.csv").write_bytes(b"\n".join(lines) + b"\n")
     else:
         rows = np.column_stack((nodes, x, u, p, phi)).tolist()
         doc = {"columns": list(TRAJECTORY_COLUMNS), "rows": rows}

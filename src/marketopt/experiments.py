@@ -90,6 +90,8 @@ def default_sweep_values(parameter: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One strategy's cell: the swept parameter and value (None in a comparison)."""
+
     parameter: str | None
     value: float | None
     strategy: StrategyKind
@@ -100,6 +102,8 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ComparisonTable:
+    """A comparison's or sweep's rows, in (value, strategy) order."""
+
     rows: tuple[ComparisonRow, ...]
 
     def cost_of(self, strategy: StrategyKind, value: float | None = None) -> float:

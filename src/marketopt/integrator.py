@@ -21,10 +21,10 @@ forward pass runs their sub-steps on the layout's rows
 where the backward pass reads it.
 
 The forward pass carries only R and P, with C = N - R - P on the conserved
-total N of x0, through ``_rk4_steps``, the one inline copy of
-``model.rhs_terms``; it also sums each step's stage P values, the P part of
-the pass's cost (``objectives``).  ``rk4_stages`` rebuilds the same stages on
-whole columns, as the reference for that sum; no solve or sweep calls it.
+total N of x0, through ``_rk4_steps``, which evaluates the flow form of
+``model.flow_coefficients`` inline, as ``pointwise.rhs_terms`` does; it also
+sums each step's stage P values, the P part of the pass's cost
+(``objectives``), for which ``pointwise.rk4_stages`` is the reference.
 The loop reads its coefficient columns through memoryviews, one float per
 read: no coefficient list is built per pass, so only the step in hand's
 floats are alive, not 6(2n+1) for the whole loop.  The adjoint system is
@@ -41,13 +41,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .junctions import SplitLayout, split_layout
 from .model import (ModelParams, RateCallable, State, Weights, _require_count,
-                    _require_total, flow_coefficients, rhs_terms)
-from .pmp import Costate, costate_system
+                    _require_total, flow_coefficients)
+from .pmp import costate_system
+
+if TYPE_CHECKING:
+    from .pointwise import Costate
 
 # Default intervals per unit time, per objective: at 25 per unit (n=175) the l2
 # presets' cost is within 1.8e-10 of the n -> inf cost (see ``objectives``).
@@ -249,7 +253,8 @@ def _step_coefficients(rows, params: ModelParams, n0: float) -> tuple:
 def _rk4_steps(R, P, c, h, steps, Rs, Ps):
     """Run RK4 steps of width h from (R, P) on ``_step_coefficients`` tuples,
     appending each new node to Rs and Ps; returns the last, and the steps'
-    sum of P1 + 2*(P2 + P3) + P4, the P of their four stages."""
+    sum of P1 + 2*(P2 + P3) + P4, the P of their four stages.  Each stage is
+    ``pointwise.rhs_terms`` inline: a change to one must be made in both."""
     half, sixth, stage_sum = 0.5 * h, h / 6.0, 0.0
     for aa, am, ab, ba, bm, bb, ea, em, eb, ga, gm, gb, ka, km, kb, fa, fm, fb in steps:
         q = R * P
@@ -340,70 +345,6 @@ def rk4_forward(x0: State, u: ControlGrid, params: ModelParams,
     layout = split_layout(u.splits, u.values, rates)
     values, _ = forward_table(x0, n0, _half_steps(u.values), params, rates, layout)
     return Trajectory(u.grid, values)
-
-
-def rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams,
-               rates: GridRates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every (sub-)step's four RK4 stage inputs, rebuilt on whole columns from x's nodes.
-
-    Returns (states, controls, widths) with shapes (4, m, 3), (4, m, 2) and
-    (m,): states[k, i] and controls[k, i] are where stage k+1 of step i
-    evaluates ``model.rhs_terms``: node i, the two midpoint predictions, then
-    the end-point prediction, under u_i, the midpoint average twice, then
-    u_{i+1}; widths[i] is the step's width as a fraction of h.  A step that u
-    splits is two sub-steps: the first takes the step's place, and the second
-    ones follow the n steps, in step order, so m is n plus the number of
-    splits.  A second sub-step starts where the forward pass lands the first.
-    The total of x's first node is n0 and N.
-    """
-    if not x.grid == u.grid == rates.grid:
-        raise ValueError("state, controls and rates must share one grid")
-    x0 = State(*x.values[0].tolist())
-    n0 = _require_total(x0)
-    layout = split_layout(u.splits, u.values, rates)
-    if layout is not None:  # x is the forward pass of u: running it again lands the taus
-        forward_table(x0, n0, _half_steps(u.values), params, rates, layout)
-    return _rk4_stages(x, u, params, rates, n0, layout)
-
-
-def _rk4_stages(x: Trajectory, u: ControlGrid, params: ModelParams, rates: GridRates,
-                N: float, layout: SplitLayout | None) -> tuple:
-    """``rk4_stages`` on N and the layout of u's splits that the forward pass
-    to x filled in; nothing is checked.  The (4, m, 3) state
-    table is built once: each stage's R and P columns, then C = (N - R) - P
-    on all four, then x's nodes over stage 1 of the n whole steps."""
-    grid = x.grid
-    n, h = grid.n, grid.h
-    xs = x.values[:-1]
-    steps = [] if layout is None else [split[0] for split in layout.splits]
-    m = n + len(steps)
-    cols = np.arange(m)
-    cols[n:] = steps  # gathered as whole steps, then overwritten
-    # half-step row read by stage k+1 of step i
-    rows = np.array([[0], [1], [1], [2]]) + 2 * cols
-    controls = _half_steps(u.values)[rows]
-    betas, gammas = rates.beta[rows], rates.gamma[rows]
-    states = np.empty((4, m, 3))
-    R, C, P = states.transpose(2, 0, 1)  # (4, m) views
-    R[0, :n], P[0, :n] = xs[:, 0], xs[:, 2]
-    widths, span = np.ones(m), h
-    if steps:
-        R[0, n:], P[0, n:] = zip(*layout.taus)
-        # the stage rows of every first sub-step, then of every second one
-        at = steps + list(range(n, m))
-        sub = np.array(layout.rows)[:, [[0, 1, 1, 2], [3, 4, 4, 5]]].transpose(2, 1, 0, 3)
-        sub = sub.reshape(4, len(at), 4)
-        controls[:, at], betas[:, at], gammas[:, at] = sub[..., :2], sub[..., 2], sub[..., 3]
-        thetas = np.array([split[2] for split in layout.splits])
-        widths[steps], widths[n:] = thetas, 1.0 - thetas
-        span = np.full(m, h)
-        span[steps], span[n:] = zip(*layout.widths)
-    for k, reach in enumerate((0.5 * span, 0.5 * span, span)):
-        dR, dP = rhs_terms(R[k], P[k], *controls[k].T, betas[k], gammas[k], params, N, N)
-        R[k + 1], P[k + 1] = R[0] + reach * dR, P[0] + reach * dP
-    np.subtract(N - R, P, out=C)
-    states[0, :n] = xs
-    return states, controls, widths
 
 
 def _step_maps(start: np.ndarray, mid: np.ndarray, end: np.ndarray, h) -> np.ndarray:

@@ -17,12 +17,12 @@ The governing system is::
 
 Every flow leaves one compartment and enters another, so R + C + P is
 conserved; ``N0`` in the denominators is that constant total, fixed up front.
-Every Runge-Kutta method keeps a linear invariant exactly, so ``rhs_terms``
-works on the total: it reads C as total - R - P and gives (dR/dt, dP/dt), on
-scalars or node columns, in the form of the ``pmp`` kernels (states, controls,
-rates at t, then params, n0 and the total), as a flow bilinear in (R, P) with
-the coefficients of ``flow_coefficients``.  ``dynamics`` wraps it for one
-point, with dC/dt = -(dR/dt + dP/dt) and the checks ``pmp.costate_rhs`` shares.
+Every Runge-Kutta method keeps a linear invariant exactly, so the flow is
+written on the total: ``flow_coefficients`` reads C as total - R - P and gives
+(dR/dt, dP/dt), on scalars or node columns, as a flow bilinear in (R, P), with
+its arguments in the order of the ``pmp`` kernels (controls, rates at t, then
+params, n0 and the total).  ``pointwise.rhs_terms`` evaluates that form, and
+``pointwise.dynamics`` wraps it for one point.
 """
 
 from __future__ import annotations
@@ -46,14 +46,6 @@ def _require_count(name: str, value: int) -> None:
     """Reject a bool or a non-integer; numpy integers pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_n0(n0: float) -> float:
-    """The population total n0 of the per-point wrappers: finite and > 0."""
-    n0 = float(n0)
-    if not 0.0 < n0 < math.inf:
-        raise ValueError(f"n0 must be finite and > 0, got {n0}")
-    return n0
 
 
 @dataclass(frozen=True)
@@ -97,18 +89,6 @@ class State:
 
 
 @dataclass(frozen=True)
-class ControlPair:
-    """Marketing controls: direct recruitment u1, word-of-mouth boost u2."""
-
-    u1: float
-    u2: float
-
-    def __post_init__(self) -> None:
-        _require_finite("u1", self.u1)
-        _require_finite("u2", self.u2)
-
-
-@dataclass(frozen=True)
 class Weights:
     """Cost weights (kappa1, kappa2, kappa3) for the running cost.
 
@@ -129,15 +109,6 @@ class Weights:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
 
-def _at_point(t: float, beta: RateCallable, gamma: RateCallable, n0: float):
-    """Check a per-point call's t, n0 and rates; return (beta_t, gamma_t, n0)."""
-    _require_finite("t", t)
-    n0 = _require_n0(n0)
-    beta_t = _require_finite("beta(t)", beta(t))
-    gamma_t = _require_finite("gamma(t)", gamma(t))
-    return beta_t, gamma_t, n0
-
-
 def flow_coefficients(u1, u2, beta_t, gamma_t, params: ModelParams, n0: float, total):
     """(a, b, c, e, g, k, f) of dR/dt = a*R + b*P + c + e*R*P, dP/dt = g + k*P - f*R*P.
 
@@ -146,38 +117,6 @@ def flow_coefficients(u1, u2, beta_t, gamma_t, params: ModelParams, n0: float, t
     l1, f = params.lambda1, (beta_t + u2) / n0
     a, b = -(params.lambda2 + l1 + gamma_t), params.alpha1 * u1 - l1
     return a, b, l1 * total, params.alpha2 * f, gamma_t * total, -(gamma_t + u1), f
-
-
-def rhs_terms(R, P, u1, u2, beta_t, gamma_t, params: ModelParams, n0: float, total):
-    """Raw (dR/dt, dP/dt), with C = total - R - P; no validation.
-
-    Rates are already evaluated at t.  It evaluates the coefficient form of
-    ``flow_coefficients``.  ``dynamics`` wraps it for one point, and
-    ``integrator._rk4_steps``, its one inline copy, evaluates the form
-    operation for operation, so a change here must be made there too.
-    """
-    a, b, c, e, g, k, f = flow_coefficients(u1, u2, beta_t, gamma_t, params, n0, total)
-    rp = R * P
-    return a * R + b * P + c + e * rp, g + k * P - f * rp
-
-
-def dynamics(
-    t: float,
-    x: State,
-    u: ControlPair,
-    params: ModelParams,
-    beta: RateCallable,
-    gamma: RateCallable,
-    n0: float,
-) -> tuple[float, float, float]:
-    """Evaluate (dR/dt, dC/dt, dP/dt) at time t.
-
-    dC/dt is -(dR/dt + dP/dt), so the components sum to zero up to roundoff.
-    """
-    beta_t, gamma_t, n0 = _at_point(t, beta, gamma, n0)
-    total = x.R + x.C + x.P
-    dR, dP = rhs_terms(x.R, x.P, u.u1, u.u2, beta_t, gamma_t, params, n0, total)
-    return dR, -(dR + dP), dP
 
 
 def _require_total(x: State) -> float:

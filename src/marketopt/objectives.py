@@ -8,7 +8,7 @@ cost at stage k's P and stage control; a step that the controls split
 width.  The forward pass sums the P part on the stages it steps on
 (``integrator.forward_table``) and ``_pass_cost`` adds the control part, so
 each pass gives its own cost, and the state bits are those of
-``rk4_forward``.  ``integrator.rk4_stages`` rebuilds the stages from the
+``rk4_forward``.  ``pointwise.rk4_stages`` rebuilds the stages from the
 nodes, as the reference for the rule.
 
 The rule is fourth order where the problem is smooth, and the split keeps it

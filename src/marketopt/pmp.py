@@ -23,56 +23,24 @@ gradient, so both objectives share the adjoint system above.
 
 The adjoint system is linear in p, dp/dt = A(t) p + b, and
 ``costate_system`` builds (A, b) on whole node columns for the backward
-integrator, as one constant-matrix product; ``costate_rhs`` wraps it for one
-point.  Likewise each pointwise law is one validation-free kernel:
-``l2_law_terms`` on scalars or node columns, ``switching_table`` and the l1
-law ``bang_bang_terms`` on node tables; the first two have validating
-per-node wrappers.  The sweep reads the l2 law off whole tables instead
-(``l2_law_table``), also one constant-matrix product, with the unclamped
-values whose bound crossings are the clamp junctions.
+integrator, as one constant-matrix product.  Each control law is one
+validation-free kernel on node tables: the l2 law ``l2_law_table``, also one
+constant-matrix product, with the unclamped values whose bound crossings are
+the clamp junctions, and the l1 law ``bang_bang_terms`` on ``switching_table``.
+Their forms at one point, under validating wrappers (``costate_rhs``,
+``control_law_l2``, ``switching_functions``, ``hamiltonian``), are in
+``pointwise``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import (
-    ControlPair,
-    ModelParams,
-    RateCallable,
-    State,
-    Weights,
-    _at_point,
-    _require_finite,
-    _require_n0,
-    dynamics,
-)
+from .model import ModelParams, Weights
 
 OBJECTIVE_TAGS = ("l2", "l1")
-
-
-@dataclass(frozen=True)
-class Costate:
-    """Adjoint values (p1, p2, p3) paired with (R, C, P)."""
-
-    p1: float
-    p2: float
-    p3: float
-
-    def __post_init__(self) -> None:
-        for name in ("p1", "p2", "p3"):
-            _require_finite(name, getattr(self, name))
-
-
-@dataclass(frozen=True)
-class SwitchingValues:
-    """Coefficients of (u1, u2) in the control-linear Hamiltonian."""
-
-    phi1: float
-    phi2: float
 
 
 @lru_cache(maxsize=8)
@@ -113,24 +81,6 @@ def costate_system(R, C, P, u1, u2, beta_t, gamma_t, params: ModelParams,
     return S.reshape(np.shape(R) + (4, 4))
 
 
-def costate_rhs(
-    t: float,
-    x: State,
-    p: Costate,
-    u: ControlPair,
-    params: ModelParams,
-    weights: Weights,
-    beta: RateCallable,
-    gamma: RateCallable,
-    n0: float,
-) -> tuple[float, float, float]:
-    """Evaluate (dp1/dt, dp2/dt, dp3/dt) at time t with N fixed to n0."""
-    beta_t, gamma_t, n0 = _at_point(t, beta, gamma, n0)
-    S = costate_system(x.R, x.C, x.P, u.u1, u.u2, beta_t, gamma_t, params, weights, n0)
-    dp1, dp2, dp3, _ = (S @ np.array([p.p1, p.p2, p.p3, 1.0])).tolist()
-    return dp1, dp2, dp3
-
-
 def check_l2_weights(weights: Weights) -> None:
     """The quadratic law divides by kappa2 and kappa3."""
     if weights.kappa2 <= 0.0 or weights.kappa3 <= 0.0:
@@ -140,15 +90,6 @@ def check_l2_weights(weights: Weights) -> None:
 def _clamp(u, bound):
     # where() rather than maximum(): like max(0.0, u), it maps -0.0 to +0.0
     return np.minimum(np.where(u > 0.0, u, 0.0), bound)
-
-
-def l2_law_terms(R, P, p1, p2, p3, params: ModelParams, weights: Weights, n0: float):
-    """Raw clamped quadratic-cost law on scalars or node arrays; no validation."""
-    direct_gap = p3 - params.alpha1 * p1 - (1.0 - params.alpha1) * p2
-    spread_gap = p3 - params.alpha2 * p1 - (1.0 - params.alpha2) * p2
-    u1 = direct_gap * P / (2.0 * weights.kappa2)
-    u2 = spread_gap * P * R / (2.0 * weights.kappa3 * n0)
-    return _clamp(u1, params.u1_max), _clamp(u2, params.u2_max)
 
 
 @lru_cache(maxsize=8)
@@ -163,9 +104,9 @@ def _gap_coefficients(params: ModelParams) -> np.ndarray:
 
 def l2_law_table(x: np.ndarray, p: np.ndarray, params: ModelParams, weights: Weights,
                  n0: float) -> tuple[np.ndarray, np.ndarray]:
-    """``l2_law_terms`` on (n+1, 3) state and adjoint tables: the (n+1, 2)
-    control table, and the unclamped stationary table w that it clamps, with
-    both gaps read off one product p @ G; no validation."""
+    """The clamped quadratic-cost law on (n+1, 3) state and adjoint tables: the
+    (n+1, 2) control table, and the unclamped stationary table w that it
+    clamps, with both gaps read off one product p @ G; no validation."""
     R, P = x[:, 0], x[:, 2]
     w = p @ _gap_coefficients(params)
     w[:, 0] *= P / (2.0 * weights.kappa2)
@@ -196,44 +137,6 @@ def bang_bang_terms(phi, bound, previous, eps_singular: float):
     return u, np.abs(phi) <= eps_singular
 
 
-def control_law_l2(
-    x: State,
-    p: Costate,
-    params: ModelParams,
-    weights: Weights,
-    n0: float,
-) -> ControlPair:
-    """Quadratic-cost pointwise minimizer, clamped to the control box.
-
-    u1 = clamp([p3 - alpha1*p1 - (1-alpha1)*p2] * P / (2*kappa2), 0, u1_max)
-    u2 = clamp([p3 - alpha2*p1 - (1-alpha2)*p2] * P*R / (2*kappa3*n0), 0, u2_max)
-    """
-    check_l2_weights(weights)
-    n0 = _require_n0(n0)
-    u1, u2 = l2_law_terms(x.R, x.P, p.p1, p.p2, p.p3, params, weights, n0)
-    return ControlPair(u1=float(u1), u2=float(u2))
-
-
-def switching_functions(
-    x: State,
-    p: Costate,
-    params: ModelParams,
-    weights: Weights,
-    n0: float,
-) -> SwitchingValues:
-    """Coefficients of u1 and u2 in the linear-cost Hamiltonian.
-
-    phi1 = kappa2 + (alpha1*p1 + (1-alpha1)*p2 - p3) * P
-    phi2 = kappa3 + (alpha2*p1 + (1-alpha2)*p2 - p3) * P*R/n0
-
-    With vanishing terminal adjoints these end at (kappa2, kappa3), which
-    forces both controls to switch off at the final time.
-    """
-    row, adjoint = np.array((x.R, x.C, x.P)), np.array((p.p1, p.p2, p.p3))
-    phi = switching_table(row, adjoint, params, weights, _require_n0(n0))
-    return SwitchingValues(*phi.tolist())
-
-
 def running_cost(objective: str, P, u1, u2, weights: Weights):
     """kappa1*P + kappa2*u1^a + kappa3*u2^a on scalars or node arrays."""
     if objective == "l2":
@@ -241,26 +144,3 @@ def running_cost(objective: str, P, u1, u2, weights: Weights):
     if objective == "l1":
         return weights.kappa1 * P + weights.kappa2 * u1 + weights.kappa3 * u2
     raise ValueError(f"objective must be one of {OBJECTIVE_TAGS}, got {objective!r}")
-
-
-def hamiltonian(
-    t: float,
-    x: State,
-    p: Costate,
-    u: ControlPair,
-    objective: str,
-    params: ModelParams,
-    weights: Weights,
-    beta: RateCallable,
-    gamma: RateCallable,
-    n0: float,
-) -> float:
-    """Running cost plus adjoint-weighted flow, with N fixed to n0.
-
-    On the conserved simplex n0 equals R + C + P; callers probing state
-    gradients should re-tie n0 to the perturbed total so the adjoint system
-    remains the exact negative gradient.
-    """
-    running = running_cost(objective, x.P, u.u1, u.u2, weights)
-    dR, dC, dP = dynamics(t, x, u, params, beta, gamma, n0)
-    return running + p.p1 * dR + p.p2 * dC + p.p3 * dP

@@ -66,9 +66,9 @@ class Constant(RateFunction):
         return f"{self.tag}({self.value:g})"
 
 
-@dataclass(frozen=True)
 class _FourParameterRate(RateFunction):
-    """A closed-form family ``_curve(t, xp)``: every field finite, the first two >= 0."""
+    """A closed-form family ``_curve(t, xp)``: every field finite, the first two >= 0.
+    Not a dataclass: it has no fields, and each family is a frozen dataclass."""
 
     def __post_init__(self) -> None:
         names = [f.name for f in fields(self)]

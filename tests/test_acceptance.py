@@ -24,9 +24,10 @@ from marketopt.integrator import (
     sample_rates,
     zero_controls,
 )
-from marketopt.model import ControlPair, ModelParams, State, Weights
+from marketopt.model import ModelParams, State, Weights
 from marketopt.objectives import evaluate_cost
-from marketopt.pmp import (
+from marketopt.pointwise import (
+    ControlPair,
     Costate,
     control_law_l2,
     costate_rhs,

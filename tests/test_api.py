@@ -1,18 +1,61 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import marketopt
+from marketopt import pointwise
 from marketopt.config import config_from_scenario
 from marketopt.scenarios import preset_scenario
+
+PACKAGE_DIR = Path(marketopt.__file__).resolve().parent
 
 
 def test_every_public_name_resolves_once():
     names = marketopt.__all__
     assert len(names) == len(set(names))
+    listed = dir(marketopt)
     for name in names:
         assert getattr(marketopt, name) is not None
+        assert name in listed
     # an objective is the Scenario's (objective, weights) pair, not a type
     assert "ObjectiveKind" not in names
     assert not hasattr(marketopt, "ObjectiveKind")
+    with pytest.raises(AttributeError, match="has no attribute 'ObjectiveKind'"):
+        marketopt.ObjectiveKind
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from marketopt import *", namespace)
+    assert set(marketopt.__all__) <= set(namespace)
+    for name in marketopt.__all__:
+        assert namespace[name] is getattr(marketopt, name)
+
+
+def test_lazy_names_are_the_pointwise_objects():
+    lazy = marketopt._POINTWISE
+    assert lazy <= set(marketopt.__all__)
+    for name in lazy:
+        assert getattr(marketopt, name) is getattr(pointwise, name)
+        assert getattr(pointwise, name).__module__ == "marketopt.pointwise"
+
+
+def test_commands_import_no_pointwise_module():
+    # every module but the lazily loaded one, as one command process imports them
+    kernels = sorted(path.stem for path in PACKAGE_DIR.glob("*.py")
+                     if path.stem not in ("__init__", "__main__", "pointwise"))
+    assert {"cli", "integrator", "model", "pmp", "solver"} <= set(kernels)
+    code = (f"import sys, marketopt.cli\n"
+            f"for name in {kernels!r}: __import__('marketopt.' + name)\n"
+            "print('marketopt.pointwise' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["False"]
 
 
 def test_config_from_scenario_carries_solver_overrides():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from marketopt import integrator, objectives, solver
+from marketopt import objectives, pointwise, solver
 from marketopt.experiments import (
     StrategyKind,
     SweepSpec,
@@ -120,7 +120,7 @@ def test_compare_integrates_the_uncontrolled_state_once(monkeypatch):
 
     counted(objectives)
     counted(solver)
-    monkeypatch.setattr(integrator, "_rk4_stages", rebuilt)
+    monkeypatch.setattr(pointwise, "_rk4_stages", rebuilt)
     table = compare_strategies(COMPARISON, FAST_SETTINGS)
     # the shared uncontrolled pass, whose cost is the no-control row's, and
     # one pass for each other fixed strategy, each costed off its own stages

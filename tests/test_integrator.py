@@ -20,14 +20,13 @@ from marketopt.integrator import (
     forward_table,
     rk4_backward,
     rk4_forward,
-    rk4_stages,
     sample_rates,
     zero_controls,
 )
 from marketopt.junctions import junction_splits, split_layout, switch_steps
-from marketopt.model import (ControlPair, ModelParams, State, Weights, flow_coefficients,
-                             rhs_terms)
-from marketopt.pmp import Costate, costate_rhs, costate_system
+from marketopt.model import ModelParams, State, Weights, flow_coefficients
+from marketopt.pmp import costate_system
+from marketopt.pointwise import ControlPair, Costate, costate_rhs, rhs_terms, rk4_stages
 from marketopt.scenarios import (
     PRESET_NAMES,
     Constant,
@@ -153,7 +152,7 @@ def test_nonfinite_state_aborts_with_step_index():
 
 
 def _reference_forward(x0, u, params, rates, stages=None):
-    """RK4 on the total with one model.rhs_terms call per stage: the reference
+    """RK4 on the total with one pointwise.rhs_terms call per stage: the reference
     for the inlined step of rk4_forward, with the same checks and messages.
     Each step's four stage states and controls are appended to stages."""
     grid, h = u.grid, u.grid.h

@@ -5,15 +5,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from marketopt.model import (
-    ControlPair,
-    ModelParams,
-    State,
-    Weights,
-    _require_total,
-    dynamics,
-    rhs_terms,
-)
+from marketopt.model import ModelParams, State, Weights, _require_total
+from marketopt.pointwise import ControlPair, dynamics, rhs_terms
 from marketopt.integrator import TimeGrid, sample_rates
 from marketopt.scenarios import (
     PRESET_NAMES,

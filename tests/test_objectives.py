@@ -12,13 +12,13 @@ from marketopt.integrator import (
     ControlGrid,
     TimeGrid,
     rk4_forward,
-    rk4_stages,
     sample_rates,
     zero_controls,
 )
 from marketopt.model import ModelParams, State, Weights
 from marketopt.objectives import evaluate_cost
 from marketopt.pmp import running_cost
+from marketopt.pointwise import rk4_stages
 from marketopt.scenarios import Constant, Scenario, preset_scenario
 from marketopt.solver import SweepSettings, solve
 

@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketopt.model import ControlPair, ModelParams, State, Weights, dynamics
-from marketopt.pmp import (
+from marketopt.model import ModelParams, State, Weights
+from marketopt.pmp import bang_bang_terms, costate_system, l2_law_table, switching_table
+from marketopt.pointwise import (
+    ControlPair,
     Costate,
     SwitchingValues,
-    bang_bang_terms,
     control_law_l2,
     costate_rhs,
-    costate_system,
+    dynamics,
     hamiltonian,
-    l2_law_table,
     l2_law_terms,
     switching_functions,
-    switching_table,
 )
 from marketopt.scenarios import Constant, builtin_beta_rate, builtin_gamma_rate
 

@@ -1,14 +1,15 @@
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from marketopt.config import scenario_from_dict, scenario_to_dict
+from marketopt.config import (rate_from_dict, rate_to_dict, scenario_from_dict,
+                              scenario_to_dict)
 from marketopt.integrator import TimeGrid, _sample_times, sample_rates
 from marketopt.model import State
 from marketopt.scenarios import (
@@ -219,6 +220,37 @@ class _Table(RateFunction):
 def test_each_rate_family_labels_itself(rate, label):
     # rates are named by label in error messages
     assert rate.label == label
+
+
+@pytest.mark.parametrize(
+    ("family", "names", "label", "other"),
+    [
+        (LogisticIncreasing, ("base", "gain", "rate", "midpoint"),
+         "logistic-increasing(base=0.01, gain=0.49)", LogisticDecreasing),
+        (LogisticDecreasing, ("base", "gain", "rate", "midpoint"),
+         "logistic-decreasing(base=0.01, gain=0.49)", LogisticIncreasing),
+        (SinusoidalPeriodic, ("offset", "amplitude", "omega", "phase"),
+         "sinusoidal(offset=0.01, amplitude=0.49)", LogisticIncreasing),
+    ],
+    ids=["logistic-increasing", "logistic-decreasing", "sinusoidal"],
+)
+def test_four_parameter_families_are_frozen_value_dataclasses(family, names, label, other):
+    values = (0.01, 0.49, 2.0, 3.0)
+    rate = family(*values)
+    assert tuple(f.name for f in fields(rate)) == names
+    twin = family(**dict(zip(names, values)))
+    assert rate == twin and hash(rate) == hash(twin)
+    assert rate != family(0.02, *values[1:]) and rate != other(*values)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(rate) == f"{family.__name__}({shown})"
+    with pytest.raises(FrozenInstanceError):
+        setattr(rate, names[0], 1.0)
+    assert rate.label == label
+    doc = rate_to_dict(rate)
+    assert doc == {"kind": family.tag, **dict(zip(names, values))}
+    assert rate_from_dict(json.loads(json.dumps(doc)), "scenario.beta") == rate
+    with pytest.raises(ValueError, match=f"{names[0]} and {names[1]} must be >= 0"):
+        family(-0.01, *values[1:])
 
 
 @pytest.mark.parametrize("bad_value", [math.nan, math.inf, -1e-3])

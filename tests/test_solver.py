@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marketopt import experiments, integrator, solver
+from marketopt import experiments, integrator, pointwise, solver
 from marketopt.experiments import (
     SWEEP_PARAMETERS,
     StrategyKind,
@@ -27,9 +27,10 @@ from marketopt.integrator import (
     zero_controls,
 )
 from marketopt.junctions import junction_splits
-from marketopt.model import ControlPair, State, Weights
+from marketopt.model import State, Weights
 from marketopt.objectives import evaluate_cost
-from marketopt.pmp import Costate, hamiltonian, l2_law_table, switching_functions
+from marketopt.pmp import l2_law_table
+from marketopt.pointwise import ControlPair, Costate, hamiltonian, switching_functions
 from marketopt.scenarios import PRESET_NAMES, Constant, Scenario, preset_scenario
 from marketopt.solver import (
     DivergenceError,
@@ -466,7 +467,7 @@ def test_reported_solution_is_the_reintegration_of_its_controls(name, settings, 
         raise AssertionError("the solve rebuilt the RK4 stages")
 
     # the cost is read off the final pass, not off stages rebuilt from its nodes
-    monkeypatch.setattr(integrator, "_rk4_stages", rebuilt)
+    monkeypatch.setattr(pointwise, "_rk4_stages", rebuilt)
     sc = preset_scenario(name)
     result = solve(sc, settings)
     u = result.controls
