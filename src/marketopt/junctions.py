@@ -118,8 +118,9 @@ def switch_steps(phi: np.ndarray, u: np.ndarray) -> list[tuple] | None:
     """
     last = len(phi) - 1
     changed = u[:-1] != u[1:]
-    steps = np.flatnonzero(changed.any(axis=1)).tolist()
-    if last < 3 or changed[steps].all(axis=1).any():
+    a, b = changed[:, 0], changed[:, 1]  # by columns: faster than over axis 1
+    steps = np.flatnonzero(a | b).tolist()
+    if last < 3 or (a & b).any():
         return None
     found = []
     for i in steps:

@@ -25,7 +25,8 @@ start controls declare none, so the fine sweep's first pass, which only
 seeds it, runs on whole steps, as the coarse l2 level does.  A pass under
 controls and splits both unchanged bit for bit reuses the one before whole
 (``_integrate``), so a converged bang-bang sweep ends on a repeat with
-residual 0.0; any other pass runs whole from x0.
+residual 0.0 (at weight 1 without running the law, which would repeat);
+any other pass runs whole from x0.
 
 Both objectives first sweep the same scenario on a coarse grid, on rates
 interpolated from the fine table.  l2 runs the l2 sweep on a grid COARSENING
@@ -37,9 +38,10 @@ fine nodes (``_prolongation``).  l1 runs the switch sweep on the switch grid
 (n=43 at t_f = 7, at every fine n): an l1 sweep from zero controls, at
 weight 1, whose steps that hold a switch are split at its time tau
 (``junctions.switch_steps``) in both passes, so tau moves with the iterate,
-not by nodes.  If it converges, the fine sweep starts from bang-bang
-controls that switch at its taus, which the nodal fixed point most often
-repeats: it puts each switch at the fine node just below its tau.  Either
+not by nodes, until tol_delta or a repeat of its fine start
+(``_placement``).  The fine sweep then starts from bang-bang controls that
+switch at its taus, which the nodal fixed point most often repeats: it puts
+each switch at the fine node just below its tau.  Either
 starts from zero if its coarse sweep fails (for l1, the switch sweep gives
 up: see ``_switch_sweep``) or the coarse grid would have under 2 intervals
 or be no coarser than the fine one.  The fine residual is still first taken
@@ -152,10 +154,11 @@ class SolveResult:
     more than 1e-12 inside both of its bounds.  coarse_iterations counts the
     iterations of the one coarse sweep (0 if none ran), a diverged one up to
     the iteration at which it diverged: the l2 sweep's for l2, the switch
-    sweep's for l1.  The other fields are the fine sweep's.  junctions holds
-    a (control index, tau) pair for every clamp junction that the returned
-    controls split (``ControlGrid.splits``; none for bang-bang or unclamped
-    controls).
+    sweep's for l1, which also stops on a repeat of its fine start
+    (``_switch_sweep``).  The other fields are the fine sweep's.
+    junctions holds a (control index, tau) pair for every clamp junction
+    that the returned controls split (``ControlGrid.splits``; none for
+    bang-bang or unclamped controls).
     """
 
     state: Trajectory
@@ -246,6 +249,10 @@ def _sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates, u_work
     for iteration in range(1, settings.max_iters + 1):
         u = u_work
         x, p, layout, quadrature = _integrate(scenario, u, rates, iteration, last, splits)
+        if weight == 1.0 and last is not None and x is last[1]:
+            # the law and series would repeat: l1 keeps u_prev where u holds it
+            history.append(0.0)
+            break
         u_law, splits, flags = _law_on_grid(scenario, x, p, u, settings.eps_singular, split)
         # at weight 1 the blend is u_law bit for bit: no law holds -0.0
         u_work = u_law if weight == 1.0 else weight * u_law + (1.0 - weight) * u
@@ -304,19 +311,22 @@ def _switch_law(scenario: Scenario, x: np.ndarray, p: np.ndarray, eps_singular: 
     return None if splits is None else (u, splits)
 
 
-def _switch_sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates):
+def _switch_sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates,
+                  grid: TimeGrid):
     """The l1 sweep on the grid of rates from zero controls, at weight 1, with
-    every step that holds a switch split at it in both passes.
+    every step that holds a switch split at it in both passes, until the
+    residual meets tol_delta or two laws in a row have one ``_placement`` on
+    the fine grid.
 
     Returns the law on the last iterate (node controls and switch steps) and
     the iterations run; the law is None if the sweep cannot settle the
-    switches: a law that ``_switch_law`` rejects, a residual that grows from
-    the third iteration on, divergence, or max_iters.
+    switches (tested before a repeat): a law that ``_switch_law`` rejects, a
+    residual that grows from the third iteration on, divergence, or max_iters.
     """
     prev, series = np.zeros((2, 8, rates.grid.n + 1))
     history: list[float] = []
     params, n0, zero = scenario.params, scenario.n0, (0.0, 0.0, 0.0)
-    law = np.zeros((rates.grid.n + 1, 2)), []
+    law, placement, nodes = (np.zeros((rates.grid.n + 1, 2)), []), None, grid.nodes()
     for iteration in range(1, settings.max_iters + 1):
         u, splits = law
         us = _half_steps(u)
@@ -335,20 +345,34 @@ def _switch_sweep(scenario: Scenario, settings: SweepSettings, rates: GridRates)
             return law, iteration
         if iteration >= 3 and _grew(history):
             return None, iteration
+        placement, before = _placement(*law, rates.grid, nodes), placement
+        if placement == before:
+            return law, iteration
         prev, series = series, prev
     return None, settings.max_iters
 
 
+def _placement(u: np.ndarray, splits: list[tuple], coarse: TimeGrid,
+               nodes: np.ndarray) -> tuple:
+    """The bang-bang law (u, splits) of the coarse grid on the fine nodes:
+    each control's first value, and per switch its control, the first node
+    at or after tau and the later side's value."""
+    taus = [coarse.t0 + (i + theta) * coarse.h for i, _, theta, _ in splits]
+    firsts = np.searchsorted(nodes, taus).tolist()
+    rows = u.tolist()
+    return (tuple(rows[0]),
+            tuple((c, k, rows[i + 1][c]) for (i, c, _, _), k in zip(splits, firsts)))
+
+
 def _switch_start(u: np.ndarray, splits: list[tuple], coarse: TimeGrid,
                   grid: TimeGrid) -> np.ndarray:
-    """The controls u of the coarse grid, bang-bang and switching at the taus
-    of splits, at the nodes of grid (a node at a tau takes the later side)."""
-    ts, start = grid.nodes(), np.empty((grid.n + 1, 2))
-    for c in (0, 1):
-        steps = [(i, theta) for i, d, theta, _ in splits if d == c]
-        taus = [coarse.t0 + (i + theta) * coarse.h for i, theta in steps]
-        sides = [u[0, c]] + [u[i + 1, c] for i, _ in steps]
-        start[:, c] = np.take(sides, np.searchsorted(taus, ts, side="right"))
+    """The law (u, splits) of the coarse grid at the nodes of grid, placed by
+    ``_placement``."""
+    firsts, switches = _placement(u, splits, coarse, grid.nodes())
+    start = np.empty((grid.n + 1, 2))
+    start[:] = firsts
+    for c, k, side in switches:  # each control's switches in time order
+        start[k:, c] = side
     return start
 
 
@@ -368,7 +392,7 @@ def _coarse_start(scenario: Scenario, settings: SweepSettings, rates: GridRates)
     beta, gamma = (np.interp(ts, fine_ts, r) for r in (rates.beta, rates.gamma))
     coarse_rates = GridRates(coarse, beta, gamma, rates.names)
     if scenario.objective == "l1":
-        law, iterations = _switch_sweep(scenario, settings, coarse_rates)
+        law, iterations = _switch_sweep(scenario, settings, coarse_rates, grid)
         return u_cold if law is None else _switch_start(*law, coarse, grid), iterations
     u_zero = np.zeros((coarse.n + 1, 2))
     try:
@@ -397,7 +421,7 @@ def solve(scenario: Scenario, settings: SweepSettings) -> SolveResult:
     if scenario.objective == "l1":
         bounds = (scenario.params.u1_max, scenario.params.u2_max)
         inside = (u_law > 1e-12) & (u_law < np.subtract(bounds, 1e-12))
-        interior = float(np.mean(np.any(inside, axis=1)))
+        interior = float(np.mean(inside[:, 0] | inside[:, 1]))  # faster than any(axis=1)
     return SolveResult(
         state=state,
         costate=Trajectory(grid, p),

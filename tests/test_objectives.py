@@ -11,6 +11,7 @@ from marketopt import solver
 from marketopt.integrator import (
     ControlGrid,
     TimeGrid,
+    default_grid,
     rk4_forward,
     sample_rates,
     zero_controls,
@@ -142,7 +143,8 @@ def _stage_rule_case(case):
     sc = preset_scenario("scenario3-l1")
     grid = TimeGrid(0.0, sc.t_f, 43)
     rates = sample_rates(sc.beta, sc.gamma, grid)
-    (u, splits), _ = solver._switch_sweep(sc, SweepSettings(n=grid.n), rates)
+    (u, splits), _ = solver._switch_sweep(sc, SweepSettings(n=grid.n), rates,
+                                          default_grid(sc.t_f, "l1"))
     assert splits and all(bound is None for *_, bound in splits)  # switches
     return sc, ControlGrid(grid, u, splits), rates
 

@@ -713,7 +713,8 @@ def test_switch_sweep_places_the_switches_alike_on_a_coarse_and_a_finer_grid():
     for n in (43, 175):
         grid = TimeGrid(0.0, sc.t_f, n)
         rates = sample_rates(sc.beta, sc.gamma, grid)
-        law, iterations = solver._switch_sweep(sc, SweepSettings(n=n, tol_delta=1e-6), rates)
+        law, iterations = solver._switch_sweep(sc, SweepSettings(n=n, tol_delta=1e-6), rates,
+                                               default_grid(sc.t_f, "l1"))
         assert law is not None and iterations <= 10
         u, splits = law
         # u2 switches on, u1 off, then u2 off, between bang-bang node values
@@ -949,11 +950,97 @@ def test_coarse_iteration_counts_do_not_rise(name, settings, bound):
     assert 0 < result.coarse_iterations <= bound
 
 
+class _Unrepeated(tuple):
+    """A placement that equals no other, so the switch sweep runs to tol."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = tuple.__hash__
+
+
+L1_GRIDS = [(2800, 1e-6), (350, 1e-3), (700, 1e-3), (1400, 1e-3)]
+L1_GRID_IDS = ["l1-fine", "n350", "n700", "n1400"]
+
+
+# the switch-sweep iterations with the repeat stop, and run to tol without it
+@pytest.mark.parametrize("n, tol, repeat, to_tol", [(*g, *c) for g, c in zip(
+    L1_GRIDS, [(6, 8), (5, 6), (6, 6), (6, 6)])], ids=L1_GRID_IDS)
+def test_switch_sweep_stops_once_its_fine_start_repeats(n, tol, repeat, to_tol, monkeypatch):
+    sc, settings = preset_scenario("scenario3-l1"), SweepSettings(n=n, tol_delta=tol)
+    rates = sample_rates(sc.beta, sc.gamma, settings.grid_for(sc))
+    early, early_iterations = solver._coarse_start(sc, settings, rates)
+    result = solve(sc, settings)
+    assert early_iterations == result.coarse_iterations == repeat
+    placement = solver._placement
+    monkeypatch.setattr(solver, "_placement", lambda *args: _Unrepeated(placement(*args)))
+    start, iterations = solver._coarse_start(sc, settings, rates)
+    assert iterations == to_tol
+    # the same fine start, so the same answer bit for bit
+    assert start.tobytes() == early.tobytes()
+    full = solve(sc, settings)
+    assert full.coarse_iterations == to_tol
+    assert result.residual_history == full.residual_history
+    assert result.cost.hex() == full.cost.hex()
+    for field in ("state", "costate", "controls"):
+        assert getattr(result, field).values.tobytes() == getattr(full, field).values.tobytes()
+
+
+def test_switch_start_puts_a_node_at_a_tau_on_the_later_side():
+    coarse, fine = TimeGrid(0.0, 7.0, 7), TimeGrid(0.0, 7.0, 14)
+    u = np.zeros((8, 2))
+    u[3:, 1], u[5:, 0] = 2.0, 1.0
+    # u2 switches at tau = 2.5, a fine node, and u1 at 4.2, between nodes 8 and 9
+    placement = solver._placement(u, [(2, 1, 0.5, None), (4, 0, 0.2, None)], coarse,
+                                  fine.nodes())
+    assert placement == ((0.0, 0.0), ((1, 5, 2.0), (0, 9, 1.0)))
+    start = solver._switch_start(u, [(2, 1, 0.5, None), (4, 0, 0.2, None)], coarse, fine)
+    assert start[:, 1].tolist() == [0.0] * 5 + [2.0] * 10
+    assert start[:, 0].tolist() == [0.0] * 9 + [1.0] * 6
+
+
+def _unreused(monkeypatch):
+    """Make every sweep pass run whole, as if no pass were ever stored."""
+    integrate = solver._integrate
+    monkeypatch.setattr(solver, "_integrate", lambda sc, u, rates, iteration, last=None,
+                        splits=(): integrate(sc, u, rates, iteration, None, splits))
+
+
+@pytest.mark.parametrize("relaxation, laws", [(1.0, 1), (0.5, 2)], ids=["weight1", "weight0.5"])
+def test_a_reused_pass_runs_no_law_at_weight_one(relaxation, laws, monkeypatch):
+    # l1-fine's second fine iteration reuses its first pass: at weight 1 the
+    # law on it is the last one, so the sweep stops on residual 0.0 without
+    # running it; a blend at a lower weight still runs it
+    sc = preset_scenario("scenario3-l1")
+    settings = SweepSettings(n=2800, tol_delta=1e-6, relaxation=relaxation)
+    calls = []
+    law_on_grid = solver._law_on_grid
+
+    def recorded(*args):
+        calls.append(len(args[1]))
+        return law_on_grid(*args)
+
+    monkeypatch.setattr(solver, "_law_on_grid", recorded)
+    result = solve(sc, settings)
+    assert calls == [settings.n + 1] * laws
+    assert result.residual_history == (1.0, 0.0)
+    _unreused(monkeypatch)
+    calls.clear()
+    full = solve(sc, settings)
+    assert calls == [settings.n + 1] * 2
+    assert full.residual_history == result.residual_history
+    assert full.cost.hex() == result.cost.hex()
+    assert full.singular_flags.tobytes() == result.singular_flags.tobytes()
+    for field in ("state", "costate", "controls"):
+        assert getattr(result, field).values.tobytes() == getattr(full, field).values.tobytes()
+
+
 def test_switch_sweep_gives_up_when_its_law_puts_a_node_in_the_deadband():
     # a wide deadband: a node near a switch falls in it in the second iteration
     sc, grid = preset_scenario("scenario3-l1"), TimeGrid(0.0, 7.0, 43)
     rates = sample_rates(sc.beta, sc.gamma, grid)
     settings = SweepSettings(n=43, eps_singular=1e-3)
-    assert solver._switch_sweep(sc, settings, rates) == (None, 2)
-    law, _ = solver._switch_sweep(sc, replace(settings, eps_singular=1e-9), rates)
+    fine = default_grid(sc.t_f, "l1")
+    assert solver._switch_sweep(sc, settings, rates, fine) == (None, 2)
+    law, _ = solver._switch_sweep(sc, replace(settings, eps_singular=1e-9), rates, fine)
     assert law is not None
